@@ -1,237 +1,64 @@
-"""Photon-number series kernels.
+"""Photon-number series kernel.
 
 The distribution of a single-mode Gaussian state diagonal in x/p with an
 x displacement has the generating function
 
-    sum_n p(n) z^n = r00 (1 - s z)^{-1/2} (1 - t z)^{-1/2} exp{c^2 z/(1 - t z)}
+    G(z) = sum_n p(n) z^n = r00 (1 - s z)^{-1/2} (1 - t z)^{-1/2} exp{c^2 z/(1 - t z)}
 
 with t = A - B, s = A + B built from the kernel coefficients and c = |C|.
-Expanding each factor gives p(n) = r00 sum_k T2(k) T1(n-k) where T2 carries
-the central binomial coefficients of (1 - s z)^{-1/2} and T1 collapses to
-scaled Hermite values: for t > 0 the argument is imaginary and the even-order
-values reduce to an all-positive recurrence, for t < 0 they are ordinary
-(sign-alternating) Hermite values, and at t = 0 the factor degenerates to
-powers c^{2m}/m!.
+G is D-finite: multiplying G'/G through by (1 - s z)(1 - t z)^2 gives
 
-Everything is evaluated as (log magnitude, sign) pairs so the Hermite growth
-near the critical point never overflows, with compensated accumulation of the
-max-shifted exponentials.  Two interchangeable backends are provided: a numba
-scalar kernel for sweeps and a plain numpy/fsum reference used as fallback and
-as a cross-check.  Set DICKE_METROLOGY_NO_NUMBA=1 to force the fallback.
+    (n+1) p(n+1) = (q0 - a1 n) p(n) + (q1 - a2 (n-1)) p(n-1) + (q2 - a3 (n-2)) p(n-2)
+
+with p(0) = r00, p(-1) = p(-2) = 0 and
+
+    a1 = -(s + 2t),   a2 = t^2 + 2 s t,   a3 = -s t^2,
+    q0 = (s + t)/2 + c^2,   q1 = -(3 s t/2 + t^2/2 + c^2 s),   q2 = s t^2,
+
+so every p(n) costs a fixed handful of operations.  The characteristic roots
+of the recurrence are s, t, t, all inside the unit circle for a physical
+state, and for |s|, |t| < 1 the wanted solution carries the dominant
+exp(2 c sqrt(n/t)) growth of the essential singularity at z = 1/t, so forward
+evaluation is stable: rounding errors excite only solutions that it outgrows.
+
+The values run scaled, starting at 1 with a running log scale that starts at
+log r00; the three live values are renormalised whenever their largest
+magnitude leaves [1e-200, 1e200].  Only the final exponentiation can leave
+the double range, so r00 itself may underflow: entries below the smallest
+double become 0.0 and nothing raises.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-from scipy.special import gammaln
 
-_ENV_FLAG = "DICKE_METROLOGY_NO_NUMBA"
-_LOG4 = math.log(4.0)
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    NUMBA_AVAILABLE = False
+_LOW, _HIGH = 1e-200, 1e200
 
 
-def _flag_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip() not in ("", "0", "false", "False")
-
-
-def _hermite_even_logs(w: float, sgn: float, n_pairs: int):
-    """Log magnitudes and signs of h_{2j}, j = 0..n_pairs, for the recurrence
-    h_{m+1} = 2 w h_m + sgn 2 m h_{m-1}, h_0 = 1, h_1 = 2w.
-
-    sgn = +1 gives the all-positive reduction of Hermite values at imaginary
-    argument iw; sgn = -1 gives ordinary Hermite polynomials at w.
-    """
-    lh = np.zeros(n_pairs + 1)
-    sh = np.ones(n_pairs + 1)
-    if n_pairs == 0:
-        return lh, sh
-    l2w = math.log(2.0 * w) if w > 0.0 else -math.inf
-    la, sa = 0.0, 1.0
-    lb, sb = l2w, (1.0 if w > 0.0 else 0.0)
-    for m in range(1, 2 * n_pairs):
-        t1l, t1s = l2w + lb, sb
-        t2l, t2s = math.log(2.0 * m) + la, sgn * sa
-        if t1s == 0.0 or t1l == -math.inf:
-            lc, sc = t2l, t2s
-        elif t2s == 0.0 or t2l == -math.inf:
-            lc, sc = t1l, t1s
-        else:
-            if t1l < t2l:
-                t1l, t1s, t2l, t2s = t2l, t2s, t1l, t1s
-            d = math.exp(t2l - t1l)
-            if t1s == t2s:
-                lc, sc = t1l + math.log1p(d), t1s
-            elif d >= 1.0:
-                lc, sc = -math.inf, 0.0
-            else:
-                lc, sc = t1l + math.log1p(-d), t1s
-        la, sa = lb, sb
-        lb, sb = lc, sc
-        if (m + 1) % 2 == 0:
-            j = (m + 1) // 2
-            lh[j] = lb
-            sh[j] = sb
-    return lh, sh
-
-
-def _branch_logs(t: float, s: float, c: float, n_max: int):
-    """(log|T1|, sign T1, log|T2|, sign T2) arrays for indices 0..n_max."""
-    m = np.arange(n_max + 1)
-    lfact = gammaln(m + 1.0)
-    if t == 0.0:
-        if c > 0.0:
-            lt1 = 2.0 * m * math.log(c) - lfact
-        else:
-            lt1 = np.full(n_max + 1, -np.inf)
-            lt1[0] = 0.0
-        st1 = np.ones(n_max + 1)
-    else:
-        at = abs(t)
-        lh, st1 = _hermite_even_logs(c / math.sqrt(at), 1.0 if t > 0.0 else -1.0, n_max)
-        lt1 = m * (math.log(at) - _LOG4) + lh - lfact
-    if s == 0.0:
-        lt2 = np.full(n_max + 1, -np.inf)
-        lt2[0] = 0.0
-        st2 = np.ones(n_max + 1)
-    else:
-        lt2 = gammaln(2.0 * m + 1.0) - 2.0 * lfact + m * (math.log(abs(s)) - _LOG4)
-        st2 = np.ones(n_max + 1) if s > 0.0 else np.where(m % 2 == 0, 1.0, -1.0)
-    return lt1, st1, lt2, st2
-
-
-def pn_series_numpy(r00: float, t: float, s: float, c: float, n_max: int) -> np.ndarray:
-    """Reference evaluation: vectorized term logs, exact fsum per n."""
-    lt1, st1, lt2, st2 = _branch_logs(t, s, c, n_max)
-    lr = math.log(r00)
-    out = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        lg = lt2[: n + 1] + lt1[n::-1]
-        sg = st2[: n + 1] * st1[n::-1]
-        mask = (sg != 0.0) & (lg > -np.inf)
-        if not mask.any():
-            continue
-        lmax = float(np.max(lg[mask]))
-        ssum = math.fsum((sg[mask] * np.exp(lg[mask] - lmax)).tolist())
-        if ssum != 0.0:
-            out[n] = math.copysign(math.exp(lr + lmax + math.log(abs(ssum))), ssum)
-    return out
-
-
-def _pn_series_scalar(r00: float, t: float, s: float, c: float, n_max: int) -> np.ndarray:
-    # self-contained twin of pn_series_numpy: no calls out, so numba can
-    # compile it whole; Kahan compensation replaces fsum
-    lt1 = np.zeros(n_max + 1)
-    st1 = np.ones(n_max + 1)
-    lt2 = np.zeros(n_max + 1)
-    st2 = np.ones(n_max + 1)
-    if t == 0.0:
-        for i in range(1, n_max + 1):
-            if c > 0.0:
-                lt1[i] = 2.0 * i * math.log(c) - math.lgamma(i + 1.0)
-            else:
-                lt1[i] = -math.inf
-    else:
-        at = abs(t)
-        w = c / math.sqrt(at)
-        sgn = 1.0 if t > 0.0 else -1.0
-        lt4 = math.log(at) - _LOG4
-        l2w = math.log(2.0 * w) if w > 0.0 else -math.inf
-        la, sa = 0.0, 1.0
-        lb, sb = l2w, (1.0 if w > 0.0 else 0.0)
-        for m in range(1, 2 * n_max):
-            t1l, t1s = l2w + lb, sb
-            t2l, t2s = math.log(2.0 * m) + la, sgn * sa
-            if t1s == 0.0 or t1l == -math.inf:
-                lc, sc = t2l, t2s
-            elif t2s == 0.0 or t2l == -math.inf:
-                lc, sc = t1l, t1s
-            else:
-                if t1l < t2l:
-                    t1l, t1s, t2l, t2s = t2l, t2s, t1l, t1s
-                d = math.exp(t2l - t1l)
-                if t1s == t2s:
-                    lc, sc = t1l + math.log1p(d), t1s
-                elif d >= 1.0:
-                    lc, sc = -math.inf, 0.0
-                else:
-                    lc, sc = t1l + math.log1p(-d), t1s
-            la, sa = lb, sb
-            lb, sb = lc, sc
-            if (m + 1) % 2 == 0:
-                j = (m + 1) // 2
-                lt1[j] = j * lt4 + lb - math.lgamma(j + 1.0)
-                st1[j] = sb
-    if s == 0.0:
-        for i in range(1, n_max + 1):
-            lt2[i] = -math.inf
-    else:
-        ls4 = math.log(abs(s)) - _LOG4
-        ssign = 1.0 if s > 0.0 else -1.0
-        lch = 0.0
-        sk = 1.0
-        for k in range(1, n_max + 1):
-            lch += math.log(2.0 * (2.0 * k - 1.0) / k)
-            sk *= ssign
-            lt2[k] = lch + k * ls4
-            st2[k] = sk
-    lr = math.log(r00)
-    out = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        lmax = -math.inf
-        for k in range(n + 1):
-            if st2[k] == 0.0 or st1[n - k] == 0.0:
-                continue
-            lg = lt2[k] + lt1[n - k]
-            if lg > lmax:
-                lmax = lg
-        if lmax == -math.inf:
-            continue
-        acc = 0.0
-        comp = 0.0
-        for k in range(n + 1):
-            if st2[k] == 0.0 or st1[n - k] == 0.0:
-                continue
-            term = st2[k] * st1[n - k] * math.exp(lt2[k] + lt1[n - k] - lmax)
-            y = term - comp
-            tot = acc + y
-            comp = (tot - acc) - y
-            acc = tot
-        if acc != 0.0:
-            mag = math.exp(lr + lmax + math.log(abs(acc)))
-            out[n] = mag if acc > 0.0 else -mag
-    return out
-
-
-pn_series_numba = njit(cache=True)(_pn_series_scalar) if NUMBA_AVAILABLE else None
-
-
-def active_backend() -> str:
-    """Which implementation pn_series will dispatch to right now."""
-    if NUMBA_AVAILABLE and not _flag_disabled():
-        return "numba"
-    return "numpy"
-
-
-def pn_series(r00: float, t: float, s: float, c: float, n_max: int) -> np.ndarray:
-    """p(0..n_max) for kernel inputs r00, t = A - B, s = A + B, c = |C|."""
+def pn_series(log_r00: float, t: float, s: float, c: float, n_max: int) -> np.ndarray:
+    """p(0..n_max) for kernel inputs log r00, t = A - B, s = A + B, c = |C|."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if active_backend() == "numba":
-        return pn_series_numba(r00, float(t), float(s), float(c), int(n_max))
-    return pn_series_numpy(r00, float(t), float(s), float(c), int(n_max))
-
-
-def warmup() -> None:
-    """Trigger jit compilation ahead of timed or parallel work."""
-    if NUMBA_AVAILABLE and not _flag_disabled():
-        for t, s, c in ((0.3, 0.1, 0.7), (-0.3, 0.2, 0.5), (0.0, 0.0, 1.0)):
-            pn_series_numba(1.0, t, s, c, 4)
+    t, s, c2 = float(t), float(s), float(c) ** 2
+    a1, a2, a3 = -(s + 2.0 * t), t * t + 2.0 * s * t, -s * t * t
+    q0, q1, q2 = 0.5 * (s + t) + c2, -(1.5 * s * t + 0.5 * t * t + c2 * s), s * t * t
+    vals = [1.0] * (n_max + 1)
+    logs = [float(log_r00)] * (n_max + 1)
+    # p0, p1, p2 hold the scaled p(n), p(n-1), p(n-2)
+    p0, p1, p2, log_scale = 1.0, 0.0, 0.0, float(log_r00)
+    for n in range(n_max):
+        p0, p1, p2 = (
+            ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1),
+            p0,
+            p1,
+        )
+        big = max(abs(p0), abs(p1), abs(p2))
+        if big > _HIGH or 0.0 < big < _LOW:
+            p0, p1, p2 = p0 / big, p1 / big, p2 / big
+            log_scale += math.log(big)
+        vals[n + 1] = p0
+        logs[n + 1] = log_scale
+    v = np.array(vals)
+    with np.errstate(divide="ignore"):
+        return np.sign(v) * np.exp(np.log(np.abs(v)) + np.array(logs))

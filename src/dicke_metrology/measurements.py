@@ -136,7 +136,7 @@ def mean_photon_decomposition(state: GaussianState) -> MeanPhotonDecomposition:
 class PhotonNumberKernel:
     """Scalar inputs of the photon-number series for one state."""
 
-    r00: float
+    log_r00: float
     a_tilde: float
     b_tilde: float
     c_tilde: float
@@ -149,7 +149,7 @@ def photon_kernel_params(state: GaussianState) -> PhotonNumberKernel:
     mx = float(state.mean[0])
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
     return PhotonNumberKernel(
-        r00=2.0 * math.exp(-mx * mx / dx) / math.sqrt(dx * dp),
+        log_r00=math.log(2.0) - mx * mx / dx - 0.5 * math.log(dx * dp),
         a_tilde=(4.0 * sx * sp - 1.0) / (dx * dp),
         b_tilde=2.0 * (sp - sx) / (dx * dp),
         c_tilde=math.sqrt(2.0) * mx / dx,
@@ -170,7 +170,7 @@ def _pn_values(kernel: PhotonNumberKernel, n_max: int) -> np.ndarray:
     # generating function; s = A + B carries the bare p-axis factor
     t = kernel.a_tilde - kernel.b_tilde
     s = kernel.a_tilde + kernel.b_tilde
-    return _kernels.pn_series(kernel.r00, t, s, abs(kernel.c_tilde), n_max)
+    return _kernels.pn_series(kernel.log_r00, t, s, abs(kernel.c_tilde), n_max)
 
 
 def photon_distribution(

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dicke_metrology.cli import main
+from dicke_metrology.cli import EXIT_OK, main
 
 
 def run(capsys, argv):
@@ -235,3 +235,12 @@ class TestPhotonTables:
         assert code == 0
         n_s, thermal, coherent, total = map(float, row[1:5])
         assert total == pytest.approx(n_s + thermal + coherent, rel=1e-12)
+
+    def test_pn_table_when_r00_underflows(self, capsys):
+        # p(0) = r00 ~ exp(-1352) is below the smallest double at this size
+        code, out = run(capsys, ["photon", "--n-atoms", "4000", "--lambda", "0.7"])
+        tables = out.strip().split("n,p,status\n")
+        assert code == EXIT_OK
+        rows = tables[1].strip().split("\n")
+        assert len(rows) > 1
+        assert all(row.endswith(",ok") for row in rows)

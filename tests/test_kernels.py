@@ -1,10 +1,16 @@
-"""Backend agreement and closed-form checks for the photon series kernels."""
+"""The photon-number recurrence against the convolution oracle and closed forms."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from dicke_metrology import _kernels
+from dicke_metrology.dicke import DickeParams, reduced_radiation_state
+from dicke_metrology.measurements import photon_distribution, photon_kernel_params
+
+_LOG4 = math.log(4.0)
 
 # inputs covering every branch: displaced thermal-squeezed (t > 0),
 # anti-squeezed with displacement (t < 0), pure coherent (t = 0),
@@ -20,53 +26,159 @@ BRANCH_CASES = [
 ]
 
 
-class TestBackends:
-    # numba is optional: the tests of the compiled backend skip only when
-    # numba itself cannot be imported, so a broken NUMBA_AVAILABLE still fails
-    def test_numba_importable(self):
-        pytest.importorskip("numba")
-        assert _kernels.NUMBA_AVAILABLE
+# reference oracle: the O(n^2) log-domain convolution of the two factors of
+# the generating function, exact fsum per n.  For each n, p(n) = r00 sum_k
+# T2(k) T1(n-k), where T2 carries the central binomial coefficients of
+# (1 - s z)^{-1/2} and T1 collapses to scaled Hermite values: for t > 0 the
+# argument is imaginary and the even-order values reduce to an all-positive
+# recurrence, for t < 0 they are ordinary (sign-alternating) Hermite values,
+# and at t = 0 the factor degenerates to powers c^{2m}/m!.  Everything is a
+# (log magnitude, sign) pair so the Hermite growth never overflows.
 
-    @pytest.mark.parametrize("r00,t,s,c,n_max", BRANCH_CASES)
-    def test_backends_agree(self, r00, t, s, c, n_max):
-        pytest.importorskip("numba")
-        a = _kernels.pn_series_numpy(r00, t, s, c, n_max)
-        b = _kernels.pn_series_numba(r00, t, s, c, n_max)
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) < 1e-12 * max(scale, 1e-30)
 
-    @pytest.mark.parametrize("r00,t,s,c,n_max", BRANCH_CASES)
-    def test_scalar_twin_agrees_with_numpy(self, r00, t, s, c, n_max):
-        # the uncompiled source of pn_series_numba, checked with or without numba
-        a = _kernels.pn_series_numpy(r00, t, s, c, n_max)
-        b = _kernels._pn_series_scalar(r00, t, s, c, n_max)
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) < 1e-12 * max(scale, 1e-30)
+def _hermite_even_logs(w: float, sgn: float, n_pairs: int):
+    """Log magnitudes and signs of h_{2j}, j = 0..n_pairs, for the recurrence
+    h_{m+1} = 2 w h_m + sgn 2 m h_{m-1}, h_0 = 1, h_1 = 2w.
 
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("DICKE_METROLOGY_NO_NUMBA", "1")
-        assert _kernels.active_backend() == "numpy"
-        out = _kernels.pn_series(1.0, 0.0, 0.0, 0.0, 3)
-        assert out[0] == 1.0
+    sgn = +1 gives the all-positive reduction of Hermite values at imaginary
+    argument iw; sgn = -1 gives ordinary Hermite polynomials at w.
+    """
+    lh = np.zeros(n_pairs + 1)
+    sh = np.ones(n_pairs + 1)
+    if n_pairs == 0:
+        return lh, sh
+    l2w = math.log(2.0 * w) if w > 0.0 else -math.inf
+    la, sa = 0.0, 1.0
+    lb, sb = l2w, (1.0 if w > 0.0 else 0.0)
+    for m in range(1, 2 * n_pairs):
+        t1l, t1s = l2w + lb, sb
+        t2l, t2s = math.log(2.0 * m) + la, sgn * sa
+        if t1s == 0.0 or t1l == -math.inf:
+            lc, sc = t2l, t2s
+        elif t2s == 0.0 or t2l == -math.inf:
+            lc, sc = t1l, t1s
+        else:
+            if t1l < t2l:
+                t1l, t1s, t2l, t2s = t2l, t2s, t1l, t1s
+            d = math.exp(t2l - t1l)
+            if t1s == t2s:
+                lc, sc = t1l + math.log1p(d), t1s
+            elif d >= 1.0:
+                lc, sc = -math.inf, 0.0
+            else:
+                lc, sc = t1l + math.log1p(-d), t1s
+        la, sa = lb, sb
+        lb, sb = lc, sc
+        if (m + 1) % 2 == 0:
+            j = (m + 1) // 2
+            lh[j] = lb
+            sh[j] = sb
+    return lh, sh
 
-    def test_env_flag_off_values(self, monkeypatch):
-        # flag parsing only: detection is test_numba_importable's concern, and
-        # pn_series is not called because the compiled function may be absent
-        monkeypatch.setattr(_kernels, "NUMBA_AVAILABLE", True)
-        monkeypatch.setenv("DICKE_METROLOGY_NO_NUMBA", "0")
-        assert _kernels.active_backend() == "numba"
-        monkeypatch.setenv("DICKE_METROLOGY_NO_NUMBA", "false")
-        assert _kernels.active_backend() == "numba"
-        monkeypatch.delenv("DICKE_METROLOGY_NO_NUMBA")
-        assert _kernels.active_backend() == "numba"
 
-    def test_warmup_runs(self):
-        assert _kernels.warmup() is None
+def _branch_logs(t: float, s: float, c: float, n_max: int):
+    """(log|T1|, sign T1, log|T2|, sign T2) arrays for indices 0..n_max."""
+    m = np.arange(n_max + 1)
+    lfact = gammaln(m + 1.0)
+    if t == 0.0:
+        if c > 0.0:
+            lt1 = 2.0 * m * math.log(c) - lfact
+        else:
+            lt1 = np.full(n_max + 1, -np.inf)
+            lt1[0] = 0.0
+        st1 = np.ones(n_max + 1)
+    else:
+        at = abs(t)
+        lh, st1 = _hermite_even_logs(c / math.sqrt(at), 1.0 if t > 0.0 else -1.0, n_max)
+        lt1 = m * (math.log(at) - _LOG4) + lh - lfact
+    if s == 0.0:
+        lt2 = np.full(n_max + 1, -np.inf)
+        lt2[0] = 0.0
+        st2 = np.ones(n_max + 1)
+    else:
+        lt2 = gammaln(2.0 * m + 1.0) - 2.0 * lfact + m * (math.log(abs(s)) - _LOG4)
+        st2 = np.ones(n_max + 1) if s > 0.0 else np.where(m % 2 == 0, 1.0, -1.0)
+    return lt1, st1, lt2, st2
+
+
+def pn_series_numpy(r00: float, t: float, s: float, c: float, n_max: int) -> np.ndarray:
+    """Reference evaluation: vectorized term logs, exact fsum per n."""
+    lt1, st1, lt2, st2 = _branch_logs(t, s, c, n_max)
+    lr = math.log(r00)
+    out = np.zeros(n_max + 1)
+    for n in range(n_max + 1):
+        lg = lt2[: n + 1] + lt1[n::-1]
+        sg = st2[: n + 1] * st1[n::-1]
+        mask = (sg != 0.0) & (lg > -np.inf)
+        if not mask.any():
+            continue
+        lmax = float(np.max(lg[mask]))
+        ssum = math.fsum((sg[mask] * np.exp(lg[mask] - lmax)).tolist())
+        if ssum != 0.0:
+            out[n] = math.copysign(math.exp(lr + lmax + math.log(abs(ssum))), ssum)
+    return out
+
+
+# radiation states of the Dicke ground state on both sides of lambda_c = 0.5,
+# near and far from it, at cutoffs where their tails are resolved
+PHYSICAL_CASES = [(0.1, 100), (0.45, 100), (0.49, 100), (0.55, 100), (1.5, 100), (0.7, 10), (2.0, 1)]
+
+
+def _agree(a, b, rtol=1e-12):
+    scale = np.max(np.abs(a))
+    assert np.max(np.abs(a - b)) < rtol * max(scale, 1e-30)
+
+
+def _radiation_series_inputs(lam, n_atoms):
+    state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
+    k = photon_kernel_params(state)
+    n_max = photon_distribution(state).n_max
+    return k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde), n_max
+
+
+@pytest.mark.parametrize("r00,t,s,c,n_max", BRANCH_CASES)
+def test_recurrence_matches_convolution(r00, t, s, c, n_max):
+    _agree(pn_series_numpy(r00, t, s, c, n_max), _kernels.pn_series(math.log(r00), t, s, c, n_max))
+
+
+@pytest.mark.parametrize("lam,n_atoms", PHYSICAL_CASES)
+def test_recurrence_matches_convolution_on_radiation_states(lam, n_atoms):
+    log_r00, t, s, c, n_max = _radiation_series_inputs(lam, n_atoms)
+    out = _kernels.pn_series(log_r00, t, s, c, n_max)
+    # the convolution's term logs carry rounding of eps |log term|, which
+    # reaches 1.6e-11 of max p at lam = 1.5 (<n> ~ 220)
+    _agree(pn_series_numpy(math.exp(log_r00), t, s, c, n_max), out, rtol=1e-10)
+    assert np.min(out) >= 0.0
+
+
+def _recurrence_60_digits(log_r00, t, s, c, n_max):
+    t, s, c2 = mpmath.mpf(t), mpmath.mpf(s), mpmath.mpf(c) ** 2
+    a1, a2, a3 = -(s + 2 * t), t * t + 2 * s * t, -s * t * t
+    q0, q1, q2 = (s + t) / 2 + c2, -(3 * s * t / 2 + t * t / 2 + c2 * s), s * t * t
+    p0, p1, p2 = mpmath.exp(log_r00), 0, 0
+    out = [p0]
+    for n in range(n_max):
+        p0, p1, p2 = ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1), p0, p1
+        out.append(p0)
+    return np.array([float(p) for p in out])
+
+
+@pytest.mark.parametrize("lam,n_atoms", [(1.5, 100), (1.0, 1000)])
+def test_forward_evaluation_is_stable(lam, n_atoms):
+    # rounding in double precision does not grow along n, out to n_max 9425
+    # where r00 = exp(-923) underflows
+    args = _radiation_series_inputs(lam, n_atoms)
+    with mpmath.workdps(60):
+        exact = _recurrence_60_digits(*args)
+    out = _kernels.pn_series(*args)
+    _agree(exact, out)
+    bulk = exact > 1e-8 * np.max(exact)
+    assert np.max(np.abs(out[bulk] / exact[bulk] - 1.0)) < 1e-12
 
 
 class TestClosedForms:
     def test_vacuum(self):
-        out = _kernels.pn_series(1.0, 0.0, 0.0, 0.0, 5)
+        out = _kernels.pn_series(math.log(1.0), 0.0, 0.0, 0.0, 5)
         assert out[0] == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(out[1:])) < 1e-15
 
@@ -74,14 +186,14 @@ class TestClosedForms:
         # sigma = n + 1/2 on both axes: t = s = n/(n+1), c = 0, r00 = 1/(n+1)
         n_th = 1.4
         t = n_th / (n_th + 1.0)
-        out = _kernels.pn_series(1.0 / (n_th + 1.0), t, t, 0.0, 30)
+        out = _kernels.pn_series(math.log(1.0 / (n_th + 1.0)), t, t, 0.0, 30)
         n = np.arange(31)
         exact = n_th ** n / (1.0 + n_th) ** (n + 1)
         assert np.max(np.abs(out - exact)) < 1e-15
 
     def test_coherent_poisson(self):
         gamma = 1.1
-        out = _kernels.pn_series(math.exp(-gamma ** 2), 0.0, 0.0, gamma, 25)
+        out = _kernels.pn_series(math.log(math.exp(-gamma ** 2)), 0.0, 0.0, gamma, 25)
         exact = [math.exp(-gamma ** 2) * gamma ** (2 * k) / math.factorial(k) for k in range(26)]
         assert np.max(np.abs(out - np.array(exact))) < 1e-15
 
@@ -89,7 +201,7 @@ class TestClosedForms:
         # sigma_x = e^{2r}/2: t = tanh(r), s = -tanh(r), r00 = 1/cosh(r)
         r = 0.7
         th = math.tanh(r)
-        out = _kernels.pn_series(1.0 / math.cosh(r), th, -th, 0.0, 20)
+        out = _kernels.pn_series(math.log(1.0 / math.cosh(r)), th, -th, 0.0, 20)
         for m in (0, 2, 5):
             exact = (
                 math.factorial(2 * m)
@@ -100,7 +212,7 @@ class TestClosedForms:
             assert abs(out[2 * m + 1]) < 1e-16
 
     def test_n_max_zero(self):
-        out = _kernels.pn_series(0.7, 0.2, 0.1, 0.4, 0)
+        out = _kernels.pn_series(math.log(0.7), 0.2, 0.1, 0.4, 0)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(0.7, abs=1e-15)
 
@@ -113,7 +225,7 @@ class TestClosedForms:
         t = (2.0 * sx - 1.0) / dx
         s = (2.0 * sp - 1.0) / dp
         c = math.sqrt(2.0) * mx / dx
-        out = _kernels.pn_series(r00, t, s, c, 6000)
+        out = _kernels.pn_series(math.log(r00), t, s, c, 6000)
         assert np.all(np.isfinite(out))
         assert np.min(out) > -1e-12
         assert math.fsum(out.tolist()) == pytest.approx(1.0, abs=1e-9)

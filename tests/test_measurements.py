@@ -249,6 +249,16 @@ class TestPhotonDistribution:
         exact = np.exp(-(gamma ** 2)) * gamma ** (2 * n) / [math.factorial(i) for i in n]
         assert np.max(np.abs(dist.probs - exact)) < 1e-14
 
+    @pytest.mark.parametrize("lam,n_atoms", [(0.7, 4000), (1.0, 1000)])
+    def test_underflowing_r00(self, lam, n_atoms):
+        # p(0) = r00 is below the smallest double: exp(-1352) and exp(-923)
+        state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
+        dist = photon_distribution(state)
+        assert np.min(dist.probs) >= 0.0
+        assert math.fsum(dist.probs) == pytest.approx(1.0 - dist.tail_mass, abs=1e-10)
+        mean = math.fsum((np.arange(dist.probs.size) * dist.probs).tolist())
+        assert mean == pytest.approx(mean_photon_decomposition(state).total, rel=1e-6)
+
     def test_normalization_with_tail(self):
         state = reduced_radiation_state(DickeParams(lam=0.8, n_atoms=100))
         dist = photon_distribution(state)
@@ -286,7 +296,7 @@ class TestPhotonDistribution:
     @settings(max_examples=60, deadline=None)
     def test_kernel_bounds(self, n_th, r, gamma):
         kernel = photon_kernel_params(dsts_state(n_th, r, gamma))
-        assert 0 < kernel.r00 <= 2.0
+        assert math.isfinite(kernel.log_r00) and kernel.log_r00 <= math.log(2.0)
         assert abs(kernel.b_tilde) <= kernel.a_tilde + 1.0
 
 
