@@ -26,6 +26,17 @@ log r00; the three live values are renormalised whenever their largest
 magnitude leaves [1e-200, 1e200].  Only the final exponentiation can leave
 the double range, so r00 itself may underflow: entries below the smallest
 double become 0.0 and nothing raises.
+
+Along any path of the inputs, d log G = d(log r00) + (ds/2) z/(1 - s z)
++ (dt/2 + 2 c dc) z/(1 - t z) + c^2 dt z^2/(1 - t z)^2, so with
+D(z) = (1 - s z)(1 - t z)^2 the derivative series obeys D dG = P G for the cubic
+
+    P = D d(log r00) + (ds/2) z (1 - t z)^2 + (dt/2 + 2 c dc) z (1 - s z)(1 - t z)
+        + c^2 dt z^2 (1 - s z).
+
+Read coefficient by coefficient this is a filter that takes p(n) to dp(n);
+its feedback D has the roots s, t, t of the recurrence above, so its
+homogeneous solutions decay and forward evaluation is stable.
 """
 from __future__ import annotations
 
@@ -62,3 +73,24 @@ def pn_series(log_r00: float, t: float, s: float, c: float, n_max: int) -> np.nd
     v = np.array(vals)
     with np.errstate(divide="ignore"):
         return np.sign(v) * np.exp(np.log(np.abs(v)) + np.array(logs))
+
+
+def pn_derivative(
+    probs: np.ndarray, dlog_r00: float, t: float, dt: float, s: float, ds: float, c: float, dc: float
+) -> np.ndarray:
+    """dp(0..n_max) along a path of kernel inputs, from probs = pn_series(...).
+
+    c and dc enter as c^2 and c dc only, so the sign of c is free.
+    """
+    one_st, one_t2 = np.convolve([1.0, -s], [1.0, -t]), np.convolve([1.0, -t], [1.0, -t])
+    feedback = np.convolve([1.0, -s], one_t2)
+    # P / z, a quadratic
+    inner = 0.5 * ds * one_t2 + (0.5 * dt + 2.0 * c * dc) * one_st + c * c * dt * np.array([0.0, 1.0, -s])
+    forward = dlog_r00 * feedback + np.append(0.0, inner)
+    out = np.convolve(probs, forward)[: len(probs)].tolist()
+    _, d1, d2, d3 = feedback.tolist()
+    y1 = y2 = y3 = 0.0
+    for n, x in enumerate(out):
+        y1, y2, y3 = x - d1 * y1 - d2 * y2 - d3 * y3, y1, y2
+        out[n] = y1
+    return np.array(out)

@@ -61,6 +61,11 @@ _COLUMNS = {
 }
 
 
+# numerical-domain failures that become a non-ok status; any other exception
+# is a fault of the program and propagates with its traceback
+_DOMAIN_ERRORS = (DickeMetrologyError, np.linalg.LinAlgError)
+
+
 class ConfigError(Exception):
     pass
 
@@ -120,7 +125,7 @@ def _compute_point(task: tuple[str, float, dict]) -> list[list]:
         return [row + ["ok"] for row in _ROW_BUILDERS[command](lam, cfg)]
     except NonConvergedSeries:
         status = "nonconverged"
-    except (DickeMetrologyError, ValueError, np.linalg.LinAlgError):
+    except _DOMAIN_ERRORS:
         status = "singular"
     pad = [math.nan] * (width - 1)
     if command == "fi-homodyne":
@@ -225,6 +230,12 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     if cfg["target"] not in ("radiation", "atoms"):
         raise ConfigError(f"target must be radiation or atoms, got {cfg['target']!r}")
+    if not (cfg["omega"] > 0 and cfg["omega0"] > 0 and cfg["n_atoms"] >= 1):
+        raise ConfigError("omega and omega0 must be positive and n-atoms at least 1")
+    if not (cfg["lambda_min"] >= 0 and (cfg["lambda"] is None or cfg["lambda"] >= 0)):
+        raise ConfigError("lambda and lambda-min must be nonnegative")
+    if cfg["points"] < 0:
+        raise ConfigError("points must be nonnegative")
     if cfg["jobs"] < 1:
         raise ConfigError("jobs must be >= 1")
     if cfg["exclusion"] < 0:
@@ -294,7 +305,7 @@ def _run_photon_pn(cfg: dict, lam: float) -> int:
     except NonConvergedSeries:
         rows = [[0, math.nan, "nonconverged"]]
         code = EXIT_NUMERICAL
-    except (DickeMetrologyError, ValueError):
+    except _DOMAIN_ERRORS:
         rows = [[0, math.nan, "singular"]]
         code = EXIT_NUMERICAL
     columns = ("n", "p")
@@ -313,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DickeMetrologyError, ValueError) as exc:
+    except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     tasks = [(args.command, lam, cfg) for lam in grid]

@@ -167,27 +167,6 @@ def ground_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> G
     return apply_symplectic(vacuum_state(2), transform)
 
 
-def closed_form_cov(derived: DickeDerived) -> np.ndarray:
-    """Ground-state covariance from the six closed-form entries.
-
-    Independent of the symplectic-chain construction; the two must agree to
-    high accuracy, which the test suite checks on a coupling grid.
-    """
-    w, wt = derived.omega, derived.omega_tilde
-    em, ep = derived.eps_minus, derived.eps_plus
-    c2 = np.cos(derived.theta) ** 2
-    s2 = np.sin(derived.theta) ** 2
-    s2t = np.sin(2.0 * derived.theta)
-    cov = np.zeros((4, 4))
-    cov[0, 0] = 0.5 * w * (c2 / em + s2 / ep)
-    cov[1, 1] = (em * c2 + ep * s2) / (2.0 * w)
-    cov[2, 2] = 0.5 * wt * (c2 / ep + s2 / em)
-    cov[3, 3] = (ep * c2 + em * s2) / (2.0 * wt)
-    cov[0, 2] = cov[2, 0] = 0.25 * np.sqrt(w * wt) * s2t * (1.0 / ep - 1.0 / em)
-    cov[1, 3] = cov[3, 1] = -0.25 * s2t * (em - ep) / np.sqrt(w * wt)
-    return cov
-
-
 def reduced_radiation_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:
     """Single-mode reduced state of the radiation mode."""
     return partial_trace(ground_state(params, delta_min=delta_min), [RADIATION_MODE])

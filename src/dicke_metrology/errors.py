@@ -9,17 +9,13 @@ class CriticalPointSingularity(DickeMetrologyError):
     """The coupling sits inside the excluded window around the critical point."""
 
 
-class StepCrossesCriticalPoint(DickeMetrologyError):
-    """A finite-difference stencil would straddle the critical coupling."""
-
-
 class NonConvergedSeries(DickeMetrologyError):
     """A truncated series failed to reach the requested tail mass."""
 
 
-class UnphysicalStateError(ValueError):
+class UnphysicalStateError(DickeMetrologyError, ValueError):
     """Moments violate the constraints of a physical (or in-family) Gaussian state."""
 
 
-class SingularCovarianceError(ValueError):
+class SingularCovarianceError(DickeMetrologyError, ValueError):
     """A covariance matrix is singular or indefinite where positivity is required."""

@@ -8,75 +8,76 @@ family splits into a quadratic (covariance) part and a displacement part:
 with the symmetric logarithmic derivative L = R^T Phi R + R^T zeta - nu,
 Phi = -dcov, zeta = Omega^T cov^-1 dmean, nu = Tr[Omega^T cov Omega Phi].
 
-Moment derivatives are taken by symmetric finite differences with one
-Richardson extrapolation step; stencils refuse to straddle the critical
-coupling, where the family is singular.
+Moment derivatives are exact: the chain rule runs through the mean-field
+scalars k, alpha, beta, the effective atomic frequency, the normal-mode
+frequencies and the rotation angle theta, and the product rule through the
+symplectic chain S = F1^-1 F2(theta)^T F3^-1 that builds cov = S S^T / 2.
+There is no step to choose; the only excluded couplings are the window of
+half-width delta_min around lambda_c, where `derive` raises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dicke import DEFAULT_DELTA_MIN, DickeParams, derive, f1_matrix, ground_state
-from .errors import StepCrossesCriticalPoint
+from .dicke import DEFAULT_DELTA_MIN, DickeParams, Phase, derive, ground_state
+from .dicke import f1_matrix, f2_matrix, f3_matrix
 from .gaussian import symplectic_form
 
-
-def default_step(lam: float, lambda_c: float) -> float:
-    """Default finite-difference half-step at coupling lam."""
-    h = max(1e-6, 1e-5 * abs(lam - lambda_c))
-    if lam > 0:
-        h = min(h, lam / 2.0)
-    return h
-
-
-def richardson_derivative(f: Callable[[float], np.ndarray], x: float, step: float) -> np.ndarray:
-    """Symmetric difference at steps h and h/2, Richardson-combined to O(h^4)."""
-    coarse = (f(x + step) - f(x - step)) / (2.0 * step)
-    fine = (f(x + step / 2.0) - f(x - step / 2.0)) / step
-    return (4.0 * fine - coarse) / 3.0
+# generator of the two-mode rotation: d/dtheta F2(theta)^T = F2(theta)^T @ _ROT_GEN
+_ROT_GEN = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 
 
 @dataclass(frozen=True)
 class StateDerivative:
-    """Coupling derivatives of the ground-state moments and the step used."""
+    """Coupling derivatives of the ground-state moments."""
 
     dcov: np.ndarray
     dmean: np.ndarray
-    step: float
 
 
-def _guard_step(lam: float, lambda_c: float, step: float, delta_min: float) -> None:
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if abs(lam - lambda_c) <= step + delta_min:
-        raise StepCrossesCriticalPoint(
-            f"stencil half-width {step:.3e} reaches across lambda_c from lam = {lam}"
-        )
-
-
-def state_derivative(
-    params: DickeParams,
-    step: float | None = None,
-    delta_min: float = DEFAULT_DELTA_MIN,
-) -> StateDerivative:
-    """d(cov)/d(lam) and d(mean)/d(lam) of the ground state at params."""
-    lc = params.lambda_c
-    h = default_step(params.lam, lc) if step is None else float(step)
-    _guard_step(params.lam, lc, h, delta_min)
-
-    def moments(lam: float) -> np.ndarray:
-        st = ground_state(
-            DickeParams(lam=lam, omega=params.omega, omega0=params.omega0, n_atoms=params.n_atoms),
-            delta_min=delta_min,
-        )
-        return np.concatenate([st.cov.reshape(-1), st.mean])
-
-    d = richardson_derivative(moments, params.lam, h)
-    dcov = d[:16].reshape(4, 4)
-    return StateDerivative(dcov=(dcov + dcov.T) / 2.0, dmean=d[16:], step=h)
+def state_derivative(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> StateDerivative:
+    """d(cov)/d(lam) and d(mean)/d(lam) of the ground state at params, in closed form."""
+    d = derive(params, delta_min=delta_min)
+    w, w0, lam, k = d.omega, d.omega0, d.lam, d.k
+    em, ep, wt = d.eps_minus, d.eps_plus, d.omega_tilde
+    if d.phase is Phase.SUPERRADIANT:
+        dk = -2.0 * k / lam
+        root = math.sqrt(1.0 - k * k)
+        dalpha = root / w - (lam / w) * k * dk / root
+        dbeta = -dk / (4.0 * d.beta)
+    else:
+        dk = dalpha = dbeta = 0.0
+    dwt = -w0 * dk / (2.0 * k * k)
+    # normal modes: eps_-+^2 = (s -+ r) / 2 with r = hypot(u, v) and ds = du
+    u, v = (w0 / k) ** 2 - w * w, 4.0 * lam * math.sqrt(w * w0 * k)
+    ds = -2.0 * w0 * w0 * dk / k**3
+    dv = 4.0 * math.sqrt(w * w0 * k) * (1.0 + lam * dk / (2.0 * k))
+    r = math.hypot(u, v)
+    if r > 0.0:
+        dr = (u * ds + v * dv) / r
+        # theta = atan2(y, x) / 2
+        y, x = v * k * k, w0 * w0 - k * k * w * w
+        dy, dx = dv * k * k + 2.0 * v * k * dk, -2.0 * k * w * w * dk
+        dtheta = 0.5 * (x * dy - y * dx) / (x * x + y * y)
+    else:
+        # resonance at lam = 0: the modes are degenerate, and the limit
+        # lam -> 0+ has r = v and a constant theta = pi/4
+        d = replace(d, theta=math.pi / 4.0)
+        dr, dtheta = dv, 0.0
+    dem, dep = (ds - dr) / (4.0 * em), (ds + dr) / (4.0 * ep)
+    # product rule through the chain S = F1^-1 F2^T F3^-1 of `ground_state`;
+    # the squeezers are diagonal, so they enter by their logarithmic derivatives
+    f1_inv, rot, f3_inv = 1.0 / np.diag(f1_matrix(d)), f2_matrix(d).T, 1.0 / np.diag(f3_matrix(d))
+    g1 = np.array([0.0, 0.0, 0.5, -0.5]) * (dwt / wt)
+    g3 = np.array([-0.5 * dem / em, 0.5 * dem / em, -0.5 * dep / ep, 0.5 * dep / ep])
+    chain = f1_inv[:, None] * rot * f3_inv
+    dchain = g1[:, None] * chain + chain * g3 + dtheta * (f1_inv[:, None] * (rot @ _ROT_GEN) * f3_inv)
+    a = dchain @ chain.T
+    dmean = math.sqrt(2.0 * params.n_atoms) * np.array([dalpha, 0.0, -dbeta, 0.0])
+    return StateDerivative(dcov=(a + a.T) / 2.0, dmean=dmean)
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,9 @@ class EstimationResult:
     displacement_term: float
 
 
-def qfi(
-    params: DickeParams,
-    step: float | None = None,
-    delta_min: float = DEFAULT_DELTA_MIN,
-) -> EstimationResult:
+def qfi(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> EstimationResult:
     """Quantum Fisher information of the coupling at params."""
-    sd = state_derivative(params, step=step, delta_min=delta_min)
+    sd = state_derivative(params, delta_min=delta_min)
     st = ground_state(params, delta_min=delta_min)
     omega = symplectic_form(2)
     quadratic = -float(np.trace(omega.T @ sd.dcov @ omega @ sd.dcov))
@@ -122,13 +119,9 @@ class SldCoefficients:
     nu: float
 
 
-def sld_coefficients(
-    params: DickeParams,
-    step: float | None = None,
-    delta_min: float = DEFAULT_DELTA_MIN,
-) -> SldCoefficients:
+def sld_coefficients(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> SldCoefficients:
     """SLD coefficients (Phi, zeta, nu) in the laboratory quadratures."""
-    sd = state_derivative(params, step=step, delta_min=delta_min)
+    sd = state_derivative(params, delta_min=delta_min)
     st = ground_state(params, delta_min=delta_min)
     omega = symplectic_form(2)
     phi = -sd.dcov
@@ -138,9 +131,7 @@ def sld_coefficients(
 
 
 def sld_coefficients_f1_frame(
-    params: DickeParams,
-    step: float | None = None,
-    delta_min: float = DEFAULT_DELTA_MIN,
+    params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN
 ) -> SldCoefficients:
     """SLD coefficients in the dimensionless quadratures R' = F1 R.
 
@@ -149,7 +140,7 @@ def sld_coefficients_f1_frame(
     phase the linear term approaches a coupling-independent vector along
     (omega0^2 p1', -omega^2 p2').
     """
-    raw = sld_coefficients(params, step=step, delta_min=delta_min)
+    raw = sld_coefficients(params, delta_min=delta_min)
     f1_inv_t = np.diag(1.0 / np.diag(f1_matrix(derive(params, delta_min=delta_min))))
     return SldCoefficients(
         phi=f1_inv_t @ raw.phi @ f1_inv_t,

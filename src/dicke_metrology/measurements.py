@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dicke import ATOMIC_MODE, DEFAULT_DELTA_MIN, RADIATION_MODE, DickeParams, ground_state
-from .errors import NonConvergedSeries, StepCrossesCriticalPoint, UnphysicalStateError
-from .estimation import default_step, state_derivative
+from .dicke import ATOMIC_MODE, DEFAULT_DELTA_MIN, RADIATION_MODE, DickeParams
+from .dicke import ground_state, reduced_radiation_state
+from .errors import NonConvergedSeries, UnphysicalStateError
+from .estimation import state_derivative
 from .gaussian import GaussianState, partial_trace
 
 DIAGONAL_TOL = 1e-10
@@ -65,17 +66,14 @@ def quadrature_distribution(state: GaussianState, phi: float) -> tuple[float, fl
 
 
 def fi_homodyne(
-    params: DickeParams,
-    setting: HomodyneSetting,
-    step: float | None = None,
-    delta_min: float = DEFAULT_DELTA_MIN,
+    params: DickeParams, setting: HomodyneSetting, delta_min: float = DEFAULT_DELTA_MIN
 ) -> float:
     """Fisher information of homodyne outcomes about the coupling.
 
     For the Gaussian marginal with mean m(lam) and variance v(lam),
     FI = (dm)^2 / v + (dv)^2 / (2 v^2).
     """
-    sd = state_derivative(params, step=step, delta_min=delta_min)
+    sd = state_derivative(params, delta_min=delta_min)
     reduced = partial_trace(ground_state(params, delta_min=delta_min), [setting.mode])
     i = 2 * setting.mode
     c2 = math.cos(setting.phi) ** 2
@@ -211,66 +209,61 @@ def _check_breakdown(probs: np.ndarray) -> None:
         raise UnphysicalStateError(f"photon series broke down: p(n) = {low:.3e}")
 
 
-def _reduced_radiation(params: DickeParams, lam: float, delta_min: float) -> GaussianState:
-    p = DickeParams(lam=lam, omega=params.omega, omega0=params.omega0, n_atoms=params.n_atoms)
-    return partial_trace(ground_state(p, delta_min=delta_min), [RADIATION_MODE])
+def _pn_derivative(
+    state: GaussianState, dmean: np.ndarray, dcov: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """dp(n) of the series probs of state, given the derivatives of its moments.
+
+    The chain rule runs through the series inputs of `photon_kernel_params`,
+    t = A - B = (2 sx - 1)/(2 sx + 1), s = A + B = (2 sp - 1)/(2 sp + 1), C, log r00.
+    """
+    scale = max(1.0, float(np.max(np.abs(dcov))))
+    if abs(dcov[0, 1]) > DIAGONAL_TOL * scale or abs(dmean[1]) > DIAGONAL_TOL * max(1.0, abs(dmean[0])):
+        raise UnphysicalStateError("moment derivatives leave the x/p-aligned, x-displaced family")
+    sx, sp, mx = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
+    dsx, dsp, dmx = float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0])
+    dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
+    dlog_r00 = -2.0 * mx * (dmx - mx * dsx / dx) / dx - dsx / dx - dsp / dp
+    t, dt = (2.0 * sx - 1.0) / dx, 4.0 * dsx / (dx * dx)
+    s, ds = (2.0 * sp - 1.0) / dp, 4.0 * dsp / (dp * dp)
+    c, dc = math.sqrt(2.0) * mx / dx, math.sqrt(2.0) * (dmx - 2.0 * mx * dsx / dx) / dx
+    return _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
 
 
 def fi_photon_counting_family(
-    state_at,
-    lam: float,
-    step: float,
-    tail_tol: float = PN_TAIL_TOL,
+    state: GaussianState, dmean: np.ndarray, dcov: np.ndarray, tail_tol: float = PN_TAIL_TOL
 ) -> tuple[float, int]:
-    """Photon-counting Fisher information for any single-mode state family.
+    """Photon-counting Fisher information of a single-mode state family.
 
-    FI = sum_n (dp(n))^2 / p(n) with dp from a symmetric difference over
-    state_at(lam -+ step), all three distributions truncated at one shared
-    cutoff; terms with p(n) below a fixed floor are skipped.
+    state is the family member at the estimated parameter, dmean and dcov
+    the parameter derivatives of its moments.  FI = sum_n (dp(n))^2 / p(n)
+    over the state's adaptive cutoff, with dp(n) exact; terms with p(n)
+    below a fixed floor are skipped.  Returns (FI, cutoff).
     """
-    center = photon_distribution(state_at(lam), tail_tol=tail_tol)
-    n_max = center.n_max
-    while True:
-        plus = photon_distribution(state_at(lam + step), n_max=n_max)
-        minus = photon_distribution(state_at(lam - step), n_max=n_max)
-        if max(plus.tail_mass, minus.tail_mass) < 10.0 * tail_tol:
-            break
-        n_max = 2 * n_max + 50
-        if n_max > PN_HARD_LIMIT:
-            raise NonConvergedSeries("side-point photon series tails failed to converge")
-        center = photon_distribution(state_at(lam), n_max=n_max)
-    dp = (plus.probs - minus.probs) / (2.0 * step)
-    keep = center.probs >= FI_TERM_FLOOR
-    fi = math.fsum((dp[keep] ** 2 / center.probs[keep]).tolist())
-    return float(fi), n_max
+    dist = photon_distribution(state, tail_tol=tail_tol)
+    dp = _pn_derivative(state, dmean, dcov, dist.probs)
+    keep = dist.probs >= FI_TERM_FLOOR
+    fi = math.fsum((dp[keep] ** 2 / dist.probs[keep]).tolist())
+    return float(fi), dist.n_max
 
 
 def fi_photon_counting_detail(
-    params: DickeParams,
-    step: float | None = None,
-    tail_tol: float = PN_TAIL_TOL,
-    delta_min: float = DEFAULT_DELTA_MIN,
+    params: DickeParams, tail_tol: float = PN_TAIL_TOL, delta_min: float = DEFAULT_DELTA_MIN
 ) -> tuple[float, int]:
     """Fisher information of photon counting on the radiation mode, with the
-    shared series cutoff used for the difference quotient."""
-    lam, lc = params.lam, params.lambda_c
-    h = default_step(lam, lc) if step is None else float(step)
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    if abs(lam - lc) <= h + delta_min:
-        raise StepCrossesCriticalPoint(
-            f"stencil half-width {h:.3e} reaches across lambda_c from lam = {lam}"
-        )
+    series cutoff it summed over."""
+    sd = state_derivative(params, delta_min=delta_min)
+    i = 2 * RADIATION_MODE
     return fi_photon_counting_family(
-        lambda x: _reduced_radiation(params, x, delta_min), lam, h, tail_tol=tail_tol
+        reduced_radiation_state(params, delta_min=delta_min),
+        sd.dmean[i : i + 2],
+        sd.dcov[i : i + 2, i : i + 2],
+        tail_tol=tail_tol,
     )
 
 
 def fi_photon_counting(
-    params: DickeParams,
-    step: float | None = None,
-    tail_tol: float = PN_TAIL_TOL,
-    delta_min: float = DEFAULT_DELTA_MIN,
+    params: DickeParams, tail_tol: float = PN_TAIL_TOL, delta_min: float = DEFAULT_DELTA_MIN
 ) -> float:
     """Fisher information of photon counting on the radiation mode."""
-    return fi_photon_counting_detail(params, step=step, tail_tol=tail_tol, delta_min=delta_min)[0]
+    return fi_photon_counting_detail(params, tail_tol=tail_tol, delta_min=delta_min)[0]

@@ -1,10 +1,11 @@
-"""Brute-force validators used by the test suite.
+"""Independent oracles used by the test suite.
 
 Truncated Fock-space construction of displaced squeezed thermal states,
-Gaussian pure-state overlaps, and direct numerical Fisher-information
-integrals.  Everything here trades speed for independence from the
-phase-space code paths it checks; nothing in the library proper imports
-this module.
+Gaussian pure-state overlaps, direct numerical Fisher-information integrals,
+and the ground-state covariance from its six closed-form entries.
+Everything here trades speed for independence from the phase-space code
+paths it checks; only the tests import this module, and it is the only one
+that needs scipy.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import UnphysicalStateError
-from .gaussian import GaussianState, purity
-from .measurements import DstsParams
+from dicke_metrology.dicke import DickeDerived
+from dicke_metrology.errors import UnphysicalStateError
+from dicke_metrology.gaussian import GaussianState, purity
+from dicke_metrology.measurements import DstsParams
 
 TRACE_LOSS_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -159,3 +161,24 @@ def fi_gauss_hermite(pdf, lam: float, step: float, center: float, scale: float, 
     h = np.zeros_like(p0)
     h[mask] = dp[mask] ** 2 / p0[mask] * np.exp(y[mask] ** 2) * scale
     return float(w @ h)
+
+
+def closed_form_cov(derived: DickeDerived) -> np.ndarray:
+    """Ground-state covariance from the six closed-form entries.
+
+    Independent of the symplectic-chain construction of `ground_state`; the
+    two must agree to high accuracy on a coupling grid.
+    """
+    w, wt = derived.omega, derived.omega_tilde
+    em, ep = derived.eps_minus, derived.eps_plus
+    c2 = np.cos(derived.theta) ** 2
+    s2 = np.sin(derived.theta) ** 2
+    s2t = np.sin(2.0 * derived.theta)
+    cov = np.zeros((4, 4))
+    cov[0, 0] = 0.5 * w * (c2 / em + s2 / ep)
+    cov[1, 1] = (em * c2 + ep * s2) / (2.0 * w)
+    cov[2, 2] = 0.5 * wt * (c2 / ep + s2 / em)
+    cov[3, 3] = (ep * c2 + em * s2) / (2.0 * wt)
+    cov[0, 2] = cov[2, 0] = 0.25 * np.sqrt(w * wt) * s2t * (1.0 / ep - 1.0 / em)
+    cov[1, 3] = cov[3, 1] = -0.25 * s2t * (em - ep) / np.sqrt(w * wt)
+    return cov

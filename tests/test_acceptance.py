@@ -13,7 +13,6 @@ import pytest
 
 from dicke_metrology.dicke import (
     DickeParams,
-    closed_form_cov,
     derive,
     ground_state,
     symplectic_chain,
@@ -24,7 +23,6 @@ from dicke_metrology.estimation import (
     sld_coefficients,
     sld_coefficients_f1_frame,
 )
-from dicke_metrology.fock import build_dsts_fock, fidelity_qfi
 from dicke_metrology.gaussian import (
     GaussianState,
     log_negativity,
@@ -40,6 +38,7 @@ from dicke_metrology.measurements import (
     mean_photon_decomposition,
     photon_distribution,
 )
+from oracles import build_dsts_fock, closed_form_cov, fidelity_qfi
 
 LAMBDA_C = 0.5  # resonant omega = omega0 = 1 throughout
 

@@ -1,9 +1,15 @@
 """End-to-end tests of the sweep command-line interface."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dicke_metrology
+from dicke_metrology import cli
 from dicke_metrology.cli import EXIT_OK, main
 
 
@@ -136,6 +142,24 @@ class TestGridAndConfig:
             main(["qfi", "--lambda", "0.3", "--format", "xml"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qfi", "--omega", "0"],
+            ["qfi", "--omega", "-1"],
+            ["qfi", "--omega0", "0"],
+            ["qfi", "--n-atoms", "0"],
+            ["qfi", "--lambda", "-0.1"],
+            ["qfi", "--lambda-min", "-0.1"],
+            ["wigner", "--lambda", "-0.1"],
+            ["photon", "--lambda", "-0.1"],
+        ],
+    )
+    def test_out_of_domain_model_values(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestStatusAndExitCodes:
     def test_singular_row_exit_3(self, capsys):
@@ -161,6 +185,46 @@ class TestStatusAndExitCodes:
         statuses = [line.split(",")[-1] for line in lines]
         assert statuses.count("ok") == 2
         assert statuses.count("singular") == 1
+
+
+class TestErrorTaxonomy:
+    """Only numerical-domain failures become statuses; other faults propagate."""
+
+    def test_row_builder_fault_propagates(self, capsys, monkeypatch):
+        def broken(lam, cfg):
+            raise ValueError("fault in a row builder")
+
+        monkeypatch.setitem(cli._ROW_BUILDERS, "qfi", broken)
+        with pytest.raises(ValueError, match="fault in a row builder"):
+            main(["qfi", "--lambda", "0.3"])
+        assert capsys.readouterr().out == ""
+
+    def test_pn_table_fault_propagates(self, capsys, monkeypatch):
+        def broken(state):
+            raise ValueError("fault in the p(n) table")
+
+        monkeypatch.setattr(cli, "photon_distribution", broken)
+        with pytest.raises(ValueError, match="fault in the p\\(n\\) table"):
+            main(["photon", "--lambda", "0.3"])
+
+    def test_setup_fault_propagates(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise ValueError("fault in the grid")
+
+        monkeypatch.setattr(cli, "_lambda_grid", broken)
+        with pytest.raises(ValueError, match="fault in the grid"):
+            main(["qfi"])
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(dicke_metrology.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, dicke_metrology, dicke_metrology.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestJsonFormat:

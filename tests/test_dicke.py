@@ -6,7 +6,6 @@ from dicke_metrology.dicke import (
     CriticalPointSingularity,
     DickeParams,
     Phase,
-    closed_form_cov,
     derive,
     derived_to_dict,
     f1_matrix,
@@ -19,6 +18,7 @@ from dicke_metrology.dicke import (
     symplectic_chain,
 )
 from dicke_metrology.gaussian import log_negativity, purity, symplectic_form, symplectic_spectrum
+from oracles import closed_form_cov
 
 RESONANT_GRID = np.concatenate(
     [np.linspace(0.01, 0.49, 25), np.linspace(0.51, 2.0, 25)]

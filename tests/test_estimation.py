@@ -1,34 +1,27 @@
 """Tests for the QFI / SLD layer, including an analytic derivative oracle."""
+import functools
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from dicke_metrology.dicke import DickeParams, derive, f1_matrix, ground_state
-from dicke_metrology.errors import StepCrossesCriticalPoint
 from dicke_metrology.estimation import (
     cramer_rao_bound,
-    default_step,
     fit_power_law,
     qfi,
-    richardson_derivative,
     sld_coefficients,
     sld_coefficients_f1_frame,
     state_derivative,
 )
-from dicke_metrology.fock import fidelity_qfi
+from oracles import fidelity_qfi
 
 
-def analytic_moment_derivatives(lam_val, n_atoms=100):
-    """Symbolic d(cov)/d(lam), d(mean)/d(lam) at resonance, superradiant branch.
-
-    Differentiates the closed-form covariance entries through k, theta and the
-    normal-mode frequencies with sympy; independent of the finite-difference
-    engine under test.
-    """
+@functools.lru_cache(maxsize=None)
+def _symbolic_moment_derivatives(w, w0, superradiant, n_atoms):
     lam = sp.Symbol("lam", positive=True)
-    w = sp.Integer(1)
-    w0 = sp.Integer(1)
-    k = (sp.sqrt(w * w0) / 2) ** 2 / lam ** 2
+    w, w0 = sp.nsimplify(w), sp.nsimplify(w0)
+    k = (sp.sqrt(w * w0) / 2) ** 2 / lam ** 2 if superradiant else sp.Integer(1)
     wt = w0 * (1 + k) / (2 * k)
     s = w ** 2 + (w0 / k) ** 2
     r = sp.sqrt(((w0 / k) ** 2 - w ** 2) ** 2 + 16 * lam ** 2 * w * w0 * k)
@@ -44,44 +37,39 @@ def analytic_moment_derivatives(lam_val, n_atoms=100):
         (0, 2): sp.sqrt(w * wt) * s2t * (1 / ep - 1 / em) / 4,
         (1, 3): -s2t * (em - ep) / (4 * sp.sqrt(w * wt)),
     }
-    dcov = np.zeros((4, 4))
-    for (i, j), expr in entries.items():
-        val = float(sp.diff(expr, lam).evalf(subs={lam: lam_val}))
-        dcov[i, j] = dcov[j, i] = val
+    root = sp.sqrt(2 * n_atoms)
     alpha = (lam / w) * sp.sqrt(1 - k ** 2)
     beta = sp.sqrt((1 - k) / 2)
-    root = sp.sqrt(2 * n_atoms)
-    dmean = np.array(
-        [
-            float(sp.diff(alpha * root, lam).evalf(subs={lam: lam_val})),
-            0.0,
-            float(sp.diff(-beta * root, lam).evalf(subs={lam: lam_val})),
-            0.0,
-        ]
+    means = {0: alpha * root, 2: -beta * root}
+    return (
+        lam,
+        {ij: sp.diff(expr, lam) for ij, expr in entries.items()},
+        {i: sp.diff(expr, lam) for i, expr in means.items()},
     )
+
+
+def analytic_moment_derivatives(lam_val, omega=1.0, omega0=1.0, n_atoms=100):
+    """Symbolic d(cov)/d(lam), d(mean)/d(lam) at any (omega, omega0), either phase.
+
+    Differentiates the closed-form covariance entries and the mean-field
+    displacements through k, theta and the normal-mode frequencies with
+    sympy, and evaluates at 30 digits; independent of the chain-rule code
+    under test.
+    """
+    superradiant = lam_val > np.sqrt(omega * omega0) / 2
+    lam, dcov_exprs, dmean_exprs = _symbolic_moment_derivatives(omega, omega0, superradiant, n_atoms)
+    at = {lam: sp.Rational(lam_val)}
+    dcov = np.zeros((4, 4))
+    for (i, j), expr in dcov_exprs.items():
+        dcov[i, j] = dcov[j, i] = float(expr.evalf(30, subs=at))
+    dmean = np.zeros(4)
+    for i, expr in dmean_exprs.items():
+        dmean[i] = float(expr.evalf(30, subs=at))
     return dcov, dmean
 
 
-class TestRichardson:
-    def test_exact_on_cubic(self):
-        def f(x):
-            return np.array([x ** 3 - 2 * x])
-
-        val = richardson_derivative(f, 1.5, 0.1)[0]
-        assert val == pytest.approx(3 * 1.5 ** 2 - 2, abs=1e-12)
-
-    def test_k_derivative(self):
-        # k = lambda_c^2 / lam^2, so dk/dlam at lam = 1 is -0.5
-        def k_of(lam):
-            return np.array([0.25 / lam ** 2])
-
-        val = richardson_derivative(k_of, 1.0, 1e-3)[0]
-        assert val == pytest.approx(-0.5, abs=1e-8)
-
-    def test_default_step_scales_with_distance(self):
-        assert default_step(0.4, 0.5) == pytest.approx(1e-6)
-        assert default_step(10.0, 0.5) == pytest.approx(9.5e-5)
-        assert default_step(1e-6, 0.5) == pytest.approx(5e-7)  # clamped to lam / 2
+ORACLE_FREQUENCIES = [(1.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
+ORACLE_OFFSETS = [0.02, 0.5, 0.99, 0.999, 1.001, 1.01, 1.5, 10.0]
 
 
 class TestStateDerivative:
@@ -94,25 +82,39 @@ class TestStateDerivative:
         assert np.array_equal(sd.dcov, sd.dcov.T)
 
     def test_against_analytic_oracle(self):
-        dcov_exact, dmean_exact = analytic_moment_derivatives(0.6)
-        sd = state_derivative(DickeParams(lam=0.6))
-        scale = np.max(np.abs(dcov_exact))
-        assert np.max(np.abs(sd.dcov - dcov_exact)) / scale < 1e-6
-        assert np.max(np.abs(sd.dmean - dmean_exact)) / np.max(np.abs(dmean_exact)) < 1e-6
+        for omega, omega0 in ORACLE_FREQUENCIES:
+            for ratio in ORACLE_OFFSETS:
+                where = f"omega={omega}, omega0={omega0}, lam/lambda_c={ratio}"
+                lam = ratio * np.sqrt(omega * omega0) / 2
+                dcov_exact, dmean_exact = analytic_moment_derivatives(lam, omega, omega0)
+                sd = state_derivative(DickeParams(lam=lam, omega=omega, omega0=omega0))
+                scale = np.max(np.abs(dcov_exact))
+                assert np.max(np.abs(sd.dcov - dcov_exact)) / scale < 1e-10, where
+                if ratio < 1:
+                    assert np.array_equal(dmean_exact, np.zeros(4)), where
+                    assert np.array_equal(sd.dmean, np.zeros(4)), where
+                else:
+                    worst = np.max(np.abs(sd.dmean - dmean_exact)) / np.max(np.abs(dmean_exact))
+                    assert worst < 1e-10, where
 
-    def test_step_must_not_straddle(self):
-        with pytest.raises(StepCrossesCriticalPoint):
-            state_derivative(DickeParams(lam=0.501), step=0.01)
-
-    def test_step_positive(self):
-        with pytest.raises(ValueError):
-            state_derivative(DickeParams(lam=0.3), step=0.0)
+    @pytest.mark.parametrize("omega0", [1.0, 2.0])
+    def test_zero_coupling_is_the_small_coupling_limit(self, omega0):
+        # at resonance the two modes are degenerate at lam = 0
+        at_zero = state_derivative(DickeParams(lam=0.0, omega0=omega0))
+        near_zero = state_derivative(DickeParams(lam=1e-9, omega0=omega0))
+        assert np.max(np.abs(at_zero.dcov - near_zero.dcov)) < 1e-8
 
 
 class TestQfi:
     def test_decoupled_limit(self):
         res = qfi(DickeParams(lam=1e-4))
         assert res.qfi == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("omega0", [1.0, 2.0])
+    def test_zero_coupling(self, omega0):
+        # the decoupled limit 4 / (omega + omega0)^2, reached at lam = 0 itself
+        res = qfi(DickeParams(lam=0.0, omega0=omega0))
+        assert res.qfi == pytest.approx(4 / (1 + omega0) ** 2, rel=1e-12)
 
     def test_deep_superradiant_limit(self):
         res = qfi(DickeParams(lam=50.0, n_atoms=100))
@@ -146,13 +148,6 @@ class TestQfi:
         plus = qfi(DickeParams(lam=0.51, n_atoms=1))
         assert minus.qfi * 8 * 0.01 ** 2 == pytest.approx(1.0, rel=0.05)
         assert plus.qfi * 8 * 0.01 ** 2 == pytest.approx(1.0, rel=0.05)
-
-    def test_step_halving_stable(self):
-        params = DickeParams(lam=0.3)
-        h = default_step(params.lam, params.lambda_c)
-        full = qfi(params, step=h).qfi
-        halved = qfi(params, step=h / 2).qfi
-        assert abs(full - halved) / full < 1e-6
 
     def test_displacement_term_linear_in_n(self):
         params_n = DickeParams(lam=0.7, n_atoms=100)

@@ -1,4 +1,4 @@
-"""Tests for the truncated Fock-space validators and FI integral oracles."""
+"""Tests for the truncated Fock-space validators and FI integral oracles in tests/oracles.py."""
 import math
 
 import numpy as np
@@ -7,7 +7,9 @@ import pytest
 from dicke_metrology.dicke import DickeParams, ground_state
 from dicke_metrology.errors import UnphysicalStateError
 from dicke_metrology.estimation import qfi
-from dicke_metrology.fock import (
+from dicke_metrology.gaussian import GaussianState, vacuum_state
+from dicke_metrology.measurements import DstsParams, dsts_params, mean_photon_decomposition
+from oracles import (
     FockStateMatrix,
     build_dsts_fock,
     fi_gauss_hermite,
@@ -15,8 +17,6 @@ from dicke_metrology.fock import (
     fidelity_qfi,
     pure_overlap,
 )
-from dicke_metrology.gaussian import GaussianState, vacuum_state
-from dicke_metrology.measurements import DstsParams, dsts_params, mean_photon_decomposition
 
 
 def squeezed_vacuum(r):
@@ -44,7 +44,7 @@ class TestBuildDsts:
         assert rho.mean_photons == pytest.approx(expect, rel=1e-8)
 
     def test_trace_monotone_in_dim(self):
-        from dicke_metrology.fock import _build_once
+        from oracles import _build_once
 
         params = DstsParams(n_th=0.5, r=0.5, n_s=math.sinh(0.5) ** 2, gamma=1.5)
         # truncation-dominated regime; past convergence only roundoff moves

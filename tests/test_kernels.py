@@ -1,4 +1,4 @@
-"""The photon-number recurrence against the convolution oracle and closed forms."""
+"""The photon-number recurrence and its derivative filter against oracles and closed forms."""
 import math
 
 import mpmath
@@ -174,6 +174,25 @@ def test_forward_evaluation_is_stable(lam, n_atoms):
     _agree(exact, out)
     bulk = exact > 1e-8 * np.max(exact)
     assert np.max(np.abs(out[bulk] / exact[bulk] - 1.0)) < 1e-12
+
+
+# an arbitrary direction in (log r00, t, s, c)
+PATH_DIRECTION = (0.3, 0.05, -0.04, 0.2)
+
+
+@pytest.mark.parametrize("r00,t,s,c,n_max", BRANCH_CASES)
+def test_derivative_filter_along_a_straight_path(r00, t, s, c, n_max):
+    dl, dt, ds, dc = PATH_DIRECTION
+
+    def series(h):
+        return _kernels.pn_series(math.log(r00) + h * dl, t + h * dt, s + h * ds, c + h * dc, n_max)
+
+    h = 1e-6
+    quotient = (series(h) - series(-h)) / (2 * h)
+    dp = _kernels.pn_derivative(series(0.0), dl, t, dt, s, ds, c, dc)
+    _agree(quotient, dp, rtol=1e-6)
+    # only c^2 and c dc enter
+    assert np.array_equal(dp, _kernels.pn_derivative(series(0.0), dl, t, dt, s, ds, -c, -dc))
 
 
 class TestClosedForms:

@@ -7,17 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicke_metrology.dicke import DickeParams, derive, ground_state, reduced_radiation_state
-from dicke_metrology.errors import (
-    NonConvergedSeries,
-    StepCrossesCriticalPoint,
-    UnphysicalStateError,
-)
-from dicke_metrology.estimation import qfi
-from dicke_metrology.fock import fi_gauss_hermite
+from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
+from dicke_metrology.estimation import qfi, state_derivative
 from dicke_metrology.gaussian import GaussianState, partial_trace, vacuum_state
 from dicke_metrology.measurements import (
     HomodyneSetting,
     Target,
+    _pn_derivative,
     dsts_params,
     fi_homodyne,
     fi_photon_counting,
@@ -28,6 +24,7 @@ from dicke_metrology.measurements import (
     photon_kernel_params,
     quadrature_distribution,
 )
+from oracles import fi_gauss_hermite
 
 
 def dsts_state(n_th, r, gamma):
@@ -102,9 +99,7 @@ class TestHomodyneFi:
         # x-quadrature ratio approaches 1 as the critical point is neared
         lam = 0.5 + side * 1e-5
         params = DickeParams(lam=lam)
-        ratio = fi_homodyne(params, HomodyneSetting(0.0, target), step=1e-7) / qfi(
-            params, step=1e-7
-        ).qfi
+        ratio = fi_homodyne(params, HomodyneSetting(0.0, target)) / qfi(params).qfi
         assert 0.99 < ratio <= 1 + 1e-6
 
     @pytest.mark.xfail(
@@ -139,7 +134,7 @@ class TestHomodyneFi:
         m, v = quadrature_distribution(st, phi)
         numeric = fi_gauss_hermite(pdf, lam, 1e-6, m, np.sqrt(2 * v))
         target = Target.RADIATION if mode == 0 else Target.ATOMS
-        closed = fi_homodyne(DickeParams(lam=lam), HomodyneSetting(phi, target), step=1e-6)
+        closed = fi_homodyne(DickeParams(lam=lam), HomodyneSetting(phi, target))
         assert closed == pytest.approx(numeric, rel=1e-6)
 
     def test_pi_half_diverges_but_suboptimal(self):
@@ -148,9 +143,9 @@ class TestHomodyneFi:
         fis = []
         for dist in (1e-2, 1e-3, 1e-4):
             params = DickeParams(lam=0.5 - dist)
-            fi = fi_homodyne(params, setting, step=dist / 100)
+            fi = fi_homodyne(params, setting)
             fis.append(fi)
-            assert fi < qfi(params, step=dist / 100).qfi
+            assert fi < qfi(params).qfi
         assert fis[0] < fis[1] < fis[2]
 
     def test_atomic_target_swaps_frequencies(self):
@@ -319,28 +314,55 @@ class TestPhotonCountingFi:
 
     def test_coherent_family_oracle(self):
         # gamma(lam) = 2 lam: Poisson FI is 4 (dgamma/dlam)^2 = 16 exactly
-        def coherent(lam):
-            return GaussianState(np.array([2 * lam * np.sqrt(2.0), 0.0]), np.eye(2) / 2)
-
-        fi, _ = fi_photon_counting_family(coherent, 0.7, 1e-6)
-        assert fi == pytest.approx(16.0, rel=1e-6)
+        state = GaussianState(np.array([2 * 0.7 * np.sqrt(2.0), 0.0]), np.eye(2) / 2)
+        fi, _ = fi_photon_counting_family(state, np.array([2 * np.sqrt(2.0), 0.0]), np.zeros((2, 2)))
+        assert fi == pytest.approx(16.0, rel=1e-9)
 
     def test_thermal_family_oracle(self):
         # n(lam) = lam^2: FI = (dn)^2 / (n (1 + n))
-        def thermal(lam):
-            return GaussianState(np.zeros(2), (lam ** 2 + 0.5) * np.eye(2))
-
-        fi, _ = fi_photon_counting_family(thermal, 0.9, 1e-6)
+        state = GaussianState(np.zeros(2), (0.9 ** 2 + 0.5) * np.eye(2))
+        fi, _ = fi_photon_counting_family(state, np.zeros(2), 2 * 0.9 * np.eye(2))
         exact = (2 * 0.9) ** 2 / (0.81 * 1.81)
-        assert fi == pytest.approx(exact, rel=1e-6)
+        assert fi == pytest.approx(exact, rel=1e-9)
+
+    def test_squeezed_family_oracle(self):
+        # squeezed vacuum in r: d log p(2m) = 2m / (sinh r cosh r) - tanh r and
+        # Var(n) = 2 sinh^2 r cosh^2 r give FI = 2 for every r.  The default
+        # tail_tol cuts at n = 57 and leaves 1.6e-8 of the FI in the tail, so
+        # the cutoff is pushed out to test the derivative alone
+        r = 0.8
+        state = GaussianState(np.zeros(2), np.diag([np.exp(2 * r), np.exp(-2 * r)]) / 2)
+        dcov = np.diag([np.exp(2 * r), -np.exp(-2 * r)])
+        fi, _ = fi_photon_counting_family(state, np.zeros(2), dcov, tail_tol=1e-14)
+        assert fi == pytest.approx(2.0, rel=1e-9)
+
+    def test_derivative_leaving_the_family_rejected(self):
+        state = GaussianState(np.zeros(2), np.eye(2) / 2)
+        with pytest.raises(UnphysicalStateError):
+            fi_photon_counting_family(state, np.zeros(2), np.array([[0.0, 0.1], [0.1, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "lam,n_atoms", [(0.3, 100), (0.49, 100), (0.51, 100), (1.5, 100), (1.0, 1000), (0.7, 4000)]
+    )
+    def test_derivative_filter_matches_difference_quotient(self, lam, n_atoms):
+        # dp(n) of the kernel filter against a central difference of the series
+        # at one fixed cutoff; at N = 4000, lam = 0.7 p(0) underflows
+        params = DickeParams(lam=lam, n_atoms=n_atoms)
+        state = reduced_radiation_state(params)
+        center = photon_distribution(state)
+        sd = state_derivative(params)
+        dp = _pn_derivative(state, sd.dmean[:2], sd.dcov[:2, :2], center.probs)
+
+        def probs_at(x):
+            side = reduced_radiation_state(DickeParams(lam=x, n_atoms=n_atoms))
+            return photon_distribution(side, n_max=center.n_max).probs
+
+        h = 1e-6 * abs(lam - params.lambda_c)
+        quotient = (probs_at(lam + h) - probs_at(lam - h)) / (2 * h)
+        bulk = center.probs >= 1e-6 * np.max(center.probs)
+        assert np.max(np.abs(dp - quotient)[bulk]) <= 1e-6 * np.max(np.abs(quotient[bulk]))
 
     def test_shared_cutoff_reported(self):
         fi, n_max = fi_photon_counting_detail(DickeParams(lam=0.45))
         assert fi > 0
         assert n_max >= 50
-
-    def test_step_guard(self):
-        with pytest.raises(StepCrossesCriticalPoint):
-            fi_photon_counting(DickeParams(lam=0.501), step=0.01)
-        with pytest.raises(ValueError):
-            fi_photon_counting(DickeParams(lam=0.3), step=-1e-6)
