@@ -18,15 +18,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .dicke import DickeParams, derive, derived_to_dict, ground_state, reduced_radiation_state
+from .dicke import RADIATION_MODE, DickeParams, MomentJet, derive, derived_to_dict, ground_moments, moment_jet
+from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
-from .estimation import qfi
-from .gaussian import log_negativity, state_to_dict, symplectic_spectrum, wigner_at
+from .estimation import qfi_from_jet
+from .gaussian import GaussianState, log_negativity, partial_trace, state_to_dict, symplectic_spectrum, wigner_at
 from .measurements import (
     HomodyneSetting,
     Target,
-    fi_homodyne,
-    fi_photon_counting_detail,
+    fi_homodyne_from_jet,
+    fi_photon_counting_from_jet,
     mean_photon_decomposition,
     photon_distribution,
 )
@@ -74,38 +75,61 @@ def _params(cfg: dict, lam: float) -> DickeParams:
     return DickeParams(lam=lam, omega=cfg["omega"], omega0=cfg["omega0"], n_atoms=cfg["n_atoms"])
 
 
-def _rows_entanglement(lam: float, cfg: dict) -> list[list]:
-    st = ground_state(_params(cfg, lam))
-    spec = symplectic_spectrum(st.cov)
-    return [[lam, log_negativity(st.cov), spec.ppt_d_minus]]
+def _jet(lams: list[float], cfg: dict) -> MomentJet:
+    return moment_jet(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
 
 
-def _rows_qfi(lam: float, cfg: dict) -> list[list]:
-    res = qfi(_params(cfg, lam))
-    return [[lam, res.qfi, res.quadratic_term, res.displacement_term]]
+def _states(lams: list[float], cfg: dict) -> list[GaussianState]:
+    mean, cov = ground_moments(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+    return [GaussianState(m, c) for m, c in zip(mean, cov)]
 
 
-def _rows_fi_homodyne(lam: float, cfg: dict) -> list[list]:
-    p = _params(cfg, lam)
-    h = qfi(p).qfi
-    target = Target(cfg["target"])
+# Row builders map a contiguous chunk of the grid to its rows, in grid order;
+# the moment layers run once per chunk, vectorised over its couplings.
+
+
+def _rows_entanglement(lams: list[float], cfg: dict) -> list[list]:
     rows = []
-    for phi in cfg["phi"]:
-        fi = fi_homodyne(p, HomodyneSetting(phi=phi, target=target))
-        rows.append([lam, phi, fi, h, fi / h])
+    for lam, st in zip(lams, _states(lams, cfg)):
+        spec = symplectic_spectrum(st.cov)
+        rows.append([lam, log_negativity(st.cov), spec.ppt_d_minus])
     return rows
 
 
-def _rows_photon(lam: float, cfg: dict) -> list[list]:
-    d = mean_photon_decomposition(reduced_radiation_state(_params(cfg, lam)))
-    return [[lam, d.n_s, d.thermal, d.coherent, d.total]]
+def _rows_qfi(lams: list[float], cfg: dict) -> list[list]:
+    return [
+        [lam, res.qfi, res.quadratic_term, res.displacement_term]
+        for lam, res in zip(lams, qfi_from_jet(_jet(lams, cfg)))
+    ]
 
 
-def _rows_fi_photon(lam: float, cfg: dict) -> list[list]:
-    p = _params(cfg, lam)
-    fi, n_max = fi_photon_counting_detail(p)
-    h = qfi(p).qfi
-    return [[lam, fi, h, fi / h, n_max]]
+def _rows_fi_homodyne(lams: list[float], cfg: dict) -> list[list]:
+    jet = _jet(lams, cfg)
+    hs = [res.qfi for res in qfi_from_jet(jet)]
+    target = Target(cfg["target"])
+    fis = [fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)).tolist() for phi in cfg["phi"]]
+    return [
+        [lam, phi, fi[i], h, fi[i] / h]
+        for i, (lam, h) in enumerate(zip(lams, hs))
+        for phi, fi in zip(cfg["phi"], fis)
+    ]
+
+
+def _rows_photon(lams: list[float], cfg: dict) -> list[list]:
+    rows = []
+    for lam, st in zip(lams, _states(lams, cfg)):
+        d = mean_photon_decomposition(partial_trace(st, [RADIATION_MODE]))
+        rows.append([lam, d.n_s, d.thermal, d.coherent, d.total])
+    return rows
+
+
+def _rows_fi_photon(lams: list[float], cfg: dict) -> list[list]:
+    jet = _jet(lams, cfg)
+    rows = []
+    for i, (lam, res) in enumerate(zip(lams, qfi_from_jet(jet))):
+        fi, n_max = fi_photon_counting_from_jet(jet, i)
+        rows.append([lam, fi, res.qfi, fi / res.qfi, n_max])
+    return rows
 
 
 _ROW_BUILDERS = {
@@ -117,20 +141,35 @@ _ROW_BUILDERS = {
 }
 
 
-def _compute_point(task: tuple[str, float, dict]) -> list[list]:
-    """One grid point -> finished rows with status; exceptions become flags."""
-    command, lam, cfg = task
-    width = len(_COLUMNS[command])
+def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
+    """A contiguous chunk of grid points -> finished rows with status.
+
+    A domain error anywhere in the chunk sends each of its points through the
+    builder again on its own, so every point gets the status it has alone;
+    one-point and whole-chunk evaluations give the same bits.
+    """
+    command, lams, cfg = task
     try:
-        return [row + ["ok"] for row in _ROW_BUILDERS[command](lam, cfg)]
+        return [row + ["ok"] for row in _ROW_BUILDERS[command](lams, cfg)]
     except NonConvergedSeries:
         status = "nonconverged"
     except _DOMAIN_ERRORS:
         status = "singular"
-    pad = [math.nan] * (width - 1)
+    if len(lams) > 1:
+        return [row for lam in lams for row in _compute_chunk((command, [lam], cfg))]
+    lam = lams[0]
+    pad = [math.nan] * (len(_COLUMNS[command]) - 1)
     if command == "fi-homodyne":
         return [[lam, phi] + pad[1:] + [status] for phi in cfg["phi"]]
     return [[lam] + pad + [status]]
+
+
+def _contiguous_chunks(grid: list[float], count: int) -> list[list[float]]:
+    """Split the grid into min(count, len(grid)) contiguous chunks of near-equal size."""
+    count = min(count, len(grid))
+    size, extra = divmod(len(grid), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _lambda_grid(cfg: dict) -> list[float]:
@@ -271,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--target", choices=("radiation", "atoms"), help="homodyne subsystem")
         sp.add_argument("--format", choices=("csv", "json"))
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, help="parallel workers over grid points")
+        sp.add_argument("--jobs", type=int, help="parallel workers, one contiguous chunk of the grid each")
     return parser
 
 
@@ -327,13 +366,13 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    tasks = [(args.command, lam, cfg) for lam in grid]
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            chunks = list(pool.map(_compute_point, tasks))
+    tasks = [(args.command, chunk, cfg) for chunk in _contiguous_chunks(grid, cfg["jobs"])]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            parts = list(pool.map(_compute_chunk, tasks))
     else:
-        chunks = [_compute_point(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+        parts = [_compute_chunk(tasks[0])]
+    rows = [row for part in parts for row in part]
     columns = _COLUMNS[args.command]
     text = _render_csv(columns, rows) if cfg["format"] == "csv" else _render_json(columns, rows)
     _write(text, cfg["out"])

@@ -13,16 +13,26 @@ diagonalizes the quadratic Hamiltonian: local squeezers into dimensionless
 quadratures, a two-mode rotation by theta, and local squeezers into the
 normal-mode frequencies eps_minus, eps_plus.  Atom number enters the first
 moments only; all second moments are N-independent.
+
+All of this is written once, vectorised over a 1-D array of couplings that
+share (omega, omega0, N, delta_min): `moment_jet` runs mean field ->
+Bogoliubov modes -> chain -> exact coupling derivatives and returns mean,
+cov, dmean and dcov with one row per coupling; `ground_moments` is the same
+code without the derivatives.  `derive`, `ground_state` and everything built
+on them call it with a single coupling, and each coupling is evaluated on
+its own, so a sweep and a point-by-point loop give the same bits.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CriticalPointSingularity, UnphysicalStateError
-from .gaussian import GaussianState, SymplecticTransform, apply_symplectic, partial_trace, vacuum_state
+from .gaussian import GaussianState, SymplecticTransform, partial_trace, require_symplectic
 
 DEFAULT_DELTA_MIN = 1e-8
 
@@ -75,6 +85,64 @@ class DickeDerived:
     lam: float
 
 
+class _Modes(NamedTuple):
+    """Mean-field and normal-mode data, one entry per coupling."""
+
+    lam: np.ndarray
+    lam_c: float
+    superradiant: np.ndarray
+    k: np.ndarray
+    root: np.ndarray  # sqrt(1 - k^2)
+    alpha: np.ndarray
+    beta: np.ndarray
+    omega_tilde: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+    eps_minus: np.ndarray
+    eps_plus: np.ndarray
+    theta: np.ndarray
+
+
+def _normal_modes(lam: np.ndarray, w: float, w0: float, delta_min: float) -> _Modes:
+    """Mean-field displacements and Bogoliubov data at every coupling in lam.
+
+    Raises CriticalPointSingularity when any |lam - lambda_c| <= delta_min,
+    where the lower normal-mode frequency vanishes and the Gaussian
+    description is singular.
+    """
+    lc = math.sqrt(w * w0) / 2.0
+    gap = np.abs(lam - lc)
+    inside = gap <= delta_min
+    if inside.any():
+        raise CriticalPointSingularity(
+            f"|lam - lambda_c| = {gap[inside][0]:.3e} <= delta_min = {delta_min:.3e}"
+        )
+    superradiant = lam >= lc
+    # k = (lambda_c / lam)^2 in the superradiant phase and exactly 1 below it
+    k = (lc / np.maximum(lam, lc)) ** 2
+    # mean-field branch: both displacements taken with the positive sign
+    root = np.sqrt(1.0 - k * k)
+    alpha = (lam / w) * root
+    beta = np.sqrt((1.0 - k) / 2.0)
+    omega_tilde = w0 * (1.0 + k) / (2.0 * k)
+    # squared normal-mode frequencies eps_-+^2 = (s -+ r) / 2 with r = hypot(u, v)
+    q2 = (w0 / k) ** 2
+    u = q2 - w * w
+    v = 4.0 * lam * np.sqrt(w * w0 * k)
+    s = w * w + q2
+    r = np.hypot(u, v)
+    em_sq = (s - r) / 2.0
+    negative = em_sq < -1e-12 * np.maximum(1.0, s)
+    if negative.any():
+        raise UnphysicalStateError(f"negative squared normal-mode frequency {em_sq[negative][0]:.3e}")
+    theta = 0.5 * np.arctan2(v * k * k, w0 * w0 - k * k * w * w)
+    return _Modes(
+        lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, r,
+        np.sqrt(np.maximum(em_sq, 0.0)), np.sqrt((s + r) / 2.0), theta,
+    )
+
+
 def derive(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> DickeDerived:
     """Mean-field displacements and Bogoliubov data at the given coupling.
 
@@ -82,60 +150,65 @@ def derive(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> DickeDe
     the lower normal-mode frequency vanishes and the Gaussian description is
     singular.
     """
-    w, w0, lam = params.omega, params.omega0, params.lam
-    lc = params.lambda_c
-    if abs(lam - lc) <= delta_min:
-        raise CriticalPointSingularity(
-            f"|lam - lambda_c| = {abs(lam - lc):.3e} <= delta_min = {delta_min:.3e}"
-        )
-    if lam < lc:
-        phase, k = Phase.NORMAL, 1.0
-    else:
-        phase, k = Phase.SUPERRADIANT, (lc / lam) ** 2
-    # mean-field branch: both displacements taken with the positive sign
-    alpha = (lam / w) * np.sqrt(max(0.0, 1.0 - k * k))
-    beta = np.sqrt(max(0.0, (1.0 - k) / 2.0))
-    omega_tilde = w0 * (1.0 + k) / (2.0 * k)
-    s = w * w + (w0 / k) ** 2
-    r = np.hypot((w0 / k) ** 2 - w * w, 4.0 * lam * np.sqrt(w * w0 * k))
-    em_sq = (s - r) / 2.0
-    ep_sq = (s + r) / 2.0
-    if em_sq < -1e-12 * max(1.0, s):
-        raise UnphysicalStateError(f"negative squared normal-mode frequency {em_sq:.3e}")
-    theta = 0.5 * np.arctan2(4.0 * lam * np.sqrt(w * w0 * k) * k * k, w0 * w0 - k * k * w * w)
+    m = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0, delta_min)
     return DickeDerived(
-        lambda_c=lc,
-        k=k,
-        alpha=float(alpha),
-        beta=float(beta),
-        theta=float(theta),
-        eps_minus=float(np.sqrt(max(em_sq, 0.0))),
-        eps_plus=float(np.sqrt(ep_sq)),
-        omega_tilde=float(omega_tilde),
-        phase=phase,
-        omega=w,
-        omega0=w0,
-        lam=lam,
+        lambda_c=m.lam_c,
+        k=float(m.k[0]),
+        alpha=float(m.alpha[0]),
+        beta=float(m.beta[0]),
+        theta=float(m.theta[0]),
+        eps_minus=float(m.eps_minus[0]),
+        eps_plus=float(m.eps_plus[0]),
+        omega_tilde=float(m.omega_tilde[0]),
+        phase=Phase.SUPERRADIANT if m.superradiant[0] else Phase.NORMAL,
+        omega=params.omega,
+        omega0=params.omega0,
+        lam=params.lam,
     )
+
+
+def _squeezers(a, b) -> np.ndarray:
+    """Diagonal (sqrt a, 1/sqrt a, sqrt b, 1/sqrt b) of two local squeezers, per coupling."""
+    diag = np.empty(np.broadcast(a, b).shape + (4,))
+    diag[..., 0] = np.sqrt(a)
+    diag[..., 2] = np.sqrt(b)
+    diag[..., 1::2] = 1.0 / diag[..., 0::2]
+    return diag
+
+
+def _rotation(theta) -> np.ndarray:
+    """Two-mode rotation F2(theta) mixing the dimensionless quadratures, per coupling."""
+    c, s = np.cos(theta), np.sin(theta)
+    f2 = np.zeros(np.shape(theta) + (4, 4))
+    for i in (0, 1):
+        f2[..., i, i] = f2[..., i + 2, i + 2] = c
+        f2[..., i, i + 2] = -s
+        f2[..., i + 2, i] = s
+    return f2
 
 
 def f1_matrix(derived: DickeDerived) -> np.ndarray:
     """Local squeezer into dimensionless quadratures: Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt))."""
-    w, wt = derived.omega, derived.omega_tilde
-    return np.diag([1.0 / np.sqrt(w), np.sqrt(w), 1.0 / np.sqrt(wt), np.sqrt(wt)])
+    return np.diag(1.0 / _squeezers(derived.omega, derived.omega_tilde))
 
 
 def f2_matrix(derived: DickeDerived) -> np.ndarray:
     """Two-mode rotation by theta mixing the dimensionless quadratures."""
-    c, s = np.cos(derived.theta), np.sin(derived.theta)
-    i2 = np.eye(2)
-    return np.block([[c * i2, -s * i2], [s * i2, c * i2]])
+    return _rotation(derived.theta)
 
 
 def f3_matrix(derived: DickeDerived) -> np.ndarray:
     """Local squeezer into normal-mode scales: Diag(sqrt(em), 1/sqrt(em), sqrt(ep), 1/sqrt(ep))."""
-    em, ep = derived.eps_minus, derived.eps_plus
-    return np.diag([np.sqrt(em), 1.0 / np.sqrt(em), np.sqrt(ep), 1.0 / np.sqrt(ep)])
+    return np.diag(_squeezers(derived.eps_minus, derived.eps_plus))
+
+
+def _chain(w, wt, theta, em, ep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors (diag F1^-1, F2(theta)^T, diag F3^-1) of the chain S = F1^-1 F2^T F3^-1."""
+    return _squeezers(w, wt), np.swapaxes(_rotation(theta), -1, -2), 1.0 / _squeezers(em, ep)
+
+
+def _product(f1_inv: np.ndarray, rot: np.ndarray, f3_inv: np.ndarray) -> np.ndarray:
+    return f1_inv[..., :, None] * rot * f3_inv[..., None, :]
 
 
 def symplectic_chain(derived: DickeDerived) -> SymplecticTransform:
@@ -145,26 +218,137 @@ def symplectic_chain(derived: DickeDerived) -> SymplecticTransform:
     form, so the state is built with the inverse chain
     F = F1^-1 @ F2(theta)^T @ F3^-1.  At lam = 0 the chain is the identity.
     """
-    f1 = f1_matrix(derived)
-    f2 = f2_matrix(derived)
-    f3 = f3_matrix(derived)
-    f1_inv = np.diag(1.0 / np.diag(f1))
-    f3_inv = np.diag(1.0 / np.diag(f3))
-    return SymplecticTransform(f1_inv @ f2.T @ f3_inv)
+    d = derived
+    return SymplecticTransform(_product(*_chain(d.omega, d.omega_tilde, d.theta, d.eps_minus, d.eps_plus)))
+
+
+def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
+    """Vectors sqrt(2N) (x1, 0, -x2, 0), per coupling."""
+    out = np.zeros(np.broadcast(x1, x2).shape + (4,))
+    out[..., 0] = x1
+    out[..., 2] = -x2
+    return math.sqrt(2.0 * n_atoms) * out
 
 
 def mean_vector(derived: DickeDerived, n_atoms: int) -> np.ndarray:
     """First moments (alpha sqrt(2N), 0, -beta sqrt(2N), 0)."""
-    root = np.sqrt(2.0 * n_atoms)
-    return np.array([derived.alpha * root, 0.0, -derived.beta * root, 0.0])
+    return _x_displacement(derived.alpha, derived.beta, n_atoms)
+
+
+# generator of the two-mode rotation: d/dtheta F2(theta)^T = F2(theta)^T @ _ROT_GEN
+_ROT_GEN = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+# d log _squeezers(a, b) = _DLOG_A da/a + _DLOG_B db/b
+_DLOG_A = np.array([0.5, -0.5, 0.0, 0.0])
+_DLOG_B = np.array([0.0, 0.0, 0.5, -0.5])
+
+
+@dataclass(frozen=True)
+class MomentJet:
+    """Ground-state moments and their coupling derivatives, one row per coupling.
+
+    mean and dmean have shape (n, 4), cov and dcov shape (n, 4, 4), with the
+    quadratures ordered (x_rad, p_rad, x_atoms, p_atoms).
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+    dmean: np.ndarray
+    dcov: np.ndarray
+
+
+def _couplings(lams) -> np.ndarray:
+    lam = np.array(lams, dtype=float, ndmin=1)
+    if lam.ndim != 1:
+        raise ValueError(f"couplings must form a 1-D array, got shape {lam.shape}")
+    if (lam < 0).any():
+        raise ValueError(f"couplings must be nonnegative, got {lam[lam < 0][0]}")
+    return lam
+
+
+def _checked_chain(modes: _Modes, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Chain factors and the chain S at the couplings of modes, checked to be symplectic.
+
+    At resonance and lam = 0 the two normal modes are degenerate and theta is
+    undefined; the chain takes the limit lam -> 0+, theta = pi/4, which
+    leaves the state the vacuum and fixes the derivative.
+    """
+    theta = np.where(modes.r > 0.0, modes.theta, np.pi / 4.0)
+    f1_inv, rot, f3_inv = _chain(w, modes.omega_tilde, theta, modes.eps_minus, modes.eps_plus)
+    chain = _product(f1_inv, rot, f3_inv)
+    require_symplectic(chain)
+    return f1_inv, rot, f3_inv, chain
+
+
+def _moments(modes: _Modes, chain: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean sqrt(2N) (alpha, 0, -beta, 0) and covariance S S^T / 2 of the vacuum mapped by S."""
+    g = chain @ chain.transpose(0, 2, 1)
+    return _x_displacement(modes.alpha, modes.beta, n_atoms), (g + g.transpose(0, 2, 1)) / 4.0
+
+
+def ground_moments(
+    lams, omega: float, omega0: float, n_atoms: int, delta_min: float = DEFAULT_DELTA_MIN
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (n, 4) and covariance (n, 4, 4) of the ground state at each coupling in lams.
+
+    The couplings share omega, omega0 and n_atoms.  This is moment_jet
+    without the derivatives.
+    """
+    modes = _normal_modes(_couplings(lams), omega, omega0, delta_min)
+    return _moments(modes, _checked_chain(modes, omega)[3], n_atoms)
+
+
+def moment_jet(
+    lams, omega: float, omega0: float, n_atoms: int, delta_min: float = DEFAULT_DELTA_MIN
+) -> MomentJet:
+    """Ground-state moments and their exact coupling derivatives at each coupling in lams.
+
+    The couplings share omega, omega0 and n_atoms.  The chain rule runs
+    through k, alpha, beta, the effective atomic frequency, the normal-mode
+    frequencies and theta, and the product rule through the chain S, so that
+    dcov = (dS S^T + S dS^T) / 2 and dmean = sqrt(2N) (dalpha, 0, -dbeta, 0).
+    Each coupling is evaluated on its own: a batch gives every coupling the
+    same bits as a one-coupling call.
+    """
+    w, w0 = omega, omega0
+    m = _normal_modes(_couplings(lams), w, w0, delta_min)
+    f1_inv, rot, f3_inv, chain = _checked_chain(m, w)
+    mean, cov = _moments(m, chain, n_atoms)
+    lam, k, sr = m.lam, m.k, m.superradiant
+    # below lambda_c, k, alpha and beta are constant; the safe denominators
+    # only stand in where the numerators vanish
+    dk = np.where(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)
+    dalpha = m.root / w - (lam / w) * k * dk / np.where(sr, m.root, 1.0)
+    dbeta = -dk / (4.0 * np.where(sr, m.beta, 1.0))
+    dwt = -w0 * dk / (2.0 * k * k)
+    # s and u differ by the constant 2 w^2, so ds is also du
+    ds = -2.0 * w0 * w0 * dk / k**3
+    dv = 4.0 * np.sqrt(w * w0 * k) * (1.0 + lam * dk / (2.0 * k))
+    # r = 0 only at the degenerate point, where the limit lam -> 0+ has
+    # r = v and a constant theta (see _checked_chain)
+    regular = m.r > 0.0
+    dr = np.where(regular, (m.u * ds + m.v * dv) / np.where(regular, m.r, 1.0), dv)
+    # theta = atan2(y, x) / 2
+    y, x = m.v * k * k, w0 * w0 - k * k * w * w
+    dy, dx = dv * k * k + 2.0 * m.v * k * dk, -2.0 * k * w * w * dk
+    dtheta = 0.5 * (x * dy - y * dx) / np.where(regular, x * x + y * y, 1.0)
+    em, ep = m.eps_minus, m.eps_plus
+    dem, dep = (ds - dr) / (4.0 * em), (ds + dr) / (4.0 * ep)
+    # the squeezers are diagonal, so they enter by their logarithmic derivatives
+    g1 = np.multiply.outer(dwt / m.omega_tilde, _DLOG_B)
+    g3 = -np.multiply.outer(dem / em, _DLOG_A) - np.multiply.outer(dep / ep, _DLOG_B)
+    dchain = (
+        g1[:, :, None] * chain
+        + chain * g3[:, None, :]
+        + dtheta[:, None, None] * _product(f1_inv, rot @ _ROT_GEN, f3_inv)
+    )
+    a = dchain @ chain.transpose(0, 2, 1)
+    return MomentJet(mean, cov, _x_displacement(dalpha, dbeta, n_atoms), (a + a.transpose(0, 2, 1)) / 2.0)
 
 
 def ground_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:
     """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms)."""
-    derived = derive(params, delta_min=delta_min)
-    chain = symplectic_chain(derived)
-    transform = SymplecticTransform(chain.matrix, mean_vector(derived, params.n_atoms))
-    return apply_symplectic(vacuum_state(2), transform)
+    mean, cov = ground_moments([params.lam], params.omega, params.omega0, params.n_atoms, delta_min)
+    return GaussianState(mean[0], cov[0])
 
 
 def reduced_radiation_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:

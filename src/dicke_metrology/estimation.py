@@ -8,76 +8,45 @@ family splits into a quadratic (covariance) part and a displacement part:
 with the symmetric logarithmic derivative L = R^T Phi R + R^T zeta - nu,
 Phi = -dcov, zeta = Omega^T cov^-1 dmean, nu = Tr[Omega^T cov Omega Phi].
 
-Moment derivatives are exact: the chain rule runs through the mean-field
-scalars k, alpha, beta, the effective atomic frequency, the normal-mode
-frequencies and the rotation angle theta, and the product rule through the
-symplectic chain S = F1^-1 F2(theta)^T F3^-1 that builds cov = S S^T / 2.
-There is no step to choose; the only excluded couplings are the window of
-half-width delta_min around lambda_c, where `derive` raises.
+The moments and their exact coupling derivatives come from one vectorised
+jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
+whole jet into QFIs at once; `state_derivative` runs the same jet at a single
+coupling, and `qfi` and the SLD functions read from it.  There is no step to
+choose; the only excluded couplings are the window of half-width delta_min
+around lambda_c, where the jet raises.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DEFAULT_DELTA_MIN, DickeParams, Phase, derive, ground_state
-from .dicke import f1_matrix, f2_matrix, f3_matrix
+from .dicke import DEFAULT_DELTA_MIN, DickeParams, MomentJet, derive, f1_matrix, moment_jet
 from .gaussian import symplectic_form
-
-# generator of the two-mode rotation: d/dtheta F2(theta)^T = F2(theta)^T @ _ROT_GEN
-_ROT_GEN = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 
 
 @dataclass(frozen=True)
 class StateDerivative:
-    """Coupling derivatives of the ground-state moments."""
+    """Coupling derivatives of the ground-state moments at one coupling.
 
-    dcov: np.ndarray
-    dmean: np.ndarray
+    `jet` is the one-coupling moment jet they are read from; it also holds
+    the moments themselves.
+    """
+
+    jet: MomentJet
+
+    @property
+    def dcov(self) -> np.ndarray:
+        return self.jet.dcov[0]
+
+    @property
+    def dmean(self) -> np.ndarray:
+        return self.jet.dmean[0]
 
 
 def state_derivative(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> StateDerivative:
     """d(cov)/d(lam) and d(mean)/d(lam) of the ground state at params, in closed form."""
-    d = derive(params, delta_min=delta_min)
-    w, w0, lam, k = d.omega, d.omega0, d.lam, d.k
-    em, ep, wt = d.eps_minus, d.eps_plus, d.omega_tilde
-    if d.phase is Phase.SUPERRADIANT:
-        dk = -2.0 * k / lam
-        root = math.sqrt(1.0 - k * k)
-        dalpha = root / w - (lam / w) * k * dk / root
-        dbeta = -dk / (4.0 * d.beta)
-    else:
-        dk = dalpha = dbeta = 0.0
-    dwt = -w0 * dk / (2.0 * k * k)
-    # normal modes: eps_-+^2 = (s -+ r) / 2 with r = hypot(u, v) and ds = du
-    u, v = (w0 / k) ** 2 - w * w, 4.0 * lam * math.sqrt(w * w0 * k)
-    ds = -2.0 * w0 * w0 * dk / k**3
-    dv = 4.0 * math.sqrt(w * w0 * k) * (1.0 + lam * dk / (2.0 * k))
-    r = math.hypot(u, v)
-    if r > 0.0:
-        dr = (u * ds + v * dv) / r
-        # theta = atan2(y, x) / 2
-        y, x = v * k * k, w0 * w0 - k * k * w * w
-        dy, dx = dv * k * k + 2.0 * v * k * dk, -2.0 * k * w * w * dk
-        dtheta = 0.5 * (x * dy - y * dx) / (x * x + y * y)
-    else:
-        # resonance at lam = 0: the modes are degenerate, and the limit
-        # lam -> 0+ has r = v and a constant theta = pi/4
-        d = replace(d, theta=math.pi / 4.0)
-        dr, dtheta = dv, 0.0
-    dem, dep = (ds - dr) / (4.0 * em), (ds + dr) / (4.0 * ep)
-    # product rule through the chain S = F1^-1 F2^T F3^-1 of `ground_state`;
-    # the squeezers are diagonal, so they enter by their logarithmic derivatives
-    f1_inv, rot, f3_inv = 1.0 / np.diag(f1_matrix(d)), f2_matrix(d).T, 1.0 / np.diag(f3_matrix(d))
-    g1 = np.array([0.0, 0.0, 0.5, -0.5]) * (dwt / wt)
-    g3 = np.array([-0.5 * dem / em, 0.5 * dem / em, -0.5 * dep / ep, 0.5 * dep / ep])
-    chain = f1_inv[:, None] * rot * f3_inv
-    dchain = g1[:, None] * chain + chain * g3 + dtheta * (f1_inv[:, None] * (rot @ _ROT_GEN) * f3_inv)
-    a = dchain @ chain.T
-    dmean = math.sqrt(2.0 * params.n_atoms) * np.array([dalpha, 0.0, -dbeta, 0.0])
-    return StateDerivative(dcov=(a + a.T) / 2.0, dmean=dmean)
+    return StateDerivative(moment_jet([params.lam], params.omega, params.omega0, params.n_atoms, delta_min))
 
 
 @dataclass(frozen=True)
@@ -89,18 +58,21 @@ class EstimationResult:
     displacement_term: float
 
 
+def qfi_from_jet(jet: MomentJet) -> list[EstimationResult]:
+    """Quantum Fisher information at every coupling of the jet."""
+    omega = symplectic_form(2)
+    quadratic = -np.trace(omega.T @ jet.dcov @ omega @ jet.dcov, axis1=-2, axis2=-1)
+    dmean = jet.dmean[:, :, None]
+    displacement = np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean)
+    return [
+        EstimationResult(qfi=q + d, quadratic_term=q, displacement_term=d)
+        for q, d in zip(quadratic.tolist(), displacement[:, 0, 0].tolist())
+    ]
+
+
 def qfi(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> EstimationResult:
     """Quantum Fisher information of the coupling at params."""
-    sd = state_derivative(params, delta_min=delta_min)
-    st = ground_state(params, delta_min=delta_min)
-    omega = symplectic_form(2)
-    quadratic = -float(np.trace(omega.T @ sd.dcov @ omega @ sd.dcov))
-    displacement = float(sd.dmean @ np.linalg.solve(st.cov, sd.dmean))
-    return EstimationResult(
-        qfi=quadratic + displacement,
-        quadratic_term=quadratic,
-        displacement_term=displacement,
-    )
+    return qfi_from_jet(state_derivative(params, delta_min).jet)[0]
 
 
 def cramer_rao_bound(result: EstimationResult, n_measurements: int) -> float:
@@ -121,12 +93,12 @@ class SldCoefficients:
 
 def sld_coefficients(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> SldCoefficients:
     """SLD coefficients (Phi, zeta, nu) in the laboratory quadratures."""
-    sd = state_derivative(params, delta_min=delta_min)
-    st = ground_state(params, delta_min=delta_min)
+    sd = state_derivative(params, delta_min)
+    cov, dmean, dcov = sd.jet.cov[0], sd.dmean, sd.dcov
     omega = symplectic_form(2)
-    phi = -sd.dcov
-    zeta = omega.T @ np.linalg.solve(st.cov, sd.dmean)
-    nu = float(np.trace(omega.T @ st.cov @ omega @ phi))
+    phi = -dcov
+    zeta = omega.T @ np.linalg.solve(cov, dmean)
+    nu = float(np.trace(omega.T @ cov @ omega @ phi))
     return SldCoefficients(phi=phi, zeta=zeta, nu=nu)
 
 

@@ -61,12 +61,23 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes) / 2.0)
 
 
+def require_symplectic(f: np.ndarray) -> None:
+    """Raise ValueError unless F Omega F^T = Omega for F, or for every F of a stack (..., 2M, 2M)."""
+    omega = symplectic_form(f.shape[-1] // 2)
+    defect = np.abs(f @ omega @ np.swapaxes(f, -1, -2) - omega).max(axis=(-2, -1))
+    # scale-aware: squeezers with large entries lose a few digits in the product
+    tol = SYMPLECTIC_TOL * np.maximum(1.0, np.abs(f).max(axis=(-2, -1))) ** 2
+    bad = defect > tol
+    if bad.any():
+        raise ValueError(f"matrix is not symplectic: |F Omega F^T - Omega| = {defect[bad].flat[0]:.3e}")
+
+
 @dataclass(frozen=True)
 class SymplecticTransform:
     """Affine Gaussian map R -> matrix @ R + displacement.
 
     The matrix must satisfy F Omega F^T = Omega; this is checked at
-    construction time (the check is cheap for the small matrices used here).
+    construction time by `require_symplectic`.
     """
 
     matrix: np.ndarray
@@ -80,12 +91,7 @@ class SymplecticTransform:
         d = np.zeros(f.shape[0]) if d is None else np.asarray(d, dtype=float)
         if d.shape != (f.shape[0],):
             raise ValueError(f"displacement shape {d.shape} does not match matrix {f.shape}")
-        omega = symplectic_form(f.shape[0] // 2)
-        defect = np.max(np.abs(f @ omega @ f.T - omega))
-        # scale-aware: squeezers with large entries lose a few digits in the product
-        tol = SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(f))) ** 2)
-        if defect > tol:
-            raise ValueError(f"matrix is not symplectic: |F Omega F^T - Omega| = {defect:.3e}")
+        require_symplectic(f)
         object.__setattr__(self, "matrix", f)
         object.__setattr__(self, "displacement", d)
 

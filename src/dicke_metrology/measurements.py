@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dicke import ATOMIC_MODE, DEFAULT_DELTA_MIN, RADIATION_MODE, DickeParams
-from .dicke import ground_state, reduced_radiation_state
+from .dicke import ATOMIC_MODE, DEFAULT_DELTA_MIN, RADIATION_MODE, DickeParams, MomentJet
 from .errors import NonConvergedSeries, UnphysicalStateError
 from .estimation import state_derivative
-from .gaussian import GaussianState, partial_trace
+from .gaussian import GaussianState
 
 DIAGONAL_TOL = 1e-10
 PN_TAIL_TOL = 1e-10
@@ -65,23 +64,26 @@ def quadrature_distribution(state: GaussianState, phi: float) -> tuple[float, fl
     )
 
 
-def fi_homodyne(
-    params: DickeParams, setting: HomodyneSetting, delta_min: float = DEFAULT_DELTA_MIN
-) -> float:
-    """Fisher information of homodyne outcomes about the coupling.
+def fi_homodyne_from_jet(jet: MomentJet, setting: HomodyneSetting) -> np.ndarray:
+    """Homodyne Fisher information about the coupling at every coupling of the jet.
 
     For the Gaussian marginal with mean m(lam) and variance v(lam),
     FI = (dm)^2 / v + (dv)^2 / (2 v^2).
     """
-    sd = state_derivative(params, delta_min=delta_min)
-    reduced = partial_trace(ground_state(params, delta_min=delta_min), [setting.mode])
     i = 2 * setting.mode
     c2 = math.cos(setting.phi) ** 2
     s2 = math.sin(setting.phi) ** 2
-    var = c2 * reduced.cov[0, 0] + s2 * reduced.cov[1, 1]
-    dvar = c2 * sd.dcov[i, i] + s2 * sd.dcov[i + 1, i + 1]
-    dmean = math.cos(setting.phi) * sd.dmean[i]
-    return float(dmean * dmean / var + dvar * dvar / (2.0 * var * var))
+    var = c2 * jet.cov[:, i, i] + s2 * jet.cov[:, i + 1, i + 1]
+    dvar = c2 * jet.dcov[:, i, i] + s2 * jet.dcov[:, i + 1, i + 1]
+    dmean = math.cos(setting.phi) * jet.dmean[:, i]
+    return dmean * dmean / var + dvar * dvar / (2.0 * var * var)
+
+
+def fi_homodyne(
+    params: DickeParams, setting: HomodyneSetting, delta_min: float = DEFAULT_DELTA_MIN
+) -> float:
+    """Fisher information of homodyne outcomes about the coupling at params."""
+    return float(fi_homodyne_from_jet(state_derivative(params, delta_min).jet, setting)[0])
 
 
 @dataclass(frozen=True)
@@ -247,19 +249,26 @@ def fi_photon_counting_family(
     return float(fi), dist.n_max
 
 
+def fi_photon_counting_from_jet(
+    jet: MomentJet, index: int, tail_tol: float = PN_TAIL_TOL
+) -> tuple[float, int]:
+    """Photon-counting Fisher information of the radiation mode at coupling
+    `index` of the jet, with the series cutoff it summed over."""
+    mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
+    return fi_photon_counting_family(
+        GaussianState(jet.mean[index, mode], jet.cov[index, mode, mode]),
+        jet.dmean[index, mode],
+        jet.dcov[index, mode, mode],
+        tail_tol=tail_tol,
+    )
+
+
 def fi_photon_counting_detail(
     params: DickeParams, tail_tol: float = PN_TAIL_TOL, delta_min: float = DEFAULT_DELTA_MIN
 ) -> tuple[float, int]:
     """Fisher information of photon counting on the radiation mode, with the
     series cutoff it summed over."""
-    sd = state_derivative(params, delta_min=delta_min)
-    i = 2 * RADIATION_MODE
-    return fi_photon_counting_family(
-        reduced_radiation_state(params, delta_min=delta_min),
-        sd.dmean[i : i + 2],
-        sd.dcov[i : i + 2, i : i + 2],
-        tail_tol=tail_tol,
-    )
+    return fi_photon_counting_from_jet(state_derivative(params, delta_min).jet, 0, tail_tol=tail_tol)
 
 
 def fi_photon_counting(

@@ -83,17 +83,21 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_jobs_do_not_change_output(self, tmp_path):
-        args = [
-            "fi-homodyne",
-            "--lambda-min", "0.1",
-            "--lambda-max", "0.9",
-            "--points", "6",
-            "--phi", "0,1.0",
+        sweeps = [
+            (["fi-homodyne", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6", "--phi", "0,1.0"], ["3"]),
+            (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
+            (["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "4"], ["2", "3"]),
+            # more jobs than grid points
+            (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "3"], ["7"]),
+            (["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "3"], ["7"]),
         ]
-        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
-        assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for args, jobs in sweeps:
+            a = tmp_path / "serial.csv"
+            assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
+            for n in jobs:
+                b = tmp_path / f"parallel{n}.csv"
+                assert main(args + ["--jobs", n, "--out", str(b)]) == 0
+                assert a.read_bytes() == b.read_bytes(), (args, n)
 
 
 class TestGridAndConfig:
@@ -185,6 +189,36 @@ class TestStatusAndExitCodes:
         statuses = [line.split(",")[-1] for line in lines]
         assert statuses.count("ok") == 2
         assert statuses.count("singular") == 1
+
+
+    @pytest.mark.parametrize("points", ["3", "5"])
+    def test_mixed_rows_same_with_jobs(self, capsys, points):
+        # the chunk that holds the critical coupling falls back to one point
+        # at a time, however the grid is split
+        args = [
+            "qfi",
+            "--lambda-min", "0.4",
+            "--lambda-max", "0.5",
+            "--points", points,
+            "--exclusion", "0",
+        ]
+        serial = run(capsys, args + ["--jobs", "1"])
+        assert run(capsys, args + ["--jobs", "2"]) == serial
+        code, out = serial
+        statuses = [line.split(",")[-1] for line in out.strip().split("\n")[1:]]
+        assert code == 3
+        assert statuses == ["ok"] * (int(points) - 1) + ["singular"]
+
+    def test_chunk_falls_back_to_per_point_statuses(self):
+        cfg = dict(cli._DEFAULTS, phi=[0.0, 1.0])
+        rows = cli._compute_chunk(("fi-homodyne", [0.4, 0.5, 0.6], cfg))
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            (0.4, 0.0, "ok"), (0.4, 1.0, "ok"),
+            (0.5, 0.0, "singular"), (0.5, 1.0, "singular"),
+            (0.6, 0.0, "ok"), (0.6, 1.0, "ok"),
+        ]
+        alone = cli._compute_chunk(("fi-homodyne", [0.4], cfg)) + cli._compute_chunk(("fi-homodyne", [0.6], cfg))
+        assert rows[:2] + rows[4:] == alone
 
 
 class TestErrorTaxonomy:

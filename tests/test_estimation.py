@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from dicke_metrology.dicke import DickeParams, derive, f1_matrix, ground_state
+from dicke_metrology import dicke
+from dicke_metrology.dicke import DickeParams, derive, f1_matrix, ground_moments, ground_state, moment_jet
+from dicke_metrology.errors import CriticalPointSingularity
 from dicke_metrology.estimation import (
     cramer_rao_bound,
     fit_power_law,
     qfi,
+    qfi_from_jet,
     sld_coefficients,
     sld_coefficients_f1_frame,
     state_derivative,
 )
+from dicke_metrology.measurements import HomodyneSetting, Target, fi_homodyne, fi_homodyne_from_jet
 from oracles import fidelity_qfi
 
 
@@ -103,6 +107,67 @@ class TestStateDerivative:
         at_zero = state_derivative(DickeParams(lam=0.0, omega0=omega0))
         near_zero = state_derivative(DickeParams(lam=1e-9, omega0=omega0))
         assert np.max(np.abs(at_zero.dcov - near_zero.dcov)) < 1e-8
+
+
+class TestMomentJet:
+    """One vectorised jet serves sweeps and single couplings alike."""
+
+    # lam / lambda_c on both sides of the transition; 0 is the degenerate
+    # point at resonance
+    RATIOS = [0.0, 0.02, 0.5, 0.99, 0.999, 1.001, 1.01, 1.5, 10.0, 100.0]
+
+    @pytest.mark.parametrize("n_atoms", [1, 100, 10_000])
+    @pytest.mark.parametrize("omega, omega0", ORACLE_FREQUENCIES)
+    def test_batch_equals_one_point_jets(self, omega, omega0, n_atoms):
+        lams = np.sqrt(omega * omega0) / 2 * np.array(self.RATIOS)
+        batch = moment_jet(lams, omega, omega0, n_atoms)
+        homodyne = [
+            fi_homodyne_from_jet(batch, HomodyneSetting(phi=phi, target=target))
+            for phi in (0.0, 1.0)
+            for target in Target
+        ]
+        for i, lam in enumerate(lams):
+            where = f"omega={omega}, omega0={omega0}, N={n_atoms}, lam={lam}"
+            one = moment_jet([lam], omega, omega0, n_atoms)
+            for field in ("mean", "cov", "dmean", "dcov"):
+                assert np.array_equal(getattr(batch, field)[i], getattr(one, field)[0]), (field, where)
+            params = DickeParams(lam=float(lam), omega=omega, omega0=omega0, n_atoms=n_atoms)
+            assert qfi_from_jet(batch)[i] == qfi(params), where
+            assert [fi[i] for fi in homodyne] == [
+                fi_homodyne(params, HomodyneSetting(phi=phi, target=target))
+                for phi in (0.0, 1.0)
+                for target in Target
+            ], where
+
+    def test_moments_match_ground_state(self):
+        lams = [0.0, 0.3, 0.7]
+        mean, cov = ground_moments(lams, 1.0, 1.0, 100)
+        jet = moment_jet(lams, 1.0, 1.0, 100)
+        assert np.array_equal(mean, jet.mean) and np.array_equal(cov, jet.cov)
+        for i, lam in enumerate(lams):
+            state = ground_state(DickeParams(lam=lam))
+            assert np.array_equal(state.mean, mean[i]) and np.array_equal(state.cov, cov[i])
+
+    def test_critical_window_raises_for_one_point_and_batch(self):
+        with pytest.raises(CriticalPointSingularity):
+            moment_jet([0.5 + 1e-9], 1.0, 1.0, 100)
+        with pytest.raises(CriticalPointSingularity):
+            moment_jet([0.3, 0.5 - 1e-9, 0.7], 1.0, 1.0, 100)
+        with pytest.raises(CriticalPointSingularity):
+            moment_jet([0.3, 0.5 + 1e-6], 1.0, 1.0, 100, delta_min=1e-5)
+
+    def test_perturbed_chain_fails_the_symplectic_check(self, monkeypatch):
+        rotation = dicke._rotation
+        monkeypatch.setattr(dicke, "_rotation", lambda theta: rotation(theta) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="not symplectic"):
+            moment_jet([0.3, 0.7], 1.0, 1.0, 100)
+        with pytest.raises(ValueError, match="not symplectic"):
+            ground_state(DickeParams(lam=0.7))
+
+    @pytest.mark.parametrize("lams", [[-0.1], [[0.3, 0.7]]])
+    def test_malformed_couplings_rejected(self, lams):
+        with pytest.raises(ValueError):
+            moment_jet(lams, 1.0, 1.0, 100)
 
 
 class TestQfi:
