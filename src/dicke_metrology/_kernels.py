@@ -25,7 +25,11 @@ The values run scaled, starting at 1 with a running log scale that starts at
 log r00; the three live values are renormalised whenever their largest
 magnitude leaves [1e-200, 1e200].  Only the final exponentiation can leave
 the double range, so r00 itself may underflow: entries below the smallest
-double become 0.0 and nothing raises.
+double become 0.0 and nothing raises.  The running sum of p(0..n) is kept
+the same way, as the mass of the values already renormalised plus the scaled
+sum of the current run, so the series can stop at the first n where it
+reaches 1 - tail_tol.  The recurrence runs forward, so p(0..n) do not depend
+on where it stops.
 
 Along any path of the inputs, d log G = d(log r00) + (ds/2) z/(1 - s z)
 + (dt/2 + 2 c dc) z/(1 - t z) + c^2 dt z^2/(1 - t z)^2, so with
@@ -47,32 +51,92 @@ import numpy as np
 _LOW, _HIGH = 1e-200, 1e200
 
 
-def pn_series(log_r00: float, t: float, s: float, c: float, n_max: int) -> np.ndarray:
-    """p(0..n_max) for kernel inputs log r00, t = A - B, s = A + B, c = |C|."""
+class PnSeries:
+    """p(0), p(1), ... for kernel inputs log r00, t = A - B, s = A + B, c = |C|,
+    evaluated forward on demand.
+
+    `extend` continues the recurrence where it stopped, so p(0..n) have the
+    same bits whether they were computed in one call or in several.
+    """
+
+    def __init__(self, log_r00: float, t: float, s: float, c: float) -> None:
+        t, s, c2 = float(t), float(s), float(c) ** 2
+        self._coeffs = (
+            -(s + 2.0 * t), t * t + 2.0 * s * t, -s * t * t,
+            0.5 * (s + t) + c2, -(1.5 * s * t + 0.5 * t * t + c2 * s), s * t * t,
+        )
+        self._vals = [1.0]
+        # (first index, log scale) of each run of values that share a scale
+        self._scales = [(0, float(log_r00))]
+        # the scaled p(n), p(n-1), p(n-2); the mass of the earlier runs and
+        # the scaled mass of the current one
+        self._live = (1.0, 0.0, 0.0)
+        self._banked, self._run_mass = 0.0, 1.0
+
+    @property
+    def n_max(self) -> int:
+        return len(self._vals) - 1
+
+    def extend(self, n_max: int, tail_tol: float | None = None) -> bool:
+        """Run on to p(n_max), or with tail_tol stop at the first n where
+        p(0) + ... + p(n) reaches 1 - tail_tol.  Returns whether it did."""
+        a1, a2, a3, q0, q1, q2 = self._coeffs
+        vals, scales = self._vals, self._scales
+        append = vals.append
+        p0, p1, p2 = self._live
+        banked, run_mass, log_scale = self._banked, self._run_mass, scales[-1][1]
+        goal = math.inf if tail_tol is None else 1.0 - tail_tol
+        run_goal = _run_goal(goal - banked, log_scale)
+        for n in range(len(vals) - 1, n_max):
+            if run_mass >= run_goal:
+                break
+            p0, p1, p2 = (
+                ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1),
+                p0,
+                p1,
+            )
+            big = max(abs(p0), abs(p1), abs(p2))
+            if big > _HIGH or 0.0 < big < _LOW:
+                p0, p1, p2 = p0 / big, p1 / big, p2 / big
+                banked += run_mass * math.exp(log_scale) if log_scale < 700.0 else math.inf
+                log_scale += math.log(big)
+                scales.append((n + 1, log_scale))
+                run_mass, run_goal = 0.0, _run_goal(goal - banked, log_scale)
+            append(p0)
+            run_mass += p0
+        self._live, self._banked, self._run_mass = (p0, p1, p2), banked, run_mass
+        return run_mass >= run_goal
+
+    def probs(self) -> np.ndarray:
+        """p(0..n_max) as doubles; entries below the smallest double read 0.0."""
+        v = np.array(self._vals)
+        starts = [i for i, _ in self._scales] + [len(v)]
+        logs = np.repeat([x for _, x in self._scales], np.diff(starts))
+        with np.errstate(divide="ignore"):
+            return np.sign(v) * np.exp(np.log(np.abs(v)) + logs)
+
+
+def _run_goal(rest: float, log_scale: float) -> float:
+    # the scaled mass the current run must add to bring in `rest`, capped at
+    # e^700, which no run of values inside the band sums to
+    if rest <= 0.0:
+        return 0.0
+    return math.exp(min(math.log(rest) - log_scale, 700.0))
+
+
+def pn_series(
+    log_r00: float, t: float, s: float, c: float, n_max: int, tail_tol: float | None = None
+) -> np.ndarray:
+    """p(0..n) for kernel inputs log r00, t = A - B, s = A + B, c = |C|.
+
+    n is n_max; with tail_tol it is the first n where p(0) + ... + p(n)
+    reaches 1 - tail_tol, and n_max only bounds it.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    t, s, c2 = float(t), float(s), float(c) ** 2
-    a1, a2, a3 = -(s + 2.0 * t), t * t + 2.0 * s * t, -s * t * t
-    q0, q1, q2 = 0.5 * (s + t) + c2, -(1.5 * s * t + 0.5 * t * t + c2 * s), s * t * t
-    vals = [1.0] * (n_max + 1)
-    logs = [float(log_r00)] * (n_max + 1)
-    # p0, p1, p2 hold the scaled p(n), p(n-1), p(n-2)
-    p0, p1, p2, log_scale = 1.0, 0.0, 0.0, float(log_r00)
-    for n in range(n_max):
-        p0, p1, p2 = (
-            ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1),
-            p0,
-            p1,
-        )
-        big = max(abs(p0), abs(p1), abs(p2))
-        if big > _HIGH or 0.0 < big < _LOW:
-            p0, p1, p2 = p0 / big, p1 / big, p2 / big
-            log_scale += math.log(big)
-        vals[n + 1] = p0
-        logs[n + 1] = log_scale
-    v = np.array(vals)
-    with np.errstate(divide="ignore"):
-        return np.sign(v) * np.exp(np.log(np.abs(v)) + np.array(logs))
+    series = PnSeries(log_r00, t, s, c)
+    series.extend(n_max, tail_tol)
+    return series.probs()
 
 
 def pn_derivative(

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .measurements import (
     fi_photon_counting_from_jet,
     mean_photon_decomposition,
     photon_distribution,
+    photon_number_moments,
 )
 
 EXIT_OK = 0
@@ -164,12 +164,46 @@ def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
     return [[lam] + pad + [status]]
 
 
-def _contiguous_chunks(grid: list[float], count: int) -> list[list[float]]:
-    """Split the grid into min(count, len(grid)) contiguous chunks of near-equal size."""
+# a fi-photon row sums a photon series of about <n> + 10 sd(n) terms, after a
+# share of the chunk's vectorised layers that costs about as much as 100 terms
+_ROW_TERMS = 100.0
+_SERIES_SDS = 10.0
+
+
+def _row_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
+    """Estimated cost of each row, known before any series runs.
+
+    fi-photon rows weigh their photon series, from the <n> and sd(n) of the
+    radiation mode; every other row weighs the same.
+    """
+    if command != "fi-photon":
+        return [1.0] * len(grid)
+    try:
+        mean, cov = ground_moments(grid, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+    except _DOMAIN_ERRORS:
+        return [1.0] * len(grid)
+    mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
+    mean_n, var_n = photon_number_moments(mean[:, mode], cov[:, mode, mode])
+    return (_ROW_TERMS + mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0))).tolist()
+
+
+def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> list[list[float]]:
+    """Split the grid into min(count, len(grid)) contiguous chunks of near-equal cost.
+
+    Each chunk is the shortest run of points whose cost reaches an equal
+    share of the cost still left; with equal costs the first len(grid) % count
+    chunks hold one point more than the others.
+    """
     count = min(count, len(grid))
-    size, extra = divmod(len(grid), count)
-    bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    chunks, lo, left = [], 0, math.fsum(costs)
+    for k in range(count, 1, -1):
+        hi, spent = lo + 1, costs[lo]
+        while hi < len(grid) - k + 1 and spent < left / k:
+            spent += costs[hi]
+            hi += 1
+        chunks.append(grid[lo:hi])
+        lo, left = hi, left - spent
+    return chunks + [grid[lo:]]
 
 
 def _lambda_grid(cfg: dict) -> list[float]:
@@ -366,8 +400,12 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    tasks = [(args.command, chunk, cfg) for chunk in _contiguous_chunks(grid, cfg["jobs"])]
+    chunks = _contiguous_chunks(grid, cfg["jobs"], _row_costs(args.command, grid, cfg))
+    tasks = [(args.command, chunk, cfg) for chunk in chunks]
     if len(tasks) > 1:
+        # imported here: loading the pool takes ~25 ms and ~2 MB that one chunk does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
     else:

@@ -22,8 +22,13 @@ from .gaussian import GaussianState
 
 DIAGONAL_TOL = 1e-10
 PN_TAIL_TOL = 1e-10
-PN_HARD_LIMIT = 100_000
+# a series still short of its mass at <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR
+# does not converge: on the Dicke and single-mode states measured, even the
+# FI cutoffs, which lie past the mass cutoffs, end within <n> + 40 sd(n) + 100
+PN_LIMIT_SDS = 100.0
+PN_LIMIT_FLOOR = 100
 FI_TERM_FLOOR = 1e-14
+FI_MARGIN = 0.4
 
 
 class Target(str, enum.Enum):
@@ -156,6 +161,23 @@ def photon_kernel_params(state: GaussianState) -> PhotonNumberKernel:
     )
 
 
+def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<n> and Var(n) of single-mode Gaussian states, mean (..., 2), cov (..., 2, 2).
+
+    <n> = (Tr sigma + |mu|^2 - 1)/2 and Var(n) = Tr sigma^2 / 2 - 1/4 + mu^T sigma mu.
+    """
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    trace = cov[..., 0, 0] + cov[..., 1, 1]
+    mean_n = 0.5 * (trace + np.sum(mean * mean, axis=-1) - 1.0)
+    var_n = 0.5 * np.sum(cov * cov, axis=(-2, -1)) - 0.25 + np.einsum("...i,...ij,...j->...", mean, cov, mean)
+    return mean_n, var_n
+
+
+def _series_limit(mean_n: np.ndarray, var_n: np.ndarray) -> np.ndarray:
+    """Cutoff by which a photon series with these moments must have converged."""
+    return (mean_n + PN_LIMIT_SDS * np.sqrt(np.maximum(var_n, 0.0))).astype(int) + PN_LIMIT_FLOOR
+
+
 @dataclass(frozen=True)
 class PhotonDistribution:
     """Truncated photon-number distribution with its unresolved tail mass."""
@@ -165,44 +187,44 @@ class PhotonDistribution:
     tail_mass: float
 
 
-def _pn_values(kernel: PhotonNumberKernel, n_max: int) -> np.ndarray:
+def _series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
     # the displacement rides on the x-axis branch t = A - B of the
     # generating function; s = A + B carries the bare p-axis factor
+    kernel = photon_kernel_params(state)
     t = kernel.a_tilde - kernel.b_tilde
     s = kernel.a_tilde + kernel.b_tilde
-    return _kernels.pn_series(kernel.log_r00, t, s, abs(kernel.c_tilde), n_max)
+    return kernel.log_r00, t, s, abs(kernel.c_tilde)
 
 
 def photon_distribution(
     state: GaussianState,
     n_max: int | None = None,
     tail_tol: float = PN_TAIL_TOL,
-    hard_limit: int = PN_HARD_LIMIT,
+    hard_limit: int | None = None,
 ) -> PhotonDistribution:
     """Photon-number distribution of the state, truncated at a resolved tail.
 
-    With explicit n_max the series is evaluated once at that cutoff; otherwise
-    the cutoff starts at 10<N> + 50 and doubles until the unresolved tail mass
-    drops below tail_tol, raising NonConvergedSeries at the hard limit.
+    With explicit n_max the series is evaluated once at that cutoff.
+    Otherwise it runs forward and stops at the first n where
+    p(0) + ... + p(n) reaches 1 - tail_tol; p(0..n) do not depend on where it
+    stops.  It raises NonConvergedSeries if that has not happened by
+    hard_limit, which defaults to <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR
+    from the state's own moments.
     """
-    kernel = photon_kernel_params(state)
     if n_max is not None:
-        probs = _pn_values(kernel, int(n_max))
-        _check_breakdown(probs)
-        return PhotonDistribution(probs, int(n_max), tail_mass=max(0.0, 1.0 - math.fsum(probs)))
-    mean_n = mean_photon_decomposition(state).total
-    cutoff = int(10.0 * mean_n + 50.0)
-    while True:
-        if cutoff > hard_limit:
-            raise NonConvergedSeries(
-                f"photon series tail above {tail_tol:.1e} at the cutoff limit {hard_limit}"
-            )
-        probs = _pn_values(kernel, cutoff)
-        _check_breakdown(probs)
-        tail = 1.0 - math.fsum(probs)
-        if tail < tail_tol:
-            return PhotonDistribution(probs, cutoff, tail_mass=max(0.0, tail))
-        cutoff = 2 * cutoff + 50
+        probs = _kernels.pn_series(*_series_inputs(state), int(n_max))
+        return _distribution(probs)
+    if hard_limit is None:
+        hard_limit = int(_series_limit(*photon_number_moments(state.mean, state.cov)))
+    dist = _distribution(_kernels.pn_series(*_series_inputs(state), hard_limit, tail_tol))
+    if dist.n_max == hard_limit and not dist.tail_mass < tail_tol:
+        raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {hard_limit}")
+    return dist
+
+
+def _distribution(probs: np.ndarray) -> PhotonDistribution:
+    _check_breakdown(probs)
+    return PhotonDistribution(probs, len(probs) - 1, tail_mass=max(0.0, 1.0 - math.fsum(probs)))
 
 
 def _check_breakdown(probs: np.ndarray) -> None:
@@ -232,6 +254,28 @@ def _pn_derivative(
     return _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
 
 
+def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
+    """How many more terms an FI sum ending in `terms` needs; 0 once the FI
+    that its tail is estimated to hold is at most tail_tol * fi.
+
+    The estimate continues the decay of the last two pairs of terms as a
+    geometric series.  Pairs, because the terms of some states vanish at every
+    odd n; terms below the p(n) floor are zero, and a sum whose last pair is
+    zero is finished.
+    """
+    last, prev = float(np.sum(terms[-2:])), float(np.sum(terms[-4:-2]))
+    if last == 0.0:
+        return 0
+    if not last < prev:
+        # not yet decaying: go a quarter further
+        return max(4, len(terms) // 4)
+    ratio = last / prev
+    tail = last * ratio / (1.0 - ratio)
+    if tail <= tail_tol * fi:
+        return 0
+    return 2 * math.ceil(math.log(tail_tol * fi / tail) / math.log(ratio)) + 2
+
+
 def fi_photon_counting_family(
     state: GaussianState, dmean: np.ndarray, dcov: np.ndarray, tail_tol: float = PN_TAIL_TOL
 ) -> tuple[float, int]:
@@ -239,14 +283,34 @@ def fi_photon_counting_family(
 
     state is the family member at the estimated parameter, dmean and dcov
     the parameter derivatives of its moments.  FI = sum_n (dp(n))^2 / p(n)
-    over the state's adaptive cutoff, with dp(n) exact; terms with p(n)
-    below a fixed floor are skipped.  Returns (FI, cutoff).
+    with dp(n) exact; terms with p(n) below a fixed floor are skipped.  The
+    series runs past the mass cutoff that `photon_distribution` stops at,
+    until the FI its tail is estimated to hold is below tail_tol FI.
+    Returns (FI, cutoff).
     """
-    dist = photon_distribution(state, tail_tol=tail_tol)
-    dp = _pn_derivative(state, dmean, dcov, dist.probs)
-    keep = dist.probs >= FI_TERM_FLOOR
-    fi = math.fsum((dp[keep] ** 2 / dist.probs[keep]).tolist())
-    return float(fi), dist.n_max
+    mean_n, var_n = photon_number_moments(state.mean, state.cov)
+    limit = int(_series_limit(mean_n, var_n))
+    series = _kernels.PnSeries(*_series_inputs(state))
+    if not series.extend(limit, tail_tol):
+        raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {limit}")
+    # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
+    # past it: on 306 Dicke radiation states (N 1 to 1e4, three frequency
+    # pairs, both phases) and squeezed, thermal and coherent families, the
+    # FI tail had ended there, so one filter pass usually settles the sum
+    more = math.ceil(FI_MARGIN * (series.n_max - mean_n)) + 2
+    while True:
+        series.extend(min(limit, series.n_max + more))
+        probs = series.probs()
+        _check_breakdown(probs)
+        dp = _pn_derivative(state, dmean, dcov, probs)
+        keep = probs >= FI_TERM_FLOOR
+        terms = np.where(keep, dp * dp / np.where(keep, probs, 1.0), 0.0)
+        fi = math.fsum(terms.tolist())
+        more = _fi_tail_terms(terms, fi, tail_tol)
+        if not more:
+            return fi, series.n_max
+        if series.n_max >= limit:
+            raise NonConvergedSeries(f"photon-counting FI tail above {tail_tol:.1e} at the cutoff limit {limit}")
 
 
 def fi_photon_counting_from_jet(

@@ -66,7 +66,18 @@ class TestSmoke:
         row = lines[1].split(",")
         assert lines[0] == "lambda,FI,H,ratio,n_max,status"
         assert 0 < float(row[3]) < 1
-        assert int(row[4]) >= 50
+        # the FI sums at least over the mass-resolved distribution
+        state = dicke_metrology.reduced_radiation_state(dicke_metrology.DickeParams(lam=0.3))
+        assert int(row[4]) >= dicke_metrology.photon_distribution(state).n_max
+
+    @pytest.mark.parametrize("n_atoms,lam", [("10000", "2"), ("1000", "5"), ("100", "50")])
+    def test_fi_photon_large_states_converge(self, capsys, n_atoms, lam):
+        # cutoffs of 10 <n> + 50 passed a fixed limit of 1e5 terms here, and
+        # each of these rows read nonconverged
+        code, out = run(capsys, ["fi-photon", "--n-atoms", n_atoms, "--lambda", lam])
+        row = out.strip().split("\n")[1].split(",")
+        assert code == 0 and row[-1] == "ok"
+        assert 0 < float(row[1]) <= float(row[2])
 
 
 class TestDeterminism:
@@ -163,6 +174,35 @@ class TestGridAndConfig:
         code, out = run(capsys, argv)
         assert code == 2
         assert out == ""
+
+
+class TestChunks:
+    def test_equal_costs_split_into_near_equal_sizes(self):
+        for n in range(1, 25):
+            for count in range(1, 8):
+                sizes = [len(c) for c in cli._contiguous_chunks(list(range(n)), count, [1.0] * n)]
+                size, extra = divmod(n, min(count, n))
+                assert sizes == [size + 1] * extra + [size] * (min(count, n) - extra), (n, count)
+
+    def test_qfi_rows_weigh_the_same(self):
+        grid = [0.1, 0.3, 0.7, 0.9]
+        assert cli._row_costs("qfi", grid, dict(cli._DEFAULTS)) == [1.0] * 4
+
+    def test_photon_chunks_balance_the_series_cost(self):
+        # superradiant rows carry longer series, so the later chunk holds
+        # fewer couplings but about the same estimated cost
+        cfg = dict(cli._DEFAULTS, n_atoms=1000)
+        grid = cli._lambda_grid(dict(cfg, lambda_min=0.55, lambda_max=1.0, points=40))
+        costs = cli._row_costs("fi-photon", grid, cfg)
+        assert costs == sorted(costs)
+        first, last = cli._contiguous_chunks(grid, 2, costs)
+        assert first + last == grid
+        assert len(first) > len(last)
+        assert abs(sum(costs[: len(first)]) - sum(costs[len(first):])) <= max(costs)
+
+    def test_costs_fall_back_to_equal_at_the_critical_coupling(self):
+        cfg = dict(cli._DEFAULTS)
+        assert cli._row_costs("fi-photon", [0.4, 0.5, 0.6], cfg) == [1.0] * 3
 
 
 class TestStatusAndExitCodes:

@@ -120,8 +120,15 @@ def pn_series_numpy(r00: float, t: float, s: float, c: float, n_max: int) -> np.
 
 
 # radiation states of the Dicke ground state on both sides of lambda_c = 0.5,
-# near and far from it, at cutoffs where their tails are resolved
+# near and far from it
 PHYSICAL_CASES = [(0.1, 100), (0.45, 100), (0.49, 100), (0.55, 100), (1.5, 100), (0.7, 10), (2.0, 1)]
+# the cutoffs these states were checked out to when photon_distribution
+# started at 10 <n> + 50, 3 to 12 times past their resolved tails; kept so
+# that the checks reach as far into the tail as before
+DEEP_CUTOFFS = {
+    (0.1, 100): 50, (0.45, 100): 51, (0.49, 100): 56, (0.55, 100): 147,
+    (1.5, 100): 2272, (0.7, 10): 86, (2.0, 1): 89, (1.0, 1000): 9425,
+}
 
 
 def _agree(a, b, rtol=1e-12):
@@ -132,7 +139,8 @@ def _agree(a, b, rtol=1e-12):
 def _radiation_series_inputs(lam, n_atoms):
     state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
     k = photon_kernel_params(state)
-    n_max = photon_distribution(state).n_max
+    n_max = DEEP_CUTOFFS[lam, n_atoms]
+    assert n_max > photon_distribution(state).n_max
     return k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde), n_max
 
 
@@ -174,6 +182,63 @@ def test_forward_evaluation_is_stable(lam, n_atoms):
     _agree(exact, out)
     bulk = exact > 1e-8 * np.max(exact)
     assert np.max(np.abs(out[bulk] / exact[bulk] - 1.0)) < 1e-12
+
+
+# radiation states whose series renormalise along the way (r00 underflows at
+# N = 1000 and 4000) and ones that do not
+STOP_CASES = PHYSICAL_CASES + [(1.0, 1000), (0.7, 4000)]
+
+
+@pytest.mark.parametrize("lam,n_atoms", STOP_CASES)
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-10])
+def test_early_stop_is_a_prefix_of_the_longer_series(lam, n_atoms, tail_tol):
+    state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
+    k = photon_kernel_params(state)
+    args = (k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde))
+    stopped = _kernels.pn_series(*args, 10**6, tail_tol)
+    longer = _kernels.pn_series(*args, 2 * len(stopped) + 10)
+    assert np.array_equal(stopped, longer[: len(stopped)])
+    # it stops at the first n whose summed mass reaches 1 - tail_tol
+    tails = 1.0 - np.cumsum(longer)
+    n = len(stopped) - 1
+    assert tails[n] <= tail_tol * (1 + 1e-4)
+    assert n == 0 or tails[n - 1] > tail_tol * (1 - 1e-4)
+
+
+@pytest.mark.parametrize("lam,n_atoms", [(1.5, 100), (1.0, 1000), (0.7, 4000)])
+def test_series_resumes_with_the_same_bits(lam, n_atoms):
+    state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
+    k = photon_kernel_params(state)
+    args = (k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde))
+    series = _kernels.PnSeries(*args)
+    assert series.extend(10**6, 1e-3)
+    start = series.n_max
+    whole = _kernels.pn_series(*args, start + 2000)
+    for n_max in (start, start + 1, start + 7, start + 400, start + 2000):
+        assert not series.extend(n_max)
+        assert series.n_max == n_max
+        assert np.array_equal(series.probs(), whole[: n_max + 1])
+
+
+def test_mass_stop_counts_the_mass_before_a_renormalisation():
+    # Poisson with mean 928 from p(0) = exp(-928): the running scale steps up
+    # at n = 878, where p(n) = 3.4e-3, after 4.8% of the mass, which the stop
+    # must still count
+    mean = 928.0
+    args = (-mean, 0.0, 0.0, math.sqrt(mean))
+    stopped = _kernels.pn_series(*args, 10**4, 1e-10)
+    longer = _kernels.pn_series(*args, 2000)
+    tails = 1.0 - np.cumsum(longer)
+    n = len(stopped) - 1
+    assert tails[n] <= 1e-10 * (1 + 1e-4) and tails[n - 1] > 1e-10 * (1 - 1e-4)
+
+
+def test_extend_reports_an_unreached_mass():
+    series = _kernels.PnSeries(math.log(0.5), 0.5, 0.5, 0.0)  # thermal, <n> = 1
+    assert not series.extend(5, 1e-10)
+    assert series.n_max == 5
+    assert series.extend(10**4, 1e-10)
+    assert 1.0 - math.fsum(series.probs().tolist()) < 1e-10
 
 
 # an arbitrary direction in (log r00, t, s, c)

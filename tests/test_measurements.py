@@ -11,8 +11,11 @@ from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.estimation import qfi, state_derivative
 from dicke_metrology.gaussian import GaussianState, partial_trace, vacuum_state
 from dicke_metrology.measurements import (
+    FI_TERM_FLOOR,
+    PN_TAIL_TOL,
     HomodyneSetting,
     Target,
+    _fi_tail_terms,
     _pn_derivative,
     dsts_params,
     fi_homodyne,
@@ -22,6 +25,7 @@ from dicke_metrology.measurements import (
     mean_photon_decomposition,
     photon_distribution,
     photon_kernel_params,
+    photon_number_moments,
     quadrature_distribution,
 )
 from oracles import fi_gauss_hermite
@@ -211,6 +215,19 @@ class TestMeanPhotons:
         series_mean = float(np.arange(dist.probs.size) @ dist.probs)
         assert series_mean == pytest.approx(dec.total, rel=1e-6)
 
+    def test_number_moments_match_series(self):
+        # one call over a batch of states, against the moments of each series
+        states = [dsts_state(0.3, 0.5, 1.2), dsts_state(0.0, -0.8, 0.0), dsts_state(1.5, 0.0, -2.0)]
+        states.append(reduced_radiation_state(DickeParams(lam=0.7, n_atoms=100)))
+        mean_n, var_n = photon_number_moments(
+            np.array([st.mean for st in states]), np.array([st.cov for st in states])
+        )
+        for st, m, v in zip(states, mean_n, var_n):
+            probs = photon_distribution(st, n_max=4000).probs
+            n = np.arange(probs.size)
+            assert m == pytest.approx(mean_photon_decomposition(st).total, rel=1e-12)
+            assert v == pytest.approx(float(probs @ (n - m) ** 2), rel=1e-9)
+
 
 class TestPhotonDistribution:
     def test_vacuum(self):
@@ -327,14 +344,29 @@ class TestPhotonCountingFi:
 
     def test_squeezed_family_oracle(self):
         # squeezed vacuum in r: d log p(2m) = 2m / (sinh r cosh r) - tanh r and
-        # Var(n) = 2 sinh^2 r cosh^2 r give FI = 2 for every r.  The default
-        # tail_tol cuts at n = 57 and leaves 1.6e-8 of the FI in the tail, so
-        # the cutoff is pushed out to test the derivative alone
-        r = 0.8
-        state = GaussianState(np.zeros(2), np.diag([np.exp(2 * r), np.exp(-2 * r)]) / 2)
-        dcov = np.diag([np.exp(2 * r), -np.exp(-2 * r)])
-        fi, _ = fi_photon_counting_family(state, np.zeros(2), dcov, tail_tol=1e-14)
-        assert fi == pytest.approx(2.0, rel=1e-9)
+        # Var(n) = 2 sinh^2 r cosh^2 r give FI = 2 for every r.  p vanishes at
+        # every odd n, and the mass cutoff alone (n = 50 at r = 0.8) leaves
+        # 8e-8 of this FI in the tail
+        for r in (0.8, 1.5):
+            state = GaussianState(np.zeros(2), np.diag([np.exp(2 * r), np.exp(-2 * r)]) / 2)
+            dcov = np.diag([np.exp(2 * r), -np.exp(-2 * r)])
+            fi, _ = fi_photon_counting_family(state, np.zeros(2), dcov)
+            assert fi == pytest.approx(2.0, rel=1e-9), r
+
+    def test_fi_tail_looks_past_zero_terms(self):
+        # terms of squeezed-vacuum shape: zero at every odd n, the even ones
+        # falling by 0.6 per pair; ending on a zero must not end the sum
+        def terms(n_max):
+            n = np.arange(n_max + 1)
+            return np.where(n % 2 == 0, 0.6 ** (n / 2), 0.0)
+
+        fi = math.fsum(terms(400).tolist())
+        short = terms(21)
+        more = _fi_tail_terms(short, fi, PN_TAIL_TOL)
+        assert more > 0
+        longer = terms(21 + more)
+        assert _fi_tail_terms(longer, fi, PN_TAIL_TOL) == 0
+        assert fi - math.fsum(longer.tolist()) <= PN_TAIL_TOL * fi
 
     def test_derivative_leaving_the_family_rejected(self):
         state = GaussianState(np.zeros(2), np.eye(2) / 2)
@@ -363,6 +395,28 @@ class TestPhotonCountingFi:
         assert np.max(np.abs(dp - quotient)[bulk]) <= 1e-6 * np.max(np.abs(quotient[bulk]))
 
     def test_shared_cutoff_reported(self):
-        fi, n_max = fi_photon_counting_detail(DickeParams(lam=0.45))
-        assert fi > 0
-        assert n_max >= 50
+        # at the reported cutoff both the mass and the FI are resolved; at
+        # N = 100, lam = 0.495 a cutoff of 10 <n> + 50 left 1.3e-8 of the FI
+        for lam, n_atoms in ((0.45, 100), (0.495, 100), (0.55, 100), (1.0, 1000)):
+            params = DickeParams(lam=lam, n_atoms=n_atoms)
+            fi, n_max = fi_photon_counting_detail(params)
+            state = reduced_radiation_state(params)
+            assert photon_distribution(state, n_max=n_max).tail_mass < PN_TAIL_TOL
+            sd = state_derivative(params)
+            longer = photon_distribution(state, n_max=2 * n_max).probs
+            dp = _pn_derivative(state, sd.dmean[:2], sd.dcov[:2, :2], longer)
+            keep = longer >= FI_TERM_FLOOR
+            assert fi == pytest.approx(math.fsum((dp[keep] ** 2 / longer[keep]).tolist()), rel=1e-10)
+
+    def test_cutoffs_stay_near_the_resolved_tail(self):
+        # work guard: the mass cutoffs summed over these states were 7775
+        # when the series learned to stop at its resolved mass, each the
+        # first n whose tail is below 1e-10; the FI cutoffs summed to 8454
+        mass_total = fi_total = 0
+        for n_atoms in (100, 1000, 10_000):
+            for x in (0.5, 0.9, 0.99, 1.01, 1.1, 1.5):
+                params = DickeParams(lam=0.5 * x, n_atoms=n_atoms)
+                mass_total += photon_distribution(reduced_radiation_state(params)).n_max
+                fi_total += fi_photon_counting_detail(params)[1]
+        assert mass_total <= 1.1 * 7775
+        assert fi_total <= 1.1 * 8454
