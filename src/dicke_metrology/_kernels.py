@@ -5,7 +5,8 @@ x displacement has the generating function
 
     G(z) = sum_n p(n) z^n = r00 (1 - s z)^{-1/2} (1 - t z)^{-1/2} exp{c^2 z/(1 - t z)}
 
-with t = A - B, s = A + B built from the kernel coefficients and c = |C|.
+with t, s and c from the moments (`measurements.photon_series_inputs`); only
+c^2 enters, so the sign of c is free.
 G is D-finite: multiplying G'/G through by (1 - s z)(1 - t z)^2 gives
 
     (n+1) p(n+1) = (q0 - a1 n) p(n) + (q1 - a2 (n-1)) p(n-1) + (q2 - a3 (n-2)) p(n-2)
@@ -52,8 +53,7 @@ _LOW, _HIGH = 1e-200, 1e200
 
 
 class PnSeries:
-    """p(0), p(1), ... for kernel inputs log r00, t = A - B, s = A + B, c = |C|,
-    evaluated forward on demand.
+    """p(0), p(1), ... for series inputs log r00, t, s, c, evaluated forward on demand.
 
     `extend` continues the recurrence where it stopped, so p(0..n) have the
     same bits whether they were computed in one call or in several.
@@ -127,7 +127,7 @@ def _run_goal(rest: float, log_scale: float) -> float:
 def pn_series(
     log_r00: float, t: float, s: float, c: float, n_max: int, tail_tol: float | None = None
 ) -> np.ndarray:
-    """p(0..n) for kernel inputs log r00, t = A - B, s = A + B, c = |C|.
+    """p(0..n) for series inputs log r00, t, s, c.
 
     n is n_max; with tail_tol it is the first n where p(0) + ... + p(n)
     reaches 1 - tail_tol, and n_max only bounds it.
@@ -142,7 +142,7 @@ def pn_series(
 def pn_derivative(
     probs: np.ndarray, dlog_r00: float, t: float, dt: float, s: float, ds: float, c: float, dc: float
 ) -> np.ndarray:
-    """dp(0..n_max) along a path of kernel inputs, from probs = pn_series(...).
+    """dp(0..n_max) along a path of series inputs, from probs = pn_series(...).
 
     c and dc enter as c^2 and c dc only, so the sign of c is free.
     """

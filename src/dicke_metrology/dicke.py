@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CriticalPointSingularity, UnphysicalStateError
-from .gaussian import GaussianState, SymplecticTransform, partial_trace, require_symplectic
+from .gaussian import GaussianState, partial_trace, require_symplectic
 
 DEFAULT_DELTA_MIN = 1e-8
 
@@ -187,21 +187,6 @@ def _rotation(theta) -> np.ndarray:
     return f2
 
 
-def f1_matrix(derived: DickeDerived) -> np.ndarray:
-    """Local squeezer into dimensionless quadratures: Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt))."""
-    return np.diag(1.0 / _squeezers(derived.omega, derived.omega_tilde))
-
-
-def f2_matrix(derived: DickeDerived) -> np.ndarray:
-    """Two-mode rotation by theta mixing the dimensionless quadratures."""
-    return _rotation(derived.theta)
-
-
-def f3_matrix(derived: DickeDerived) -> np.ndarray:
-    """Local squeezer into normal-mode scales: Diag(sqrt(em), 1/sqrt(em), sqrt(ep), 1/sqrt(ep))."""
-    return np.diag(_squeezers(derived.eps_minus, derived.eps_plus))
-
-
 def _chain(w, wt, theta, em, ep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors (diag F1^-1, F2(theta)^T, diag F3^-1) of the chain S = F1^-1 F2^T F3^-1."""
     return _squeezers(w, wt), np.swapaxes(_rotation(theta), -1, -2), 1.0 / _squeezers(em, ep)
@@ -211,15 +196,20 @@ def _product(f1_inv: np.ndarray, rot: np.ndarray, f3_inv: np.ndarray) -> np.ndar
     return f1_inv[..., :, None] * rot * f3_inv[..., None, :]
 
 
-def symplectic_chain(derived: DickeDerived) -> SymplecticTransform:
-    """Symplectic matrix mapping the normal-mode vacuum to the ground state.
+def symplectic_chain(derived: DickeDerived) -> np.ndarray:
+    """Symplectic 4 x 4 matrix mapping the normal-mode vacuum to the ground state.
 
     The chain F1 -> rotation(theta) -> F3 brings the Hamiltonian to normal
-    form, so the state is built with the inverse chain
-    F = F1^-1 @ F2(theta)^T @ F3^-1.  At lam = 0 the chain is the identity.
+    form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
+    dimensionless quadratures and F3 = Diag(sqrt(em), 1/sqrt(em), sqrt(ep),
+    1/sqrt(ep)) into the normal-mode scales, so the state is built with the
+    inverse chain F = F1^-1 @ F2(theta)^T @ F3^-1.  At lam = 0 the chain is
+    the identity.
     """
     d = derived
-    return SymplecticTransform(_product(*_chain(d.omega, d.omega_tilde, d.theta, d.eps_minus, d.eps_plus)))
+    chain = _product(*_chain(d.omega, d.omega_tilde, d.theta, d.eps_minus, d.eps_plus))
+    require_symplectic(chain)
+    return chain
 
 
 def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
@@ -228,11 +218,6 @@ def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
     out[..., 0] = x1
     out[..., 2] = -x2
     return math.sqrt(2.0 * n_atoms) * out
-
-
-def mean_vector(derived: DickeDerived, n_atoms: int) -> np.ndarray:
-    """First moments (alpha sqrt(2N), 0, -beta sqrt(2N), 0)."""
-    return _x_displacement(derived.alpha, derived.beta, n_atoms)
 
 
 # generator of the two-mode rotation: d/dtheta F2(theta)^T = F2(theta)^T @ _ROT_GEN
@@ -354,11 +339,6 @@ def ground_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> G
 def reduced_radiation_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:
     """Single-mode reduced state of the radiation mode."""
     return partial_trace(ground_state(params, delta_min=delta_min), [RADIATION_MODE])
-
-
-def reduced_atomic_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:
-    """Single-mode reduced state of the atomic fluctuation mode."""
-    return partial_trace(ground_state(params, delta_min=delta_min), [ATOMIC_MODE])
 
 
 def derived_to_dict(derived: DickeDerived) -> dict:

@@ -17,36 +17,19 @@ around lambda_c, where the jet raises.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DEFAULT_DELTA_MIN, DickeParams, MomentJet, derive, f1_matrix, moment_jet
+from .dicke import DEFAULT_DELTA_MIN, DickeParams, MomentJet, derive, moment_jet
 from .gaussian import symplectic_form
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Coupling derivatives of the ground-state moments at one coupling.
-
-    `jet` is the one-coupling moment jet they are read from; it also holds
-    the moments themselves.
-    """
-
-    jet: MomentJet
-
-    @property
-    def dcov(self) -> np.ndarray:
-        return self.jet.dcov[0]
-
-    @property
-    def dmean(self) -> np.ndarray:
-        return self.jet.dmean[0]
-
-
-def state_derivative(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> StateDerivative:
-    """d(cov)/d(lam) and d(mean)/d(lam) of the ground state at params, in closed form."""
-    return StateDerivative(moment_jet([params.lam], params.omega, params.omega0, params.n_atoms, delta_min))
+def state_derivative(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> MomentJet:
+    """The one-coupling moment jet at params: the ground-state moments and their
+    closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), each a single row."""
+    return moment_jet([params.lam], params.omega, params.omega0, params.n_atoms, delta_min)
 
 
 @dataclass(frozen=True)
@@ -72,14 +55,7 @@ def qfi_from_jet(jet: MomentJet) -> list[EstimationResult]:
 
 def qfi(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> EstimationResult:
     """Quantum Fisher information of the coupling at params."""
-    return qfi_from_jet(state_derivative(params, delta_min).jet)[0]
-
-
-def cramer_rao_bound(result: EstimationResult, n_measurements: int) -> float:
-    """Lower bound 1/(m H) on the estimator variance after m independent runs."""
-    if n_measurements < 1:
-        raise ValueError("n_measurements must be a positive integer")
-    return 1.0 / (n_measurements * result.qfi)
+    return qfi_from_jet(state_derivative(params, delta_min))[0]
 
 
 @dataclass(frozen=True)
@@ -93,8 +69,8 @@ class SldCoefficients:
 
 def sld_coefficients(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> SldCoefficients:
     """SLD coefficients (Phi, zeta, nu) in the laboratory quadratures."""
-    sd = state_derivative(params, delta_min)
-    cov, dmean, dcov = sd.jet.cov[0], sd.dmean, sd.dcov
+    jet = state_derivative(params, delta_min)
+    cov, dmean, dcov = jet.cov[0], jet.dmean[0], jet.dcov[0]
     omega = symplectic_form(2)
     phi = -dcov
     zeta = omega.T @ np.linalg.solve(cov, dmean)
@@ -113,12 +89,11 @@ def sld_coefficients_f1_frame(
     (omega0^2 p1', -omega^2 p2').
     """
     raw = sld_coefficients(params, delta_min=delta_min)
-    f1_inv_t = np.diag(1.0 / np.diag(f1_matrix(derive(params, delta_min=delta_min))))
-    return SldCoefficients(
-        phi=f1_inv_t @ raw.phi @ f1_inv_t,
-        zeta=f1_inv_t @ raw.zeta,
-        nu=raw.nu,
-    )
+    d = derive(params, delta_min=delta_min)
+    # F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)), so R^T Phi R = R'^T F1^-1 Phi F1^-1 R'
+    w, wt = math.sqrt(d.omega), math.sqrt(d.omega_tilde)
+    f1_inv = np.array([w, 1.0 / w, wt, 1.0 / wt])
+    return SldCoefficients(phi=f1_inv[:, None] * raw.phi * f1_inv, zeta=f1_inv * raw.zeta, nu=raw.nu)
 
 
 def fit_power_law(samples: list[tuple[float, float]], center: float) -> tuple[float, float]:

@@ -56,11 +56,6 @@ class GaussianState:
         return self.mean.size // 2
 
 
-def vacuum_state(n_modes: int) -> GaussianState:
-    """Vacuum of M modes: zero mean, covariance I/2."""
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes) / 2.0)
-
-
 def require_symplectic(f: np.ndarray) -> None:
     """Raise ValueError unless F Omega F^T = Omega for F, or for every F of a stack (..., 2M, 2M)."""
     omega = symplectic_form(f.shape[-1] // 2)
@@ -70,42 +65,6 @@ def require_symplectic(f: np.ndarray) -> None:
     bad = defect > tol
     if bad.any():
         raise ValueError(f"matrix is not symplectic: |F Omega F^T - Omega| = {defect[bad].flat[0]:.3e}")
-
-
-@dataclass(frozen=True)
-class SymplecticTransform:
-    """Affine Gaussian map R -> matrix @ R + displacement.
-
-    The matrix must satisfy F Omega F^T = Omega; this is checked at
-    construction time by `require_symplectic`.
-    """
-
-    matrix: np.ndarray
-    displacement: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.matrix, dtype=float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2 != 0:
-            raise ValueError(f"matrix must be square of even dimension, got {f.shape}")
-        d = self.displacement
-        d = np.zeros(f.shape[0]) if d is None else np.asarray(d, dtype=float)
-        if d.shape != (f.shape[0],):
-            raise ValueError(f"displacement shape {d.shape} does not match matrix {f.shape}")
-        require_symplectic(f)
-        object.__setattr__(self, "matrix", f)
-        object.__setattr__(self, "displacement", d)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
-def apply_symplectic(state: GaussianState, transform: SymplecticTransform) -> GaussianState:
-    """Map (mean, cov) -> (F mean + d, F cov F^T)."""
-    if transform.n_modes != state.n_modes:
-        raise ValueError("transform and state act on different mode numbers")
-    f = transform.matrix
-    return GaussianState(f @ state.mean + transform.displacement, f @ state.cov @ f.T)
 
 
 def partial_trace(state: GaussianState, keep: list[int] | tuple[int, ...]) -> GaussianState:
@@ -184,16 +143,6 @@ def log_negativity(cov: np.ndarray) -> float:
     return max(0.0, -np.log(2.0 * spectrum.ppt_d_minus))
 
 
-def purity(cov: np.ndarray) -> float:
-    """Purity mu = 1 / (2^M sqrt(det cov))."""
-    cov = np.asarray(cov, dtype=float)
-    n_modes = cov.shape[0] // 2
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise SingularCovarianceError("covariance determinant is not positive")
-    return float(np.exp(-n_modes * np.log(2.0) - 0.5 * logdet))
-
-
 def wigner_at(state: GaussianState, point: np.ndarray) -> float:
     """Wigner function at a phase-space point; integrates to one over phase space."""
     point = np.asarray(point, dtype=float)
@@ -208,18 +157,6 @@ def wigner_at(state: GaussianState, point: np.ndarray) -> float:
     return float(np.exp(-0.5 * quad - m * np.log(2.0 * np.pi) - 0.5 * logdet))
 
 
-def characteristic_function_at(state: GaussianState, lam: np.ndarray) -> complex:
-    """Symmetrically ordered characteristic function chi(Lambda)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != state.mean.shape:
-        raise ValueError(f"argument shape {lam.shape} does not match state dimension")
-    omega = symplectic_form(state.n_modes)
-    ol = omega.T @ lam
-    quad = ol @ state.cov @ ol
-    phase = lam @ omega @ state.mean
-    return complex(np.exp(-0.5 * quad - 1j * phase))
-
-
 def state_to_dict(state: GaussianState) -> dict:
     """JSON-friendly dict {modes, mean, cov} with row-major cov."""
     return {
@@ -227,11 +164,3 @@ def state_to_dict(state: GaussianState) -> dict:
         "mean": state.mean.tolist(),
         "cov": state.cov.tolist(),
     }
-
-
-def state_from_dict(data: dict) -> GaussianState:
-    """Inverse of :func:`state_to_dict`; validates the mode count."""
-    state = GaussianState(np.asarray(data["mean"]), np.asarray(data["cov"]))
-    if state.n_modes != int(data["modes"]):
-        raise ValueError("mode count does not match moment dimensions")
-    return state

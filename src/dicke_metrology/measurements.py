@@ -48,25 +48,16 @@ class HomodyneSetting:
         return RADIATION_MODE if self.target is Target.RADIATION else ATOMIC_MODE
 
 
-def _require_in_family(state: GaussianState) -> None:
-    if state.n_modes != 1:
-        raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
-    scale = max(1.0, float(np.max(np.abs(state.cov))))
-    if abs(state.cov[0, 1]) > DIAGONAL_TOL * scale:
+def _require_in_family(mean: np.ndarray, cov: np.ndarray) -> None:
+    """Raise unless mean and cov, the moments of one mode or their derivatives,
+    keep the x/p-aligned, x-displaced form."""
+    if cov.shape != (2, 2):
+        raise ValueError(f"expected a single-mode state, got {cov.shape[0] // 2} modes")
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    if abs(cov[0, 1]) > DIAGONAL_TOL * scale:
         raise UnphysicalStateError("off-diagonal covariance: outside the x/p-aligned family")
-    if abs(state.mean[1]) > DIAGONAL_TOL * max(1.0, abs(state.mean[0])):
+    if abs(mean[1]) > DIAGONAL_TOL * max(1.0, abs(mean[0])):
         raise UnphysicalStateError("momentum displacement: outside the x-displaced family")
-
-
-def quadrature_distribution(state: GaussianState, phi: float) -> tuple[float, float]:
-    """Mean and variance of the rotated quadrature x(phi) = x cos(phi) + p sin(phi)."""
-    _require_in_family(state)
-    c2 = math.cos(phi) ** 2
-    s2 = math.sin(phi) ** 2
-    return (
-        math.cos(phi) * float(state.mean[0]),
-        c2 * float(state.cov[0, 0]) + s2 * float(state.cov[1, 1]),
-    )
 
 
 def fi_homodyne_from_jet(jet: MomentJet, setting: HomodyneSetting) -> np.ndarray:
@@ -88,7 +79,7 @@ def fi_homodyne(
     params: DickeParams, setting: HomodyneSetting, delta_min: float = DEFAULT_DELTA_MIN
 ) -> float:
     """Fisher information of homodyne outcomes about the coupling at params."""
-    return float(fi_homodyne_from_jet(state_derivative(params, delta_min).jet, setting)[0])
+    return float(fi_homodyne_from_jet(state_derivative(params, delta_min), setting)[0])
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,7 @@ class DstsParams:
 
 def dsts_params(state: GaussianState) -> DstsParams:
     """Thermal occupation, squeezing, and displacement of an x/p-aligned state."""
-    _require_in_family(state)
+    _require_in_family(state.mean, state.cov)
     sx, sp = float(state.cov[0, 0]), float(state.cov[1, 1])
     det = sx * sp
     if det < 0.25 * (1.0 - 1e-9):
@@ -137,27 +128,21 @@ def mean_photon_decomposition(state: GaussianState) -> MeanPhotonDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class PhotonNumberKernel:
-    """Scalar inputs of the photon-number series for one state."""
+def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
+    """Inputs (log r00, t, s, c) of the photon-number series of `_kernels` for the state.
 
-    log_r00: float
-    a_tilde: float
-    b_tilde: float
-    c_tilde: float
-
-
-def photon_kernel_params(state: GaussianState) -> PhotonNumberKernel:
-    """Series coefficients from the quadrature moments."""
-    _require_in_family(state)
-    sx, sp = float(state.cov[0, 0]), float(state.cov[1, 1])
-    mx = float(state.mean[0])
+    With dx = 2 sx + 1 and dp = 2 sp + 1: t = (2 sx - 1)/dx carries the x axis
+    and the displacement, s = (2 sp - 1)/dp the bare p axis, c = sqrt(2) mx/dx,
+    and r00 = 2 exp(-mx^2/dx)/sqrt(dx dp) is p(0).
+    """
+    _require_in_family(state.mean, state.cov)
+    sx, sp, mx = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
-    return PhotonNumberKernel(
-        log_r00=math.log(2.0) - mx * mx / dx - 0.5 * math.log(dx * dp),
-        a_tilde=(4.0 * sx * sp - 1.0) / (dx * dp),
-        b_tilde=2.0 * (sp - sx) / (dx * dp),
-        c_tilde=math.sqrt(2.0) * mx / dx,
+    return (
+        math.log(2.0) - mx * mx / dx - 0.5 * math.log(dx * dp),
+        (2.0 * sx - 1.0) / dx,
+        (2.0 * sp - 1.0) / dp,
+        math.sqrt(2.0) * mx / dx,
     )
 
 
@@ -187,15 +172,6 @@ class PhotonDistribution:
     tail_mass: float
 
 
-def _series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
-    # the displacement rides on the x-axis branch t = A - B of the
-    # generating function; s = A + B carries the bare p-axis factor
-    kernel = photon_kernel_params(state)
-    t = kernel.a_tilde - kernel.b_tilde
-    s = kernel.a_tilde + kernel.b_tilde
-    return kernel.log_r00, t, s, abs(kernel.c_tilde)
-
-
 def photon_distribution(
     state: GaussianState,
     n_max: int | None = None,
@@ -212,11 +188,11 @@ def photon_distribution(
     from the state's own moments.
     """
     if n_max is not None:
-        probs = _kernels.pn_series(*_series_inputs(state), int(n_max))
+        probs = _kernels.pn_series(*photon_series_inputs(state), int(n_max))
         return _distribution(probs)
     if hard_limit is None:
         hard_limit = int(_series_limit(*photon_number_moments(state.mean, state.cov)))
-    dist = _distribution(_kernels.pn_series(*_series_inputs(state), hard_limit, tail_tol))
+    dist = _distribution(_kernels.pn_series(*photon_series_inputs(state), hard_limit, tail_tol))
     if dist.n_max == hard_limit and not dist.tail_mass < tail_tol:
         raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {hard_limit}")
     return dist
@@ -238,20 +214,16 @@ def _pn_derivative(
 ) -> np.ndarray:
     """dp(n) of the series probs of state, given the derivatives of its moments.
 
-    The chain rule runs through the series inputs of `photon_kernel_params`,
-    t = A - B = (2 sx - 1)/(2 sx + 1), s = A + B = (2 sp - 1)/(2 sp + 1), C, log r00.
+    The chain rule runs through the inputs of `photon_series_inputs`.
     """
-    scale = max(1.0, float(np.max(np.abs(dcov))))
-    if abs(dcov[0, 1]) > DIAGONAL_TOL * scale or abs(dmean[1]) > DIAGONAL_TOL * max(1.0, abs(dmean[0])):
-        raise UnphysicalStateError("moment derivatives leave the x/p-aligned, x-displaced family")
+    _require_in_family(dmean, dcov)
+    _, t, s, c = photon_series_inputs(state)
     sx, sp, mx = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
     dsx, dsp, dmx = float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0])
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
     dlog_r00 = -2.0 * mx * (dmx - mx * dsx / dx) / dx - dsx / dx - dsp / dp
-    t, dt = (2.0 * sx - 1.0) / dx, 4.0 * dsx / (dx * dx)
-    s, ds = (2.0 * sp - 1.0) / dp, 4.0 * dsp / (dp * dp)
-    c, dc = math.sqrt(2.0) * mx / dx, math.sqrt(2.0) * (dmx - 2.0 * mx * dsx / dx) / dx
-    return _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
+    dc = math.sqrt(2.0) * (dmx - 2.0 * mx * dsx / dx) / dx
+    return _kernels.pn_derivative(probs, dlog_r00, t, 4.0 * dsx / (dx * dx), s, 4.0 * dsp / (dp * dp), c, dc)
 
 
 def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
@@ -290,7 +262,7 @@ def fi_photon_counting_family(
     """
     mean_n, var_n = photon_number_moments(state.mean, state.cov)
     limit = int(_series_limit(mean_n, var_n))
-    series = _kernels.PnSeries(*_series_inputs(state))
+    series = _kernels.PnSeries(*photon_series_inputs(state))
     if not series.extend(limit, tail_tol):
         raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {limit}")
     # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
@@ -327,16 +299,8 @@ def fi_photon_counting_from_jet(
     )
 
 
-def fi_photon_counting_detail(
-    params: DickeParams, tail_tol: float = PN_TAIL_TOL, delta_min: float = DEFAULT_DELTA_MIN
-) -> tuple[float, int]:
-    """Fisher information of photon counting on the radiation mode, with the
-    series cutoff it summed over."""
-    return fi_photon_counting_from_jet(state_derivative(params, delta_min).jet, 0, tail_tol=tail_tol)
-
-
 def fi_photon_counting(
     params: DickeParams, tail_tol: float = PN_TAIL_TOL, delta_min: float = DEFAULT_DELTA_MIN
 ) -> float:
     """Fisher information of photon counting on the radiation mode."""
-    return fi_photon_counting_detail(params, tail_tol=tail_tol, delta_min=delta_min)[0]
+    return fi_photon_counting_from_jet(state_derivative(params, delta_min), 0, tail_tol=tail_tol)[0]

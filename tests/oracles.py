@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 Truncated Fock-space construction of displaced squeezed thermal states,
-Gaussian pure-state overlaps, direct numerical Fisher-information integrals,
-and the ground-state covariance from its six closed-form entries.
+Gaussian pure-state overlaps, purity and the characteristic function,
+direct numerical Fisher-information integrals, the rotated-quadrature
+marginal they integrate, and the ground-state covariance from its six
+closed-form entries.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
@@ -17,8 +19,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from dicke_metrology.dicke import DickeDerived
-from dicke_metrology.errors import UnphysicalStateError
-from dicke_metrology.gaussian import GaussianState, purity
+from dicke_metrology.errors import SingularCovarianceError, UnphysicalStateError
+from dicke_metrology.gaussian import GaussianState, symplectic_form
 from dicke_metrology.measurements import DstsParams
 
 TRACE_LOSS_TOL = 1e-9
@@ -99,6 +101,42 @@ def build_dsts_fock(params: DstsParams, dim: int | None = None) -> FockStateMatr
         if dim >= FOCK_DIM_LIMIT:
             raise ValueError(f"trace loss {1.0 - tr:.3e} persists at dim {dim}")
         dim = min(FOCK_DIM_LIMIT, 2 * dim)
+
+
+def vacuum_state(n_modes: int) -> GaussianState:
+    """Vacuum of M modes: zero mean, covariance I/2."""
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes) / 2.0)
+
+
+def purity(cov: np.ndarray) -> float:
+    """Purity mu = 1 / (2^M sqrt(det cov))."""
+    cov = np.asarray(cov, dtype=float)
+    n_modes = cov.shape[0] // 2
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0:
+        raise SingularCovarianceError("covariance determinant is not positive")
+    return float(np.exp(-n_modes * np.log(2.0) - 0.5 * logdet))
+
+
+def characteristic_function_at(state: GaussianState, lam: np.ndarray) -> complex:
+    """Symmetrically ordered characteristic function chi(Lambda)."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != state.mean.shape:
+        raise ValueError(f"argument shape {lam.shape} does not match state dimension")
+    omega = symplectic_form(state.n_modes)
+    ol = omega.T @ lam
+    quad = ol @ state.cov @ ol
+    phase = lam @ omega @ state.mean
+    return complex(np.exp(-0.5 * quad - 1j * phase))
+
+
+def quadrature_distribution(state: GaussianState, phi: float) -> tuple[float, float]:
+    """Mean and variance of the rotated quadrature x(phi) = x cos(phi) + p sin(phi) of one mode."""
+    if state.n_modes != 1:
+        raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
+    c, s = math.cos(phi), math.sin(phi)
+    mean = c * float(state.mean[0]) + s * float(state.mean[1])
+    return mean, c * c * float(state.cov[0, 0]) + s * s * float(state.cov[1, 1]) + 2.0 * c * s * float(state.cov[0, 1])
 
 
 def pure_overlap(s1: GaussianState, s2: GaussianState, purity_tol: float = 1e-6) -> float:

@@ -26,7 +26,6 @@ from dicke_metrology.estimation import (
 from dicke_metrology.gaussian import (
     GaussianState,
     log_negativity,
-    purity,
     symplectic_form,
 )
 from dicke_metrology.measurements import (
@@ -38,7 +37,7 @@ from dicke_metrology.measurements import (
     mean_photon_decomposition,
     photon_distribution,
 )
-from oracles import build_dsts_fock, closed_form_cov, fidelity_qfi
+from oracles import build_dsts_fock, closed_form_cov, fidelity_qfi, purity
 
 LAMBDA_C = 0.5  # resonant omega = omega0 = 1 throughout
 
@@ -231,7 +230,7 @@ def test_criterion_09_structural_suite():
     for lam in grid:
         params = DickeParams(lam=float(lam))
         d = derive(params)
-        f = symplectic_chain(d).matrix
+        f = symplectic_chain(d)
         state = ground_state(params)
         worst["purity"] = max(worst["purity"], abs(purity(state.cov) - 1.0))
         worst["symplectic"] = max(

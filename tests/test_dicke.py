@@ -3,22 +3,18 @@ import numpy as np
 import pytest
 
 from dicke_metrology.dicke import (
+    ATOMIC_MODE,
     CriticalPointSingularity,
     DickeParams,
     Phase,
     derive,
     derived_to_dict,
-    f1_matrix,
-    f2_matrix,
-    f3_matrix,
     ground_state,
-    mean_vector,
-    reduced_atomic_state,
     reduced_radiation_state,
     symplectic_chain,
 )
-from dicke_metrology.gaussian import log_negativity, purity, symplectic_form, symplectic_spectrum
-from oracles import closed_form_cov
+from dicke_metrology.gaussian import log_negativity, partial_trace, symplectic_form, symplectic_spectrum
+from oracles import closed_form_cov, purity
 
 RESONANT_GRID = np.concatenate(
     [np.linspace(0.01, 0.49, 25), np.linspace(0.51, 2.0, 25)]
@@ -116,31 +112,24 @@ class TestDerive:
 class TestSymplecticChain:
     def test_identity_at_zero_coupling(self):
         chain = symplectic_chain(derive(DickeParams(lam=0.0)))
-        assert np.allclose(chain.matrix, np.eye(4), atol=1e-14)
+        assert np.allclose(chain, np.eye(4), atol=1e-14)
 
     @pytest.mark.parametrize("lam", [0.1, 0.4, 0.499, 0.501, 0.8, 2.0])
     def test_symplectic_law(self, lam):
-        f = symplectic_chain(derive(DickeParams(lam=lam))).matrix
+        f = symplectic_chain(derive(DickeParams(lam=lam)))
         omega = symplectic_form(2)
         assert np.max(np.abs(f @ omega @ f.T - omega)) < 1e-10 * max(1.0, np.max(np.abs(f)) ** 2)
-
-    def test_factors_diagonal_or_rotation(self):
-        d = derive(DickeParams(lam=0.8))
-        assert np.count_nonzero(f1_matrix(d) - np.diag(np.diag(f1_matrix(d)))) == 0
-        assert np.count_nonzero(f3_matrix(d) - np.diag(np.diag(f3_matrix(d)))) == 0
-        f2 = f2_matrix(d)
-        assert np.allclose(f2 @ f2.T, np.eye(4), atol=1e-14)
 
     @pytest.mark.parametrize("lam", [0.05, 0.25, 0.4, 0.49, 0.51, 0.7, 1.0, 1.8])
     def test_matches_closed_form(self, lam):
         d = derive(DickeParams(lam=lam))
-        f = symplectic_chain(d).matrix
+        f = symplectic_chain(d)
         cov = f @ (np.eye(4) / 2) @ f.T
         assert np.max(np.abs(cov - closed_form_cov(d))) < 1e-10
 
     def test_closed_form_detuned(self):
         d = derive(DickeParams(lam=0.4, omega=0.25))
-        f = symplectic_chain(d).matrix
+        f = symplectic_chain(d)
         cov = f @ (np.eye(4) / 2) @ f.T
         assert np.max(np.abs(cov - closed_form_cov(d))) < 1e-10
 
@@ -182,13 +171,6 @@ class TestGroundState:
         assert np.array_equal(large.mean, 2.0 * small.mean)
         assert np.array_equal(large.cov, small.cov)
 
-    def test_mean_vector_helper(self):
-        d = derive(DickeParams(lam=0.9))
-        m = mean_vector(d, 100)
-        assert m[0] == pytest.approx(d.alpha * np.sqrt(200.0))
-        assert m[2] == pytest.approx(-d.beta * np.sqrt(200.0))
-        assert m[1] == m[3] == 0.0
-
 
 class TestReducedStates:
     def test_zero_coupling_vacuum(self):
@@ -200,7 +182,7 @@ class TestReducedStates:
         params = DickeParams(lam=0.7)
         full = ground_state(params)
         rad = reduced_radiation_state(params)
-        atm = reduced_atomic_state(params)
+        atm = partial_trace(ground_state(params), [ATOMIC_MODE])
         assert np.array_equal(rad.cov, full.cov[:2, :2])
         assert np.array_equal(atm.cov, full.cov[2:, 2:])
         assert np.array_equal(rad.mean, full.mean[:2])

@@ -7,7 +7,7 @@ import pytest
 from dicke_metrology.dicke import DickeParams, ground_state
 from dicke_metrology.errors import UnphysicalStateError
 from dicke_metrology.estimation import qfi
-from dicke_metrology.gaussian import GaussianState, vacuum_state
+from dicke_metrology.gaussian import GaussianState
 from dicke_metrology.measurements import DstsParams, dsts_params, mean_photon_decomposition
 from oracles import (
     FockStateMatrix,
@@ -16,6 +16,7 @@ from oracles import (
     fi_integral_oracle,
     fidelity_qfi,
     pure_overlap,
+    vacuum_state,
 )
 
 

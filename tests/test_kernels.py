@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from dicke_metrology import _kernels
 from dicke_metrology.dicke import DickeParams, reduced_radiation_state
-from dicke_metrology.measurements import photon_distribution, photon_kernel_params
+from dicke_metrology.measurements import photon_distribution, photon_series_inputs
 
 _LOG4 = math.log(4.0)
 
@@ -138,10 +138,9 @@ def _agree(a, b, rtol=1e-12):
 
 def _radiation_series_inputs(lam, n_atoms):
     state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
-    k = photon_kernel_params(state)
     n_max = DEEP_CUTOFFS[lam, n_atoms]
     assert n_max > photon_distribution(state).n_max
-    return k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde), n_max
+    return *photon_series_inputs(state), n_max
 
 
 @pytest.mark.parametrize("r00,t,s,c,n_max", BRANCH_CASES)
@@ -193,8 +192,7 @@ STOP_CASES = PHYSICAL_CASES + [(1.0, 1000), (0.7, 4000)]
 @pytest.mark.parametrize("tail_tol", [1e-6, 1e-10])
 def test_early_stop_is_a_prefix_of_the_longer_series(lam, n_atoms, tail_tol):
     state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
-    k = photon_kernel_params(state)
-    args = (k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde))
+    args = photon_series_inputs(state)
     stopped = _kernels.pn_series(*args, 10**6, tail_tol)
     longer = _kernels.pn_series(*args, 2 * len(stopped) + 10)
     assert np.array_equal(stopped, longer[: len(stopped)])
@@ -208,8 +206,7 @@ def test_early_stop_is_a_prefix_of_the_longer_series(lam, n_atoms, tail_tol):
 @pytest.mark.parametrize("lam,n_atoms", [(1.5, 100), (1.0, 1000), (0.7, 4000)])
 def test_series_resumes_with_the_same_bits(lam, n_atoms):
     state = reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))
-    k = photon_kernel_params(state)
-    args = (k.log_r00, k.a_tilde - k.b_tilde, k.a_tilde + k.b_tilde, abs(k.c_tilde))
+    args = photon_series_inputs(state)
     series = _kernels.PnSeries(*args)
     assert series.extend(10**6, 1e-3)
     start = series.n_max

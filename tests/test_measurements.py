@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dicke_metrology.dicke import DickeParams, derive, ground_state, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.estimation import qfi, state_derivative
-from dicke_metrology.gaussian import GaussianState, partial_trace, vacuum_state
+from dicke_metrology.gaussian import GaussianState, partial_trace
 from dicke_metrology.measurements import (
     FI_TERM_FLOOR,
     PN_TAIL_TOL,
@@ -20,15 +20,14 @@ from dicke_metrology.measurements import (
     dsts_params,
     fi_homodyne,
     fi_photon_counting,
-    fi_photon_counting_detail,
     fi_photon_counting_family,
+    fi_photon_counting_from_jet,
     mean_photon_decomposition,
     photon_distribution,
-    photon_kernel_params,
     photon_number_moments,
-    quadrature_distribution,
+    photon_series_inputs,
 )
-from oracles import fi_gauss_hermite
+from oracles import fi_gauss_hermite, quadrature_distribution, vacuum_state
 
 
 def dsts_state(n_th, r, gamma):
@@ -62,16 +61,16 @@ class TestQuadratureDistribution:
     def test_rejects_off_diagonal(self):
         cov = np.array([[0.6, 0.1], [0.1, 0.6]])
         with pytest.raises(UnphysicalStateError):
-            quadrature_distribution(GaussianState(np.zeros(2), cov), 0.0)
+            dsts_params(GaussianState(np.zeros(2), cov))
 
     def test_rejects_momentum_displacement(self):
         state = GaussianState(np.array([0.0, 1.0]), np.eye(2) / 2)
         with pytest.raises(UnphysicalStateError):
-            quadrature_distribution(state, 0.0)
+            dsts_params(state)
 
     def test_rejects_two_mode(self):
         with pytest.raises(ValueError):
-            quadrature_distribution(vacuum_state(2), 0.0)
+            dsts_params(vacuum_state(2))
 
 
 class TestHomodyneFi:
@@ -307,9 +306,10 @@ class TestPhotonDistribution:
     )
     @settings(max_examples=60, deadline=None)
     def test_kernel_bounds(self, n_th, r, gamma):
-        kernel = photon_kernel_params(dsts_state(n_th, r, gamma))
-        assert math.isfinite(kernel.log_r00) and kernel.log_r00 <= math.log(2.0)
-        assert abs(kernel.b_tilde) <= kernel.a_tilde + 1.0
+        log_r00, t, s, _ = photon_series_inputs(dsts_state(n_th, r, gamma))
+        assert math.isfinite(log_r00) and log_r00 <= math.log(2.0)
+        # |B| <= A + 1 for A = (s + t)/2, B = (s - t)/2
+        assert abs(s - t) <= s + t + 2.0
 
 
 class TestPhotonCountingFi:
@@ -383,7 +383,7 @@ class TestPhotonCountingFi:
         state = reduced_radiation_state(params)
         center = photon_distribution(state)
         sd = state_derivative(params)
-        dp = _pn_derivative(state, sd.dmean[:2], sd.dcov[:2, :2], center.probs)
+        dp = _pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], center.probs)
 
         def probs_at(x):
             side = reduced_radiation_state(DickeParams(lam=x, n_atoms=n_atoms))
@@ -399,12 +399,12 @@ class TestPhotonCountingFi:
         # N = 100, lam = 0.495 a cutoff of 10 <n> + 50 left 1.3e-8 of the FI
         for lam, n_atoms in ((0.45, 100), (0.495, 100), (0.55, 100), (1.0, 1000)):
             params = DickeParams(lam=lam, n_atoms=n_atoms)
-            fi, n_max = fi_photon_counting_detail(params)
+            fi, n_max = fi_photon_counting_from_jet(state_derivative(params), 0)
             state = reduced_radiation_state(params)
             assert photon_distribution(state, n_max=n_max).tail_mass < PN_TAIL_TOL
             sd = state_derivative(params)
             longer = photon_distribution(state, n_max=2 * n_max).probs
-            dp = _pn_derivative(state, sd.dmean[:2], sd.dcov[:2, :2], longer)
+            dp = _pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], longer)
             keep = longer >= FI_TERM_FLOOR
             assert fi == pytest.approx(math.fsum((dp[keep] ** 2 / longer[keep]).tolist()), rel=1e-10)
 
@@ -417,6 +417,6 @@ class TestPhotonCountingFi:
             for x in (0.5, 0.9, 0.99, 1.01, 1.1, 1.5):
                 params = DickeParams(lam=0.5 * x, n_atoms=n_atoms)
                 mass_total += photon_distribution(reduced_radiation_state(params)).n_max
-                fi_total += fi_photon_counting_detail(params)[1]
+                fi_total += fi_photon_counting_from_jet(state_derivative(params), 0)[1]
         assert mass_total <= 1.1 * 7775
         assert fi_total <= 1.1 * 8454
