@@ -22,9 +22,12 @@ state, and for |s|, |t| < 1 the wanted solution carries the dominant
 exp(2 c sqrt(n/t)) growth of the essential singularity at z = 1/t, so forward
 evaluation is stable: rounding errors excite only solutions that it outgrows.
 
-The values run scaled, starting at 1 with a running log scale that starts at
-log r00; the three live values are renormalised whenever their largest
-magnitude leaves [1e-200, 1e200].  Only the final exponentiation can leave
+The values run scaled, starting at 1 with the scale r00; the three live
+values are renormalised by a power of two 2^-e whenever their largest
+magnitude leaves [1e-200, 1e200], and the scale becomes r00 2^(e1 + e2 + ...).
+The exponents add exactly, so the log scale log r00 + (e1 + e2 + ...) ln 2
+does not collect a rounding per renormalisation, which at <n> ~ 1e5 had
+summed to 1e-10 of the mass.  Only the final exponentiation can leave
 the double range, so r00 itself may underflow: entries below the smallest
 double become 0.0 and nothing raises.  The running sum of p(0..n) is kept
 the same way, as the mass of the values already renormalised plus the scaled
@@ -50,6 +53,7 @@ import math
 import numpy as np
 
 _LOW, _HIGH = 1e-200, 1e200
+_LN2 = math.log(2.0)
 
 
 class PnSeries:
@@ -66,8 +70,11 @@ class PnSeries:
             0.5 * (s + t) + c2, -(1.5 * s * t + 0.5 * t * t + c2 * s), s * t * t,
         )
         self._vals = [1.0]
-        # (first index, log scale) of each run of values that share a scale
-        self._scales = [(0, float(log_r00))]
+        self._log_r00 = float(log_r00)
+        # (first index, e) of each run of values that share the scale r00 2^e;
+        # e is exact, so the log scale of a run carries one rounding however
+        # many runs come before it
+        self._scales = [(0, 0)]
         # the scaled p(n), p(n-1), p(n-2); the mass of the earlier runs and
         # the scaled mass of the current one
         self._live = (1.0, 0.0, 0.0)
@@ -84,7 +91,8 @@ class PnSeries:
         vals, scales = self._vals, self._scales
         append = vals.append
         p0, p1, p2 = self._live
-        banked, run_mass, log_scale = self._banked, self._run_mass, scales[-1][1]
+        banked, run_mass, exp2 = self._banked, self._run_mass, scales[-1][1]
+        log_scale = self._log_r00 + exp2 * _LN2
         goal = math.inf if tail_tol is None else 1.0 - tail_tol
         run_goal = _run_goal(goal - banked, log_scale)
         for n in range(len(vals) - 1, n_max):
@@ -97,10 +105,12 @@ class PnSeries:
             )
             big = max(abs(p0), abs(p1), abs(p2))
             if big > _HIGH or 0.0 < big < _LOW:
-                p0, p1, p2 = p0 / big, p1 / big, p2 / big
+                e = math.frexp(big)[1]
+                p0, p1, p2 = math.ldexp(p0, -e), math.ldexp(p1, -e), math.ldexp(p2, -e)
                 banked += run_mass * math.exp(log_scale) if log_scale < 700.0 else math.inf
-                log_scale += math.log(big)
-                scales.append((n + 1, log_scale))
+                exp2 += e
+                log_scale = self._log_r00 + exp2 * _LN2
+                scales.append((n + 1, exp2))
                 run_mass, run_goal = 0.0, _run_goal(goal - banked, log_scale)
             append(p0)
             run_mass += p0
@@ -111,7 +121,7 @@ class PnSeries:
         """p(0..n_max) as doubles; entries below the smallest double read 0.0."""
         v = np.array(self._vals)
         starts = [i for i, _ in self._scales] + [len(v)]
-        logs = np.repeat([x for _, x in self._scales], np.diff(starts))
+        logs = self._log_r00 + _LN2 * np.repeat([e for _, e in self._scales], np.diff(starts))
         with np.errstate(divide="ignore"):
             return np.sign(v) * np.exp(np.log(np.abs(v)) + logs)
 

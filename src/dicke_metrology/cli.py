@@ -303,6 +303,12 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     if cfg["target"] not in ("radiation", "atoms"):
         raise ConfigError(f"target must be radiation or atoms, got {cfg['target']!r}")
+    for key in ("omega", "omega0", "lambda", "lambda_min", "lambda_max"):
+        if cfg[key] is not None and not _finite(cfg[key]):
+            raise ConfigError(f"{key.replace('_', '-')} must be a finite number, got {cfg[key]!r}")
+    if not (_finite(cfg["n_atoms"]) and float(cfg["n_atoms"]).is_integer()):
+        raise ConfigError(f"n-atoms must be an integer, got {cfg['n_atoms']!r}")
+    cfg["n_atoms"] = int(cfg["n_atoms"])
     if not (cfg["omega"] > 0 and cfg["omega0"] > 0 and cfg["n_atoms"] >= 1):
         raise ConfigError("omega and omega0 must be positive and n-atoms at least 1")
     if not (cfg["lambda_min"] >= 0 and (cfg["lambda"] is None or cfg["lambda"] >= 0)):
@@ -314,6 +320,12 @@ def _load_config(args: argparse.Namespace) -> dict:
     if cfg["exclusion"] < 0:
         raise ConfigError("exclusion must be nonnegative")
     return cfg
+
+
+def _finite(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CriticalPointSingularity, UnphysicalStateError
+from .errors import CriticalPointSingularity
 from .gaussian import GaussianState, partial_trace, require_symplectic
 
 DEFAULT_DELTA_MIN = 1e-8
@@ -55,6 +55,8 @@ class DickeParams:
     n_atoms: int = 100
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.lam, self.omega, self.omega0, self.n_atoms)):
+            raise ValueError(f"parameters must be finite, got {self}")
         if not self.omega > 0 or not self.omega0 > 0:
             raise ValueError("omega and omega0 must be positive")
         if self.lam < 0:
@@ -86,7 +88,11 @@ class DickeDerived:
 
 
 class _Modes(NamedTuple):
-    """Mean-field and normal-mode data, one entry per coupling."""
+    """Mean-field and normal-mode data, one entry per coupling.
+
+    u, v, s, r and p are the Bogoliubov quantities scaled by k^2, which keeps
+    them of order omega0^2 deep in the superradiant phase.
+    """
 
     lam: np.ndarray
     lam_c: float
@@ -96,9 +102,11 @@ class _Modes(NamedTuple):
     alpha: np.ndarray
     beta: np.ndarray
     omega_tilde: np.ndarray
-    u: np.ndarray
+    u: np.ndarray  # omega0^2 - (k omega)^2
     v: np.ndarray
-    r: np.ndarray
+    s: np.ndarray  # omega0^2 + (k omega)^2
+    r: np.ndarray  # hypot(u, v)
+    p: np.ndarray  # (k eps_minus eps_plus)^2
     eps_minus: np.ndarray
     eps_plus: np.ndarray
     theta: np.ndarray
@@ -126,20 +134,19 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float, delta_min: float) -> _Mo
     alpha = (lam / w) * root
     beta = np.sqrt((1.0 - k) / 2.0)
     omega_tilde = w0 * (1.0 + k) / (2.0 * k)
-    # squared normal-mode frequencies eps_-+^2 = (s -+ r) / 2 with r = hypot(u, v)
-    q2 = (w0 / k) ** 2
-    u = q2 - w * w
-    v = 4.0 * lam * np.sqrt(w * w0 * k)
-    s = w * w + q2
+    # normal-mode frequencies eps_-+^2 = (s -+ r) / (2 k^2) and the angle
+    # tan(2 theta) = v / u of the Bogoliubov rotation
+    u = w0 * w0 - k * k * w * w
+    v = 4.0 * lam * np.sqrt(w * w0 * k) * k * k
+    s = w0 * w0 + k * k * w * w
     r = np.hypot(u, v)
-    em_sq = (s - r) / 2.0
-    negative = em_sq < -1e-12 * np.maximum(1.0, s)
-    if negative.any():
-        raise UnphysicalStateError(f"negative squared normal-mode frequency {em_sq[negative][0]:.3e}")
-    theta = 0.5 * np.arctan2(v * k * k, w0 * w0 - k * k * w * w)
+    # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
+    # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase
+    p = np.where(superradiant, (w * w0 * root) ** 2, 4.0 * w * w0 * (lc - lam) * (lc + lam))
+    theta = 0.5 * np.arctan2(v, u)
     return _Modes(
-        lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, r,
-        np.sqrt(np.maximum(em_sq, 0.0)), np.sqrt((s + r) / 2.0), theta,
+        lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p,
+        np.sqrt(2.0 * p / (s + r)), np.sqrt((s + r) / 2.0) / k, theta,
     )
 
 
@@ -245,6 +252,8 @@ def _couplings(lams) -> np.ndarray:
     lam = np.array(lams, dtype=float, ndmin=1)
     if lam.ndim != 1:
         raise ValueError(f"couplings must form a 1-D array, got shape {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise ValueError(f"couplings must be finite, got {lam[~np.isfinite(lam)][0]}")
     if (lam < 0).any():
         raise ValueError(f"couplings must be nonnegative, got {lam[lam < 0][0]}")
     return lam
@@ -304,28 +313,33 @@ def moment_jet(
     dk = np.where(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)
     dalpha = m.root / w - (lam / w) * k * dk / np.where(sr, m.root, 1.0)
     dbeta = -dk / (4.0 * np.where(sr, m.beta, 1.0))
-    dwt = -w0 * dk / (2.0 * k * k)
-    # s and u differ by the constant 2 w^2, so ds is also du
-    ds = -2.0 * w0 * w0 * dk / k**3
-    dv = 4.0 * np.sqrt(w * w0 * k) * (1.0 + lam * dk / (2.0 * k))
+    # u and s differ by the constant 2 omega0^2, so du = -ds; v = 4 lam sqrt(w w0) k^(5/2)
+    ds = 2.0 * k * w * w * dk
+    dv = 4.0 * np.sqrt(w * w0 * k) * k * k * (1.0 + 2.5 * lam * dk / k)
     # r = 0 only at the degenerate point, where the limit lam -> 0+ has
     # r = v and a constant theta (see _checked_chain)
     regular = m.r > 0.0
-    dr = np.where(regular, (m.u * ds + m.v * dv) / np.where(regular, m.r, 1.0), dv)
-    # theta = atan2(y, x) / 2
-    y, x = m.v * k * k, w0 * w0 - k * k * w * w
-    dy, dx = dv * k * k + 2.0 * m.v * k * dk, -2.0 * k * w * w * dk
-    dtheta = 0.5 * (x * dy - y * dx) / np.where(regular, x * x + y * y, 1.0)
-    em, ep = m.eps_minus, m.eps_plus
-    dem, dep = (ds - dr) / (4.0 * em), (ds + dr) / (4.0 * ep)
-    # the squeezers are diagonal, so they enter by their logarithmic derivatives
-    g1 = np.multiply.outer(dwt / m.omega_tilde, _DLOG_B)
-    g3 = -np.multiply.outer(dem / em, _DLOG_A) - np.multiply.outer(dep / ep, _DLOG_B)
-    dchain = (
-        g1[:, :, None] * chain
-        + chain * g3[:, None, :]
-        + dtheta[:, None, None] * _product(f1_inv, rot @ _ROT_GEN, f3_inv)
+    dr = np.where(regular, (m.v * dv - m.u * ds) / np.where(regular, m.r, 1.0), dv)
+    dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(regular, m.r * m.r, 1.0)
+    # log derivatives of s + r, of eps_+ = sqrt((s + r)/2)/k, of eps_-^2 = 2 p/(s + r)
+    # and of omega_tilde / eps_+, with omega_tilde = w0 (1 + k)/(2 k)
+    dlog_sr = (ds + dr) / (m.s + m.r)
+    dlog_ep = 0.5 * dlog_sr - dk / k
+    dlog_p = np.where(
+        sr, -2.0 * k * dk / np.where(sr, m.root, 1.0) ** 2, -2.0 * lam / ((m.lam_c - lam) * (m.lam_c + lam))
     )
+    dlog_em = 0.5 * (dlog_p - dlog_sr)
+    dlog_ratio = dk / (1.0 + k) - 0.5 * dlog_sr
+    # the squeezers are diagonal, so S_ij = f1_i R_ij f3_j changes by
+    # S_ij (dlog f1_i + dlog f3_j) and through R.  Deep in the superradiant
+    # phase omega_tilde and eps_+ grow alike, so the atomic rows' sqrt(omega_tilde)
+    # is split into sqrt(omega_tilde / eps_+) sqrt(eps_+), and the second factor
+    # cancels exactly against the eps_+ columns
+    rows = np.multiply.outer(dlog_ratio, _DLOG_B)
+    ep_rows = np.multiply.outer(dlog_ep, _DLOG_B)
+    cols = -np.multiply.outer(dlog_em, _DLOG_A) - ep_rows
+    turn = dtheta[:, None, None] * _product(f1_inv, rot @ _ROT_GEN, f3_inv)
+    dchain = (rows[:, :, None] + (ep_rows[:, :, None] + cols[:, None, :])) * chain + turn
     a = dchain @ chain.transpose(0, 2, 1)
     return MomentJet(mean, cov, _x_displacement(dalpha, dbeta, n_atoms), (a + a.transpose(0, 2, 1)) / 2.0)
 

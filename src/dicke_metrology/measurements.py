@@ -27,6 +27,9 @@ PN_TAIL_TOL = 1e-10
 # FI cutoffs, which lie past the mass cutoffs, end within <n> + 40 sd(n) + 100
 PN_LIMIT_SDS = 100.0
 PN_LIMIT_FLOOR = 100
+# no series runs past this many terms, some 2 s and 32 MB of Python floats;
+# a state with <n> at or above it is refused at once
+PN_MAX_TERMS = 10**6
 FI_TERM_FLOOR = 1e-14
 FI_MARGIN = 0.4
 
@@ -133,17 +136,16 @@ def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, flo
 
     With dx = 2 sx + 1 and dp = 2 sp + 1: t = (2 sx - 1)/dx carries the x axis
     and the displacement, s = (2 sp - 1)/dp the bare p axis, c = sqrt(2) mx/dx,
-    and r00 = 2 exp(-mx^2/dx)/sqrt(dx dp) is p(0).
+    and p(0) = r00 = 2 exp(-mx^2/dx)/sqrt(dx dp).
     """
     _require_in_family(state.mean, state.cov)
     sx, sp, mx = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
-    return (
-        math.log(2.0) - mx * mx / dx - 0.5 * math.log(dx * dp),
-        (2.0 * sx - 1.0) / dx,
-        (2.0 * sp - 1.0) / dp,
-        math.sqrt(2.0) * mx / dx,
-    )
+    t, s, c = (2.0 * sx - 1.0) / dx, (2.0 * sp - 1.0) / dp, math.sqrt(2.0) * mx / dx
+    # r00 = 1 / G(1) from the same t, s, c as the recurrence: the series then
+    # sums to one within the rounding of c^2 / (1 - t), ~1e-11 at <n> = 2.5e5,
+    # where 2 exp(-mx^2/dx)/sqrt(dx dp) rounds apart from them by up to 1e-10
+    return 0.5 * (math.log1p(-s) + math.log1p(-t)) - c * c / (1.0 - t), t, s, c
 
 
 def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +160,11 @@ def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray
     return mean_n, var_n
 
 
-def _series_limit(mean_n: np.ndarray, var_n: np.ndarray) -> np.ndarray:
+def _series_limit(mean_n: float, var_n: float) -> int:
     """Cutoff by which a photon series with these moments must have converged."""
-    return (mean_n + PN_LIMIT_SDS * np.sqrt(np.maximum(var_n, 0.0))).astype(int) + PN_LIMIT_FLOOR
+    if not mean_n < PN_MAX_TERMS:
+        raise NonConvergedSeries(f"<n> = {mean_n:.3e}: the photon series would run past {PN_MAX_TERMS} terms")
+    return min(int(mean_n + PN_LIMIT_SDS * math.sqrt(max(var_n, 0.0))) + PN_LIMIT_FLOOR, PN_MAX_TERMS)
 
 
 @dataclass(frozen=True)
@@ -185,13 +189,13 @@ def photon_distribution(
     p(0) + ... + p(n) reaches 1 - tail_tol; p(0..n) do not depend on where it
     stops.  It raises NonConvergedSeries if that has not happened by
     hard_limit, which defaults to <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR
-    from the state's own moments.
+    from the state's own moments, at most PN_MAX_TERMS.
     """
     if n_max is not None:
         probs = _kernels.pn_series(*photon_series_inputs(state), int(n_max))
         return _distribution(probs)
     if hard_limit is None:
-        hard_limit = int(_series_limit(*photon_number_moments(state.mean, state.cov)))
+        hard_limit = _series_limit(*photon_number_moments(state.mean, state.cov))
     dist = _distribution(_kernels.pn_series(*photon_series_inputs(state), hard_limit, tail_tol))
     if dist.n_max == hard_limit and not dist.tail_mass < tail_tol:
         raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {hard_limit}")
@@ -261,7 +265,7 @@ def fi_photon_counting_family(
     Returns (FI, cutoff).
     """
     mean_n, var_n = photon_number_moments(state.mean, state.cov)
-    limit = int(_series_limit(mean_n, var_n))
+    limit = _series_limit(mean_n, var_n)
     series = _kernels.PnSeries(*photon_series_inputs(state))
     if not series.extend(limit, tail_tol):
         raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {limit}")

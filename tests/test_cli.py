@@ -1,4 +1,5 @@
 """End-to-end tests of the sweep command-line interface."""
+import ast
 import json
 import os
 import subprocess
@@ -78,6 +79,28 @@ class TestSmoke:
         row = out.strip().split("\n")[1].split(",")
         assert code == 0 and row[-1] == "ok"
         assert 0 < float(row[1]) <= float(row[2])
+
+
+    @pytest.mark.parametrize("command", ["qfi", "fi-homodyne"])
+    def test_deep_superradiant_row_is_finite(self, capsys, command):
+        # eps_minus^2 = (s - r)/2 cancelled to zero here, and the row read nan,...,ok
+        code, out = run(capsys, [command, "--lambda", "10000"])
+        row = out.strip().split("\n")[1].split(",")
+        assert code == 0 and row[-1] == "ok"
+        assert all(np.isfinite(float(x)) for x in row[:-1])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fi-photon", "--lambda", "0.7", "--n-atoms", "1000000000000000000"],
+            ["photon", "--lambda", "1000"],
+        ],
+    )
+    def test_series_past_the_work_bound_is_nonconverged(self, capsys, argv):
+        # <n> is about 4e17 and 1e8: the series would run for that many terms
+        code, out = run(capsys, argv)
+        assert code == 3
+        assert out.strip().split("\n")[-1].endswith(",nonconverged")
 
 
 class TestDeterminism:
@@ -281,6 +304,26 @@ class TestErrorTaxonomy:
         with pytest.raises(ValueError, match="fault in the p\\(n\\) table"):
             main(["photon", "--lambda", "0.3"])
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["qfi", "--lambda", "inf"], None),
+            (["qfi", "--omega", "inf", "--lambda", "0.3"], None),
+            (["qfi", "--lambda-max", "inf"], None),
+            (["qfi"], '{"n_atoms": 1e999}'),
+            (["qfi"], '{"n_atoms": 2.5}'),
+        ],
+    )
+    def test_non_finite_or_fractional_input_is_a_config_error(self, capsys, tmp_path, argv, config):
+        # the first four printed nan rows with status ok; the last ran at N = 2.5
+        if config is not None:
+            path = tmp_path / "sweep.json"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+
     def test_setup_fault_propagates(self, capsys, monkeypatch):
         def broken(cfg):
             raise ValueError("fault in the grid")
@@ -299,6 +342,60 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# documented entry points that nothing else in the package has to call: the
+# scalar API of the README, the console script, the SLD and power-law fit that
+# carry criteria 1 and 11, and the chain that criterion 9 checks
+ENTRY_POINTS = {
+    "cli.main",
+    "dicke.DickeParams",
+    "dicke.ground_state",
+    "dicke.reduced_radiation_state",
+    "dicke.symplectic_chain",
+    "estimation.fit_power_law",
+    "estimation.qfi",
+    "estimation.sld_coefficients",
+    "estimation.sld_coefficients_f1_frame",
+    "gaussian.log_negativity",
+    "measurements.HomodyneSetting",
+    "measurements.Target",
+    "measurements.fi_homodyne",
+    "measurements.fi_photon_counting",
+    "measurements.photon_distribution",
+}
+
+
+def _loads(tree: ast.Module, modules: set[str]):
+    """(name, top-level definition it sits in) of each name the module reads."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                yield node.attr, owner
+
+
+def test_public_definitions_are_used_or_documented():
+    # a public function or class that only tests call belongs in tests/oracles.py;
+    # re-exports from __init__ do not count as uses
+    paths = [p for p in sorted(Path(dicke_metrology.__file__).resolve().parent.glob("*.py")) if p.stem != "__init__"]
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    defined = {
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    loads = {(stem, name, owner) for stem, tree in trees.items() for name, owner in _loads(tree, set(trees))}
+    unused = sorted(
+        qualname
+        for qualname in defined - ENTRY_POINTS
+        if not any(name == qualname.split(".")[1] and (stem, owner) != tuple(qualname.split(".")) for stem, name, owner in loads)
+    )
+    assert unused == []
+    assert ENTRY_POINTS <= defined
 
 
 class TestJsonFormat:

@@ -1,4 +1,5 @@
 """Tests for the Dicke ground-state construction."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +36,10 @@ class TestParams:
             {"lam": 0.3, "omega": 0.0},
             {"lam": 0.3, "omega0": -1.0},
             {"lam": 0.3, "n_atoms": 0},
+            {"lam": float("inf")},
+            {"lam": float("nan")},
+            {"lam": 0.3, "omega": float("inf")},
+            {"lam": 0.3, "n_atoms": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -74,6 +79,16 @@ class TestDerive:
             for side in (-1, 1):
                 d = derive(DickeParams(lam=0.5 + side * delta))
                 assert 0 < d.eps_minus < 10 * np.sqrt(delta)
+
+    @pytest.mark.parametrize("lam", [1e2, 1e4, 1e6])
+    def test_eps_minus_deep_superradiant(self, lam):
+        # eps_minus^2 = (s - r)/2 at 50 digits, where s and r agree to 1e-4 / lam^4
+        with mpmath.workdps(50):
+            k = (mpmath.mpf(0.5) / lam) ** 2
+            q2 = 1 / k**2
+            r = mpmath.hypot(q2 - 1, 4 * lam * mpmath.sqrt(k))
+            exact = float(mpmath.sqrt((1 + q2 - r) / 2))
+        assert derive(DickeParams(lam=lam)).eps_minus == pytest.approx(exact, rel=1e-14)
 
     def test_eps_ordering(self):
         for lam in RESONANT_GRID:

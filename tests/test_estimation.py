@@ -72,7 +72,9 @@ def analytic_moment_derivatives(lam_val, omega=1.0, omega0=1.0, n_atoms=100):
 
 
 ORACLE_FREQUENCIES = [(1.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
-ORACLE_OFFSETS = [0.02, 0.5, 0.99, 0.999, 1.001, 1.01, 1.5, 10.0]
+# lam / lambda_c; the last three are lam = 1e2, 1e4 and 1e6 at resonance, where
+# eps_minus^2 = (s - r)/2 lost every digit
+ORACLE_OFFSETS = [0.02, 0.5, 0.99, 0.999, 1.001, 1.01, 1.5, 10.0, 2e2, 2e4, 2e6]
 
 
 class TestStateDerivative:
@@ -163,7 +165,7 @@ class TestMomentJet:
         with pytest.raises(ValueError, match="not symplectic"):
             ground_state(DickeParams(lam=0.7))
 
-    @pytest.mark.parametrize("lams", [[-0.1], [[0.3, 0.7]]])
+    @pytest.mark.parametrize("lams", [[-0.1], [[0.3, 0.7]], [0.3, float("inf")], [float("nan")]])
     def test_malformed_couplings_rejected(self, lams):
         with pytest.raises(ValueError):
             moment_jet(lams, 1.0, 1.0, 100)
