@@ -306,9 +306,12 @@ def _load_config(args: argparse.Namespace) -> dict:
     for key in ("omega", "omega0", "lambda", "lambda_min", "lambda_max"):
         if cfg[key] is not None and not _finite(cfg[key]):
             raise ConfigError(f"{key.replace('_', '-')} must be a finite number, got {cfg[key]!r}")
-    if not (_finite(cfg["n_atoms"]) and float(cfg["n_atoms"]).is_integer()):
-        raise ConfigError(f"n-atoms must be an integer, got {cfg['n_atoms']!r}")
-    cfg["n_atoms"] = int(cfg["n_atoms"])
+    if not all(_finite(phi) for phi in cfg["phi"]):
+        raise ConfigError(f"phi must hold finite angles, got {cfg['phi']!r}")
+    n_atoms = cfg["n_atoms"]
+    if not (_finite(n_atoms) and (isinstance(n_atoms, int) or n_atoms.is_integer())):
+        raise ConfigError(f"n-atoms must be an integer, got {n_atoms!r}")
+    cfg["n_atoms"] = int(n_atoms)
     if not (cfg["omega"] > 0 and cfg["omega0"] > 0 and cfg["n_atoms"] >= 1):
         raise ConfigError("omega and omega0 must be positive and n-atoms at least 1")
     if not (cfg["lambda_min"] >= 0 and (cfg["lambda"] is None or cfg["lambda"] >= 0)):

@@ -312,10 +312,13 @@ class TestErrorTaxonomy:
             (["qfi", "--lambda-max", "inf"], None),
             (["qfi"], '{"n_atoms": 1e999}'),
             (["qfi"], '{"n_atoms": 2.5}'),
+            (["fi-homodyne", "--lambda", "0.3", "--phi", "inf"], None),
+            (["fi-homodyne", "--lambda", "0.3", "--phi", "0,nan"], None),
         ],
     )
     def test_non_finite_or_fractional_input_is_a_config_error(self, capsys, tmp_path, argv, config):
-        # the first four printed nan rows with status ok; the last ran at N = 2.5
+        # these printed nan rows with status ok, except that N = 2.5 ran as
+        # given and phi = inf stopped with a traceback
         if config is not None:
             path = tmp_path / "sweep.json"
             path.write_text(config)
