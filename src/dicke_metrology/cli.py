@@ -310,7 +310,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"phi must hold finite angles, got {cfg['phi']!r}")
     n_atoms = cfg["n_atoms"]
     if not (_finite(n_atoms) and (isinstance(n_atoms, int) or n_atoms.is_integer())):
-        raise ConfigError(f"n-atoms must be an integer, got {n_atoms!r}")
+        raise ConfigError(f"n-atoms must be a finite integer, got {n_atoms!r}")
     cfg["n_atoms"] = int(n_atoms)
     if not (cfg["omega"] > 0 and cfg["omega0"] > 0 and cfg["n_atoms"] >= 1):
         raise ConfigError("omega and omega0 must be positive and n-atoms at least 1")
@@ -326,9 +326,10 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 
 def _finite(value) -> bool:
-    if isinstance(value, bool):
+    try:
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a double
         return False
-    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ normal-mode frequencies eps_minus, eps_plus.  Atom number enters the first
 moments only; all second moments are N-independent.
 
 All of this is written once, vectorised over a 1-D array of couplings that
-share (omega, omega0, N, delta_min): `moment_jet` runs mean field ->
+share (omega, omega0, N): `moment_jet` runs mean field ->
 Bogoliubov modes -> chain -> exact coupling derivatives and returns mean,
 cov, dmean and dcov with one row per coupling; `ground_moments` is the same
 code without the derivatives.  `derive`, `ground_state` and everything built
@@ -34,7 +34,8 @@ import numpy as np
 from .errors import CriticalPointSingularity
 from .gaussian import GaussianState, partial_trace, require_symplectic
 
-DEFAULT_DELTA_MIN = 1e-8
+# half-width of the window around lambda_c that every coupling evaluation refuses
+DELTA_MIN = 1e-8
 
 RADIATION_MODE = 0
 ATOMIC_MODE = 1
@@ -55,14 +56,7 @@ class DickeParams:
     n_atoms: int = 100
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) for x in (self.lam, self.omega, self.omega0, self.n_atoms)):
-            raise ValueError(f"parameters must be finite, got {self}")
-        if not self.omega > 0 or not self.omega0 > 0:
-            raise ValueError("omega and omega0 must be positive")
-        if self.lam < 0:
-            raise ValueError(f"coupling must be nonnegative, got {self.lam}")
-        if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        _checked_couplings([self.lam], self.omega, self.omega0, self.n_atoms)
 
     @property
     def lambda_c(self) -> float:
@@ -112,19 +106,19 @@ class _Modes(NamedTuple):
     theta: np.ndarray
 
 
-def _normal_modes(lam: np.ndarray, w: float, w0: float, delta_min: float) -> _Modes:
+def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     """Mean-field displacements and Bogoliubov data at every coupling in lam.
 
-    Raises CriticalPointSingularity when any |lam - lambda_c| <= delta_min,
+    Raises CriticalPointSingularity when any |lam - lambda_c| <= DELTA_MIN,
     where the lower normal-mode frequency vanishes and the Gaussian
     description is singular.
     """
     lc = math.sqrt(w * w0) / 2.0
     gap = np.abs(lam - lc)
-    inside = gap <= delta_min
+    inside = gap <= DELTA_MIN
     if inside.any():
         raise CriticalPointSingularity(
-            f"|lam - lambda_c| = {gap[inside][0]:.3e} <= delta_min = {delta_min:.3e}"
+            f"|lam - lambda_c| = {gap[inside][0]:.3e} <= DELTA_MIN = {DELTA_MIN:.3e}"
         )
     superradiant = lam >= lc
     # k = (lambda_c / lam)^2 in the superradiant phase and exactly 1 below it
@@ -150,14 +144,14 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float, delta_min: float) -> _Mo
     )
 
 
-def derive(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> DickeDerived:
+def derive(params: DickeParams) -> DickeDerived:
     """Mean-field displacements and Bogoliubov data at the given coupling.
 
-    Raises CriticalPointSingularity when |lam - lambda_c| <= delta_min, where
+    Raises CriticalPointSingularity when |lam - lambda_c| <= DELTA_MIN, where
     the lower normal-mode frequency vanishes and the Gaussian description is
     singular.
     """
-    m = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0, delta_min)
+    m = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0)
     return DickeDerived(
         lambda_c=m.lam_c,
         k=float(m.k[0]),
@@ -248,7 +242,9 @@ class MomentJet:
     dcov: np.ndarray
 
 
-def _couplings(lams) -> np.ndarray:
+def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.ndarray:
+    """The couplings as a 1-D float array, once they and (omega, omega0, n_atoms) are
+    checked to lie in the model's domain; raises ValueError where they do not."""
     lam = np.array(lams, dtype=float, ndmin=1)
     if lam.ndim != 1:
         raise ValueError(f"couplings must form a 1-D array, got shape {lam.shape}")
@@ -256,6 +252,16 @@ def _couplings(lams) -> np.ndarray:
         raise ValueError(f"couplings must be finite, got {lam[~np.isfinite(lam)][0]}")
     if (lam < 0).any():
         raise ValueError(f"couplings must be nonnegative, got {lam[lam < 0][0]}")
+    try:
+        w, w0, n = float(omega), float(omega0), float(n_atoms)
+        inside = 0 < w < math.inf and 0 < w0 < math.inf and 1 <= n < math.inf and n.is_integer()
+    except OverflowError:  # an int too large for a double
+        inside = False
+    if not inside:
+        raise ValueError(
+            f"omega and omega0 must be finite and positive and n_atoms a positive integer, "
+            f"got {omega!r}, {omega0!r}, {n_atoms!r}"
+        )
     return lam
 
 
@@ -279,21 +285,17 @@ def _moments(modes: _Modes, chain: np.ndarray, n_atoms: int) -> tuple[np.ndarray
     return _x_displacement(modes.alpha, modes.beta, n_atoms), (g + g.transpose(0, 2, 1)) / 4.0
 
 
-def ground_moments(
-    lams, omega: float, omega0: float, n_atoms: int, delta_min: float = DEFAULT_DELTA_MIN
-) -> tuple[np.ndarray, np.ndarray]:
+def ground_moments(lams, omega: float, omega0: float, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean (n, 4) and covariance (n, 4, 4) of the ground state at each coupling in lams.
 
     The couplings share omega, omega0 and n_atoms.  This is moment_jet
     without the derivatives.
     """
-    modes = _normal_modes(_couplings(lams), omega, omega0, delta_min)
+    modes = _normal_modes(_checked_couplings(lams, omega, omega0, n_atoms), omega, omega0)
     return _moments(modes, _checked_chain(modes, omega)[3], n_atoms)
 
 
-def moment_jet(
-    lams, omega: float, omega0: float, n_atoms: int, delta_min: float = DEFAULT_DELTA_MIN
-) -> MomentJet:
+def moment_jet(lams, omega: float, omega0: float, n_atoms: int) -> MomentJet:
     """Ground-state moments and their exact coupling derivatives at each coupling in lams.
 
     The couplings share omega, omega0 and n_atoms.  The chain rule runs
@@ -304,7 +306,7 @@ def moment_jet(
     same bits as a one-coupling call.
     """
     w, w0 = omega, omega0
-    m = _normal_modes(_couplings(lams), w, w0, delta_min)
+    m = _normal_modes(_checked_couplings(lams, w, w0, n_atoms), w, w0)
     f1_inv, rot, f3_inv, chain = _checked_chain(m, w)
     mean, cov = _moments(m, chain, n_atoms)
     lam, k, sr = m.lam, m.k, m.superradiant
@@ -344,15 +346,15 @@ def moment_jet(
     return MomentJet(mean, cov, _x_displacement(dalpha, dbeta, n_atoms), (a + a.transpose(0, 2, 1)) / 2.0)
 
 
-def ground_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:
+def ground_state(params: DickeParams) -> GaussianState:
     """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms)."""
-    mean, cov = ground_moments([params.lam], params.omega, params.omega0, params.n_atoms, delta_min)
+    mean, cov = ground_moments([params.lam], params.omega, params.omega0, params.n_atoms)
     return GaussianState(mean[0], cov[0])
 
 
-def reduced_radiation_state(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> GaussianState:
+def reduced_radiation_state(params: DickeParams) -> GaussianState:
     """Single-mode reduced state of the radiation mode."""
-    return partial_trace(ground_state(params, delta_min=delta_min), [RADIATION_MODE])
+    return partial_trace(ground_state(params), [RADIATION_MODE])
 
 
 def derived_to_dict(derived: DickeDerived) -> dict:

@@ -12,8 +12,8 @@ The moments and their exact coupling derivatives come from one vectorised
 jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
 whole jet into QFIs at once; `state_derivative` runs the same jet at a single
 coupling, and `qfi` and the SLD functions read from it.  There is no step to
-choose; the only excluded couplings are the window of half-width delta_min
-around lambda_c, where the jet raises.
+choose; the only excluded couplings are the window of half-width
+dicke.DELTA_MIN = 1e-8 around lambda_c, where the jet raises.
 """
 from __future__ import annotations
 
@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DEFAULT_DELTA_MIN, DickeParams, MomentJet, derive, moment_jet
+from .dicke import DickeParams, MomentJet, derive, moment_jet
 from .gaussian import symplectic_form
 
 
-def state_derivative(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> MomentJet:
+def state_derivative(params: DickeParams) -> MomentJet:
     """The one-coupling moment jet at params: the ground-state moments and their
     closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), each a single row."""
-    return moment_jet([params.lam], params.omega, params.omega0, params.n_atoms, delta_min)
+    return moment_jet([params.lam], params.omega, params.omega0, params.n_atoms)
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ def qfi_from_jet(jet: MomentJet) -> list[EstimationResult]:
     ]
 
 
-def qfi(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> EstimationResult:
+def qfi(params: DickeParams) -> EstimationResult:
     """Quantum Fisher information of the coupling at params."""
-    return qfi_from_jet(state_derivative(params, delta_min))[0]
+    return qfi_from_jet(state_derivative(params))[0]
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ class SldCoefficients:
     nu: float
 
 
-def sld_coefficients(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) -> SldCoefficients:
+def sld_coefficients(params: DickeParams) -> SldCoefficients:
     """SLD coefficients (Phi, zeta, nu) in the laboratory quadratures."""
-    jet = state_derivative(params, delta_min)
+    jet = state_derivative(params)
     cov, dmean, dcov = jet.cov[0], jet.dmean[0], jet.dcov[0]
     omega = symplectic_form(2)
     phi = -dcov
@@ -78,9 +78,7 @@ def sld_coefficients(params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN) 
     return SldCoefficients(phi=phi, zeta=zeta, nu=nu)
 
 
-def sld_coefficients_f1_frame(
-    params: DickeParams, delta_min: float = DEFAULT_DELTA_MIN
-) -> SldCoefficients:
+def sld_coefficients_f1_frame(params: DickeParams) -> SldCoefficients:
     """SLD coefficients in the dimensionless quadratures R' = F1 R.
 
     In this frame the quadratic form collapses near the critical point onto
@@ -88,8 +86,8 @@ def sld_coefficients_f1_frame(
     phase the linear term approaches a coupling-independent vector along
     (omega0^2 p1', -omega^2 p2').
     """
-    raw = sld_coefficients(params, delta_min=delta_min)
-    d = derive(params, delta_min=delta_min)
+    raw = sld_coefficients(params)
+    d = derive(params)
     # F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)), so R^T Phi R = R'^T F1^-1 Phi F1^-1 R'
     w, wt = math.sqrt(d.omega), math.sqrt(d.omega_tilde)
     f1_inv = np.array([w, 1.0 / w, wt, 1.0 / wt])

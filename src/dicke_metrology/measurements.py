@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dicke import ATOMIC_MODE, DEFAULT_DELTA_MIN, RADIATION_MODE, DickeParams, MomentJet
+from .dicke import ATOMIC_MODE, RADIATION_MODE, DickeParams, MomentJet
 from .errors import NonConvergedSeries, UnphysicalStateError
 from .estimation import state_derivative
 from .gaussian import GaussianState
 
 DIAGONAL_TOL = 1e-10
+# a photon series stops where the p(n) mass, and the photon-counting FI, that
+# its tail is estimated to hold falls below this share
 PN_TAIL_TOL = 1e-10
 # a series still short of its mass at <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR
 # does not converge: on the Dicke and single-mode states measured, even the
@@ -78,11 +80,9 @@ def fi_homodyne_from_jet(jet: MomentJet, setting: HomodyneSetting) -> np.ndarray
     return dmean * dmean / var + dvar * dvar / (2.0 * var * var)
 
 
-def fi_homodyne(
-    params: DickeParams, setting: HomodyneSetting, delta_min: float = DEFAULT_DELTA_MIN
-) -> float:
+def fi_homodyne(params: DickeParams, setting: HomodyneSetting) -> float:
     """Fisher information of homodyne outcomes about the coupling at params."""
-    return float(fi_homodyne_from_jet(state_derivative(params, delta_min), setting)[0])
+    return float(fi_homodyne_from_jet(state_derivative(params), setting)[0])
 
 
 @dataclass(frozen=True)
@@ -176,29 +176,23 @@ class PhotonDistribution:
     tail_mass: float
 
 
-def photon_distribution(
-    state: GaussianState,
-    n_max: int | None = None,
-    tail_tol: float = PN_TAIL_TOL,
-    hard_limit: int | None = None,
-) -> PhotonDistribution:
+def photon_distribution(state: GaussianState, n_max: int | None = None) -> PhotonDistribution:
     """Photon-number distribution of the state, truncated at a resolved tail.
 
     With explicit n_max the series is evaluated once at that cutoff.
     Otherwise it runs forward and stops at the first n where
-    p(0) + ... + p(n) reaches 1 - tail_tol; p(0..n) do not depend on where it
-    stops.  It raises NonConvergedSeries if that has not happened by
-    hard_limit, which defaults to <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR
-    from the state's own moments, at most PN_MAX_TERMS.
+    p(0) + ... + p(n) reaches 1 - PN_TAIL_TOL; p(0..n) do not depend on where
+    it stops.  It raises NonConvergedSeries if that has not happened by
+    <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR from the state's own moments,
+    at most PN_MAX_TERMS.
     """
     if n_max is not None:
         probs = _kernels.pn_series(*photon_series_inputs(state), int(n_max))
         return _distribution(probs)
-    if hard_limit is None:
-        hard_limit = _series_limit(*photon_number_moments(state.mean, state.cov))
-    dist = _distribution(_kernels.pn_series(*photon_series_inputs(state), hard_limit, tail_tol))
-    if dist.n_max == hard_limit and not dist.tail_mass < tail_tol:
-        raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {hard_limit}")
+    limit = _series_limit(*photon_number_moments(state.mean, state.cov))
+    dist = _distribution(_kernels.pn_series(*photon_series_inputs(state), limit, PN_TAIL_TOL))
+    if dist.n_max == limit and not dist.tail_mass < PN_TAIL_TOL:
+        raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
     return dist
 
 
@@ -252,23 +246,21 @@ def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
     return 2 * math.ceil(math.log(tail_tol * fi / tail) / math.log(ratio)) + 2
 
 
-def fi_photon_counting_family(
-    state: GaussianState, dmean: np.ndarray, dcov: np.ndarray, tail_tol: float = PN_TAIL_TOL
-) -> tuple[float, int]:
+def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, int]:
     """Photon-counting Fisher information of a single-mode state family.
 
     state is the family member at the estimated parameter, dmean and dcov
     the parameter derivatives of its moments.  FI = sum_n (dp(n))^2 / p(n)
     with dp(n) exact; terms with p(n) below a fixed floor are skipped.  The
     series runs past the mass cutoff that `photon_distribution` stops at,
-    until the FI its tail is estimated to hold is below tail_tol FI.
+    until the FI its tail is estimated to hold is below PN_TAIL_TOL FI.
     Returns (FI, cutoff).
     """
     mean_n, var_n = photon_number_moments(state.mean, state.cov)
     limit = _series_limit(mean_n, var_n)
     series = _kernels.PnSeries(*photon_series_inputs(state))
-    if not series.extend(limit, tail_tol):
-        raise NonConvergedSeries(f"photon series tail above {tail_tol:.1e} at the cutoff limit {limit}")
+    if not series.extend(limit, PN_TAIL_TOL):
+        raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
     # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
     # past it: on 306 Dicke radiation states (N 1 to 1e4, three frequency
     # pairs, both phases) and squeezed, thermal and coherent families, the
@@ -282,16 +274,14 @@ def fi_photon_counting_family(
         keep = probs >= FI_TERM_FLOOR
         terms = np.where(keep, dp * dp / np.where(keep, probs, 1.0), 0.0)
         fi = math.fsum(terms.tolist())
-        more = _fi_tail_terms(terms, fi, tail_tol)
+        more = _fi_tail_terms(terms, fi, PN_TAIL_TOL)
         if not more:
             return fi, series.n_max
         if series.n_max >= limit:
-            raise NonConvergedSeries(f"photon-counting FI tail above {tail_tol:.1e} at the cutoff limit {limit}")
+            raise NonConvergedSeries(f"photon-counting FI tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
 
 
-def fi_photon_counting_from_jet(
-    jet: MomentJet, index: int, tail_tol: float = PN_TAIL_TOL
-) -> tuple[float, int]:
+def fi_photon_counting_from_jet(jet: MomentJet, index: int) -> tuple[float, int]:
     """Photon-counting Fisher information of the radiation mode at coupling
     `index` of the jet, with the series cutoff it summed over."""
     mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
@@ -299,12 +289,9 @@ def fi_photon_counting_from_jet(
         GaussianState(jet.mean[index, mode], jet.cov[index, mode, mode]),
         jet.dmean[index, mode],
         jet.dcov[index, mode, mode],
-        tail_tol=tail_tol,
     )
 
 
-def fi_photon_counting(
-    params: DickeParams, tail_tol: float = PN_TAIL_TOL, delta_min: float = DEFAULT_DELTA_MIN
-) -> float:
+def fi_photon_counting(params: DickeParams) -> float:
     """Fisher information of photon counting on the radiation mode."""
-    return fi_photon_counting_from_jet(state_derivative(params, delta_min), 0, tail_tol=tail_tol)[0]
+    return fi_photon_counting_from_jet(state_derivative(params), 0)[0]

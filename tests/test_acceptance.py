@@ -161,7 +161,7 @@ def test_criterion_06_photon_statistics_oracle():
             DstsParams(n_th=n_th, r=r, n_s=math.sinh(r) ** 2, gamma=gamma)
         )
         worst_abs = max(worst_abs, float(np.max(np.abs(series - fock.photon_probs[:31]))))
-        full = photon_distribution(state, tail_tol=1e-10)
+        full = photon_distribution(state)
         worst_sum = max(worst_sum, abs(math.fsum(full.probs) - 1.0))
         mean_series = float(np.arange(full.probs.size) @ full.probs)
         total = mean_photon_decomposition(state).total

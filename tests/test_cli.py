@@ -191,6 +191,7 @@ class TestGridAndConfig:
             ["qfi", "--lambda-min", "-0.1"],
             ["wigner", "--lambda", "-0.1"],
             ["photon", "--lambda", "-0.1"],
+            ["qfi", "--lambda", "0.3", "--n-atoms", "1" + "0" * 400],
         ],
     )
     def test_out_of_domain_model_values(self, capsys, argv):
@@ -380,11 +381,16 @@ def _loads(tree: ast.Module, modules: set[str]):
                 yield node.attr, owner
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    """Syntax tree of each module of the package but __init__, by module name."""
+    paths = [p for p in sorted(Path(dicke_metrology.__file__).resolve().parent.glob("*.py")) if p.stem != "__init__"]
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+
+
 def test_public_definitions_are_used_or_documented():
     # a public function or class that only tests call belongs in tests/oracles.py;
     # re-exports from __init__ do not count as uses
-    paths = [p for p in sorted(Path(dicke_metrology.__file__).resolve().parent.glob("*.py")) if p.stem != "__init__"]
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    trees = _package_trees()
     defined = {
         f"{stem}.{node.name}"
         for stem, tree in trees.items()
@@ -399,6 +405,44 @@ def test_public_definitions_are_used_or_documented():
     )
     assert unused == []
     assert ENTRY_POINTS <= defined
+
+
+# defaults that no caller in the package overrides: the fixed cutoff that the
+# oracle tests compare the adaptive photon series against, and the command
+# line, which the console script leaves to sys.argv
+UNSET_DEFAULTS = {("measurements.photon_distribution", "n_max"), ("cli.main", "argv")}
+
+
+def _passed(call: ast.Call, params: list[str]) -> set[str]:
+    """Those of the positional parameters params, or of the keywords, that the call sets."""
+    keywords = {kw.arg for kw in call.keywords}
+    if None in keywords or any(isinstance(arg, ast.Starred) for arg in call.args):
+        # an unpacked argument can reach any parameter
+        return set(params) | keywords
+    return set(params[: len(call.args)]) | keywords
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default that no caller in the package overrides is a constant passed
+    # around as an option
+    trees = _package_trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for stem, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            defaults = positional[len(positional) - len(fn.args.defaults):]
+            defaults += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            passed = set().union(*(_passed(call, positional) for call in calls.get(fn.name, [])))
+            unset |= {(f"{stem}.{fn.name}", name) for name in defaults if name not in passed}
+    assert unset == UNSET_DEFAULTS
 
 
 class TestJsonFormat:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicke_metrology import measurements
 from dicke_metrology.dicke import DickeParams, derive, ground_state, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.estimation import qfi, state_derivative
@@ -210,7 +211,7 @@ class TestMeanPhotons:
     def test_matches_series_mean(self):
         state = reduced_radiation_state(DickeParams(lam=0.55, n_atoms=100))
         dec = mean_photon_decomposition(state)
-        dist = photon_distribution(state, tail_tol=1e-12)
+        dist = photon_distribution(state)
         series_mean = float(np.arange(dist.probs.size) @ dist.probs)
         assert series_mean == pytest.approx(dec.total, rel=1e-6)
 
@@ -283,10 +284,13 @@ class TestPhotonDistribution:
         assert far.probs.argmax() == 0
         assert far.probs[0] > near.probs[0]
 
-    def test_nonconverged_at_tiny_limit(self):
+    def test_nonconverged_at_tiny_limit(self, monkeypatch):
+        # the series limit shrinks to <n> + 3, far short of the resolved tail
+        monkeypatch.setattr(measurements, "PN_LIMIT_SDS", 0.0)
+        monkeypatch.setattr(measurements, "PN_LIMIT_FLOOR", 3)
         state = reduced_radiation_state(DickeParams(lam=0.8, n_atoms=100))
         with pytest.raises(NonConvergedSeries):
-            photon_distribution(state, hard_limit=3)
+            photon_distribution(state)
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),
@@ -295,7 +299,7 @@ class TestPhotonDistribution:
     )
     @settings(max_examples=60, deadline=None)
     def test_series_stays_normalized(self, n_th, r, gamma):
-        dist = photon_distribution(dsts_state(n_th, r, gamma), tail_tol=1e-10)
+        dist = photon_distribution(dsts_state(n_th, r, gamma))
         assert np.min(dist.probs) > -1e-12
         assert math.fsum(dist.probs) + dist.tail_mass == pytest.approx(1.0, abs=1e-8)
 
