@@ -17,11 +17,11 @@ import sys
 
 import numpy as np
 
-from .dicke import RADIATION_MODE, DickeParams, MomentJet, derive, derived_to_dict, ground_moments, moment_jet
-from .dicke import reduced_radiation_state
+from .dicke import RADIATION_MODE, DickeParams, MomentJet, _checked_couplings, derive, derived_to_dict, ground_moments
+from .dicke import moment_jet, reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
-from .gaussian import GaussianState, log_negativity, partial_trace, state_to_dict, symplectic_spectrum, wigner_at
+from .gaussian import GaussianState, partial_trace, state_to_dict, symplectic_spectrum, wigner_at
 from .measurements import (
     HomodyneSetting,
     Target,
@@ -92,7 +92,7 @@ def _rows_entanglement(lams: list[float], cfg: dict) -> list[list]:
     rows = []
     for lam, st in zip(lams, _states(lams, cfg)):
         spec = symplectic_spectrum(st.cov)
-        rows.append([lam, log_negativity(st.cov), spec.ppt_d_minus])
+        rows.append([lam, spec.log_negativity, spec.ppt_d_minus])
     return rows
 
 
@@ -164,27 +164,47 @@ def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
     return [[lam] + pad + [status]]
 
 
-# a fi-photon row sums a photon series of about <n> + 10 sd(n) terms, after a
-# share of the chunk's vectorised layers that costs about as much as 100 terms
+# Estimated in-process cost of one row in microseconds, measured on a 2-core
+# x86-64 box (median of repeated one-chunk sweeps of 200 to 2000 points).  A
+# fi-homodyne row costs its share of the jet plus one FI per --phi angle; a
+# fi-photon row sums a photon series of about <n> + 10 sd(n) terms, after a
+# share of the chunk's vectorised layers that costs about as much as 100 terms.
+_ROW_US = {"entanglement": 90.0, "qfi": 5.0, "fi-homodyne": 4.5, "photon": 75.0}
+_ANGLE_US = 1.2
+_TERM_US = 1.5
 _ROW_TERMS = 100.0
 _SERIES_SDS = 10.0
+# what each worker process adds to a sweep's wall time on the same box
+# (starting it, pickling its chunk and rows, shutting it down): half the
+# estimated work at which two workers and one chunk take the same time
+_WORKER_START_US = 30_000.0
 
 
 def _row_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
-    """Estimated cost of each row, known before any series runs.
+    """Estimated cost of each row in microseconds, known before any series runs.
 
     fi-photon rows weigh their photon series, from the <n> and sd(n) of the
-    radiation mode; every other row weighs the same.
+    radiation mode; the rows of every other command weigh the same.
     """
+    if command == "fi-homodyne":
+        return [_ROW_US[command] + _ANGLE_US * len(cfg["phi"])] * len(grid)
     if command != "fi-photon":
-        return [1.0] * len(grid)
+        return [_ROW_US[command]] * len(grid)
     try:
         mean, cov = ground_moments(grid, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
     except _DOMAIN_ERRORS:
+        # a grid that holds the critical coupling: equal weights, far below
+        # any series, so the sweep runs in this process
         return [1.0] * len(grid)
     mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
     mean_n, var_n = photon_number_moments(mean[:, mode], cov[:, mode, mode])
-    return (_ROW_TERMS + mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0))).tolist()
+    return (_TERM_US * (_ROW_TERMS + mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0)))).tolist()
+
+
+def _chunk_count(jobs: int, costs: list[float]) -> int:
+    """How many chunks to run: at most jobs, one per worker whose start-up the work pays for."""
+    total = math.fsum(costs)
+    return jobs if jobs * _WORKER_START_US <= total else max(1, int(total // _WORKER_START_US))
 
 
 def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> list[list[float]]:
@@ -303,19 +323,19 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     if cfg["target"] not in ("radiation", "atoms"):
         raise ConfigError(f"target must be radiation or atoms, got {cfg['target']!r}")
-    for key in ("omega", "omega0", "lambda", "lambda_min", "lambda_max"):
-        if cfg[key] is not None and not _finite(cfg[key]):
-            raise ConfigError(f"{key.replace('_', '-')} must be a finite number, got {cfg[key]!r}")
+    couplings = ["lambda_min", "lambda_max"] + ["lambda"] * (cfg["lambda"] is not None)
+    for key in ["omega", "omega0", "n_atoms"] + couplings:
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
+            raise ConfigError(f"{key.replace('_', '-')} must be a number, got {cfg[key]!r}")
+    try:
+        # the model's own domain rules: finite nonnegative couplings, finite
+        # positive frequencies and a positive integer atom number
+        _checked_couplings([cfg[key] for key in couplings], cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg["n_atoms"] = int(cfg["n_atoms"])
     if not all(_finite(phi) for phi in cfg["phi"]):
         raise ConfigError(f"phi must hold finite angles, got {cfg['phi']!r}")
-    n_atoms = cfg["n_atoms"]
-    if not (_finite(n_atoms) and (isinstance(n_atoms, int) or n_atoms.is_integer())):
-        raise ConfigError(f"n-atoms must be a finite integer, got {n_atoms!r}")
-    cfg["n_atoms"] = int(n_atoms)
-    if not (cfg["omega"] > 0 and cfg["omega0"] > 0 and cfg["n_atoms"] >= 1):
-        raise ConfigError("omega and omega0 must be positive and n-atoms at least 1")
-    if not (cfg["lambda_min"] >= 0 and (cfg["lambda"] is None or cfg["lambda"] >= 0)):
-        raise ConfigError("lambda and lambda-min must be nonnegative")
     if cfg["points"] < 0:
         raise ConfigError("points must be nonnegative")
     if cfg["jobs"] < 1:
@@ -333,6 +353,26 @@ def _finite(value) -> bool:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON file with the keys the flags below override")
+    shared.add_argument("--omega", type=float, help="radiation frequency")
+    shared.add_argument("--omega0", type=float, help="atomic level splitting")
+    shared.add_argument("--n-atoms", type=int, help="atom number N")
+    shared.add_argument("--lambda", dest="lam", type=float, help="single coupling instead of a grid")
+    shared.add_argument("--lambda-min", type=float)
+    shared.add_argument("--lambda-max", type=float)
+    shared.add_argument("--points", type=int, help="grid points (per axis for wigner)")
+    shared.add_argument("--exclusion", type=float, help="half-width of the skipped window at lambda_c")
+    shared.add_argument("--phi", help="comma-separated quadrature angles (fi-homodyne)")
+    shared.add_argument("--target", choices=("radiation", "atoms"), help="homodyne subsystem")
+    shared.add_argument("--format", choices=("csv", "json"))
+    shared.add_argument("--out", help="output path (default stdout)")
+    shared.add_argument(
+        "--jobs",
+        type=int,
+        help="at most this many worker processes, one contiguous chunk of the grid each; "
+        "a sweep whose estimated work is below one worker's start-up runs in this process",
+    )
     parser = argparse.ArgumentParser(
         prog="dicke-metrology",
         description="Ground-state metrology sweeps across the superradiant transition.",
@@ -346,21 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("photon", "mean-photon decomposition; with --lambda also the p(n) table"),
         ("fi-photon", "photon-counting Fisher information and its ratio to the QFI"),
     ):
-        sp = sub.add_parser(name, help=text)
-        sp.add_argument("--config", help="JSON file with the keys the flags below override")
-        sp.add_argument("--omega", type=float, help="radiation frequency")
-        sp.add_argument("--omega0", type=float, help="atomic level splitting")
-        sp.add_argument("--n-atoms", type=int, help="atom number N")
-        sp.add_argument("--lambda", dest="lam", type=float, help="single coupling instead of a grid")
-        sp.add_argument("--lambda-min", type=float)
-        sp.add_argument("--lambda-max", type=float)
-        sp.add_argument("--points", type=int, help="grid points (per axis for wigner)")
-        sp.add_argument("--exclusion", type=float, help="half-width of the skipped window at lambda_c")
-        sp.add_argument("--phi", help="comma-separated quadrature angles (fi-homodyne)")
-        sp.add_argument("--target", choices=("radiation", "atoms"), help="homodyne subsystem")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, help="parallel workers, one contiguous chunk of the grid each")
+        sub.add_parser(name, help=text, parents=[shared])
     return parser
 
 
@@ -416,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    chunks = _contiguous_chunks(grid, cfg["jobs"], _row_costs(args.command, grid, cfg))
+    costs = _row_costs(args.command, grid, cfg)
+    chunks = _contiguous_chunks(grid, _chunk_count(cfg["jobs"], costs), costs)
     tasks = [(args.command, chunk, cfg) for chunk in chunks]
     if len(tasks) > 1:
         # imported here: loading the pool takes ~25 ms and ~2 MB that one chunk does not need

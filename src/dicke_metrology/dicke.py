@@ -245,7 +245,10 @@ class MomentJet:
 def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.ndarray:
     """The couplings as a 1-D float array, once they and (omega, omega0, n_atoms) are
     checked to lie in the model's domain; raises ValueError where they do not."""
-    lam = np.array(lams, dtype=float, ndmin=1)
+    try:
+        lam = np.array(lams, dtype=float, ndmin=1)
+    except OverflowError:  # an int too large for a double
+        raise ValueError(f"couplings must be finite, got {lams!r}") from None
     if lam.ndim != 1:
         raise ValueError(f"couplings must form a 1-D array, got shape {lam.shape}")
     if not np.isfinite(lam).all():

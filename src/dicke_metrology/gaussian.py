@@ -100,6 +100,11 @@ class SymplecticSpectrum:
     i3: float
     i4: float
 
+    @property
+    def log_negativity(self) -> float:
+        """Logarithmic negativity E_N = max(0, -ln(2 ppt_d_minus))."""
+        return max(0.0, -np.log(2.0 * self.ppt_d_minus))
+
 
 def _check_invariants(delta: float, det: float, scale: float) -> None:
     rad = delta * delta - 4.0 * det
@@ -139,8 +144,7 @@ def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
 
 def log_negativity(cov: np.ndarray) -> float:
     """Logarithmic negativity E_N = max(0, -ln(2 d_minus_ppt)) of a two-mode state."""
-    spectrum = symplectic_spectrum(cov)
-    return max(0.0, -np.log(2.0 * spectrum.ppt_d_minus))
+    return symplectic_spectrum(cov).log_negativity
 
 
 def wigner_at(state: GaussianState, point: np.ndarray) -> float:

@@ -116,7 +116,9 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
+    def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
+        # grids this small run in one chunk unless starting a worker costs nothing
+        monkeypatch.setattr(cli, "_WORKER_START_US", 0.0)
         sweeps = [
             (["fi-homodyne", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6", "--phi", "0,1.0"], ["3"]),
             (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
@@ -210,7 +212,12 @@ class TestChunks:
 
     def test_qfi_rows_weigh_the_same(self):
         grid = [0.1, 0.3, 0.7, 0.9]
-        assert cli._row_costs("qfi", grid, dict(cli._DEFAULTS)) == [1.0] * 4
+        assert len(set(cli._row_costs("qfi", grid, dict(cli._DEFAULTS)))) == 1
+
+    def test_long_photon_sweep_pays_for_two_workers(self):
+        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=40)
+        grid = cli._lambda_grid(cfg)
+        assert cli._chunk_count(2, cli._row_costs("fi-photon", grid, cfg)) == 2
 
     def test_photon_chunks_balance_the_series_cost(self):
         # superradiant rows carry longer series, so the later chunk holds
@@ -256,9 +263,10 @@ class TestStatusAndExitCodes:
 
 
     @pytest.mark.parametrize("points", ["3", "5"])
-    def test_mixed_rows_same_with_jobs(self, capsys, points):
+    def test_mixed_rows_same_with_jobs(self, capsys, monkeypatch, points):
         # the chunk that holds the critical coupling falls back to one point
         # at a time, however the grid is split
+        monkeypatch.setattr(cli, "_WORKER_START_US", 0.0)
         args = [
             "qfi",
             "--lambda-min", "0.4",
@@ -328,6 +336,17 @@ class TestErrorTaxonomy:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "config",
+        ['{"omega": null}', '{"lambda": "0.3"}', '{"n_atoms": true}', '{"lambda": 1' + "0" * 400 + "}"],
+    )
+    def test_model_value_that_is_no_number_is_a_config_error(self, capsys, tmp_path, config):
+        path = tmp_path / "sweep.json"
+        path.write_text(config)
+        code, out = run(capsys, ["qfi", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+
     def test_setup_fault_propagates(self, capsys, monkeypatch):
         def broken(cfg):
             raise ValueError("fault in the grid")
@@ -343,6 +362,27 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, dicke_metrology, dicke_metrology.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_small_sweeps_start_no_pool(tmp_path):
+    # the sweeps of the cli_sweeps benchmark, at --jobs 2: their estimated work
+    # is below one worker's start-up, so they run in this process
+    src = str(Path(dicke_metrology.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    sweeps = [
+        ["qfi", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "200"],
+        ["fi-homodyne", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "200", "--phi", "0,1.0471975511965976"],
+        ["fi-photon", "--lambda-min", "0.35", "--lambda-max", "0.65", "--points", "20", "--exclusion", "0.015"],
+    ]
+    code = (
+        "import sys\n"
+        "from dicke_metrology.cli import main\n"
+        f"for argv in {sweeps!r}:\n"
+        f"    assert main(argv + ['--jobs', '2', '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
