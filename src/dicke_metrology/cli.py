@@ -11,6 +11,7 @@ series are emitted with a status flag instead of being dropped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -125,11 +126,10 @@ def _rows_photon(lams: list[float], cfg: dict) -> list[list]:
 
 def _rows_fi_photon(lams: list[float], cfg: dict) -> list[list]:
     jet = _jet(lams, cfg)
-    rows = []
-    for i, (lam, res) in enumerate(zip(lams, qfi_from_jet(jet))):
-        fi, n_max = fi_photon_counting_from_jet(jet, i)
-        rows.append([lam, fi, res.qfi, fi / res.qfi, n_max])
-    return rows
+    return [
+        [lam, fi, res.qfi, fi / res.qfi, n_max]
+        for lam, res, (fi, n_max) in zip(lams, qfi_from_jet(jet), fi_photon_counting_from_jet(jet))
+    ]
 
 
 _ROW_BUILDERS = {
@@ -164,19 +164,22 @@ def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
     return [[lam] + pad + [status]]
 
 
-# Estimated in-process cost of one row in microseconds, measured on a 2-core
-# x86-64 box (median of repeated one-chunk sweeps of 200 to 2000 points).  A
-# fi-homodyne row costs its share of the jet plus one FI per --phi angle; a
-# fi-photon row sums a photon series of about <n> + 10 sd(n) terms, after a
-# share of the chunk's vectorised layers that costs about as much as 100 terms.
-_ROW_US = {"entanglement": 90.0, "qfi": 5.0, "fi-homodyne": 4.5, "photon": 75.0}
-_ANGLE_US = 1.2
-_TERM_US = 1.5
+# Estimated cost of one row in microseconds: the work a worker takes off this
+# process (`_compute_chunk`; parsing and CSV rendering stay here), as printed
+# by tools/row_costs.py.  A fi-homodyne row costs its share of the jet plus
+# one FI per --phi angle; a fi-photon row sums a photon series of about
+# <n> + 10 sd(n) terms, after a share of the chunk's vectorised layers and a
+# derivative filter that cost about as much as 100 terms.
+_ROW_US = {"entanglement": 120.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 65.0}
+_ANGLE_US = 0.7
+_TERM_US = 1.3
 _ROW_TERMS = 100.0
 _SERIES_SDS = 10.0
-# what each worker process adds to a sweep's wall time on the same box
-# (starting it, pickling its chunk and rows, shutting it down): half the
-# estimated work at which two workers and one chunk take the same time
+# what each worker process adds to a sweep's wall time (starting it, pickling
+# its chunk and rows, shutting it down, and for the vectorised rows the two
+# workers' contention): tools/row_costs.py measured 8 to 81 ms on a shared
+# 2-core x86-64 box, highest for 20000 qfi rows; 30 ms keeps the pool off
+# every sweep on which it measured the pool losing
 _WORKER_START_US = 30_000.0
 
 
@@ -202,9 +205,22 @@ def _row_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
 
 
 def _chunk_count(jobs: int, costs: list[float]) -> int:
-    """How many chunks to run: at most jobs, one per worker whose start-up the work pays for."""
+    """How many chunks to run, at most jobs: the count whose pool saves the most
+    beyond its workers' start-up, or 1 (this process, no pool) if none saves any.
+
+    A pool of k workers saves the estimated work outside its largest
+    contiguous chunk and costs k start-ups.
+    """
     total = math.fsum(costs)
-    return jobs if jobs * _WORKER_START_US <= total else max(1, int(total // _WORKER_START_US))
+    best, best_gain = 1, 0.0
+    for count in range(2, min(jobs, len(costs)) + 1):
+        if total - count * _WORKER_START_US <= best_gain:
+            break  # no pool of this many workers or more can gain more
+        largest = max(math.fsum(chunk) for chunk in _contiguous_chunks(costs, count, costs))
+        gain = total - largest - count * _WORKER_START_US
+        if gain > best_gain:
+            best, best_gain = count, gain
+    return best
 
 
 def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> list[list[float]]:
@@ -241,17 +257,12 @@ def _lambda_grid(cfg: dict) -> list[float]:
     return kept
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.17g}"
-
-
 def _render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
+    # one template a row: "%.17g" prints a double as format(v, ".17g") does,
+    # and an int below 2**53 (n_max, n <= PN_MAX_TERMS) as str(n) does
+    template = ",".join(["%.17g"] * len(columns) + ["%s"])
     lines = [",".join(columns + ("status",))]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -334,14 +345,19 @@ def _load_config(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg["n_atoms"] = int(cfg["n_atoms"])
-    if not all(_finite(phi) for phi in cfg["phi"]):
-        raise ConfigError(f"phi must hold finite angles, got {cfg['phi']!r}")
+    if not isinstance(cfg["phi"], list) or not all(_finite(phi) for phi in cfg["phi"]):
+        raise ConfigError(f"phi must be a list of finite angles, got {cfg['phi']!r}")
+    for key in ("points", "jobs"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if cfg["points"] < 0:
         raise ConfigError("points must be nonnegative")
     if cfg["jobs"] < 1:
         raise ConfigError("jobs must be >= 1")
-    if cfg["exclusion"] < 0:
-        raise ConfigError("exclusion must be nonnegative")
+    if not _finite(cfg["exclusion"]) or cfg["exclusion"] < 0:
+        raise ConfigError(f"exclusion must be a finite nonnegative number, got {cfg['exclusion']!r}")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path or null, got {cfg['out']!r}")
     return cfg
 
 
@@ -352,7 +368,9 @@ def _finite(value) -> bool:
         return False
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON file with the keys the flags below override")
     shared.add_argument("--omega", type=float, help="radiation frequency")
@@ -371,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         help="at most this many worker processes, one contiguous chunk of the grid each; "
-        "a sweep whose estimated work is below one worker's start-up runs in this process",
+        "a sweep runs in this process unless a pool saves more estimated work than its workers' start-up",
     )
     parser = argparse.ArgumentParser(
         prog="dicke-metrology",

@@ -45,15 +45,26 @@ class GaussianState:
             raise ValueError(f"mean must have even positive length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-8 * scale:
-            raise ValueError("cov must be symmetric")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
+        object.__setattr__(self, "cov", _symmetrized(cov))
 
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
+
+
+def _symmetrized(cov: np.ndarray) -> np.ndarray:
+    """(cov + cov^T)/2 of a covariance matrix, or of each matrix of a stack (..., 2M, 2M).
+
+    Raises ValueError unless each is symmetric to 1e-8 of its largest entry
+    magnitude, or of 1 if that is larger.
+    """
+    cov_t = np.swapaxes(cov, -1, -2)
+    # fmax, like max(1.0, x), reads a nan entry as 1
+    scale = np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if (np.abs(cov - cov_t).max(axis=(-2, -1)) > 1e-8 * scale).any():
+        raise ValueError("cov must be symmetric")
+    return (cov + cov_t) / 2.0
 
 
 def require_symplectic(f: np.ndarray) -> None:

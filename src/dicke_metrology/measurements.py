@@ -18,7 +18,7 @@ from . import _kernels
 from .dicke import ATOMIC_MODE, RADIATION_MODE, DickeParams, MomentJet
 from .errors import NonConvergedSeries, UnphysicalStateError
 from .estimation import state_derivative
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _symmetrized
 
 DIAGONAL_TOL = 1e-10
 # a photon series stops where the p(n) mass, and the photon-counting FI, that
@@ -34,6 +34,8 @@ PN_LIMIT_FLOOR = 100
 PN_MAX_TERMS = 10**6
 FI_TERM_FLOOR = 1e-14
 FI_MARGIN = 0.4
+# the radiation mode's quadratures in the moments of a MomentJet
+_RAD = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
 
 
 class Target(str, enum.Enum):
@@ -58,10 +60,17 @@ def _require_in_family(mean: np.ndarray, cov: np.ndarray) -> None:
     keep the x/p-aligned, x-displaced form."""
     if cov.shape != (2, 2):
         raise ValueError(f"expected a single-mode state, got {cov.shape[0] // 2} modes")
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if abs(cov[0, 1]) > DIAGONAL_TOL * scale:
+    _require_aligned(float(mean[0]), float(mean[1]), *cov.ravel().tolist())
+
+
+def _require_aligned(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> None:
+    """`_require_in_family` on the entries of one mode's mean and covariance."""
+    cov = (cxx, cxp, cpx, cpp)
+    # as max(1.0, np.max(np.abs(cov))) reads it: a nan entry leaves the scale at 1
+    scale = 1.0 if any(map(math.isnan, cov)) else max(1.0, *map(abs, cov))
+    if abs(cxp) > DIAGONAL_TOL * scale:
         raise UnphysicalStateError("off-diagonal covariance: outside the x/p-aligned family")
-    if abs(mean[1]) > DIAGONAL_TOL * max(1.0, abs(mean[0])):
+    if abs(mp) > DIAGONAL_TOL * max(1.0, abs(mx)):
         raise UnphysicalStateError("momentum displacement: outside the x-displaced family")
 
 
@@ -132,20 +141,35 @@ def mean_photon_decomposition(state: GaussianState) -> MeanPhotonDecomposition:
 
 
 def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
-    """Inputs (log r00, t, s, c) of the photon-number series of `_kernels` for the state.
+    """Inputs (log r00, t, s, c) of the photon-number series of `_kernels` for the state."""
+    _require_in_family(state.mean, state.cov)
+    return _series_inputs(float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0]))
+
+
+def _series_inputs(sx: float, sp: float, mx: float) -> tuple[float, float, float, float]:
+    """(log r00, t, s, c) of an x/p-aligned mode with variances sx, sp and x mean mx.
 
     With dx = 2 sx + 1 and dp = 2 sp + 1: t = (2 sx - 1)/dx carries the x axis
     and the displacement, s = (2 sp - 1)/dp the bare p axis, c = sqrt(2) mx/dx,
     and p(0) = r00 = 2 exp(-mx^2/dx)/sqrt(dx dp).
     """
-    _require_in_family(state.mean, state.cov)
-    sx, sp, mx = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
     t, s, c = (2.0 * sx - 1.0) / dx, (2.0 * sp - 1.0) / dp, math.sqrt(2.0) * mx / dx
     # r00 = 1 / G(1) from the same t, s, c as the recurrence: the series then
     # sums to one within the rounding of c^2 / (1 - t), ~1e-11 at <n> = 2.5e5,
     # where 2 exp(-mx^2/dx)/sqrt(dx dp) rounds apart from them by up to 1e-10
     return 0.5 * (math.log1p(-s) + math.log1p(-t)) - c * c / (1.0 - t), t, s, c
+
+
+def _series_derivatives(
+    sx: float, sp: float, mx: float, dsx: float, dsp: float, dmx: float
+) -> tuple[float, float, float, float]:
+    """Derivatives (d log r00, dt, ds, dc) of `_series_inputs` along the
+    derivatives dsx, dsp, dmx of its arguments."""
+    dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
+    dlog_r00 = -2.0 * mx * (dmx - mx * dsx / dx) / dx - dsx / dx - dsp / dp
+    dc = math.sqrt(2.0) * (dmx - 2.0 * mx * dsx / dx) / dx
+    return dlog_r00, 4.0 * dsx / (dx * dx), 4.0 * dsp / (dp * dp), dc
 
 
 def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,23 +231,6 @@ def _check_breakdown(probs: np.ndarray) -> None:
         raise UnphysicalStateError(f"photon series broke down: p(n) = {low:.3e}")
 
 
-def _pn_derivative(
-    state: GaussianState, dmean: np.ndarray, dcov: np.ndarray, probs: np.ndarray
-) -> np.ndarray:
-    """dp(n) of the series probs of state, given the derivatives of its moments.
-
-    The chain rule runs through the inputs of `photon_series_inputs`.
-    """
-    _require_in_family(dmean, dcov)
-    _, t, s, c = photon_series_inputs(state)
-    sx, sp, mx = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
-    dsx, dsp, dmx = float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0])
-    dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
-    dlog_r00 = -2.0 * mx * (dmx - mx * dsx / dx) / dx - dsx / dx - dsp / dp
-    dc = math.sqrt(2.0) * (dmx - 2.0 * mx * dsx / dx) / dx
-    return _kernels.pn_derivative(probs, dlog_r00, t, 4.0 * dsx / (dx * dx), s, 4.0 * dsp / (dp * dp), c, dc)
-
-
 def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
     """How many more terms an FI sum ending in `terms` needs; 0 once the FI
     that its tail is estimated to hold is at most tail_tol * fi.
@@ -233,7 +240,7 @@ def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
     odd n; terms below the p(n) floor are zero, and a sum whose last pair is
     zero is finished.
     """
-    last, prev = float(np.sum(terms[-2:])), float(np.sum(terms[-4:-2]))
+    last, prev = float(terms[-2:].sum()), float(terms[-4:-2].sum())
     if last == 0.0:
         return 0
     if not last < prev:
@@ -256,9 +263,52 @@ def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.
     until the FI its tail is estimated to hold is below PN_TAIL_TOL FI.
     Returns (FI, cutoff).
     """
-    mean_n, var_n = photon_number_moments(state.mean, state.cov)
-    limit = _series_limit(mean_n, var_n)
-    series = _kernels.PnSeries(*photon_series_inputs(state))
+    dmean, dcov = np.asarray(dmean, dtype=float), np.asarray(dcov, dtype=float)
+    return _photon_fi_stack(state.mean[None], state.cov[None], dmean[None], dcov[None])[0]
+
+
+def fi_photon_counting_from_jet(jet: MomentJet) -> list[tuple[float, int]]:
+    """Photon-counting Fisher information of the radiation mode at every
+    coupling of the jet, each with the series cutoff it summed over."""
+    return _photon_fi_stack(jet.mean[:, _RAD], jet.cov[:, _RAD, _RAD], jet.dmean[:, _RAD], jet.dcov[:, _RAD, _RAD])
+
+
+def _photon_fi_stack(
+    mean: np.ndarray, cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray
+) -> list[tuple[float, int]]:
+    """(FI, cutoff) of `fi_photon_counting_family` for each member of the stacks
+    mean (n, 2), cov (n, 2, 2) with derivatives dmean (n, 2), dcov (n, 2, 2).
+
+    The symmetry check and the photon-number moments run once for the stack,
+    the family checks and the series inputs once per member in plain floats;
+    each member then sums its own series.
+    """
+    if mean.shape[1:] != (2,) or cov.shape[1:] != (2, 2) or dmean.shape[1:] != (2,) or dcov.shape[1:] != (2, 2):
+        raise ValueError(f"expected the moments of single modes, got cov {cov.shape[1:]}, dcov {dcov.shape[1:]}")
+    cov = _symmetrized(cov)  # the check and the symmetrization of GaussianState
+    # a member gets the bits it gets alone: in the family the x-p and p terms
+    # of Var(n) are below the rounding of the x terms, whatever their order,
+    # and members outside it are refused below before any series runs
+    mean_n, var_n = photon_number_moments(mean, cov)
+    limits = [_series_limit(m, v) for m, v in zip(mean_n.tolist(), var_n.tolist())]
+    members = list(zip(mean.tolist(), cov.reshape(-1, 4).tolist(), dmean.tolist(), dcov.reshape(-1, 4).tolist()))
+    for m, c, dm, dc in members:
+        _require_aligned(*m, *c)
+        _require_aligned(*dm, *dc)
+    return [
+        _photon_fi_row(n, limit, _series_inputs(c[0], c[3], m[0]), _series_derivatives(c[0], c[3], m[0], dc[0], dc[3], dm[0]))
+        for n, limit, (m, c, dm, dc) in zip(mean_n.tolist(), limits, members)
+    ]
+
+
+def _photon_fi_row(
+    mean_n: float, limit: int, inputs: tuple[float, float, float, float], slopes: tuple[float, float, float, float]
+) -> tuple[float, int]:
+    """(FI, cutoff) of one state from its <n>, series limit, series inputs
+    (log r00, t, s, c) and their derivatives (d log r00, dt, ds, dc)."""
+    _, t, s, c = inputs
+    dlog_r00, dt, ds, dc = slopes
+    series = _kernels.PnSeries(*inputs)
     if not series.extend(limit, PN_TAIL_TOL):
         raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
     # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
@@ -270,7 +320,7 @@ def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.
         series.extend(min(limit, series.n_max + more))
         probs = series.probs()
         _check_breakdown(probs)
-        dp = _pn_derivative(state, dmean, dcov, probs)
+        dp = _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
         keep = probs >= FI_TERM_FLOOR
         terms = np.where(keep, dp * dp / np.where(keep, probs, 1.0), 0.0)
         fi = math.fsum(terms.tolist())
@@ -281,17 +331,8 @@ def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.
             raise NonConvergedSeries(f"photon-counting FI tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
 
 
-def fi_photon_counting_from_jet(jet: MomentJet, index: int) -> tuple[float, int]:
-    """Photon-counting Fisher information of the radiation mode at coupling
-    `index` of the jet, with the series cutoff it summed over."""
-    mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
-    return fi_photon_counting_family(
-        GaussianState(jet.mean[index, mode], jet.cov[index, mode, mode]),
-        jet.dmean[index, mode],
-        jet.dcov[index, mode, mode],
-    )
-
-
 def fi_photon_counting(params: DickeParams) -> float:
     """Fisher information of photon counting on the radiation mode."""
-    return fi_photon_counting_from_jet(state_derivative(params), 0)[0]
+    jet = state_derivative(params)
+    state = GaussianState(jet.mean[0, _RAD], jet.cov[0, _RAD, _RAD])
+    return fi_photon_counting_family(state, jet.dmean[0, _RAD], jet.dcov[0, _RAD, _RAD])[0]

@@ -3,8 +3,8 @@
 Truncated Fock-space construction of displaced squeezed thermal states,
 Gaussian pure-state overlaps, purity and the characteristic function,
 direct numerical Fisher-information integrals, the rotated-quadrature
-marginal they integrate, and the ground-state covariance from its six
-closed-form entries.
+marginal they integrate, the ground-state covariance from its six
+closed-form entries, and the CLI's former cell-by-cell CSV formatting.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
@@ -220,3 +220,20 @@ def closed_form_cov(derived: DickeDerived) -> np.ndarray:
     cov[0, 2] = cov[2, 0] = 0.25 * np.sqrt(w * wt) * s2t * (1.0 / ep - 1.0 / em)
     cov[1, 3] = cov[3, 1] = -0.25 * s2t * (em - ep) / np.sqrt(w * wt)
     return cov
+
+
+def csv_cell(value) -> str:
+    """One CSV cell as the CLI printed it cell by cell: a string as is, an
+    integer in decimal, anything else as a double at 17 significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{value:.17g}"
+
+
+def render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
+    """The CLI's CSV table, header and status column included, one cell at a time."""
+    lines = [",".join(columns + ("status",))]
+    lines.extend(",".join(csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

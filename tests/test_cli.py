@@ -1,6 +1,7 @@
 """End-to-end tests of the sweep command-line interface."""
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dicke_metrology
 from dicke_metrology import cli
 from dicke_metrology.cli import EXIT_OK, main
+from oracles import render_csv
 
 
 def run(capsys, argv):
@@ -236,6 +240,54 @@ class TestChunks:
         assert cli._row_costs("fi-photon", [0.4, 0.5, 0.6], cfg) == [1.0] * 3
 
 
+class TestPoolGate:
+    """A pool runs only when the work outside its largest chunk pays for its workers."""
+
+    def test_long_qfi_sweep_runs_in_one_chunk(self):
+        # 100 ms of estimated work, but a 2-worker pool saves only the 50 ms
+        # outside its larger chunk; it took 356 ms against 277 ms in one chunk
+        cfg = dict(cli._DEFAULTS, points=20_000)
+        grid = cli._lambda_grid(cfg)
+        assert cli._chunk_count(2, cli._row_costs("qfi", grid, cfg)) == 1
+
+    def test_short_steep_photon_grid_runs_in_one_chunk(self):
+        # the last couplings hold most of the series work, so one contiguous
+        # chunk holds most of it; the pool took 86 ms against 61 ms
+        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=8)
+        grid = cli._lambda_grid(cfg)
+        assert cli._chunk_count(2, cli._row_costs("fi-photon", grid, cfg)) == 1
+
+    def test_count_that_saves_the_most(self):
+        start = cli._WORKER_START_US
+        # k equal chunks of 12 start-ups of work save 12 - 12/k and cost k:
+        # 4 at k = 2, 5 at k = 3 and at k = 4 (the fewer workers win the tie)
+        assert cli._chunk_count(8, [start] * 12) == 3
+        # 2 chunks of 3 save 1 start-up and cost 2
+        assert cli._chunk_count(2, [start] * 3) == 1
+
+
+class TestRenderCsv:
+    """One %-template a row gives the bytes of the former cell-by-cell formatter."""
+
+    DOUBLES = st.floats() | st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.7976931348623157e308]
+    )
+    STATUSES = st.sampled_from(["ok", "singular", "nonconverged"]) | st.text()
+
+    @given(st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES, st.integers(0, 10**6), STATUSES), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_fi_photon_rows(self, rows):
+        rows = [list(row) for row in rows]
+        assert cli._render_csv(cli._COLUMNS["fi-photon"], rows) == render_csv(cli._COLUMNS["fi-photon"], rows)
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), DOUBLES.map(np.float64), STATUSES), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_pn_rows(self, rows):
+        # the p(n) table: an int column, and doubles as numpy scalars
+        rows = [list(row) for row in rows]
+        assert cli._render_csv(("n", "p"), rows) == render_csv(("n", "p"), rows)
+
+
 class TestStatusAndExitCodes:
     def test_singular_row_exit_3(self, capsys):
         # lambda pinned exactly at the critical coupling
@@ -347,6 +399,27 @@ class TestErrorTaxonomy:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"points": "5"}',
+            '{"points": 5.5}',
+            '{"jobs": 2.5}',
+            '{"jobs": true}',
+            '{"exclusion": "0.1"}',
+            '{"phi": 0.5}',
+            '{"out": true}',
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_a_config_error(self, capsys, tmp_path, config):
+        # these died with a TypeError, ran as if jobs were 1, or (out = true)
+        # wrote the CSV to file descriptor 1 and closed it
+        path = tmp_path / "sweep.json"
+        path.write_text(config)
+        code, out = run(capsys, ["qfi", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+
     def test_setup_fault_propagates(self, capsys, monkeypatch):
         def broken(cfg):
             raise ValueError("fault in the grid")
@@ -386,6 +459,66 @@ def test_small_sweeps_start_no_pool(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _src_env() -> dict:
+    src = str(Path(dicke_metrology.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_parser_built_once_per_process(tmp_path):
+    # not at import, which setup time would pay; then once for every later call
+    out = str(tmp_path / "out.csv")
+    code = (
+        "from dicke_metrology import cli\n"
+        "built = [cli._build_parser.cache_info().misses]\n"
+        "for argv in (['qfi', '--lambda', '0.3'], ['fi-photon', '--lambda', '0.3'], ['qfi', '--lambda', '0.4']):\n"
+        f"    assert cli.main(argv + ['--out', {out!r}]) == 0\n"
+        "    built.append(cli._build_parser.cache_info().misses)\n"
+        "print(built)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[0, 1, 1, 1]"
+
+
+_CALLS = """
+import contextlib, io, json, sys
+from dicke_metrology.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_calls_in_one_process_match_fresh_interpreters(tmp_path):
+    # the shared parser carries nothing from one call to the next
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"lambda": 0.25, "n_atoms": 16, "format": "json"}))
+    qfi = ["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "7"]
+    calls = [
+        qfi,
+        ["fi-homodyne", "--lambda", "0.3", "--phi", "0,0.7"],
+        ["qfi", "--config", str(config)],
+        ["qfi", "--lambda", "0.3", "--format", "xml"],
+        qfi,
+    ]
+
+    def results(argvs):
+        run = subprocess.run(
+            [sys.executable, "-c", _CALLS, json.dumps(argvs)], env=_src_env(), capture_output=True, text=True, check=True
+        )
+        return json.loads(run.stdout)
+
+    sequence = results(calls)
+    assert [code for code, _, _ in sequence] == [0, 0, 0, 2, 0]
+    assert sequence == [results([argv])[0] for argv in calls]
 
 
 # documented entry points that nothing else in the package has to call: the

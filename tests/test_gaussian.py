@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dicke_metrology.gaussian import (
     GaussianState,
+    _symmetrized,
     SingularCovarianceError,
     UnphysicalStateError,
     log_negativity,
@@ -98,6 +99,18 @@ class TestGaussianState:
         cov[0, 1] = 1e-12
         state = GaussianState(np.zeros(2), cov)
         assert np.array_equal(state.cov, state.cov.T)
+
+    def test_stack_checked_member_by_member(self):
+        # the rule GaussianState applies, run once over a stack of covariances
+        rng = np.random.default_rng(3)
+        covs = rng.normal(size=(5, 2, 2))
+        covs = covs @ np.swapaxes(covs, -1, -2) + 1e-9 * rng.normal(size=(5, 2, 2))
+        stacked = _symmetrized(covs)
+        for cov, member in zip(covs, stacked):
+            assert np.array_equal(member, GaussianState(np.zeros(2), cov).cov)
+        covs[3, 0, 1] += 0.1
+        with pytest.raises(ValueError, match="symmetric"):
+            _symmetrized(covs)
 
     def test_roundtrip_dict(self):
         rng = np.random.default_rng(7)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_metrology import measurements
-from dicke_metrology.dicke import DickeParams, derive, ground_state, reduced_radiation_state
+from dicke_metrology import _kernels, measurements
+from dicke_metrology.dicke import DickeParams, MomentJet, derive, ground_state, moment_jet, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.estimation import qfi, state_derivative
 from dicke_metrology.gaussian import GaussianState, partial_trace
@@ -17,7 +17,6 @@ from dicke_metrology.measurements import (
     HomodyneSetting,
     Target,
     _fi_tail_terms,
-    _pn_derivative,
     dsts_params,
     fi_homodyne,
     fi_photon_counting,
@@ -29,6 +28,14 @@ from dicke_metrology.measurements import (
     photon_series_inputs,
 )
 from oracles import fi_gauss_hermite, quadrature_distribution, vacuum_state
+
+
+def pn_derivative(state, dmean, dcov, probs):
+    """dp(n) of the series probs of state along the derivatives dmean, dcov of its moments."""
+    _, t, s, c = photon_series_inputs(state)
+    moments = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
+    dlog_r00, dt, ds, dc = measurements._series_derivatives(*moments, float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0]))
+    return _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
 
 
 def dsts_state(n_th, r, gamma):
@@ -387,7 +394,7 @@ class TestPhotonCountingFi:
         state = reduced_radiation_state(params)
         center = photon_distribution(state)
         sd = state_derivative(params)
-        dp = _pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], center.probs)
+        dp = pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], center.probs)
 
         def probs_at(x):
             side = reduced_radiation_state(DickeParams(lam=x, n_atoms=n_atoms))
@@ -403,12 +410,12 @@ class TestPhotonCountingFi:
         # N = 100, lam = 0.495 a cutoff of 10 <n> + 50 left 1.3e-8 of the FI
         for lam, n_atoms in ((0.45, 100), (0.495, 100), (0.55, 100), (1.0, 1000)):
             params = DickeParams(lam=lam, n_atoms=n_atoms)
-            fi, n_max = fi_photon_counting_from_jet(state_derivative(params), 0)
+            [(fi, n_max)] = fi_photon_counting_from_jet(state_derivative(params))
             state = reduced_radiation_state(params)
             assert photon_distribution(state, n_max=n_max).tail_mass < PN_TAIL_TOL
             sd = state_derivative(params)
             longer = photon_distribution(state, n_max=2 * n_max).probs
-            dp = _pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], longer)
+            dp = pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], longer)
             keep = longer >= FI_TERM_FLOOR
             assert fi == pytest.approx(math.fsum((dp[keep] ** 2 / longer[keep]).tolist()), rel=1e-10)
 
@@ -421,6 +428,50 @@ class TestPhotonCountingFi:
             for x in (0.5, 0.9, 0.99, 1.01, 1.1, 1.5):
                 params = DickeParams(lam=0.5 * x, n_atoms=n_atoms)
                 mass_total += photon_distribution(reduced_radiation_state(params)).n_max
-                fi_total += fi_photon_counting_from_jet(state_derivative(params), 0)[1]
+                fi_total += fi_photon_counting_from_jet(state_derivative(params))[0][1]
         assert mass_total <= 1.1 * 7775
         assert fi_total <= 1.1 * 8454
+
+
+class TestPhotonFiStack:
+    """The checks and series inputs run once per jet; every coupling keeps its bits."""
+
+    @pytest.mark.parametrize("n_atoms", [100, 1000])
+    def test_stack_matches_one_coupling_at_a_time(self, n_atoms):
+        lams = [0.1, 0.3, 0.45, 0.49, 0.51, 0.55, 0.7, 1.0]
+        batch = fi_photon_counting_from_jet(moment_jet(lams, 1.0, 1.0, n_atoms))
+        alone = [fi_photon_counting_from_jet(moment_jet([lam], 1.0, 1.0, n_atoms))[0] for lam in lams]
+        assert batch == alone
+        assert [fi for fi, _ in batch] == [fi_photon_counting(DickeParams(lam=lam, n_atoms=n_atoms)) for lam in lams]
+
+    @given(
+        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3, *[st.floats(-1.0, 1.0)] * 2), min_size=1, max_size=6)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_moments_of_a_stack_match_each_member(self, members):
+        # <n> sets the first FI cutoff and Var(n) the series limit: a stack of
+        # states in the photon-counting family (p mean and x-p covariance
+        # within DIAGONAL_TOL) must give each member the bits it gets alone
+        tol = measurements.DIAGONAL_TOL
+        mean = np.array([[m0, tol * max(1.0, abs(m0)) * u] for m0, _, _, u, _ in members])
+        cov = np.array([[[a, c], [c, b]] for _, a, b, _, w in members for c in [tol * max(1.0, abs(a), abs(b)) * w]])
+        mean_n, var_n = photon_number_moments(mean, cov)
+        for i in range(len(members)):
+            assert (mean_n[i], var_n[i]) == photon_number_moments(mean[i], cov[i])
+
+    def _jet(self):
+        jet = moment_jet([0.2, 0.3, 0.4, 0.6], 1.0, 1.0, 100)
+        return MomentJet(jet.mean.copy(), jet.cov.copy(), jet.dmean.copy(), jet.dcov.copy())
+
+    def test_derivative_outside_the_family_rejected_in_a_stack(self):
+        jet = self._jet()
+        jet.dcov[2, 0, 1] = jet.dcov[2, 1, 0] = 0.1
+        with pytest.raises(UnphysicalStateError):
+            fi_photon_counting_from_jet(jet)
+
+    def test_asymmetric_member_rejected_in_a_stack(self):
+        jet = self._jet()
+        jet.cov[1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            fi_photon_counting_from_jet(jet)
+
