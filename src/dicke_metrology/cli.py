@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -22,13 +23,13 @@ from .dicke import RADIATION_MODE, DickeParams, MomentJet, _checked_couplings, d
 from .dicke import moment_jet, reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
-from .gaussian import GaussianState, partial_trace, state_to_dict, symplectic_spectrum, wigner_at
+from .gaussian import state_to_dict, symplectic_spectrum, wigner_at
 from .measurements import (
     HomodyneSetting,
     Target,
+    _radiation_decompositions,
     fi_homodyne_from_jet,
     fi_photon_counting_from_jet,
-    mean_photon_decomposition,
     photon_distribution,
     photon_number_moments,
 )
@@ -80,9 +81,8 @@ def _jet(lams: list[float], cfg: dict) -> MomentJet:
     return moment_jet(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
 
 
-def _states(lams: list[float], cfg: dict) -> list[GaussianState]:
-    mean, cov = ground_moments(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
-    return [GaussianState(m, c) for m, c in zip(mean, cov)]
+def _moments(lams: list[float], cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    return ground_moments(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
 
 
 # Row builders map a contiguous chunk of the grid to its rows, in grid order;
@@ -90,11 +90,8 @@ def _states(lams: list[float], cfg: dict) -> list[GaussianState]:
 
 
 def _rows_entanglement(lams: list[float], cfg: dict) -> list[list]:
-    rows = []
-    for lam, st in zip(lams, _states(lams, cfg)):
-        spec = symplectic_spectrum(st.cov)
-        rows.append([lam, spec.log_negativity, spec.ppt_d_minus])
-    return rows
+    spec = symplectic_spectrum(_moments(lams, cfg)[1])
+    return [list(row) for row in zip(lams, spec.log_negativity.tolist(), spec.ppt_d_minus.tolist())]
 
 
 def _rows_qfi(lams: list[float], cfg: dict) -> list[list]:
@@ -117,11 +114,10 @@ def _rows_fi_homodyne(lams: list[float], cfg: dict) -> list[list]:
 
 
 def _rows_photon(lams: list[float], cfg: dict) -> list[list]:
-    rows = []
-    for lam, st in zip(lams, _states(lams, cfg)):
-        d = mean_photon_decomposition(partial_trace(st, [RADIATION_MODE]))
-        rows.append([lam, d.n_s, d.thermal, d.coherent, d.total])
-    return rows
+    return [
+        [lam, d.n_s, d.thermal, d.coherent, d.total]
+        for lam, d in zip(lams, _radiation_decompositions(*_moments(lams, cfg)))
+    ]
 
 
 def _rows_fi_photon(lams: list[float], cfg: dict) -> list[list]:
@@ -164,13 +160,13 @@ def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
     return [[lam] + pad + [status]]
 
 
-# Estimated cost of one row in microseconds: the work a worker takes off this
-# process (`_compute_chunk`; parsing and CSV rendering stay here), as printed
-# by tools/row_costs.py.  A fi-homodyne row costs its share of the jet plus
-# one FI per --phi angle; a fi-photon row sums a photon series of about
-# <n> + 10 sd(n) terms, after a share of the chunk's vectorised layers and a
-# derivative filter that cost about as much as 100 terms.
-_ROW_US = {"entanglement": 120.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 65.0}
+# Estimated cost of one row in microseconds, as tools/row_costs.py prints it:
+# the work a worker takes off this process (`_compute_chunk`; parsing and CSV
+# rendering stay here).  Each row costs its share of the chunk's stacked
+# moments, plus one FI per --phi angle for fi-homodyne; a fi-photon row sums a
+# photon series of about <n> + 10 sd(n) terms, after a share of the vectorised
+# layers and a derivative filter that cost about as much as 100 terms.
+_ROW_US = {"entanglement": 17.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 13.0}
 _ANGLE_US = 0.7
 _TERM_US = 1.3
 _ROW_TERMS = 100.0
@@ -194,7 +190,7 @@ def _row_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
     if command != "fi-photon":
         return [_ROW_US[command]] * len(grid)
     try:
-        mean, cov = ground_moments(grid, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+        mean, cov = _moments(grid, cfg)
     except _DOMAIN_ERRORS:
         # a grid that holds the critical coupling: equal weights, far below
         # any series, so the sweep runs in this process
@@ -269,8 +265,6 @@ def _render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
 def _json_cell(value):
     if isinstance(value, float) and math.isnan(value):
         return None
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 
@@ -281,12 +275,26 @@ def _render_json(columns: tuple[str, ...], rows: list[list], extra: dict | None 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(cfg: dict, columns: tuple[str, ...], rows: list[list], out: str | None, extra: dict | None = None) -> None:
+    """The table in the configured format, written to the path out, or to stdout."""
+    text = _render_csv(columns, rows) if cfg["format"] == "csv" else _render_json(columns, rows, extra)
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
+
+
+def _require_writable(paths: list[str | None]) -> None:
+    """Raise ConfigError unless each output path opens for writing; create no file."""
+    for path in (p for p in paths if p is not None):
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a", encoding="ascii").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        if not existed:
+            os.remove(path)
 
 
 def _pn_out_path(out: str | None) -> str | None:
@@ -308,21 +316,9 @@ def _load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    overrides = {
-        "omega": args.omega,
-        "omega0": args.omega0,
-        "n_atoms": args.n_atoms,
-        "lambda": args.lam,
-        "lambda_min": args.lambda_min,
-        "lambda_max": args.lambda_max,
-        "points": args.points,
-        "exclusion": args.exclusion,
-        "format": args.format,
-        "out": args.out,
-        "jobs": args.jobs,
-        "target": args.target,
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    # each flag but --config and --phi overrides the config key of its own name
+    flags = vars(args)
+    cfg.update({key: flags[key] for key in _DEFAULTS if key != "phi" and flags[key] is not None})
     if args.phi is not None:
         try:
             cfg["phi"] = [float(tok) for tok in args.phi.split(",") if tok.strip()]
@@ -376,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--omega", type=float, help="radiation frequency")
     shared.add_argument("--omega0", type=float, help="atomic level splitting")
     shared.add_argument("--n-atoms", type=int, help="atom number N")
-    shared.add_argument("--lambda", dest="lam", type=float, help="single coupling instead of a grid")
+    shared.add_argument("--lambda", type=float, help="single coupling instead of a grid")
     shared.add_argument("--lambda-min", type=float)
     shared.add_argument("--lambda-max", type=float)
     shared.add_argument("--points", type=int, help="grid points (per axis for wigner)")
@@ -411,22 +407,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_wigner(cfg: dict) -> int:
     if cfg["lambda"] is None:
         raise ConfigError("wigner needs --lambda")
-    points = cfg["points"] if cfg["points"] else 41
     params = _params(cfg, float(cfg["lambda"]))
     state = reduced_radiation_state(params)
-    sx, sp = math.sqrt(state.cov[0, 0]), math.sqrt(state.cov[1, 1])
-    xs = np.linspace(state.mean[0] - 6 * sx, state.mean[0] + 6 * sx, points)
-    ps = np.linspace(state.mean[1] - 6 * sp, state.mean[1] + 6 * sp, points)
-    rows = [[float(x), float(p), wigner_at(state, np.array([x, p])), "ok"] for x in xs for p in ps]
-    if cfg["format"] == "csv":
-        text = _render_csv(_COLUMNS["wigner"], rows)
-    else:
-        extra = {
-            "derived": derived_to_dict(derive(params)),
-            "state": state_to_dict(state),
-        }
-        text = _render_json(_COLUMNS["wigner"], rows, extra)
-    _write(text, cfg["out"])
+    # mean +- 6 sd along x and along p, then every (x, p) pair, x outer
+    sds = np.sqrt(np.diag(state.cov))
+    axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"] or 41) for m, sd in zip(state.mean, sds)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    rows = [[x, p, w, "ok"] for (x, p), w in zip(grid.tolist(), wigner_at(state, grid).tolist())]
+    extra = {"derived": derived_to_dict(derive(params)), "state": state_to_dict(state)}
+    _write(cfg, _COLUMNS["wigner"], rows, cfg["out"], extra)
     return EXIT_OK
 
 
@@ -434,23 +423,21 @@ def _run_photon_pn(cfg: dict, lam: float) -> int:
     try:
         dist = photon_distribution(reduced_radiation_state(_params(cfg, lam)))
         rows = [[int(n), float(p), "ok"] for n, p in enumerate(dist.probs)]
-        code = EXIT_OK
     except NonConvergedSeries:
         rows = [[0, math.nan, "nonconverged"]]
-        code = EXIT_NUMERICAL
     except _DOMAIN_ERRORS:
         rows = [[0, math.nan, "singular"]]
-        code = EXIT_NUMERICAL
-    columns = ("n", "p")
-    text = _render_csv(columns, rows) if cfg["format"] == "csv" else _render_json(columns, rows)
-    _write(text, _pn_out_path(cfg["out"]))
-    return code
+    _write(cfg, ("n", "p"), rows, _pn_out_path(cfg["out"]))
+    return EXIT_OK if rows[0][-1] == "ok" else EXIT_NUMERICAL
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        pn_table = args.command == "photon" and cfg["lambda"] is not None
+        # before any work, so that an unopenable path does not end a finished sweep
+        _require_writable([cfg["out"], _pn_out_path(cfg["out"]) if pn_table else None])
         if args.command == "wigner":
             return _run_wigner(cfg)
         grid = _lambda_grid(cfg)
@@ -472,13 +459,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parts = [_compute_chunk(tasks[0])]
     rows = [row for part in parts for row in part]
-    columns = _COLUMNS[args.command]
-    text = _render_csv(columns, rows) if cfg["format"] == "csv" else _render_json(columns, rows)
-    _write(text, cfg["out"])
+    _write(cfg, _COLUMNS[args.command], rows, cfg["out"])
     code = EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_NUMERICAL
-    if args.command == "photon" and cfg["lambda"] is not None:
-        pn_code = _run_photon_pn(cfg, float(cfg["lambda"]))
-        code = max(code, pn_code)
+    if pn_table:
+        code = max(code, _run_photon_pn(cfg, float(cfg["lambda"])))
     return code
 
 

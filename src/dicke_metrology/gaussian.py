@@ -94,59 +94,62 @@ def partial_trace(state: GaussianState, keep: list[int] | tuple[int, ...]) -> Ga
 
 @dataclass(frozen=True)
 class SymplecticSpectrum:
-    """Symplectic eigenvalues of a two-mode covariance matrix.
+    """Symplectic eigenvalues of a two-mode covariance matrix, or of each of a stack.
 
     ``d_minus <= d_plus`` are the eigenvalues of the state itself;
     ``ppt_d_minus <= ppt_d_plus`` those of its partial transpose.
     ``i1 .. i4`` are the symplectic invariants det A, det B, det C, det cov
-    for the block form cov = ((A, C), (C^T, B)).
+    for the block form cov = ((A, C), (C^T, B)).  Fields have the stack's shape.
     """
 
-    d_plus: float
-    d_minus: float
-    ppt_d_plus: float
-    ppt_d_minus: float
-    i1: float
-    i2: float
-    i3: float
-    i4: float
+    d_plus: float | np.ndarray
+    d_minus: float | np.ndarray
+    ppt_d_plus: float | np.ndarray
+    ppt_d_minus: float | np.ndarray
+    i1: float | np.ndarray
+    i2: float | np.ndarray
+    i3: float | np.ndarray
+    i4: float | np.ndarray
 
     @property
-    def log_negativity(self) -> float:
+    def log_negativity(self) -> float | np.ndarray:
         """Logarithmic negativity E_N = max(0, -ln(2 ppt_d_minus))."""
-        return max(0.0, -np.log(2.0 * self.ppt_d_minus))
+        # max(0.0, x) bit for bit: fmax reads a nan as 0.0, and + 0.0 turns -0.0 into 0.0
+        return np.fmax(-np.log(2.0 * self.ppt_d_minus), 0.0) + 0.0
 
 
-def _check_invariants(delta: float, det: float, scale: float) -> None:
+def _check_invariants(delta: np.ndarray, det: np.ndarray, tol: np.ndarray) -> None:
     rad = delta * delta - 4.0 * det
-    if rad < -1e-10 * max(1.0, scale):
-        raise UnphysicalStateError(f"negative discriminant {rad:.3e} in symplectic spectrum")
-    if (delta - np.sqrt(max(rad, 0.0))) / 2.0 < -1e-10 * max(1.0, scale):
+    if (rad < tol).any():
+        raise UnphysicalStateError(f"negative discriminant {np.extract(rad < tol, rad)[0]:.3e} in symplectic spectrum")
+    if ((delta - np.sqrt(np.maximum(rad, 0.0))) / 2.0 < tol).any():
         raise UnphysicalStateError("negative squared symplectic eigenvalue")
 
 
-def _eigen_pair(cov: np.ndarray) -> tuple[float, float]:
+def _eigen_pair(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # d+- = sqrt((Delta +- sqrt(Delta^2 - 4 det))/2) in terms of the invariants;
     # evaluated through eig(Omega cov), whose error stays linear in machine
     # epsilon at the degenerate spectra of pure states (the determinant route
     # loses half the digits there through radicand cancellation).
     ev = np.linalg.eigvals(symplectic_form(2) @ cov)
-    d = np.sort(np.abs(ev.imag))
-    return (d[2] + d[3]) / 2.0, (d[0] + d[1]) / 2.0
+    d = np.sort(np.abs(ev.imag), axis=-1)
+    return (d[..., 2] + d[..., 3]) / 2.0, (d[..., 0] + d[..., 1]) / 2.0
 
 
 def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
-    """Spectrum of a two-mode covariance matrix and its partial transpose."""
+    """Spectrum of a two-mode covariance matrix and its partial transpose, or of
+    each matrix of a stack (..., 4, 4), with the bits that matrix gets alone."""
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
+    if cov.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
-    a = np.linalg.det(cov[:2, :2])
-    b = np.linalg.det(cov[2:, 2:])
-    c = np.linalg.det(cov[:2, 2:])
+    a = np.linalg.det(cov[..., :2, :2])
+    b = np.linalg.det(cov[..., 2:, 2:])
+    c = np.linalg.det(cov[..., :2, 2:])
     det = np.linalg.det(cov)
-    scale = float(np.max(np.abs(cov))) ** 4
-    _check_invariants(a + b + 2.0 * c, det, scale)
-    _check_invariants(a + b - 2.0 * c, det, scale)
+    # each matrix at its own scale; fmax, like max(1.0, x), reads a nan scale as 1
+    tol = -1e-10 * np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)) ** 4)
+    _check_invariants(a + b + 2.0 * c, det, tol)
+    _check_invariants(a + b - 2.0 * c, det, tol)
     d_plus, d_minus = _eigen_pair(cov)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     ppt_plus, ppt_minus = _eigen_pair(flip @ cov @ flip)
@@ -158,18 +161,18 @@ def log_negativity(cov: np.ndarray) -> float:
     return symplectic_spectrum(cov).log_negativity
 
 
-def wigner_at(state: GaussianState, point: np.ndarray) -> float:
-    """Wigner function at a phase-space point; integrates to one over phase space."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != state.mean.shape:
-        raise ValueError(f"point shape {point.shape} does not match state dimension")
+def wigner_at(state: GaussianState, points: np.ndarray) -> float | np.ndarray:
+    """Wigner function, normalised over phase space, at a point (2M,) or at each of a stack (..., 2M)."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != state.mean.shape:
+        raise ValueError(f"point shape {points.shape} does not match state dimension")
     sign, logdet = np.linalg.slogdet(state.cov)
     if sign <= 0:
         raise SingularCovarianceError("covariance determinant is not positive")
-    delta = point - state.mean
-    quad = delta @ np.linalg.solve(state.cov, delta)
-    m = state.n_modes
-    return float(np.exp(-0.5 * quad - m * np.log(2.0 * np.pi) - 0.5 * logdet))
+    delta = points - state.mean
+    # a matmul per point keeps the bits of `delta @ solve(cov, delta)`; np.sum does not
+    quad = (delta[..., None, :] @ np.linalg.solve(state.cov, delta[..., None]))[..., 0, 0]
+    return np.exp(-0.5 * quad - state.n_modes * np.log(2.0 * np.pi) - 0.5 * logdet)
 
 
 def state_to_dict(state: GaussianState) -> dict:

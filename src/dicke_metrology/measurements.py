@@ -107,14 +107,18 @@ class DstsParams:
 def dsts_params(state: GaussianState) -> DstsParams:
     """Thermal occupation, squeezing, and displacement of an x/p-aligned state."""
     _require_in_family(state.mean, state.cov)
-    sx, sp = float(state.cov[0, 0]), float(state.cov[1, 1])
+    return _dsts(float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0]))
+
+
+def _dsts(sx: float, sp: float, mx: float) -> DstsParams:
+    """`dsts_params` of an x/p-aligned mode with variances sx, sp and x mean mx."""
     det = sx * sp
     if det < 0.25 * (1.0 - 1e-9):
         raise UnphysicalStateError(f"covariance determinant {det:.6e} below the vacuum bound 1/4")
     n_th = max(0.0, math.sqrt(det) - 0.5)
     r = 0.25 * math.log(sx / sp)
     n_s = math.sinh(r) ** 2
-    return DstsParams(n_th=n_th, r=r, n_s=n_s, gamma=float(state.mean[0]) / math.sqrt(2.0))
+    return DstsParams(n_th=n_th, r=r, n_s=n_s, gamma=mx / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,22 @@ class MeanPhotonDecomposition:
 
 def mean_photon_decomposition(state: GaussianState) -> MeanPhotonDecomposition:
     """<N> = n_s + n_th (1 + 2 n_s) + gamma^2, reported term by term."""
-    d = dsts_params(state)
+    return _decomposition(dsts_params(state))
+
+
+def _decomposition(d: DstsParams) -> MeanPhotonDecomposition:
     thermal = d.n_th * (1.0 + 2.0 * d.n_s)
     coherent = d.gamma * d.gamma
-    return MeanPhotonDecomposition(
-        n_s=d.n_s,
-        thermal=thermal,
-        coherent=coherent,
-        total=d.n_s + thermal + coherent,
-    )
+    return MeanPhotonDecomposition(d.n_s, thermal, coherent, d.n_s + thermal + coherent)
+
+
+def _radiation_decompositions(mean: np.ndarray, cov: np.ndarray) -> list[MeanPhotonDecomposition]:
+    """`mean_photon_decomposition` of the radiation mode at each coupling of `ground_moments`."""
+    cov = _symmetrized(cov)  # the check and the symmetrization of GaussianState
+    members = list(zip(mean[:, _RAD].tolist(), cov[:, _RAD, _RAD].reshape(-1, 4).tolist()))
+    for m, c in members:
+        _require_aligned(*m, *c)
+    return [_decomposition(_dsts(c[0], c[3], m[0])) for m, c in members]
 
 
 def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:

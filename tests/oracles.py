@@ -4,7 +4,8 @@ Truncated Fock-space construction of displaced squeezed thermal states,
 Gaussian pure-state overlaps, purity and the characteristic function,
 direct numerical Fisher-information integrals, the rotated-quadrature
 marginal they integrate, the ground-state covariance from its six
-closed-form entries, and the CLI's former cell-by-cell CSV formatting.
+closed-form entries, the CLI's former cell-by-cell CSV formatting, and its
+former per-row builders for entanglement, photon and Wigner tables.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
@@ -18,10 +19,10 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from dicke_metrology.dicke import DickeDerived
+from dicke_metrology.dicke import RADIATION_MODE, DickeDerived, DickeParams, ground_moments, reduced_radiation_state
 from dicke_metrology.errors import SingularCovarianceError, UnphysicalStateError
-from dicke_metrology.gaussian import GaussianState, symplectic_form
-from dicke_metrology.measurements import DstsParams
+from dicke_metrology.gaussian import GaussianState, partial_trace, symplectic_form, symplectic_spectrum
+from dicke_metrology.measurements import DstsParams, mean_photon_decomposition
 
 TRACE_LOSS_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -237,3 +238,48 @@ def render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
     lines = [",".join(columns + ("status",))]
     lines.extend(",".join(csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+# The CLI's former per-row path: a GaussianState per coupling, its partial
+# trace and the scalar spectrum and decomposition, and the Wigner grid one
+# point at a time.  The row builders take (couplings, config) as the CLI's do.
+
+
+def _states(lams: list[float], cfg: dict) -> list[GaussianState]:
+    mean, cov = ground_moments(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+    return [GaussianState(m, c) for m, c in zip(mean, cov)]
+
+
+def entanglement_rows_per_state(lams: list[float], cfg: dict) -> list[list]:
+    rows = []
+    for lam, st in zip(lams, _states(lams, cfg)):
+        spec = symplectic_spectrum(st.cov)
+        rows.append([lam, max(0.0, -np.log(2.0 * spec.ppt_d_minus)), spec.ppt_d_minus])
+    return rows
+
+
+def photon_rows_per_state(lams: list[float], cfg: dict) -> list[list]:
+    rows = []
+    for lam, st in zip(lams, _states(lams, cfg)):
+        d = mean_photon_decomposition(partial_trace(st, [RADIATION_MODE]))
+        rows.append([lam, d.n_s, d.thermal, d.coherent, d.total])
+    return rows
+
+
+def wigner_at_point(state: GaussianState, point: np.ndarray) -> float:
+    """Wigner function at one phase-space point, with the quadratic form as a 1-D dot product."""
+    sign, logdet = np.linalg.slogdet(state.cov)
+    if sign <= 0:
+        raise SingularCovarianceError("covariance determinant is not positive")
+    delta = point - state.mean
+    quad = delta @ np.linalg.solve(state.cov, delta)
+    return float(np.exp(-0.5 * quad - state.n_modes * np.log(2.0 * np.pi) - 0.5 * logdet))
+
+
+def wigner_rows_per_point(params: DickeParams, points: int) -> tuple[GaussianState, list[list]]:
+    """The radiation state and the rows of the CLI's Wigner table, one point at a time."""
+    state = reduced_radiation_state(params)
+    sx, sp = math.sqrt(state.cov[0, 0]), math.sqrt(state.cov[1, 1])
+    xs = np.linspace(state.mean[0] - 6 * sx, state.mean[0] + 6 * sx, points)
+    ps = np.linspace(state.mean[1] - 6 * sp, state.mean[1] + 6 * sp, points)
+    return state, [[float(x), float(p), wigner_at_point(state, np.array([x, p])), "ok"] for x in xs for p in ps]

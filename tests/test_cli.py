@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import dicke_metrology
 from dicke_metrology import cli
 from dicke_metrology.cli import EXIT_OK, main
-from oracles import render_csv
+from dicke_metrology.dicke import derive, derived_to_dict
+from dicke_metrology.gaussian import state_to_dict
+from oracles import entanglement_rows_per_state, photon_rows_per_state, render_csv, wigner_rows_per_point
 
 
 def run(capsys, argv):
@@ -127,6 +129,8 @@ class TestDeterminism:
             (["fi-homodyne", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6", "--phi", "0,1.0"], ["3"]),
             (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
             (["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "4"], ["2", "3"]),
+            (["entanglement", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
+            (["photon", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
             # more jobs than grid points
             (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "3"], ["7"]),
             (["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "3"], ["7"]),
@@ -420,6 +424,25 @@ class TestErrorTaxonomy:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [["qfi", "--lambda", "0.3"], ["photon", "--lambda", "0.3"], ["wigner", "--lambda", "0.3"]])
+    def test_unopenable_out_is_a_config_error(self, capsys, monkeypatch, tmp_path, argv):
+        # these ran the whole sweep, then stopped with a FileNotFoundError traceback
+        # and exit 1; now nothing is computed before the check
+        monkeypatch.setattr(cli, "_compute_chunk", None)
+        monkeypatch.setattr(cli, "reduced_radiation_state", None)
+        code = main(argv + ["--out", str(tmp_path / "missing" / "table.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error: cannot write ")
+
+    def test_unopenable_pn_out_is_a_config_error(self, capsys, tmp_path):
+        # the photon table was written, then opening its p(n) table raised
+        (tmp_path / "photon_pn.csv").mkdir()
+        code = main(["photon", "--lambda", "0.3", "--out", str(tmp_path / "photon.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["photon_pn.csv"]
+
     def test_setup_fault_propagates(self, capsys, monkeypatch):
         def broken(cfg):
             raise ValueError("fault in the grid")
@@ -539,6 +562,7 @@ ENTRY_POINTS = {
     "measurements.Target",
     "measurements.fi_homodyne",
     "measurements.fi_photon_counting",
+    "measurements.mean_photon_decomposition",
     "measurements.photon_distribution",
 }
 
@@ -670,6 +694,55 @@ class TestWigner:
             np.trapezoid(grid, dx=ps[1] - ps[0]), dx=xs[1] - xs[0]
         )
         assert integral == pytest.approx(1.0, abs=1e-3)
+
+
+class TestPerRowReference:
+    """entanglement, photon and wigner print the bytes of the former per-row path
+    (tests/oracles.py): a GaussianState per coupling, and the Wigner grid point by point."""
+
+    GRIDS = [
+        ["--lambda", "0"],
+        ["--lambda-min", "0.05", "--lambda-max", "0.95", "--points", "19"],
+        ["--omega0", "2", "--lambda-min", "0.01", "--lambda-max", "2", "--points", "25"],
+        ["--n-atoms", "1", "--lambda-min", "0.01", "--lambda-max", "2", "--points", "25"],
+        ["--n-atoms", "10000", "--lambda-min", "0.01", "--lambda-max", "2", "--points", "25"],
+        # a grid, not --lambda: the photon p(n) table would sum ~2.5e5 terms
+        ["--lambda-min", "49", "--lambda-max", "50", "--points", "2"],
+        ["--lambda", "0.7"],
+        # through lambda_c: the critical row reads singular and the others ok
+        ["--lambda-min", "0.4", "--lambda-max", "0.5", "--points", "3", "--exclusion", "0"],
+        ["--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "21", "--exclusion", "0"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize(
+        "command, builder", [("entanglement", entanglement_rows_per_state), ("photon", photon_rows_per_state)]
+    )
+    def test_rows(self, capsys, monkeypatch, command, builder, grid, fmt):
+        argv = [command, *grid, "--format", fmt]
+        batched = run(capsys, argv)
+        monkeypatch.setitem(cli._ROW_BUILDERS, command, builder)
+        assert run(capsys, argv) == batched
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "lam, n_atoms, omega0", [(0.0, 100, 1.0), (0.3, 100, 1.0), (0.7, 100, 1.0), (2.5, 100, 1.0), (0.3, 1, 2.0), (50.0, 10_000, 1.0)]
+    )
+    def test_wigner(self, capsys, lam, n_atoms, omega0, fmt):
+        argv = ["wigner", "--lambda", repr(lam), "--n-atoms", str(n_atoms), "--omega0", repr(omega0), "--points", "41"]
+        code, out = run(capsys, argv + ["--format", fmt])
+        params = dicke_metrology.DickeParams(lam=lam, n_atoms=n_atoms, omega0=omega0)
+        state, rows = wigner_rows_per_point(params, 41)
+        columns = cli._COLUMNS["wigner"]
+        if fmt == "csv":
+            expected = render_csv(columns, rows)
+        else:
+            doc = {"columns": [*columns, "status"], "rows": rows}
+            doc.update(derived=derived_to_dict(derive(params)), state=state_to_dict(state))
+            expected = json.dumps(doc, indent=2) + "\n"
+        assert code == 0
+        assert out == expected
 
 
 class TestPhotonTables:

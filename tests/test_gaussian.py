@@ -8,6 +8,7 @@ from dicke_metrology.gaussian import (
     GaussianState,
     _symmetrized,
     SingularCovarianceError,
+    SymplecticSpectrum,
     UnphysicalStateError,
     log_negativity,
     partial_trace,
@@ -250,6 +251,75 @@ class TestSpectrumAndEntanglement:
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
             symplectic_spectrum(np.diag([1.0, -1.0, 1.0, 1.0]))
+
+
+ANGLES = st.floats(0.0, 2 * np.pi)
+SQUEEZINGS = st.floats(-3.0, 3.0)
+OCCUPATIONS = st.floats(0.0, 5.0)
+
+
+@st.composite
+def physical_two_mode_covs(draw):
+    # local rotations and squeezers up to r = 3 on a thermal diagonal, then a
+    # beam splitter that entangles the two squeezed modes
+    blocks = np.zeros((4, 4))
+    for m in (0, 1):
+        blocks[2 * m:2 * m + 2, 2 * m:2 * m + 2] = rotation(draw(ANGLES)) @ squeezer(draw(SQUEEZINGS)) @ rotation(draw(ANGLES))
+    f = beamsplitter(draw(ANGLES)) @ blocks
+    nu = [draw(OCCUPATIONS) + 0.5 for _ in range(2)]
+    return f @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ f.T
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestStacks:
+    """A stack gives each matrix or point the bits it gets alone."""
+
+    FIELDS = ("d_plus", "d_minus", "ppt_d_plus", "ppt_d_minus", "i1", "i2", "i3", "i4", "log_negativity")
+
+    @given(st.lists(physical_two_mode_covs(), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_spectrum_of_a_stack_is_the_spectrum_of_each(self, covs):
+        stack = symplectic_spectrum(np.stack(covs))
+        for i, cov in enumerate(covs):
+            alone = symplectic_spectrum(cov)
+            for field in self.FIELDS:
+                assert isinstance(getattr(alone, field), np.float64), field
+                assert same_bits(getattr(stack, field)[i], getattr(alone, field)), (i, field)
+
+    @given(st.lists(physical_two_mode_covs(), min_size=1, max_size=4), st.integers(0, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_one_unphysical_matrix_fails_the_stack(self, covs, at):
+        covs.insert(min(at, len(covs)), np.diag([1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(UnphysicalStateError):
+            symplectic_spectrum(np.stack(covs))
+
+    def test_nested_stack_keeps_its_shape(self):
+        covs = np.stack([np.eye(4) / 2, np.diag([np.e / 2, 1 / (2 * np.e), 0.5, 0.5])] * 3).reshape(3, 2, 4, 4)
+        assert symplectic_spectrum(covs).log_negativity.shape == (3, 2)
+
+    def test_log_negativity_reads_a_negative_zero_as_zero(self):
+        # max(0.0, -0.0) is 0.0; so is E_N where 2 ppt_d_minus is exactly 1
+        for ppt, e_n in ((0.5, 0.0), (np.array([0.5, 0.25]), np.array([0.0, np.log(2.0)]))):
+            spec = SymplecticSpectrum(*[ppt] * 8)
+            assert same_bits(spec.log_negativity, e_n)
+
+    @given(SQUEEZINGS, ANGLES, OCCUPATIONS, st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_wigner_of_a_point_stack_is_the_wigner_of_each(self, r, angle, n_th, points):
+        f = rotation(angle) @ squeezer(r)
+        state = GaussianState(np.array([1.5, -0.5]), (n_th + 0.5) * f @ f.T)
+        points = np.array(points)
+        values = wigner_at(state, points)
+        assert values.shape == (len(points),)
+        for point, value in zip(points, values):
+            alone = wigner_at(state, point)
+            assert isinstance(alone, np.float64)
+            assert same_bits(value, alone)
+        # a (1, n, 2) stack keeps its leading shape and its bits
+        assert same_bits(wigner_at(state, points[None]), values[None])
 
 
 class TestPurity:
