@@ -286,15 +286,13 @@ def _write(cfg: dict, columns: tuple[str, ...], rows: list[list], out: str | Non
 
 
 def _require_writable(paths: list[str | None]) -> None:
-    """Raise ConfigError unless each output path opens for writing; create no file."""
+    """Raise ConfigError unless each output path can be written, opening nothing:
+    a probe open and close would send EOF to the reader of a fifo."""
     for path in (p for p in paths if p is not None):
-        existed = os.path.lexists(path)
-        try:
-            open(path, "a", encoding="ascii").close()
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-        if not existed:
-            os.remove(path)
+        target = os.path.realpath(path)  # what a dangling symlink would create
+        where = target if os.path.exists(target) else os.path.dirname(target)
+        if os.path.isdir(target) or not os.access(where, os.W_OK):
+            raise ConfigError(f"cannot write {path}")
 
 
 def _pn_out_path(out: str | None) -> str | None:
@@ -316,9 +314,21 @@ def _load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    # each flag but --config and --phi overrides the config key of its own name
-    flags = vars(args)
-    cfg.update({key: flags[key] for key in _DEFAULTS if key != "phi" and flags[key] is not None})
+    overrides = {
+        "omega": args.omega,
+        "omega0": args.omega0,
+        "n_atoms": args.n_atoms,
+        "lambda": args.lam,
+        "lambda_min": args.lambda_min,
+        "lambda_max": args.lambda_max,
+        "points": args.points,
+        "exclusion": args.exclusion,
+        "format": args.format,
+        "out": args.out,
+        "jobs": args.jobs,
+        "target": args.target,
+    }
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
     if args.phi is not None:
         try:
             cfg["phi"] = [float(tok) for tok in args.phi.split(",") if tok.strip()]
@@ -372,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--omega", type=float, help="radiation frequency")
     shared.add_argument("--omega0", type=float, help="atomic level splitting")
     shared.add_argument("--n-atoms", type=int, help="atom number N")
-    shared.add_argument("--lambda", type=float, help="single coupling instead of a grid")
+    shared.add_argument("--lambda", dest="lam", type=float, help="single coupling instead of a grid")
     shared.add_argument("--lambda-min", type=float)
     shared.add_argument("--lambda-max", type=float)
     shared.add_argument("--points", type=int, help="grid points (per axis for wigner)")
@@ -414,7 +424,9 @@ def _run_wigner(cfg: dict) -> int:
     axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"] or 41) for m, sd in zip(state.mean, sds)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = [[x, p, w, "ok"] for (x, p), w in zip(grid.tolist(), wigner_at(state, grid).tolist())]
-    extra = {"derived": derived_to_dict(derive(params)), "state": state_to_dict(state)}
+    extra = None
+    if cfg["format"] == "json":
+        extra = {"derived": derived_to_dict(derive(params)), "state": state_to_dict(state)}
     _write(cfg, _COLUMNS["wigner"], rows, cfg["out"], extra)
     return EXIT_OK
 
@@ -423,12 +435,15 @@ def _run_photon_pn(cfg: dict, lam: float) -> int:
     try:
         dist = photon_distribution(reduced_radiation_state(_params(cfg, lam)))
         rows = [[int(n), float(p), "ok"] for n, p in enumerate(dist.probs)]
+        code = EXIT_OK
     except NonConvergedSeries:
         rows = [[0, math.nan, "nonconverged"]]
+        code = EXIT_NUMERICAL
     except _DOMAIN_ERRORS:
         rows = [[0, math.nan, "singular"]]
+        code = EXIT_NUMERICAL
     _write(cfg, ("n", "p"), rows, _pn_out_path(cfg["out"]))
-    return EXIT_OK if rows[0][-1] == "ok" else EXIT_NUMERICAL
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

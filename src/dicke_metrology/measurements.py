@@ -139,7 +139,12 @@ def mean_photon_decomposition(state: GaussianState) -> MeanPhotonDecomposition:
 def _decomposition(d: DstsParams) -> MeanPhotonDecomposition:
     thermal = d.n_th * (1.0 + 2.0 * d.n_s)
     coherent = d.gamma * d.gamma
-    return MeanPhotonDecomposition(d.n_s, thermal, coherent, d.n_s + thermal + coherent)
+    return MeanPhotonDecomposition(
+        n_s=d.n_s,
+        thermal=thermal,
+        coherent=coherent,
+        total=d.n_s + thermal + coherent,
+    )
 
 
 def _radiation_decompositions(mean: np.ndarray, cov: np.ndarray) -> list[MeanPhotonDecomposition]:

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +444,47 @@ class TestErrorTaxonomy:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["photon_pn.csv"]
+
+    def test_out_fifo_gets_the_whole_table(self, capsys, monkeypatch, tmp_path):
+        # a probe open and close of --out before the sweep sent EOF to the
+        # fifo's reader, and the write after it then blocked with no reader;
+        # the slowed sweep gives the reader time to see that EOF
+        compute = cli._compute_chunk
+        monkeypatch.setattr(cli, "_compute_chunk", lambda task: (time.sleep(0.5), compute(task))[1])
+        fifo = tmp_path / "table.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        writer = threading.Thread(target=lambda: received.append(main(["qfi", "--points", "5", "--out", str(fifo)])), daemon=True)
+        writer.start()
+        writer.join(timeout=30)
+        reader.join(timeout=30)
+        if writer.is_alive() or reader.is_alive():
+            # release the blocked open so that the threads can end
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            pytest.fail("writing the table to a fifo blocked")
+        text = next(r for r in received if isinstance(r, str))
+        assert EXIT_OK in received
+        assert text.startswith("lambda,H,") and text.count("\n") == 6
+
+    def test_dangling_symlink_out_creates_nothing_before_the_run(self, capsys, tmp_path):
+        # a probe open created the symlink's target, and a run that failed
+        # afterwards left it there, empty
+        link = tmp_path / "table.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert main(["wigner", "--out", str(link)]) == 2  # wigner needs --lambda
+        assert not (tmp_path / "target.csv").exists()
+        assert main(["qfi", "--points", "5", "--out", str(link)]) == EXIT_OK
+        assert (tmp_path / "target.csv").read_text().startswith("lambda,H,")
+
+    def test_unwritable_existing_out_is_a_config_error(self, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("kept\n")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(["qfi", "--points", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}\n"
+        assert out.read_text() == "kept\n"
 
     def test_setup_fault_propagates(self, capsys, monkeypatch):
         def broken(cfg):
