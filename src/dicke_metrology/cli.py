@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,35 +39,36 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULTS = {
-    "omega": 1.0,
-    "omega0": 1.0,
-    "n_atoms": 100,
-    "lambda": None,
-    "lambda_min": 0.01,
-    "lambda_max": 1.0,
-    "points": 100,
-    "exclusion": 1e-3,
-    "phi": [0.0],
-    "target": "radiation",
-    "format": "csv",
-    "out": None,
-    "jobs": 1,
+# Every setting once, by its config key: (default, flag type or choices, help).
+# Its flag is "--" plus the key with dashes and stores its value under the key;
+# a set flag overrides the config file, and the choices bound both.
+_OPTIONS = {
+    "omega": (1.0, float, "radiation frequency"),
+    "omega0": (1.0, float, "atomic level splitting"),
+    "n_atoms": (100, int, "atom number N"),
+    "lambda": (None, float, "single coupling instead of a grid"),
+    "lambda_min": (0.01, float, None),
+    "lambda_max": (1.0, float, None),
+    "points": (100, int, "grid points (per axis for wigner)"),
+    "exclusion": (1e-3, float, "half-width of the skipped window at lambda_c"),
+    "phi": ([0.0], str, "comma-separated quadrature angles (fi-homodyne)"),
+    "target": ("radiation", ("radiation", "atoms"), "homodyne subsystem"),
+    "format": ("csv", ("csv", "json"), None),
+    "out": (None, str, "output path (default stdout)"),
+    "jobs": (1, int, "at most this many worker processes, one contiguous chunk of the grid each; a sweep runs "
+             "in this process unless a pool saves more estimated work than its workers' start-up"),
 }
-
-_COLUMNS = {
-    "entanglement": ("lambda", "E_N", "d_tilde_minus"),
-    "qfi": ("lambda", "H", "quadratic_term", "displacement_term"),
-    "fi-homodyne": ("lambda", "phi", "FI", "H", "ratio"),
-    "photon": ("lambda", "n_s", "thermal", "coherent", "total"),
-    "fi-photon": ("lambda", "FI", "H", "ratio", "n_max"),
-    "wigner": ("x", "p", "W"),
-}
+_DEFAULTS = {key: default for key, (default, _, _) in _OPTIONS.items()}
 
 
 # numerical-domain failures that become a non-ok status; any other exception
 # is a fault of the program and propagates with its traceback
 _DOMAIN_ERRORS = (DickeMetrologyError, np.linalg.LinAlgError)
+
+
+def _status(exc: Exception) -> str:
+    """The row status of a numerical-domain failure."""
+    return "nonconverged" if isinstance(exc, NonConvergedSeries) else "singular"
 
 
 class ConfigError(Exception):
@@ -128,12 +130,25 @@ def _rows_fi_photon(lams: list[float], cfg: dict) -> list[list]:
     ]
 
 
-_ROW_BUILDERS = {
-    "entanglement": _rows_entanglement,
-    "qfi": _rows_qfi,
-    "fi-homodyne": _rows_fi_homodyne,
-    "photon": _rows_photon,
-    "fi-photon": _rows_fi_photon,
+class _Command(NamedTuple):
+    columns: tuple[str, ...]
+    rows: Callable[[list[float], dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
+    help: str
+
+
+_COMMANDS = {
+    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _rows_entanglement,
+                             "log-negativity between radiation and atoms over a coupling grid"),
+    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _rows_qfi,
+                    "quantum Fisher information and its two contributions"),
+    "wigner": _Command(("x", "p", "W"), None,
+                       "Wigner function of the reduced radiation mode on an x/p grid"),
+    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _rows_fi_homodyne,
+                            "homodyne Fisher information and its ratio to the QFI"),
+    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _rows_photon,
+                       "mean-photon decomposition; with --lambda also the p(n) table"),
+    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _rows_fi_photon,
+                          "photon-counting Fisher information and its ratio to the QFI"),
 }
 
 
@@ -146,15 +161,13 @@ def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
     """
     command, lams, cfg = task
     try:
-        return [row + ["ok"] for row in _ROW_BUILDERS[command](lams, cfg)]
-    except NonConvergedSeries:
-        status = "nonconverged"
-    except _DOMAIN_ERRORS:
-        status = "singular"
+        return [row + ["ok"] for row in _COMMANDS[command].rows(lams, cfg)]
+    except _DOMAIN_ERRORS as exc:
+        status = _status(exc)
     if len(lams) > 1:
         return [row for lam in lams for row in _compute_chunk((command, [lam], cfg))]
     lam = lams[0]
-    pad = [math.nan] * (len(_COLUMNS[command]) - 1)
+    pad = [math.nan] * (len(_COMMANDS[command].columns) - 1)
     if command == "fi-homodyne":
         return [[lam, phi] + pad[1:] + [status] for phi in cfg["phi"]]
     return [[lam] + pad + [status]]
@@ -314,21 +327,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    overrides = {
-        "omega": args.omega,
-        "omega0": args.omega0,
-        "n_atoms": args.n_atoms,
-        "lambda": args.lam,
-        "lambda_min": args.lambda_min,
-        "lambda_max": args.lambda_max,
-        "points": args.points,
-        "exclusion": args.exclusion,
-        "format": args.format,
-        "out": args.out,
-        "jobs": args.jobs,
-        "target": args.target,
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update({key: value for key, value in vars(args).items() if key in _OPTIONS and value is not None})
     if args.phi is not None:
         try:
             cfg["phi"] = [float(tok) for tok in args.phi.split(",") if tok.strip()]
@@ -336,10 +335,9 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"bad --phi list: {args.phi!r}") from exc
         if not cfg["phi"]:
             raise ConfigError("empty --phi list")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    if cfg["target"] not in ("radiation", "atoms"):
-        raise ConfigError(f"target must be radiation or atoms, got {cfg['target']!r}")
+    for key, (_, kind, _) in _OPTIONS.items():
+        if isinstance(kind, tuple) and cfg[key] not in kind:
+            raise ConfigError(f"{key} must be {' or '.join(kind)}, got {cfg[key]!r}")
     couplings = ["lambda_min", "lambda_max"] + ["lambda"] * (cfg["lambda"] is not None)
     for key in ["omega", "omega0", "n_atoms"] + couplings:
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
@@ -379,55 +377,35 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every later one."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON file with the keys the flags below override")
-    shared.add_argument("--omega", type=float, help="radiation frequency")
-    shared.add_argument("--omega0", type=float, help="atomic level splitting")
-    shared.add_argument("--n-atoms", type=int, help="atom number N")
-    shared.add_argument("--lambda", dest="lam", type=float, help="single coupling instead of a grid")
-    shared.add_argument("--lambda-min", type=float)
-    shared.add_argument("--lambda-max", type=float)
-    shared.add_argument("--points", type=int, help="grid points (per axis for wigner)")
-    shared.add_argument("--exclusion", type=float, help="half-width of the skipped window at lambda_c")
-    shared.add_argument("--phi", help="comma-separated quadrature angles (fi-homodyne)")
-    shared.add_argument("--target", choices=("radiation", "atoms"), help="homodyne subsystem")
-    shared.add_argument("--format", choices=("csv", "json"))
-    shared.add_argument("--out", help="output path (default stdout)")
-    shared.add_argument(
-        "--jobs",
-        type=int,
-        help="at most this many worker processes, one contiguous chunk of the grid each; "
-        "a sweep runs in this process unless a pool saves more estimated work than its workers' start-up",
-    )
+    for key, (_, kind, text) in _OPTIONS.items():
+        checked = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        shared.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **checked)
     parser = argparse.ArgumentParser(
         prog="dicke-metrology",
         description="Ground-state metrology sweeps across the superradiant transition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("entanglement", "log-negativity between radiation and atoms over a coupling grid"),
-        ("qfi", "quantum Fisher information and its two contributions"),
-        ("wigner", "Wigner function of the reduced radiation mode on an x/p grid"),
-        ("fi-homodyne", "homodyne Fisher information and its ratio to the QFI"),
-        ("photon", "mean-photon decomposition; with --lambda also the p(n) table"),
-        ("fi-photon", "photon-counting Fisher information and its ratio to the QFI"),
-    ):
-        sub.add_parser(name, help=text, parents=[shared])
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, help=command.help, parents=[shared])
     return parser
 
 
 def _run_wigner(cfg: dict) -> int:
     if cfg["lambda"] is None:
         raise ConfigError("wigner needs --lambda")
+    if cfg["points"] < 2:
+        raise ConfigError("points must be >= 2 for a wigner grid")
     params = _params(cfg, float(cfg["lambda"]))
     state = reduced_radiation_state(params)
     # mean +- 6 sd along x and along p, then every (x, p) pair, x outer
     sds = np.sqrt(np.diag(state.cov))
-    axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"] or 41) for m, sd in zip(state.mean, sds)]
+    axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"]) for m, sd in zip(state.mean, sds)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = [[x, p, w, "ok"] for (x, p), w in zip(grid.tolist(), wigner_at(state, grid).tolist())]
     extra = None
     if cfg["format"] == "json":
         extra = {"derived": derived_to_dict(derive(params)), "state": state_to_dict(state)}
-    _write(cfg, _COLUMNS["wigner"], rows, cfg["out"], extra)
+    _write(cfg, _COMMANDS["wigner"].columns, rows, cfg["out"], extra)
     return EXIT_OK
 
 
@@ -436,11 +414,8 @@ def _run_photon_pn(cfg: dict, lam: float) -> int:
         dist = photon_distribution(reduced_radiation_state(_params(cfg, lam)))
         rows = [[int(n), float(p), "ok"] for n, p in enumerate(dist.probs)]
         code = EXIT_OK
-    except NonConvergedSeries:
-        rows = [[0, math.nan, "nonconverged"]]
-        code = EXIT_NUMERICAL
-    except _DOMAIN_ERRORS:
-        rows = [[0, math.nan, "singular"]]
+    except _DOMAIN_ERRORS as exc:
+        rows = [[0, math.nan, _status(exc)]]
         code = EXIT_NUMERICAL
     _write(cfg, ("n", "p"), rows, _pn_out_path(cfg["out"]))
     return code
@@ -474,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parts = [_compute_chunk(tasks[0])]
     rows = [row for part in parts for row in part]
-    _write(cfg, _COLUMNS[args.command], rows, cfg["out"])
+    _write(cfg, _COMMANDS[args.command].columns, rows, cfg["out"])
     code = EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_NUMERICAL
     if pn_table:
         code = max(code, _run_photon_pn(cfg, float(cfg["lambda"])))

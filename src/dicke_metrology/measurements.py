@@ -269,20 +269,6 @@ def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
     return 2 * math.ceil(math.log(tail_tol * fi / tail) / math.log(ratio)) + 2
 
 
-def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, int]:
-    """Photon-counting Fisher information of a single-mode state family.
-
-    state is the family member at the estimated parameter, dmean and dcov
-    the parameter derivatives of its moments.  FI = sum_n (dp(n))^2 / p(n)
-    with dp(n) exact; terms with p(n) below a fixed floor are skipped.  The
-    series runs past the mass cutoff that `photon_distribution` stops at,
-    until the FI its tail is estimated to hold is below PN_TAIL_TOL FI.
-    Returns (FI, cutoff).
-    """
-    dmean, dcov = np.asarray(dmean, dtype=float), np.asarray(dcov, dtype=float)
-    return _photon_fi_stack(state.mean[None], state.cov[None], dmean[None], dcov[None])[0]
-
-
 def fi_photon_counting_from_jet(jet: MomentJet) -> list[tuple[float, int]]:
     """Photon-counting Fisher information of the radiation mode at every
     coupling of the jet, each with the series cutoff it summed over."""
@@ -292,8 +278,13 @@ def fi_photon_counting_from_jet(jet: MomentJet) -> list[tuple[float, int]]:
 def _photon_fi_stack(
     mean: np.ndarray, cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray
 ) -> list[tuple[float, int]]:
-    """(FI, cutoff) of `fi_photon_counting_family` for each member of the stacks
-    mean (n, 2), cov (n, 2, 2) with derivatives dmean (n, 2), dcov (n, 2, 2).
+    """(FI, cutoff) of photon counting for each member of the single-mode stacks
+    mean (n, 2), cov (n, 2, 2) with parameter derivatives dmean (n, 2), dcov (n, 2, 2).
+
+    FI = sum_n (dp(n))^2 / p(n) with dp(n) exact; terms with p(n) below a
+    fixed floor are skipped.  The series runs past the mass cutoff that
+    `photon_distribution` stops at, until the FI its tail is estimated to
+    hold is below PN_TAIL_TOL FI.
 
     The symmetry check and the photon-number moments run once for the stack,
     the family checks and the series inputs once per member in plain floats;
@@ -349,6 +340,4 @@ def _photon_fi_row(
 
 def fi_photon_counting(params: DickeParams) -> float:
     """Fisher information of photon counting on the radiation mode."""
-    jet = state_derivative(params)
-    state = GaussianState(jet.mean[0, _RAD], jet.cov[0, _RAD, _RAD])
-    return fi_photon_counting_family(state, jet.dmean[0, _RAD], jet.dcov[0, _RAD, _RAD])[0]
+    return fi_photon_counting_from_jet(state_derivative(params))[0][0]

@@ -3,7 +3,8 @@
 Truncated Fock-space construction of displaced squeezed thermal states,
 Gaussian pure-state overlaps, purity and the characteristic function,
 direct numerical Fisher-information integrals, the rotated-quadrature
-marginal they integrate, the ground-state covariance from its six
+marginal they integrate, the package's photon-counting FI on an arbitrary
+single-mode family, the ground-state covariance from its six
 closed-form entries, the CLI's former cell-by-cell CSV formatting, and its
 former per-row builders for entanglement, photon and Wigner tables.
 Everything here trades speed for independence from the phase-space code
@@ -22,7 +23,7 @@ from scipy.linalg import expm
 from dicke_metrology.dicke import RADIATION_MODE, DickeDerived, DickeParams, ground_moments, reduced_radiation_state
 from dicke_metrology.errors import SingularCovarianceError, UnphysicalStateError
 from dicke_metrology.gaussian import GaussianState, partial_trace, symplectic_form, symplectic_spectrum
-from dicke_metrology.measurements import DstsParams, mean_photon_decomposition
+from dicke_metrology.measurements import DstsParams, _photon_fi_stack, mean_photon_decomposition
 
 TRACE_LOSS_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -119,16 +120,17 @@ def purity(cov: np.ndarray) -> float:
     return float(np.exp(-n_modes * np.log(2.0) - 0.5 * logdet))
 
 
-def characteristic_function_at(state: GaussianState, lam: np.ndarray) -> complex:
-    """Symmetrically ordered characteristic function chi(Lambda)."""
+def characteristic_function_at(state: GaussianState, lam: np.ndarray) -> np.ndarray:
+    """Symmetrically ordered characteristic function chi(Lambda) at each point
+    of a (..., 2M) stack, as an array of shape (...)."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != state.mean.shape:
+    if lam.shape[-1:] != state.mean.shape:
         raise ValueError(f"argument shape {lam.shape} does not match state dimension")
     omega = symplectic_form(state.n_modes)
-    ol = omega.T @ lam
-    quad = ol @ state.cov @ ol
-    phase = lam @ omega @ state.mean
-    return complex(np.exp(-0.5 * quad - 1j * phase))
+    ol = lam @ omega  # (Omega^T Lambda)^T, one row per point
+    quad = np.einsum("...i,ij,...j->...", ol, state.cov, ol)
+    phase = lam @ (omega @ state.mean)
+    return np.exp(-0.5 * quad - 1j * phase)
 
 
 def quadrature_distribution(state: GaussianState, phi: float) -> tuple[float, float]:
@@ -221,6 +223,15 @@ def closed_form_cov(derived: DickeDerived) -> np.ndarray:
     cov[0, 2] = cov[2, 0] = 0.25 * np.sqrt(w * wt) * s2t * (1.0 / ep - 1.0 / em)
     cov[1, 3] = cov[3, 1] = -0.25 * s2t * (em - ep) / np.sqrt(w * wt)
     return cov
+
+
+def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, int]:
+    """(FI, cutoff) of photon counting on a single-mode state family: state is
+    the member at the estimated parameter, dmean and dcov the parameter
+    derivatives of its moments.  The package's series on a family that no
+    Dicke coupling gives, for the exact coherent, thermal and squeezed FIs."""
+    dmean, dcov = np.asarray(dmean, dtype=float), np.asarray(dcov, dtype=float)
+    return _photon_fi_stack(state.mean[None], state.cov[None], dmean[None], dcov[None])[0]
 
 
 def csv_cell(value) -> str:

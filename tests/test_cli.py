@@ -212,6 +212,54 @@ class TestGridAndConfig:
         assert out == ""
 
 
+class TestOptionTable:
+    """One flag per config key, "--" plus the key with dashes, storing under the key."""
+
+    # a value for every key, none of them its default
+    VALUES = {
+        "omega": 1.5,
+        "omega0": 0.5,
+        "n_atoms": 40,
+        "lambda": 0.3,
+        "lambda_min": 0.1,
+        "lambda_max": 0.9,
+        "points": 7,
+        "exclusion": 0.01,
+        "phi": [0.0, 0.5],
+        "target": "atoms",
+        "format": "json",
+        "out": "table.json",
+        "jobs": 2,
+    }
+
+    def test_every_flag_stores_under_its_config_key(self):
+        [commands] = [action.choices for action in cli._build_parser()._actions if action.dest == "command"]
+        for name, parser in commands.items():
+            flags = {
+                flag: action.dest
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help", "--config")
+            }
+            assert sorted(flags.values()) == sorted(cli._DEFAULTS), name
+            assert all(flag == "--" + dest.replace("_", "-") for flag, dest in flags.items()), name
+        assert list(commands) == list(cli._COMMANDS)
+
+    def test_config_file_and_flags_give_the_same_config(self, tmp_path):
+        assert set(self.VALUES) == set(cli._DEFAULTS)
+        assert all(value != cli._DEFAULTS[key] for key, value in self.VALUES.items())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.VALUES))
+        flags = [
+            item
+            for key, value in self.VALUES.items()
+            for item in ("--" + key.replace("_", "-"), ",".join(map(repr, value)) if key == "phi" else str(value))
+        ]
+        parse = cli._build_parser().parse_args
+        from_file = cli._load_config(parse(["qfi", "--config", str(path)]))
+        assert cli._load_config(parse(["qfi", *flags])) == from_file == self.VALUES
+
+
 class TestChunks:
     def test_equal_costs_split_into_near_equal_sizes(self):
         for n in range(1, 25):
@@ -284,7 +332,8 @@ class TestRenderCsv:
     @settings(max_examples=300, deadline=None)
     def test_fi_photon_rows(self, rows):
         rows = [list(row) for row in rows]
-        assert cli._render_csv(cli._COLUMNS["fi-photon"], rows) == render_csv(cli._COLUMNS["fi-photon"], rows)
+        columns = cli._COMMANDS["fi-photon"].columns
+        assert cli._render_csv(columns, rows) == render_csv(columns, rows)
 
     @given(st.lists(st.tuples(st.integers(0, 10**6), DOUBLES.map(np.float64), STATUSES), max_size=8))
     @settings(max_examples=200, deadline=None)
@@ -358,7 +407,7 @@ class TestErrorTaxonomy:
         def broken(lam, cfg):
             raise ValueError("fault in a row builder")
 
-        monkeypatch.setitem(cli._ROW_BUILDERS, "qfi", broken)
+        monkeypatch.setitem(cli._COMMANDS, "qfi", cli._COMMANDS["qfi"]._replace(rows=broken))
         with pytest.raises(ValueError, match="fault in a row builder"):
             main(["qfi", "--lambda", "0.3"])
         assert capsys.readouterr().out == ""
@@ -717,6 +766,14 @@ class TestWigner:
         code, _ = run(capsys, ["wigner", "--lambda-min", "0.1", "--lambda-max", "0.3"])
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_grid_needs_two_points_per_axis(self, capsys, points):
+        # --points 0 fell back to 41 points per axis, and --points 1 printed
+        # one row at the corner of the grid
+        code, out = run(capsys, ["wigner", "--lambda", "0.7", "--points", points])
+        assert code == 2
+        assert out == ""
+
     def test_grid_covers_displaced_peak(self, capsys):
         code, out = run(capsys, ["wigner", "--lambda", "0.7", "--points", "9"])
         assert code == 0
@@ -765,7 +822,7 @@ class TestPerRowReference:
     def test_rows(self, capsys, monkeypatch, command, builder, grid, fmt):
         argv = [command, *grid, "--format", fmt]
         batched = run(capsys, argv)
-        monkeypatch.setitem(cli._ROW_BUILDERS, command, builder)
+        monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(rows=builder))
         assert run(capsys, argv) == batched
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -777,7 +834,7 @@ class TestPerRowReference:
         code, out = run(capsys, argv + ["--format", fmt])
         params = dicke_metrology.DickeParams(lam=lam, n_atoms=n_atoms, omega0=omega0)
         state, rows = wigner_rows_per_point(params, 41)
-        columns = cli._COLUMNS["wigner"]
+        columns = cli._COMMANDS["wigner"].columns
         if fmt == "csv":
             expected = render_csv(columns, rows)
         else:

@@ -375,13 +375,8 @@ class TestWignerAndCharacteristic:
         omega = symplectic_form(1)
         ls = np.linspace(-12, 12, 601)
         dl = ls[1] - ls[0]
-        vals = np.empty((ls.size, ls.size), dtype=complex)
-        for i, lx in enumerate(ls):
-            for j, lp in enumerate(ls):
-                lam = np.array([lx, lp])
-                vals[i, j] = characteristic_function_at(state, lam) * np.exp(
-                    1j * lam @ omega @ point
-                )
+        lams = np.stack(np.meshgrid(ls, ls, indexing="ij"), axis=-1)
+        vals = characteristic_function_at(state, lams) * np.exp(1j * lams @ omega @ point)
         integral = np.trapezoid(np.trapezoid(vals, dx=dl), dx=dl) / (2 * np.pi) ** 2
         assert abs(integral.imag) < 1e-8
         assert integral.real == pytest.approx(wigner_at(state, point), abs=1e-4)

@@ -20,14 +20,13 @@ from dicke_metrology.measurements import (
     dsts_params,
     fi_homodyne,
     fi_photon_counting,
-    fi_photon_counting_family,
     fi_photon_counting_from_jet,
     mean_photon_decomposition,
     photon_distribution,
     photon_number_moments,
     photon_series_inputs,
 )
-from oracles import fi_gauss_hermite, quadrature_distribution, vacuum_state
+from oracles import fi_gauss_hermite, fi_photon_counting_family, quadrature_distribution, vacuum_state
 
 
 def pn_derivative(state, dmean, dcov, probs):
