@@ -5,10 +5,8 @@ ground state of the Dicke model, quantum Fisher information of the coupling,
 and the classical Fisher information of homodyne and photon-counting probes.
 """
 from .dicke import (
-    DickeDerived,
     DickeParams,
     MomentJet,
-    Phase,
     derive,
     ground_moments,
     ground_state,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CriticalPointSingularity",
-    "DickeDerived",
     "DickeMetrologyError",
     "DickeParams",
     "DstsParams",
@@ -71,7 +68,6 @@ __all__ = [
     "MeanPhotonDecomposition",
     "MomentJet",
     "NonConvergedSeries",
-    "Phase",
     "PhotonDistribution",
     "SingularCovarianceError",
     "SldCoefficients",

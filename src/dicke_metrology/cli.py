@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dicke import RADIATION_MODE, DickeParams, MomentJet, _checked_couplings, derive, derived_to_dict, ground_moments
+from .dicke import RADIATION_MODE, DickeParams, MomentJet, _checked_couplings, derive, ground_moments
 from .dicke import moment_jet, reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
@@ -404,7 +404,7 @@ def _run_wigner(cfg: dict) -> int:
     rows = [[x, p, w, "ok"] for (x, p), w in zip(grid.tolist(), wigner_at(state, grid).tolist())]
     extra = None
     if cfg["format"] == "json":
-        extra = {"derived": derived_to_dict(derive(params)), "state": state_to_dict(state)}
+        extra = {"derived": derive(params), "state": state_to_dict(state)}
     _write(cfg, _COMMANDS["wigner"].columns, rows, cfg["out"], extra)
     return EXIT_OK
 

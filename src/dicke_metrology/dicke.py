@@ -18,13 +18,14 @@ All of this is written once, vectorised over a 1-D array of couplings that
 share (omega, omega0, N): `moment_jet` runs mean field ->
 Bogoliubov modes -> chain -> exact coupling derivatives and returns mean,
 cov, dmean and dcov with one row per coupling; `ground_moments` is the same
-code without the derivatives.  `derive`, `ground_state` and everything built
-on them call it with a single coupling, and each coupling is evaluated on
-its own, so a sweep and a point-by-point loop give the same bits.
+code without the derivatives.  `ground_state` and everything built on it
+call it with a single coupling, and each coupling is evaluated on its own,
+so a sweep and a point-by-point loop give the same bits.  `derive` and
+`symplectic_chain` read the mean-field data and the chain at one coupling
+from the same code.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,11 +40,6 @@ DELTA_MIN = 1e-8
 
 RADIATION_MODE = 0
 ATOMIC_MODE = 1
-
-
-class Phase(str, enum.Enum):
-    NORMAL = "normal"
-    SUPERRADIANT = "superradiant"
 
 
 @dataclass(frozen=True)
@@ -61,24 +57,6 @@ class DickeParams:
     @property
     def lambda_c(self) -> float:
         return np.sqrt(self.omega * self.omega0) / 2.0
-
-
-@dataclass(frozen=True)
-class DickeDerived:
-    """Mean-field and normal-mode data derived from DickeParams."""
-
-    lambda_c: float
-    k: float
-    alpha: float
-    beta: float
-    theta: float
-    eps_minus: float
-    eps_plus: float
-    omega_tilde: float
-    phase: Phase
-    omega: float
-    omega0: float
-    lam: float
 
 
 class _Modes(NamedTuple):
@@ -144,28 +122,19 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     )
 
 
-def derive(params: DickeParams) -> DickeDerived:
-    """Mean-field displacements and Bogoliubov data at the given coupling.
-
-    Raises CriticalPointSingularity when |lam - lambda_c| <= DELTA_MIN, where
-    the lower normal-mode frequency vanishes and the Gaussian description is
-    singular.
+def derive(params: DickeParams) -> dict:
+    """Mean-field and normal-mode data at the coupling of params, as the dict
+    {lambda_c, k, alpha, beta, theta, eps_minus, eps_plus, omega_tilde, phase}
+    read from the normal modes that build the state; phase is "normal" or
+    "superradiant".  Raises CriticalPointSingularity within DELTA_MIN of lambda_c.
     """
     m = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0)
-    return DickeDerived(
-        lambda_c=m.lam_c,
-        k=float(m.k[0]),
-        alpha=float(m.alpha[0]),
-        beta=float(m.beta[0]),
-        theta=float(m.theta[0]),
-        eps_minus=float(m.eps_minus[0]),
-        eps_plus=float(m.eps_plus[0]),
-        omega_tilde=float(m.omega_tilde[0]),
-        phase=Phase.SUPERRADIANT if m.superradiant[0] else Phase.NORMAL,
-        omega=params.omega,
-        omega0=params.omega0,
-        lam=params.lam,
-    )
+    fields = ("k", "alpha", "beta", "theta", "eps_minus", "eps_plus", "omega_tilde")
+    return {
+        "lambda_c": m.lam_c,
+        **{name: float(getattr(m, name)[0]) for name in fields},
+        "phase": "superradiant" if m.superradiant[0] else "normal",
+    }
 
 
 def _squeezers(a, b) -> np.ndarray:
@@ -188,29 +157,8 @@ def _rotation(theta) -> np.ndarray:
     return f2
 
 
-def _chain(w, wt, theta, em, ep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factors (diag F1^-1, F2(theta)^T, diag F3^-1) of the chain S = F1^-1 F2^T F3^-1."""
-    return _squeezers(w, wt), np.swapaxes(_rotation(theta), -1, -2), 1.0 / _squeezers(em, ep)
-
-
 def _product(f1_inv: np.ndarray, rot: np.ndarray, f3_inv: np.ndarray) -> np.ndarray:
     return f1_inv[..., :, None] * rot * f3_inv[..., None, :]
-
-
-def symplectic_chain(derived: DickeDerived) -> np.ndarray:
-    """Symplectic 4 x 4 matrix mapping the normal-mode vacuum to the ground state.
-
-    The chain F1 -> rotation(theta) -> F3 brings the Hamiltonian to normal
-    form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
-    dimensionless quadratures and F3 = Diag(sqrt(em), 1/sqrt(em), sqrt(ep),
-    1/sqrt(ep)) into the normal-mode scales, so the state is built with the
-    inverse chain F = F1^-1 @ F2(theta)^T @ F3^-1.  At lam = 0 the chain is
-    the identity.
-    """
-    d = derived
-    chain = _product(*_chain(d.omega, d.omega_tilde, d.theta, d.eps_minus, d.eps_plus))
-    require_symplectic(chain)
-    return chain
 
 
 def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
@@ -269,17 +217,31 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
 
 
 def _checked_chain(modes: _Modes, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Chain factors and the chain S at the couplings of modes, checked to be symplectic.
+    """Factors (diag F1^-1, F2(theta)^T, diag F3^-1) and the chain S at each coupling, S checked symplectic.
 
-    At resonance and lam = 0 the two normal modes are degenerate and theta is
-    undefined; the chain takes the limit lam -> 0+, theta = pi/4, which
-    leaves the state the vacuum and fixes the derivative.
+    The chain F1 -> rotation F2(theta) -> F3 brings the Hamiltonian to normal
+    form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
+    dimensionless quadratures and F3 = Diag(sqrt(em), 1/sqrt(em), sqrt(ep),
+    1/sqrt(ep)) into the normal-mode scales, so S = F1^-1 F2(theta)^T F3^-1
+    maps the normal-mode vacuum to the ground state.  At resonance and
+    lam = 0 the two normal modes are degenerate and theta is undefined; the
+    chain takes the limit lam -> 0+, theta = pi/4, which leaves the state
+    the vacuum and fixes the derivative.
     """
     theta = np.where(modes.r > 0.0, modes.theta, np.pi / 4.0)
-    f1_inv, rot, f3_inv = _chain(w, modes.omega_tilde, theta, modes.eps_minus, modes.eps_plus)
+    f1_inv = _squeezers(w, modes.omega_tilde)
+    rot = np.swapaxes(_rotation(theta), -1, -2)
+    f3_inv = 1.0 / _squeezers(modes.eps_minus, modes.eps_plus)
     chain = _product(f1_inv, rot, f3_inv)
     require_symplectic(chain)
     return f1_inv, rot, f3_inv, chain
+
+
+def symplectic_chain(params: DickeParams) -> np.ndarray:
+    """The 4 x 4 chain S of `_checked_chain` at the coupling of params, the
+    matrix whose S S^T / 2 is the covariance of `ground_moments`."""
+    modes = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0)
+    return _checked_chain(modes, params.omega)[3][0]
 
 
 def _moments(modes: _Modes, chain: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,18 +320,3 @@ def ground_state(params: DickeParams) -> GaussianState:
 def reduced_radiation_state(params: DickeParams) -> GaussianState:
     """Single-mode reduced state of the radiation mode."""
     return partial_trace(ground_state(params), [RADIATION_MODE])
-
-
-def derived_to_dict(derived: DickeDerived) -> dict:
-    """JSON-friendly dump of the derived quantities."""
-    return {
-        "lambda_c": derived.lambda_c,
-        "k": derived.k,
-        "alpha": derived.alpha,
-        "beta": derived.beta,
-        "theta": derived.theta,
-        "eps_minus": derived.eps_minus,
-        "eps_plus": derived.eps_plus,
-        "omega_tilde": derived.omega_tilde,
-        "phase": derived.phase.value,
-    }

@@ -87,9 +87,8 @@ def sld_coefficients_f1_frame(params: DickeParams) -> SldCoefficients:
     (omega0^2 p1', -omega^2 p2').
     """
     raw = sld_coefficients(params)
-    d = derive(params)
     # F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)), so R^T Phi R = R'^T F1^-1 Phi F1^-1 R'
-    w, wt = math.sqrt(d.omega), math.sqrt(d.omega_tilde)
+    w, wt = math.sqrt(params.omega), math.sqrt(derive(params)["omega_tilde"])
     f1_inv = np.array([w, 1.0 / w, wt, 1.0 / wt])
     return SldCoefficients(phi=f1_inv[:, None] * raw.phi * f1_inv, zeta=f1_inv * raw.zeta, nu=raw.nu)
 

@@ -148,8 +148,8 @@ def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
     det = np.linalg.det(cov)
     # each matrix at its own scale; fmax, like max(1.0, x), reads a nan scale as 1
     tol = -1e-10 * np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)) ** 4)
-    _check_invariants(a + b + 2.0 * c, det, tol)
-    _check_invariants(a + b - 2.0 * c, det, tol)
+    # both invariant sums, the state's and its partial transpose's, in one check
+    _check_invariants(np.stack([a + b + 2.0 * c, a + b - 2.0 * c]), det, tol)
     d_plus, d_minus = _eigen_pair(cov)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     ppt_plus, ppt_minus = _eigen_pair(flip @ cov @ flip)

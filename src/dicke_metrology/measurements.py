@@ -216,19 +216,15 @@ class PhotonDistribution:
     tail_mass: float
 
 
-def photon_distribution(state: GaussianState, n_max: int | None = None) -> PhotonDistribution:
+def photon_distribution(state: GaussianState) -> PhotonDistribution:
     """Photon-number distribution of the state, truncated at a resolved tail.
 
-    With explicit n_max the series is evaluated once at that cutoff.
-    Otherwise it runs forward and stops at the first n where
+    The series runs forward and stops at the first n where
     p(0) + ... + p(n) reaches 1 - PN_TAIL_TOL; p(0..n) do not depend on where
     it stops.  It raises NonConvergedSeries if that has not happened by
     <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR from the state's own moments,
     at most PN_MAX_TERMS.
     """
-    if n_max is not None:
-        probs = _kernels.pn_series(*photon_series_inputs(state), int(n_max))
-        return _distribution(probs)
     limit = _series_limit(*photon_number_moments(state.mean, state.cov))
     dist = _distribution(_kernels.pn_series(*photon_series_inputs(state), limit, PN_TAIL_TOL))
     if dist.n_max == limit and not dist.tail_mass < PN_TAIL_TOL:
@@ -290,8 +286,6 @@ def _photon_fi_stack(
     the family checks and the series inputs once per member in plain floats;
     each member then sums its own series.
     """
-    if mean.shape[1:] != (2,) or cov.shape[1:] != (2, 2) or dmean.shape[1:] != (2,) or dcov.shape[1:] != (2, 2):
-        raise ValueError(f"expected the moments of single modes, got cov {cov.shape[1:]}, dcov {dcov.shape[1:]}")
     cov = _symmetrized(cov)  # the check and the symmetrization of GaussianState
     # a member gets the bits it gets alone: in the family the x-p and p terms
     # of Var(n) are below the rounding of the x terms, whatever their order,

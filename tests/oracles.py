@@ -4,9 +4,10 @@ Truncated Fock-space construction of displaced squeezed thermal states,
 Gaussian pure-state overlaps, purity and the characteristic function,
 direct numerical Fisher-information integrals, the rotated-quadrature
 marginal they integrate, the package's photon-counting FI on an arbitrary
-single-mode family, the ground-state covariance from its six
-closed-form entries, the CLI's former cell-by-cell CSV formatting, and its
-former per-row builders for entanglement, photon and Wigner tables.
+single-mode family, the photon series at a fixed cutoff, the ground-state
+covariance from its six closed-form entries, the CLI's former cell-by-cell
+CSV formatting, and its former per-row builders for entanglement, photon and
+Wigner tables.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
@@ -20,10 +21,11 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from dicke_metrology.dicke import RADIATION_MODE, DickeDerived, DickeParams, ground_moments, reduced_radiation_state
+from dicke_metrology import _kernels
+from dicke_metrology.dicke import RADIATION_MODE, DickeParams, derive, ground_moments, reduced_radiation_state
 from dicke_metrology.errors import SingularCovarianceError, UnphysicalStateError
 from dicke_metrology.gaussian import GaussianState, partial_trace, symplectic_form, symplectic_spectrum
-from dicke_metrology.measurements import DstsParams, _photon_fi_stack, mean_photon_decomposition
+from dicke_metrology.measurements import DstsParams, _photon_fi_stack, mean_photon_decomposition, photon_series_inputs
 
 TRACE_LOSS_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -204,17 +206,19 @@ def fi_gauss_hermite(pdf, lam: float, step: float, center: float, scale: float, 
     return float(w @ h)
 
 
-def closed_form_cov(derived: DickeDerived) -> np.ndarray:
+def closed_form_cov(params: DickeParams) -> np.ndarray:
     """Ground-state covariance from the six closed-form entries.
 
     Independent of the symplectic-chain construction of `ground_state`; the
     two must agree to high accuracy on a coupling grid.
     """
-    w, wt = derived.omega, derived.omega_tilde
-    em, ep = derived.eps_minus, derived.eps_plus
-    c2 = np.cos(derived.theta) ** 2
-    s2 = np.sin(derived.theta) ** 2
-    s2t = np.sin(2.0 * derived.theta)
+    derived = derive(params)
+    w, wt = params.omega, derived["omega_tilde"]
+    em, ep = derived["eps_minus"], derived["eps_plus"]
+    theta = derived["theta"]
+    c2 = np.cos(theta) ** 2
+    s2 = np.sin(theta) ** 2
+    s2t = np.sin(2.0 * theta)
     cov = np.zeros((4, 4))
     cov[0, 0] = 0.5 * w * (c2 / em + s2 / ep)
     cov[1, 1] = (em * c2 + ep * s2) / (2.0 * w)
@@ -231,7 +235,15 @@ def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.
     derivatives of its moments.  The package's series on a family that no
     Dicke coupling gives, for the exact coherent, thermal and squeezed FIs."""
     dmean, dcov = np.asarray(dmean, dtype=float), np.asarray(dcov, dtype=float)
+    if state.cov.shape != (2, 2) or dmean.shape != (2,) or dcov.shape != (2, 2):
+        raise ValueError(f"expected the moments of one mode, got cov {state.cov.shape}, dcov {dcov.shape}")
     return _photon_fi_stack(state.mean[None], state.cov[None], dmean[None], dcov[None])[0]
+
+
+def fixed_cutoff_probs(state: GaussianState, n_max: int) -> np.ndarray:
+    """p(0..n_max) of a single-mode state's photon series at a fixed cutoff,
+    where the package's distribution stops at its resolved tail."""
+    return _kernels.pn_series(*photon_series_inputs(state), n_max)
 
 
 def csv_cell(value) -> str:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import dicke_metrology
 from dicke_metrology import cli
 from dicke_metrology.cli import EXIT_OK, main
-from dicke_metrology.dicke import derive, derived_to_dict
+from dicke_metrology.dicke import derive
 from dicke_metrology.gaussian import state_to_dict
 from oracles import entanglement_rows_per_state, photon_rows_per_state, render_csv, wigner_rows_per_point
 
@@ -696,10 +696,9 @@ def test_public_definitions_are_used_or_documented():
     assert ENTRY_POINTS <= defined
 
 
-# defaults that no caller in the package overrides: the fixed cutoff that the
-# oracle tests compare the adaptive photon series against, and the command
-# line, which the console script leaves to sys.argv
-UNSET_DEFAULTS = {("measurements.photon_distribution", "n_max"), ("cli.main", "argv")}
+# the one default that no caller in the package overrides: the command line,
+# which the console script leaves to sys.argv
+UNSET_DEFAULTS = {("cli.main", "argv")}
 
 
 def _passed(call: ast.Call, params: list[str]) -> set[str]:
@@ -839,7 +838,7 @@ class TestPerRowReference:
             expected = render_csv(columns, rows)
         else:
             doc = {"columns": [*columns, "status"], "rows": rows}
-            doc.update(derived=derived_to_dict(derive(params)), state=state_to_dict(state))
+            doc.update(derived=derive(params), state=state_to_dict(state))
             expected = json.dumps(doc, indent=2) + "\n"
         assert code == 0
         assert out == expected

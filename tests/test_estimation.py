@@ -295,9 +295,8 @@ class TestSld:
     def zeta_angle(lam):
         params = DickeParams(lam=lam)
         zeta = sld_coefficients(params).zeta
-        d = derive(params)
         # F1 (0, 1, 0, -1) with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt))
-        vref = np.array([0.0, np.sqrt(d.omega), 0.0, -np.sqrt(d.omega_tilde)])
+        vref = np.array([0.0, np.sqrt(params.omega), 0.0, -np.sqrt(derive(params)["omega_tilde"])])
         cosang = zeta @ vref / (np.linalg.norm(zeta) * np.linalg.norm(vref))
         return np.arccos(abs(cosang))
 

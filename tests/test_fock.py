@@ -15,6 +15,7 @@ from oracles import (
     fi_gauss_hermite,
     fi_integral_oracle,
     fidelity_qfi,
+    fixed_cutoff_probs,
     pure_overlap,
     vacuum_state,
 )
@@ -163,16 +164,14 @@ class TestGaussHermite:
 
 def test_spec_point_against_photon_series():
     # DSTS (0.5, 0.3, 1.2): diagonal of the density matrix against the series
-    from dicke_metrology.measurements import photon_distribution
-
     state_cov = np.diag(
         [(0.5 + 0.5) * np.exp(0.6), (0.5 + 0.5) * np.exp(-0.6)]
     )
     state = GaussianState(np.array([1.2 * np.sqrt(2.0), 0.0]), state_cov)
     d = dsts_params(state)
     rho = build_dsts_fock(d, dim=80)
-    dist = photon_distribution(state, n_max=30)
-    assert np.max(np.abs(dist.probs - rho.photon_probs[:31])) < 1e-8
+    probs = fixed_cutoff_probs(state, 30)
+    assert np.max(np.abs(probs - rho.photon_probs[:31])) < 1e-8
     assert mean_photon_decomposition(state).total == pytest.approx(
         rho.mean_photons, rel=1e-8
     )

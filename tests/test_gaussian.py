@@ -363,7 +363,7 @@ class TestWignerAndCharacteristic:
         f = squeezer(0.6) @ rotation(0.3)
         state = GaussianState(np.array([0.7, -0.2]), f @ vacuum_state(1).cov @ f.T)
         xs = np.linspace(-9, 9, 321)
-        grid = np.array([[wigner_at(state, np.array([x, p])) for p in xs] for x in xs])
+        grid = wigner_at(state, np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1))
         dx = xs[1] - xs[0]
         assert np.trapezoid(np.trapezoid(grid, dx=dx), dx=dx) == pytest.approx(1.0, abs=1e-6)
 
