@@ -44,7 +44,12 @@ D(z) = (1 - s z)(1 - t z)^2 the derivative series obeys D dG = P G for the cubic
 
 Read coefficient by coefficient this is a filter that takes p(n) to dp(n);
 its feedback D has the roots s, t, t of the recurrence above, so its
-homogeneous solutions decay and forward evaluation is stable.
+homogeneous solutions decay and forward evaluation is stable.  The filter is
+linear, so `FisherTerms` runs it on the scaled runs themselves: within a run
+it gives dp(n) / (r00 2^e), and at each renormalisation its history is
+rescaled by the same exact 2^-e as the series'.  Each photon-counting FI term
+dp^2 / p is then (y S)(y / v) for the scaled value v, its filtered y and the
+run's scale S; written so, nothing overflows where y^2 would.
 """
 from __future__ import annotations
 
@@ -64,7 +69,9 @@ class PnSeries:
     """
 
     def __init__(self, log_r00: float, t: float, s: float, c: float) -> None:
-        t, s, c2 = float(t), float(s), float(c) ** 2
+        t, s, c = float(t), float(s), float(c)
+        c2 = c ** 2
+        self._inputs = (t, s, c)
         self._coeffs = (
             -(s + 2.0 * t), t * t + 2.0 * s * t, -s * t * t,
             0.5 * (s + t) + c2, -(1.5 * s * t + 0.5 * t * t + c2 * s), s * t * t,
@@ -149,22 +156,74 @@ def pn_series(
     return series.probs()
 
 
-def pn_derivative(
-    probs: np.ndarray, dlog_r00: float, t: float, dt: float, s: float, ds: float, c: float, dc: float
-) -> np.ndarray:
-    """dp(0..n_max) along a path of series inputs, from probs = pn_series(...).
+def _exp(x: float) -> float:
+    return math.exp(x) if x < 709.0 else math.inf
 
-    c and dc enter as c^2 and c dc only, so the sign of c is free.
+
+class FisherTerms:
+    """The photon-counting FI terms dp(n)^2 / p(n) of a PnSeries, for the
+    derivatives (d log r00, dt, ds, dc) of its inputs along a parameter path.
+
+    Terms with p(n) below `floor` are 0.0.  `walk` runs the derivative filter
+    over the values the series has added since the last call, so the terms
+    have the same bits whether they were walked in one call or in several.
+    Both p(n) thresholds are compared on the scaled values, one bound per run.
     """
-    one_st, one_t2 = np.convolve([1.0, -s], [1.0, -t]), np.convolve([1.0, -t], [1.0, -t])
-    feedback = np.convolve([1.0, -s], one_t2)
-    # P / z, a quadratic
-    inner = 0.5 * ds * one_t2 + (0.5 * dt + 2.0 * c * dc) * one_st + c * c * dt * np.array([0.0, 1.0, -s])
-    forward = dlog_r00 * feedback + np.append(0.0, inner)
-    out = np.convolve(probs, forward)[: len(probs)].tolist()
-    _, d1, d2, d3 = feedback.tolist()
-    y1 = y2 = y3 = 0.0
-    for n, x in enumerate(out):
-        y1, y2, y3 = x - d1 * y1 - d2 * y2 - d3 * y3, y1, y2
-        out[n] = y1
-    return np.array(out)
+
+    def __init__(self, series: PnSeries, dlog_r00: float, dt: float, ds: float, dc: float,
+                 floor: float, low: float) -> None:
+        t, s, c = series._inputs
+        a1, a2, a3 = series._coeffs[:3]  # the feedback D = 1 + a1 z + a2 z^2 + a3 z^3
+        # P / z = i0 + i1 z + i2 z^2
+        half_ds, mid, c2dt = 0.5 * ds, 0.5 * dt + 2.0 * c * dc, c * c * dt
+        i0 = half_ds + mid
+        i1 = -2.0 * t * half_ds - (s + t) * mid + c2dt
+        i2 = t * t * half_ds + s * t * mid - s * c2dt
+        self._filter = (dlog_r00, dlog_r00 * a1 + i0, dlog_r00 * a2 + i1, dlog_r00 * a3 + i2, a1, a2, a3)
+        self._series = series
+        self._log_floor, self._log_low = math.log(floor), math.log(-low)
+        # the last three scaled p and filtered dp, and the run they are scaled to
+        self._history = (0.0,) * 6
+        self._run = 0
+        self.terms: list[float] = []
+
+    def _run_bounds(self, exp2: int) -> tuple[float, float, float]:
+        """The scale S of a run with exponent exp2, and the scaled values at
+        which p(n) = v S reaches the floor and the low bound."""
+        log_scale = self._series._log_r00 + exp2 * _LN2
+        # no v reaches a floor below the smallest double: v = 0.0 is no term
+        floor = max(_exp(self._log_floor - log_scale), 5e-324)
+        return _exp(log_scale), floor, -_exp(self._log_low - log_scale)
+
+    def walk(self) -> bool:
+        """Add the terms of the series on to its n_max; returns whether any of
+        the values walked in this call lies below the low bound."""
+        vals, scales = self._series._vals, self._series._scales
+        f0, f1, f2, f3, d1, d2, d3 = self._filter
+        v1, v2, v3, y1, y2, y3 = self._history
+        run, terms = self._run, self.terms
+        scale, floor, low = self._run_bounds(scales[run][1])
+        append = terms.append
+        n, broke = len(terms), False
+        while n < len(vals):
+            if run + 1 < len(scales) and scales[run + 1][0] == n:
+                # the series renormalised here: rescale the history with it
+                run += 1
+                e = scales[run][1] - scales[run - 1][1]
+                v1, v2, v3, y1, y2, y3 = (math.ldexp(x, -e) for x in (v1, v2, v3, y1, y2, y3))
+                scale, floor, low = self._run_bounds(scales[run][1])
+            stop = scales[run + 1][0] if run + 1 < len(scales) else len(vals)
+            for v in vals[n:stop]:
+                y = f0 * v + f1 * v1 + f2 * v2 + f3 * v3 - (d1 * y1 + d2 * y2 + d3 * y3)
+                v1, v2, v3 = v, v1, v2
+                y1, y2, y3 = y, y1, y2
+                if v >= floor:
+                    append((y * scale) * (y / v))
+                elif v < low:
+                    append(0.0)
+                    broke = True
+                else:
+                    append(0.0)
+            n = stop
+        self._history, self._run = (v1, v2, v3, y1, y2, y3), run
+        return broke

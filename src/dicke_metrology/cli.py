@@ -97,21 +97,18 @@ def _rows_entanglement(lams: list[float], cfg: dict) -> list[list]:
 
 
 def _rows_qfi(lams: list[float], cfg: dict) -> list[list]:
-    return [
-        [lam, res.qfi, res.quadratic_term, res.displacement_term]
-        for lam, res in zip(lams, qfi_from_jet(_jet(lams, cfg)))
-    ]
+    columns = (column.tolist() for column in qfi_from_jet(_jet(lams, cfg)))
+    return [list(row) for row in zip(lams, *columns)]
 
 
 def _rows_fi_homodyne(lams: list[float], cfg: dict) -> list[list]:
     jet = _jet(lams, cfg)
-    hs = [res.qfi for res in qfi_from_jet(jet)]
     target = Target(cfg["target"])
     fis = [fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)).tolist() for phi in cfg["phi"]]
     return [
-        [lam, phi, fi[i], h, fi[i] / h]
-        for i, (lam, h) in enumerate(zip(lams, hs))
-        for phi, fi in zip(cfg["phi"], fis)
+        [lam, phi, fi, h, fi / h]
+        for lam, h, *row in zip(lams, qfi_from_jet(jet)[0].tolist(), *fis)
+        for phi, fi in zip(cfg["phi"], row)
     ]
 
 
@@ -125,8 +122,8 @@ def _rows_photon(lams: list[float], cfg: dict) -> list[list]:
 def _rows_fi_photon(lams: list[float], cfg: dict) -> list[list]:
     jet = _jet(lams, cfg)
     return [
-        [lam, fi, res.qfi, fi / res.qfi, n_max]
-        for lam, res, (fi, n_max) in zip(lams, qfi_from_jet(jet), fi_photon_counting_from_jet(jet))
+        [lam, fi, h, fi / h, n_max]
+        for lam, h, (fi, n_max) in zip(lams, qfi_from_jet(jet)[0].tolist(), fi_photon_counting_from_jet(jet))
     ]
 
 
@@ -176,13 +173,15 @@ def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
 # Estimated cost of one row in microseconds, as tools/row_costs.py prints it:
 # the work a worker takes off this process (`_compute_chunk`; parsing and CSV
 # rendering stay here).  Each row costs its share of the chunk's stacked
-# moments, plus one FI per --phi angle for fi-homodyne; a fi-photon row sums a
-# photon series of about <n> + 10 sd(n) terms, after a share of the vectorised
-# layers and a derivative filter that cost about as much as 100 terms.
+# moments, plus one FI per --phi angle for fi-homodyne; a fi-photon row runs a
+# photon series and its derivative filter over about <n> + 10 sd(n) terms,
+# after a share of the vectorised layers and a fixed setup that cost about as
+# much as 50 terms (the two scaled from the previous calibration by measured
+# ratios, see the README).
 _ROW_US = {"entanglement": 17.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 13.0}
 _ANGLE_US = 0.7
-_TERM_US = 1.3
-_ROW_TERMS = 100.0
+_TERM_US = 1.1
+_ROW_TERMS = 50.0
 _SERIES_SDS = 10.0
 # what each worker process adds to a sweep's wall time (starting it, pickling
 # its chunk and rows, shutting it down, and for the vectorised rows the two
@@ -236,8 +235,10 @@ def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> lis
     """Split the grid into min(count, len(grid)) contiguous chunks of near-equal cost.
 
     Each chunk is the shortest run of points whose cost reaches an equal
-    share of the cost still left; with equal costs the first len(grid) % count
-    chunks hold one point more than the others.
+    share of the cost still left, except that the last two split where the
+    larger of them costs least, so they differ by at most one point's cost;
+    with equal costs the first len(grid) % count chunks hold one point more
+    than the others.
     """
     count = min(count, len(grid))
     chunks, lo, left = [], 0, math.fsum(costs)
@@ -246,6 +247,9 @@ def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> lis
         while hi < len(grid) - k + 1 and spent < left / k:
             spent += costs[hi]
             hi += 1
+        if k == 2 and hi - lo > 1 and left - spent + costs[hi - 1] < spent:
+            # its last point makes this chunk the larger by more than that point's cost
+            hi, spent = hi - 1, spent - costs[hi - 1]
         chunks.append(grid[lo:hi])
         lo, left = hi, left - spent
     return chunks + [grid[lo:]]
@@ -260,7 +264,7 @@ def _lambda_grid(cfg: dict) -> list[float]:
         raise ConfigError("lambda-min must be below lambda-max")
     lam_c = math.sqrt(cfg["omega"] * cfg["omega0"]) / 2.0
     grid = np.linspace(cfg["lambda_min"], cfg["lambda_max"], cfg["points"])
-    kept = [float(x) for x in grid if abs(x - lam_c) >= cfg["exclusion"]]
+    kept = [x for x in grid.tolist() if abs(x - lam_c) >= cfg["exclusion"]]
     if not kept:
         raise ConfigError("exclusion window removed every grid point")
     return kept
@@ -437,8 +441,10 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    costs = _row_costs(args.command, grid, cfg)
-    chunks = _contiguous_chunks(grid, _chunk_count(cfg["jobs"], costs), costs)
+    chunks = [grid]
+    if cfg["jobs"] > 1:  # one job is one chunk, whatever the rows cost
+        costs = _row_costs(args.command, grid, cfg)
+        chunks = _contiguous_chunks(grid, _chunk_count(cfg["jobs"], costs), costs)
     tasks = [(args.command, chunk, cfg) for chunk in chunks]
     if len(tasks) > 1:
         # imported here: loading the pool takes ~25 ms and ~2 MB that one chunk does not need

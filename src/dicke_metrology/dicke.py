@@ -115,7 +115,10 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
     # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase
     p = np.where(superradiant, (w * w0 * root) ** 2, 4.0 * w * w0 * (lc - lam) * (lc + lam))
-    theta = 0.5 * np.arctan2(v, u)
+    # at resonance and lam = 0 the two normal modes are degenerate and theta is
+    # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
+    # and fixes the derivative
+    theta = np.where(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)
     return _Modes(
         lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p,
         np.sqrt(2.0 * p / (s + r)), np.sqrt((s + r) / 2.0) / k, theta,
@@ -223,14 +226,11 @@ def _checked_chain(modes: _Modes, w: float) -> tuple[np.ndarray, np.ndarray, np.
     form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
     dimensionless quadratures and F3 = Diag(sqrt(em), 1/sqrt(em), sqrt(ep),
     1/sqrt(ep)) into the normal-mode scales, so S = F1^-1 F2(theta)^T F3^-1
-    maps the normal-mode vacuum to the ground state.  At resonance and
-    lam = 0 the two normal modes are degenerate and theta is undefined; the
-    chain takes the limit lam -> 0+, theta = pi/4, which leaves the state
-    the vacuum and fixes the derivative.
+    maps the normal-mode vacuum to the ground state; theta is that of
+    `_normal_modes`, pi/4 at the degenerate point.
     """
-    theta = np.where(modes.r > 0.0, modes.theta, np.pi / 4.0)
     f1_inv = _squeezers(w, modes.omega_tilde)
-    rot = np.swapaxes(_rotation(theta), -1, -2)
+    rot = np.swapaxes(_rotation(modes.theta), -1, -2)
     f3_inv = 1.0 / _squeezers(modes.eps_minus, modes.eps_plus)
     chain = _product(f1_inv, rot, f3_inv)
     require_symplectic(chain)
@@ -284,7 +284,7 @@ def moment_jet(lams, omega: float, omega0: float, n_atoms: int) -> MomentJet:
     ds = 2.0 * k * w * w * dk
     dv = 4.0 * np.sqrt(w * w0 * k) * k * k * (1.0 + 2.5 * lam * dk / k)
     # r = 0 only at the degenerate point, where the limit lam -> 0+ has
-    # r = v and a constant theta (see _checked_chain)
+    # r = v and a constant theta (see _normal_modes)
     regular = m.r > 0.0
     dr = np.where(regular, (m.v * dv - m.u * ds) / np.where(regular, m.r, 1.0), dv)
     dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(regular, m.r * m.r, 1.0)

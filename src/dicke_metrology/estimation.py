@@ -10,8 +10,9 @@ Phi = -dcov, zeta = Omega^T cov^-1 dmean, nu = Tr[Omega^T cov Omega Phi].
 
 The moments and their exact coupling derivatives come from one vectorised
 jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
-whole jet into QFIs at once; `state_derivative` runs the same jet at a single
-coupling, and `qfi` and the SLD functions read from it.  There is no step to
+whole jet into arrays of QFIs and their two parts at once; `state_derivative`
+runs the same jet at a single coupling, and `qfi` and the SLD functions read
+from it.  There is no step to
 choose; the only excluded couplings are the window of half-width
 dicke.DELTA_MIN = 1e-8 around lambda_c, where the jet raises.
 """
@@ -41,21 +42,20 @@ class EstimationResult:
     displacement_term: float
 
 
-def qfi_from_jet(jet: MomentJet) -> list[EstimationResult]:
-    """Quantum Fisher information at every coupling of the jet."""
+def qfi_from_jet(jet: MomentJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantum Fisher information at every coupling of the jet, as the arrays
+    (qfi, quadratic_term, displacement_term) with one entry per coupling."""
     omega = symplectic_form(2)
     quadratic = -np.trace(omega.T @ jet.dcov @ omega @ jet.dcov, axis1=-2, axis2=-1)
     dmean = jet.dmean[:, :, None]
-    displacement = np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean)
-    return [
-        EstimationResult(qfi=q + d, quadratic_term=q, displacement_term=d)
-        for q, d in zip(quadratic.tolist(), displacement[:, 0, 0].tolist())
-    ]
+    displacement = (np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean))[:, 0, 0]
+    return quadratic + displacement, quadratic, displacement
 
 
 def qfi(params: DickeParams) -> EstimationResult:
     """Quantum Fisher information of the coupling at params."""
-    return qfi_from_jet(state_derivative(params))[0]
+    h, quadratic, displacement = (float(column[0]) for column in qfi_from_jet(state_derivative(params)))
+    return EstimationResult(qfi=h, quadratic_term=quadratic, displacement_term=displacement)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ PN_LIMIT_FLOOR = 100
 # a state with <n> at or above it is refused at once
 PN_MAX_TERMS = 10**6
 FI_TERM_FLOOR = 1e-14
+# a p(n) below this is no rounding of a nonnegative value: the series broke down
+_BREAKDOWN = -1e-9
 FI_MARGIN = 0.4
 # the radiation mode's quadratures in the moments of a MomentJet
 _RAD = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
@@ -239,11 +241,11 @@ def _distribution(probs: np.ndarray) -> PhotonDistribution:
 
 def _check_breakdown(probs: np.ndarray) -> None:
     low = float(np.min(probs))
-    if low < -1e-9:
+    if low < _BREAKDOWN:
         raise UnphysicalStateError(f"photon series broke down: p(n) = {low:.3e}")
 
 
-def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
+def _fi_tail_terms(terms: list[float], fi: float, tail_tol: float) -> int:
     """How many more terms an FI sum ending in `terms` needs; 0 once the FI
     that its tail is estimated to hold is at most tail_tol * fi.
 
@@ -252,7 +254,7 @@ def _fi_tail_terms(terms: np.ndarray, fi: float, tail_tol: float) -> int:
     odd n; terms below the p(n) floor are zero, and a sum whose last pair is
     zero is finished.
     """
-    last, prev = float(terms[-2:].sum()), float(terms[-4:-2].sum())
+    last, prev = math.fsum(terms[-2:]), math.fsum(terms[-4:-2])
     if last == 0.0:
         return 0
     if not last < prev:
@@ -277,10 +279,11 @@ def _photon_fi_stack(
     """(FI, cutoff) of photon counting for each member of the single-mode stacks
     mean (n, 2), cov (n, 2, 2) with parameter derivatives dmean (n, 2), dcov (n, 2, 2).
 
-    FI = sum_n (dp(n))^2 / p(n) with dp(n) exact; terms with p(n) below a
-    fixed floor are skipped.  The series runs past the mass cutoff that
-    `photon_distribution` stops at, until the FI its tail is estimated to
-    hold is below PN_TAIL_TOL FI.
+    FI = sum_n (dp(n))^2 / p(n) with dp(n) exact, summed in one pass of the
+    derivative filter over the series (`_kernels.FisherTerms`); terms with
+    p(n) below a fixed floor are skipped.  The series runs past the mass
+    cutoff that `photon_distribution` stops at, until the FI its tail is
+    estimated to hold is below PN_TAIL_TOL FI.
 
     The symmetry check and the photon-number moments run once for the stack,
     the family checks and the series inputs once per member in plain floats;
@@ -307,25 +310,23 @@ def _photon_fi_row(
 ) -> tuple[float, int]:
     """(FI, cutoff) of one state from its <n>, series limit, series inputs
     (log r00, t, s, c) and their derivatives (d log r00, dt, ds, dc)."""
-    _, t, s, c = inputs
-    dlog_r00, dt, ds, dc = slopes
     series = _kernels.PnSeries(*inputs)
     if not series.extend(limit, PN_TAIL_TOL):
         raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
+    fisher = _kernels.FisherTerms(series, *slopes, FI_TERM_FLOOR, _BREAKDOWN)
     # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
     # past it: on 306 Dicke radiation states (N 1 to 1e4, three frequency
     # pairs, both phases) and squeezed, thermal and coherent families, the
-    # FI tail had ended there, so one filter pass usually settles the sum
+    # FI tail had ended there, so one pass usually settles the sum; a later
+    # round walks on from where the last one stopped
     more = math.ceil(FI_MARGIN * (series.n_max - mean_n)) + 2
     while True:
         series.extend(min(limit, series.n_max + more))
-        probs = series.probs()
-        _check_breakdown(probs)
-        dp = _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
-        keep = probs >= FI_TERM_FLOOR
-        terms = np.where(keep, dp * dp / np.where(keep, probs, 1.0), 0.0)
-        fi = math.fsum(terms.tolist())
-        more = _fi_tail_terms(terms, fi, PN_TAIL_TOL)
+        if fisher.walk():
+            # a scaled value past the low bound: check the p(n) themselves
+            _check_breakdown(series.probs())
+        fi = math.fsum(fisher.terms)
+        more = _fi_tail_terms(fisher.terms, fi, PN_TAIL_TOL)
         if not more:
             return fi, series.n_max
         if series.n_max >= limit:

@@ -4,10 +4,11 @@ Truncated Fock-space construction of displaced squeezed thermal states,
 Gaussian pure-state overlaps, purity and the characteristic function,
 direct numerical Fisher-information integrals, the rotated-quadrature
 marginal they integrate, the package's photon-counting FI on an arbitrary
-single-mode family, the photon series at a fixed cutoff, the ground-state
-covariance from its six closed-form entries, the CLI's former cell-by-cell
-CSV formatting, and its former per-row builders for entanglement, photon and
-Wigner tables.
+single-mode family, the photon series at a fixed cutoff, its derivative
+filter over unscaled p(n) and the former two-pass photon FI row built on it,
+the ground-state covariance from its six closed-form entries, the CLI's
+former cell-by-cell CSV formatting, and its former per-row builders for
+entanglement, photon and Wigner tables.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
@@ -21,9 +22,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from dicke_metrology import _kernels
+from dicke_metrology import _kernels, measurements
 from dicke_metrology.dicke import RADIATION_MODE, DickeParams, derive, ground_moments, reduced_radiation_state
-from dicke_metrology.errors import SingularCovarianceError, UnphysicalStateError
+from dicke_metrology.errors import NonConvergedSeries, SingularCovarianceError, UnphysicalStateError
 from dicke_metrology.gaussian import GaussianState, partial_trace, symplectic_form, symplectic_spectrum
 from dicke_metrology.measurements import DstsParams, _photon_fi_stack, mean_photon_decomposition, photon_series_inputs
 
@@ -238,6 +239,57 @@ def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.
     if state.cov.shape != (2, 2) or dmean.shape != (2,) or dcov.shape != (2, 2):
         raise ValueError(f"expected the moments of one mode, got cov {state.cov.shape}, dcov {dcov.shape}")
     return _photon_fi_stack(state.mean[None], state.cov[None], dmean[None], dcov[None])[0]
+
+
+def pn_derivative(
+    probs: np.ndarray, dlog_r00: float, t: float, dt: float, s: float, ds: float, c: float, dc: float
+) -> np.ndarray:
+    """dp(0..n_max) along a path of series inputs, from the unscaled probs = pn_series(...).
+
+    The derivative filter D dG = P G of `_kernels`, with P applied as a numpy
+    convolution; c and dc enter as c^2 and c dc only, so the sign of c is free.
+    """
+    one_st, one_t2 = np.convolve([1.0, -s], [1.0, -t]), np.convolve([1.0, -t], [1.0, -t])
+    feedback = np.convolve([1.0, -s], one_t2)
+    # P / z, a quadratic
+    inner = 0.5 * ds * one_t2 + (0.5 * dt + 2.0 * c * dc) * one_st + c * c * dt * np.array([0.0, 1.0, -s])
+    forward = dlog_r00 * feedback + np.append(0.0, inner)
+    out = np.convolve(probs, forward)[: len(probs)].tolist()
+    _, d1, d2, d3 = feedback.tolist()
+    y1 = y2 = y3 = 0.0
+    for n, x in enumerate(out):
+        y1, y2, y3 = x - d1 * y1 - d2 * y2 - d3 * y3, y1, y2
+        out[n] = y1
+    return np.array(out)
+
+
+def photon_fi_row_two_pass(
+    mean_n: float, limit: int, inputs: tuple[float, float, float, float], slopes: tuple[float, float, float, float]
+) -> tuple[float, int]:
+    """(FI, cutoff) of one photon-counting row summed the way `measurements._photon_fi_row`
+    did before its one-pass filter: each round takes the whole unscaled p(0..n)
+    of the series, filters it with `pn_derivative` and sums sum dp^2 / p over
+    the p(n) at or above the floor; the same margin, tail rule and checks."""
+    _, t, s, c = inputs
+    dlog_r00, dt, ds, dc = slopes
+    series = _kernels.PnSeries(*inputs)
+    if not series.extend(limit, measurements.PN_TAIL_TOL):
+        raise NonConvergedSeries(f"photon series tail above the tail tolerance at the cutoff limit {limit}")
+    more = math.ceil(measurements.FI_MARGIN * (series.n_max - mean_n)) + 2
+    while True:
+        series.extend(min(limit, series.n_max + more))
+        probs = series.probs()
+        if float(np.min(probs)) < -1e-9:
+            raise UnphysicalStateError(f"photon series broke down: p(n) = {float(np.min(probs)):.3e}")
+        dp = pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
+        keep = probs >= measurements.FI_TERM_FLOOR
+        terms = np.where(keep, dp * dp / np.where(keep, probs, 1.0), 0.0)
+        fi = math.fsum(terms.tolist())
+        more = measurements._fi_tail_terms(terms.tolist(), fi, measurements.PN_TAIL_TOL)
+        if not more:
+            return fi, series.n_max
+        if series.n_max >= limit:
+            raise NonConvergedSeries(f"photon-counting FI tail above the tail tolerance at the cutoff limit {limit}")
 
 
 def fixed_cutoff_probs(state: GaussianState, n_max: int) -> np.ndarray:

@@ -289,6 +289,15 @@ class TestChunks:
         assert len(first) > len(last)
         assert abs(sum(costs[: len(first)]) - sum(costs[len(first):])) <= max(costs)
 
+    @given(st.lists(st.floats(0.01, 1e4), min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_two_chunks_differ_by_at_most_one_point(self, costs):
+        grid = list(range(len(costs)))
+        first, last = cli._contiguous_chunks(grid, 2, costs)
+        assert first + last == grid and first and last
+        gap = abs(math.fsum(costs[: len(first)]) - math.fsum(costs[len(first):]))
+        assert gap <= max(costs) + 1e-12 * math.fsum(costs)
+
     def test_costs_fall_back_to_equal_at_the_critical_coupling(self):
         cfg = dict(cli._DEFAULTS)
         assert cli._row_costs("fi-photon", [0.4, 0.5, 0.6], cfg) == [1.0] * 3

@@ -66,7 +66,18 @@ class TestDerive:
         d = derive(DickeParams(lam=0.0))
         assert d["eps_minus"] == 1.0
         assert d["eps_plus"] == 1.0
-        assert d["theta"] == 0.0
+
+    @pytest.mark.parametrize("omega0,theta", [(1.0, np.pi / 4), (2.0, 0.0)])
+    def test_theta_at_zero_coupling_is_the_one_the_chain_uses(self, omega0, theta):
+        # on resonance the normal modes are degenerate at lam = 0 and the chain
+        # takes the limit lam -> 0+; detuned, the rotation is the identity
+        params = DickeParams(lam=0.0, omega0=omega0)
+        assert derive(params)["theta"] == theta
+        f1_inv = np.array([1.0, 1.0, np.sqrt(omega0), 1.0 / np.sqrt(omega0)])
+        c, s = np.cos(theta), np.sin(theta)
+        rotation = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        f3_inv = 1.0 / np.sqrt(np.array([1.0, 1.0, omega0, 1.0 / omega0]))
+        assert np.allclose(symplectic_chain(params), f1_inv[:, None] * rotation * f3_inv, atol=1e-15)
 
     def test_k_continuous_at_transition(self):
         below = derive(DickeParams(lam=0.5 - 1e-6))["k"]

@@ -1,6 +1,7 @@
 """Tests for the QFI / SLD layer, including an analytic derivative oracle."""
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -20,8 +21,16 @@ from dicke_metrology.measurements import HomodyneSetting, Target, fi_homodyne, f
 from oracles import fidelity_qfi
 
 
+# working digits of the compiled oracle: at lam / lambda_c = 2e4 its
+# eps_minus derivative cancels some 20 digits, so 30 left it 1.25e-9 off the
+# adaptive 30-digit evalf that it replaces; at 60 the two agree to 2e-24
+ORACLE_DIGITS = 60
+
+
 @functools.lru_cache(maxsize=None)
-def _symbolic_moment_derivatives(w, w0, superradiant, n_atoms):
+def _compiled_moment_derivatives(w, w0, superradiant, n_atoms):
+    """(dcov entries, dmean entries, f): f(lam) returns their derivatives,
+    compiled once per model and phase for mpmath."""
     lam = sp.Symbol("lam", positive=True)
     w, w0 = sp.nsimplify(w), sp.nsimplify(w0)
     k = (sp.sqrt(w * w0) / 2) ** 2 / lam ** 2 if superradiant else sp.Integer(1)
@@ -44,11 +53,8 @@ def _symbolic_moment_derivatives(w, w0, superradiant, n_atoms):
     alpha = (lam / w) * sp.sqrt(1 - k ** 2)
     beta = sp.sqrt((1 - k) / 2)
     means = {0: alpha * root, 2: -beta * root}
-    return (
-        lam,
-        {ij: sp.diff(expr, lam) for ij, expr in entries.items()},
-        {i: sp.diff(expr, lam) for i, expr in means.items()},
-    )
+    derivatives = [sp.diff(expr, lam) for expr in [*entries.values(), *means.values()]]
+    return tuple(entries), tuple(means), sp.lambdify(lam, derivatives, "mpmath")
 
 
 def analytic_moment_derivatives(lam_val, omega=1.0, omega0=1.0, n_atoms=100):
@@ -56,18 +62,19 @@ def analytic_moment_derivatives(lam_val, omega=1.0, omega0=1.0, n_atoms=100):
 
     Differentiates the closed-form covariance entries and the mean-field
     displacements through k, theta and the normal-mode frequencies with
-    sympy, and evaluates at 30 digits; independent of the chain-rule code
-    under test.
+    sympy, and evaluates them at ORACLE_DIGITS digits with mpmath at the
+    exact value of lam_val; independent of the chain-rule code under test.
     """
     superradiant = lam_val > np.sqrt(omega * omega0) / 2
-    lam, dcov_exprs, dmean_exprs = _symbolic_moment_derivatives(omega, omega0, superradiant, n_atoms)
-    at = {lam: sp.Rational(lam_val)}
+    cov_entries, mean_entries, derivatives = _compiled_moment_derivatives(omega, omega0, superradiant, n_atoms)
+    with mpmath.workdps(ORACLE_DIGITS):
+        values = [float(v) for v in derivatives(mpmath.mpf(lam_val))]
     dcov = np.zeros((4, 4))
-    for (i, j), expr in dcov_exprs.items():
-        dcov[i, j] = dcov[j, i] = float(expr.evalf(30, subs=at))
+    for (i, j), value in zip(cov_entries, values):
+        dcov[i, j] = dcov[j, i] = value
     dmean = np.zeros(4)
-    for i, expr in dmean_exprs.items():
-        dmean[i] = float(expr.evalf(30, subs=at))
+    for i, value in zip(mean_entries, values[len(cov_entries):]):
+        dmean[i] = value
     return dcov, dmean
 
 
@@ -133,6 +140,7 @@ class TestMomentJet:
     def test_batch_equals_one_point_jets(self, omega, omega0, n_atoms):
         lams = np.sqrt(omega * omega0) / 2 * np.array(self.RATIOS)
         batch = moment_jet(lams, omega, omega0, n_atoms)
+        columns = qfi_from_jet(batch)
         homodyne = [
             fi_homodyne_from_jet(batch, HomodyneSetting(phi=phi, target=target))
             for phi in (0.0, 1.0)
@@ -144,7 +152,8 @@ class TestMomentJet:
             for field in ("mean", "cov", "dmean", "dcov"):
                 assert np.array_equal(getattr(batch, field)[i], getattr(one, field)[0]), (field, where)
             params = DickeParams(lam=float(lam), omega=omega, omega0=omega0, n_atoms=n_atoms)
-            assert qfi_from_jet(batch)[i] == qfi(params), where
+            res = qfi(params)
+            assert [column[i] for column in columns] == [res.qfi, res.quadratic_term, res.displacement_term], where
             assert [fi[i] for fi in homodyne] == [
                 fi_homodyne(params, HomodyneSetting(phi=phi, target=target))
                 for phi in (0.0, 1.0)

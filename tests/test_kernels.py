@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from dicke_metrology import _kernels
-from dicke_metrology.dicke import DickeParams, reduced_radiation_state
-from dicke_metrology.measurements import photon_distribution, photon_series_inputs
+from dicke_metrology import _kernels, measurements
+from dicke_metrology.dicke import DickeParams, moment_jet, reduced_radiation_state
+from dicke_metrology.errors import UnphysicalStateError
+from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution, photon_series_inputs
+from oracles import photon_fi_row_two_pass, pn_derivative
 
 _LOG4 = math.log(4.0)
 
@@ -251,10 +253,67 @@ def test_derivative_filter_along_a_straight_path(r00, t, s, c, n_max):
 
     h = 1e-6
     quotient = (series(h) - series(-h)) / (2 * h)
-    dp = _kernels.pn_derivative(series(0.0), dl, t, dt, s, ds, c, dc)
+    dp = pn_derivative(series(0.0), dl, t, dt, s, ds, c, dc)
     _agree(quotient, dp, rtol=1e-6)
     # only c^2 and c dc enter
-    assert np.array_equal(dp, _kernels.pn_derivative(series(0.0), dl, t, dt, s, ds, -c, -dc))
+    assert np.array_equal(dp, pn_derivative(series(0.0), dl, t, dt, s, ds, -c, -dc))
+
+
+def _fi_row_args(lam, n_atoms):
+    """<n>, series limit, series inputs and their coupling derivatives of the
+    photon-counting FI row of the radiation mode at resonance."""
+    jet = moment_jet([lam], 1.0, 1.0, n_atoms)
+    mean, cov, dmean, dcov = jet.mean[0, :2], jet.cov[0, :2, :2], jet.dmean[0, :2], jet.dcov[0, :2, :2]
+    mean_n, var_n = measurements.photon_number_moments(mean, cov)
+    moments = float(cov[0, 0]), float(cov[1, 1]), float(mean[0])
+    slopes = measurements._series_derivatives(*moments, float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0]))
+    return float(mean_n), measurements._series_limit(mean_n, var_n), measurements._series_inputs(*moments), slopes
+
+
+# the rows where a term written S y^2 / v overflows (y^2 past the double
+# range): deep superradiant, with p(0) underflowing at N = 1000 and 10^4
+OVERFLOW_CASES = [(1.0, 1000), (1.0, 10_000), (2.0, 100)]
+# rows whose series renormalises inside the run of terms above the p(n)
+# floor (at n = 411 of 371..776 and at n = 758 of 729..1190)
+BULK_RENORMALISED_CASES = [(0.6, 3000), (1.55, 400)]
+
+
+@pytest.mark.parametrize("lam,n_atoms", STOP_CASES + OVERFLOW_CASES[1:] + BULK_RENORMALISED_CASES)
+def test_one_pass_fi_is_the_filtered_sum(lam, n_atoms):
+    # the FI of one pass of the filter over the scaled runs against sum dp^2 / p
+    # of the unscaled p(n), filtered whole each round, at the same cutoff
+    [(fi, n_max)] = fi_photon_counting_from_jet(moment_jet([lam], 1.0, 1.0, n_atoms))
+    fi_oracle, n_max_oracle = photon_fi_row_two_pass(*_fi_row_args(lam, n_atoms))
+    assert n_max == n_max_oracle
+    assert math.isfinite(fi) and fi == pytest.approx(fi_oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam,n_atoms", [(0.45, 100), (1.5, 100), (0.7, 4000)] + OVERFLOW_CASES)
+def test_fi_terms_resume_with_the_same_bits(lam, n_atoms, monkeypatch):
+    # no FI margin: the row needs several tail rounds, each walking on from the
+    # last; its sum has the bits of one walk over the final cutoff
+    mean_n, limit, inputs, slopes = args = _fi_row_args(lam, n_atoms)
+    walks = []
+    walk = _kernels.FisherTerms.walk
+    monkeypatch.setattr(measurements, "FI_MARGIN", 0.0)
+    monkeypatch.setattr(_kernels.FisherTerms, "walk", lambda self: walks.append(len(self.terms)) or walk(self))
+    fi, n_max = measurements._photon_fi_row(*args)
+    assert len(walks) > 1
+    monkeypatch.undo()
+    series = _kernels.PnSeries(*inputs)
+    series.extend(n_max)
+    once = _kernels.FisherTerms(series, *slopes, measurements.FI_TERM_FLOOR, measurements._BREAKDOWN)
+    once.walk()
+    assert len(once.terms) == n_max + 1
+    assert math.fsum(once.terms) == fi
+
+
+def test_fi_pass_reports_a_broken_series():
+    # a covariance below the vacuum bound: p(n) = r00 (-1/4)^n with r00 = 5/4,
+    # whose mass is reached at n = 0 and whose p(1) is negative
+    mean, cov = np.zeros((1, 2)), np.diag([0.3, 0.3])[None]
+    with pytest.raises(UnphysicalStateError, match=r"broke down: p\(n\) = -3\.125e-01"):
+        measurements._photon_fi_stack(mean, cov, np.zeros((1, 2)), np.diag([0.1, 0.1])[None])
 
 
 class TestClosedForms:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_metrology import _kernels, measurements
+from dicke_metrology import measurements
 from dicke_metrology.dicke import DickeParams, MomentJet, derive, ground_state, moment_jet, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.estimation import qfi, state_derivative
@@ -26,15 +26,22 @@ from dicke_metrology.measurements import (
     photon_number_moments,
     photon_series_inputs,
 )
-from oracles import fi_gauss_hermite, fi_photon_counting_family, fixed_cutoff_probs, quadrature_distribution, vacuum_state
+from oracles import (
+    fi_gauss_hermite,
+    fi_photon_counting_family,
+    fixed_cutoff_probs,
+    pn_derivative,
+    quadrature_distribution,
+    vacuum_state,
+)
 
 
-def pn_derivative(state, dmean, dcov, probs):
+def state_pn_derivative(state, dmean, dcov, probs):
     """dp(n) of the series probs of state along the derivatives dmean, dcov of its moments."""
     _, t, s, c = photon_series_inputs(state)
     moments = float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0])
     dlog_r00, dt, ds, dc = measurements._series_derivatives(*moments, float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0]))
-    return _kernels.pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
+    return pn_derivative(probs, dlog_r00, t, dt, s, ds, c, dc)
 
 
 def dsts_state(n_th, r, gamma):
@@ -393,7 +400,7 @@ class TestPhotonCountingFi:
         state = reduced_radiation_state(params)
         center = photon_distribution(state)
         sd = state_derivative(params)
-        dp = pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], center.probs)
+        dp = state_pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], center.probs)
 
         def probs_at(x):
             side = reduced_radiation_state(DickeParams(lam=x, n_atoms=n_atoms))
@@ -414,7 +421,7 @@ class TestPhotonCountingFi:
             assert 1.0 - math.fsum(fixed_cutoff_probs(state, n_max)) < PN_TAIL_TOL
             sd = state_derivative(params)
             longer = fixed_cutoff_probs(state, 2 * n_max)
-            dp = pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], longer)
+            dp = state_pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], longer)
             keep = longer >= FI_TERM_FLOOR
             assert fi == pytest.approx(math.fsum((dp[keep] ** 2 / longer[keep]).tolist()), rel=1e-10)
 
