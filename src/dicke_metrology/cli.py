@@ -7,11 +7,17 @@ deterministic: identical configuration produces byte-identical files, rows
 stay in grid order regardless of --jobs, and floats are printed with 17
 significant digits.  Rows that hit the critical window or a non-converged
 series are emitted with a status flag instead of being dropped.
+
+A sweep travels as columns from the moment jet to the output: each chunk of
+the grid returns its builder's columns and one status per coupling, and the
+renderers format each distinct value once, so a fi-homodyne coupling and
+its QFI are printed once for all its --phi angles.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -87,104 +93,126 @@ def _moments(lams: list[float], cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return ground_moments(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
 
 
-# Row builders map a contiguous chunk of the grid to its rows, in grid order;
-# the moment layers run once per chunk, vectorised over its couplings.
+# A builder maps a contiguous chunk of the grid to the columns of its table
+# after lambda and phi, in order; the moment layers run once per chunk,
+# vectorised over its couplings.  A column holds one value per coupling, or,
+# if its command lists it under per_angle, one per (coupling, --phi angle),
+# coupling-major.
 
 
-def _rows_entanglement(lams: list[float], cfg: dict) -> list[list]:
+def _entanglement(lams: list[float], cfg: dict) -> list[list]:
     spec = symplectic_spectrum(_moments(lams, cfg)[1])
-    return [list(row) for row in zip(lams, spec.log_negativity.tolist(), spec.ppt_d_minus.tolist())]
+    return [spec.log_negativity.tolist(), spec.ppt_d_minus.tolist()]
 
 
-def _rows_qfi(lams: list[float], cfg: dict) -> list[list]:
-    columns = (column.tolist() for column in qfi_from_jet(_jet(lams, cfg)))
-    return [list(row) for row in zip(lams, *columns)]
+def _qfi(lams: list[float], cfg: dict) -> list[list]:
+    return [column.tolist() for column in qfi_from_jet(_jet(lams, cfg))]
 
 
-def _rows_fi_homodyne(lams: list[float], cfg: dict) -> list[list]:
+def _fi_homodyne(lams: list[float], cfg: dict) -> list[list]:
     jet = _jet(lams, cfg)
     target = Target(cfg["target"])
-    fis = [fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)).tolist() for phi in cfg["phi"]]
-    return [
-        [lam, phi, fi, h, fi / h]
-        for lam, h, *row in zip(lams, qfi_from_jet(jet)[0].tolist(), *fis)
-        for phi, fi in zip(cfg["phi"], row)
-    ]
+    h = qfi_from_jet(jet)[0]
+    fi = np.stack([fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)) for phi in cfg["phi"]], axis=-1)
+    return [fi.ravel().tolist(), h.tolist(), (fi / h[:, None]).ravel().tolist()]
 
 
-def _rows_photon(lams: list[float], cfg: dict) -> list[list]:
-    return [
-        [lam, d.n_s, d.thermal, d.coherent, d.total]
-        for lam, d in zip(lams, _radiation_decompositions(*_moments(lams, cfg)))
-    ]
+def _photon(lams: list[float], cfg: dict) -> list[list]:
+    return _radiation_decompositions(*_moments(lams, cfg))
 
 
-def _rows_fi_photon(lams: list[float], cfg: dict) -> list[list]:
+def _fi_photon(lams: list[float], cfg: dict) -> list[list]:
     jet = _jet(lams, cfg)
-    return [
-        [lam, fi, h, fi / h, n_max]
-        for lam, h, (fi, n_max) in zip(lams, qfi_from_jet(jet)[0].tolist(), fi_photon_counting_from_jet(jet))
-    ]
+    fis, n_maxes = (list(column) for column in zip(*fi_photon_counting_from_jet(jet)))
+    hs = qfi_from_jet(jet)[0].tolist()
+    return [fis, hs, [fi / h for fi, h in zip(fis, hs)], n_maxes]
 
 
 class _Command(NamedTuple):
     columns: tuple[str, ...]
-    rows: Callable[[list[float], dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
+    build: Callable[[list[float], dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
     help: str
+    # the columns whose value changes from one --phi angle to the next within
+    # a coupling's rows; the others print one value per coupling on each
+    per_angle: tuple[str, ...] = ()
 
 
 _COMMANDS = {
-    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _rows_entanglement,
+    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _entanglement,
                              "log-negativity between radiation and atoms over a coupling grid"),
-    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _rows_qfi,
+    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _qfi,
                     "quantum Fisher information and its two contributions"),
     "wigner": _Command(("x", "p", "W"), None,
                        "Wigner function of the reduced radiation mode on an x/p grid"),
-    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _rows_fi_homodyne,
-                            "homodyne Fisher information and its ratio to the QFI"),
-    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _rows_photon,
+    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _fi_homodyne,
+                            "homodyne Fisher information and its ratio to the QFI", ("phi", "FI", "ratio")),
+    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _photon,
                        "mean-photon decomposition; with --lambda also the p(n) table"),
-    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _rows_fi_photon,
+    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _fi_photon,
                           "photon-counting Fisher information and its ratio to the QFI"),
 }
 
 
-def _compute_chunk(task: tuple[str, list[float], dict]) -> list[list]:
-    """A contiguous chunk of grid points -> finished rows with status.
+def _built_columns(command: str) -> list[str]:
+    """The names of the columns that the command's builder returns, in order."""
+    return [name for name in _COMMANDS[command].columns if name not in ("lambda", "phi")]
+
+
+def _compute_chunk(task: tuple[str, list[float], dict]) -> tuple[list[list], list[str]]:
+    """A contiguous chunk of grid points -> its builder's columns and one status per point.
 
     A domain error anywhere in the chunk sends each of its points through the
-    builder again on its own, so every point gets the status it has alone;
-    one-point and whole-chunk evaluations give the same bits.
+    builder again on its own, so every point gets the status it has alone and
+    a failed point NaN values; one-point and whole-chunk evaluations give the
+    same bits.
     """
     command, lams, cfg = task
     try:
-        return [row + ["ok"] for row in _COMMANDS[command].rows(lams, cfg)]
+        return _COMMANDS[command].build(lams, cfg), ["ok"] * len(lams)
     except _DOMAIN_ERRORS as exc:
         status = _status(exc)
     if len(lams) > 1:
-        return [row for lam in lams for row in _compute_chunk((command, [lam], cfg))]
-    lam = lams[0]
-    pad = [math.nan] * (len(_COMMANDS[command].columns) - 1)
-    if command == "fi-homodyne":
-        return [[lam, phi] + pad[1:] + [status] for phi in cfg["phi"]]
-    return [[lam] + pad + [status]]
+        return _joined([_compute_chunk((command, [lam], cfg)) for lam in lams])
+    angles = len(cfg["phi"])
+    per_angle = _COMMANDS[command].per_angle
+    return [[math.nan] * (angles if name in per_angle else 1) for name in _built_columns(command)], [status]
+
+
+def _joined(parts: list[tuple[list[list], list[str]]]) -> tuple[list[list], list[str]]:
+    """`_compute_chunk` results of consecutive chunks as the result of their union."""
+    columns = [list(itertools.chain.from_iterable(column)) for column in zip(*(values for values, _ in parts))]
+    return columns, [status for _, statuses in parts for status in statuses]
+
+
+def _sweep_table(
+    command: str, grid: list[float], cfg: dict, values: list[list], statuses: list[str]
+) -> list[tuple[list, int]]:
+    """The columns of a sweep's table (see `_filled`): each coupling, its
+    values and its status fill one row per --phi angle, or one row if the
+    command has none, and the angles repeat for every coupling."""
+    spec = _COMMANDS[command]
+    angles = len(cfg["phi"]) if spec.per_angle else 1
+    given = {"lambda": grid, "phi": cfg["phi"], **dict(zip(_built_columns(command), values))}
+    columns = [(given[name], 1 if name in spec.per_angle else angles) for name in spec.columns]
+    return columns + [(statuses, angles)]
 
 
 # Estimated cost of one row in microseconds, as tools/row_costs.py prints it:
 # the work a worker takes off this process (`_compute_chunk`; parsing and CSV
 # rendering stay here).  Each row costs its share of the chunk's stacked
-# moments, plus one FI per --phi angle for fi-homodyne; a fi-photon row runs a
-# photon series and its derivative filter over about <n> + 10 sd(n) terms,
-# after a share of the vectorised layers and a fixed setup that cost about as
-# much as 50 terms (the two scaled from the previous calibration by measured
-# ratios, see the README).
+# moments, plus one vectorised FI per --phi angle for fi-homodyne; a fi-photon
+# row runs a photon series and its derivative filter over about
+# <n> + 10 sd(n) terms, after a share of the vectorised layers and a fixed
+# setup that cost about as much as 50 terms.  The per-term, fixed-term and
+# per-angle costs were scaled from the previous calibration by measured
+# ratios (see the README).
 _ROW_US = {"entanglement": 17.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 13.0}
-_ANGLE_US = 0.7
+_ANGLE_US = 0.15
 _TERM_US = 1.1
 _ROW_TERMS = 50.0
 _SERIES_SDS = 10.0
 # what each worker process adds to a sweep's wall time (starting it, pickling
-# its chunk and rows, shutting it down, and for the vectorised rows the two
+# its chunk and its columns, shutting it down, and for the vectorised rows the two
 # workers' contention): tools/row_costs.py measured 8 to 81 ms on a shared
 # 2-core x86-64 box, highest for 20000 qfi rows; 30 ms keeps the pool off
 # every sweep on which it measured the pool losing
@@ -270,13 +298,35 @@ def _lambda_grid(cfg: dict) -> list[float]:
     return kept
 
 
-def _render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
-    # one template a row: "%.17g" prints a double as format(v, ".17g") does,
-    # and an int below 2**53 (n_max, n <= PN_MAX_TERMS) as str(n) does
-    template = ",".join(["%.17g"] * len(columns) + ["%s"])
-    lines = [",".join(columns + ("status",))]
-    lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+# A table travels as columns, each a (values, repeat) pair, one per column
+# name and a last one for the status: each value fills `repeat` consecutive
+# rows, and a column whose values fill fewer rows than the table has repeats
+# whole, e.g. the --phi angles of fi-homodyne for every coupling.
+
+
+def _filled(values: list, repeat: int, rows: int) -> list:
+    """A column's values row by row, for a table of `rows` rows."""
+    if repeat > 1:
+        values = list(itertools.chain.from_iterable(zip(*[values] * repeat)))
+    return values if len(values) == rows else values * (rows // len(values))
+
+
+def _render_csv(names: tuple[str, ...], columns: list[tuple[list, int]]) -> str:
+    # "%.17g" prints a double as format(v, ".17g") does, and an int below 2**53
+    # (n_max, n <= PN_MAX_TERMS) as str(n) does; a value that fills several
+    # rows is formatted once, and the line template then takes its text
+    rows = max(len(values) * repeat for values, repeat in columns)
+    template, cells = [], []
+    for values, repeat in columns[:-1]:
+        if repeat == 1 and len(values) == rows:
+            template.append("%.17g")
+        else:
+            template.append("%s")
+            values = ["%.17g" % value for value in values]
+        cells.append(_filled(values, repeat, rows))
+    cells.append(_filled(*columns[-1], rows))
+    line = ",".join(template + ["%s"])
+    return "\n".join([",".join(names + ("status",)), *map(line.__mod__, zip(*cells))]) + "\n"
 
 
 def _json_cell(value):
@@ -285,16 +335,20 @@ def _json_cell(value):
     return value
 
 
-def _render_json(columns: tuple[str, ...], rows: list[list], extra: dict | None = None) -> str:
-    doc = {"columns": list(columns) + ["status"], "rows": [[_json_cell(v) for v in row] for row in rows]}
+def _render_json(names: tuple[str, ...], columns: list[tuple[list, int]], extra: dict | None = None) -> str:
+    rows = max(len(values) * repeat for values, repeat in columns)
+    cells = [_filled([_json_cell(value) for value in values], repeat, rows) for values, repeat in columns]
+    doc = {"columns": list(names) + ["status"], "rows": list(zip(*cells))}
     if extra:
         doc.update(extra)
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write(cfg: dict, columns: tuple[str, ...], rows: list[list], out: str | None, extra: dict | None = None) -> None:
+def _write(
+    cfg: dict, names: tuple[str, ...], columns: list[tuple[list, int]], out: str | None, extra: dict | None = None
+) -> None:
     """The table in the configured format, written to the path out, or to stdout."""
-    text = _render_csv(columns, rows) if cfg["format"] == "csv" else _render_json(columns, rows, extra)
+    text = _render_csv(names, columns) if cfg["format"] == "csv" else _render_json(names, columns, extra)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -315,8 +369,8 @@ def _require_writable(paths: list[str | None]) -> None:
 def _pn_out_path(out: str | None) -> str | None:
     if out is None:
         return None
-    root, dot, ext = out.rpartition(".")
-    return f"{root}_pn{dot}{ext}" if dot else f"{out}_pn"
+    root, ext = os.path.splitext(out)  # the extension of the file name, not of a directory
+    return f"{root}_pn{ext}"
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -405,23 +459,24 @@ def _run_wigner(cfg: dict) -> int:
     sds = np.sqrt(np.diag(state.cov))
     axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"]) for m, sd in zip(state.mean, sds)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    rows = [[x, p, w, "ok"] for (x, p), w in zip(grid.tolist(), wigner_at(state, grid).tolist())]
+    xs, ps = (axis.tolist() for axis in axes)
+    columns = [(xs, len(ps)), (ps, 1), (wigner_at(state, grid).tolist(), 1), (["ok"], 1)]
     extra = None
     if cfg["format"] == "json":
         extra = {"derived": derive(params), "state": state_to_dict(state)}
-    _write(cfg, _COMMANDS["wigner"].columns, rows, cfg["out"], extra)
+    _write(cfg, _COMMANDS["wigner"].columns, columns, cfg["out"], extra)
     return EXIT_OK
 
 
 def _run_photon_pn(cfg: dict, lam: float) -> int:
     try:
-        dist = photon_distribution(reduced_radiation_state(_params(cfg, lam)))
-        rows = [[int(n), float(p), "ok"] for n, p in enumerate(dist.probs)]
+        probs = photon_distribution(reduced_radiation_state(_params(cfg, lam))).probs.tolist()
+        columns = [(list(range(len(probs))), 1), (probs, 1), (["ok"], 1)]
         code = EXIT_OK
     except _DOMAIN_ERRORS as exc:
-        rows = [[0, math.nan, _status(exc)]]
+        columns = [([0], 1), ([math.nan], 1), ([_status(exc)], 1)]
         code = EXIT_NUMERICAL
-    _write(cfg, ("n", "p"), rows, _pn_out_path(cfg["out"]))
+    _write(cfg, ("n", "p"), columns, _pn_out_path(cfg["out"]))
     return code
 
 
@@ -454,9 +509,10 @@ def main(argv: list[str] | None = None) -> int:
             parts = list(pool.map(_compute_chunk, tasks))
     else:
         parts = [_compute_chunk(tasks[0])]
-    rows = [row for part in parts for row in part]
-    _write(cfg, _COMMANDS[args.command].columns, rows, cfg["out"])
-    code = EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_NUMERICAL
+    values, statuses = _joined(parts)
+    table = _sweep_table(args.command, grid, cfg, values, statuses)
+    _write(cfg, _COMMANDS[args.command].columns, table, cfg["out"])
+    code = EXIT_OK if all(status == "ok" for status in statuses) else EXIT_NUMERICAL
     if pn_table:
         code = max(code, _run_photon_pn(cfg, float(cfg["lambda"])))
     return code

@@ -135,27 +135,24 @@ class MeanPhotonDecomposition:
 
 def mean_photon_decomposition(state: GaussianState) -> MeanPhotonDecomposition:
     """<N> = n_s + n_th (1 + 2 n_s) + gamma^2, reported term by term."""
-    return _decomposition(dsts_params(state))
+    return MeanPhotonDecomposition(*_decomposition(dsts_params(state)))
 
 
-def _decomposition(d: DstsParams) -> MeanPhotonDecomposition:
+def _decomposition(d: DstsParams) -> tuple[float, float, float, float]:
+    """The terms (n_s, thermal, coherent, total) of `MeanPhotonDecomposition`."""
     thermal = d.n_th * (1.0 + 2.0 * d.n_s)
     coherent = d.gamma * d.gamma
-    return MeanPhotonDecomposition(
-        n_s=d.n_s,
-        thermal=thermal,
-        coherent=coherent,
-        total=d.n_s + thermal + coherent,
-    )
+    return d.n_s, thermal, coherent, d.n_s + thermal + coherent
 
 
-def _radiation_decompositions(mean: np.ndarray, cov: np.ndarray) -> list[MeanPhotonDecomposition]:
-    """`mean_photon_decomposition` of the radiation mode at each coupling of `ground_moments`."""
+def _radiation_decompositions(mean: np.ndarray, cov: np.ndarray) -> list[list[float]]:
+    """`mean_photon_decomposition` of the radiation mode at each coupling of
+    `ground_moments`, as the columns n_s, thermal, coherent and total."""
     cov = _symmetrized(cov)  # the check and the symmetrization of GaussianState
     members = list(zip(mean[:, _RAD].tolist(), cov[:, _RAD, _RAD].reshape(-1, 4).tolist()))
     for m, c in members:
         _require_aligned(*m, *c)
-    return [_decomposition(_dsts(c[0], c[3], m[0])) for m, c in members]
+    return [list(column) for column in zip(*(_decomposition(_dsts(c[0], c[3], m[0])) for m, c in members))]
 
 
 def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:

@@ -7,26 +7,39 @@ marginal they integrate, the package's photon-counting FI on an arbitrary
 single-mode family, the photon series at a fixed cutoff, its derivative
 filter over unscaled p(n) and the former two-pass photon FI row built on it,
 the ground-state covariance from its six closed-form entries, the CLI's
-former cell-by-cell CSV formatting, and its former per-row builders for
-entanglement, photon and Wigner tables.
+former cell-by-cell CSV formatting and row-wise JSON, its former per-row
+builders for entanglement, photon and Wigner tables, and its former row
+builders and row padding for every sweep.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from dicke_metrology import _kernels, measurements
-from dicke_metrology.dicke import RADIATION_MODE, DickeParams, derive, ground_moments, reduced_radiation_state
-from dicke_metrology.errors import NonConvergedSeries, SingularCovarianceError, UnphysicalStateError
+from dicke_metrology.dicke import RADIATION_MODE, DickeParams, derive, ground_moments, moment_jet
+from dicke_metrology.dicke import reduced_radiation_state
+from dicke_metrology.errors import DickeMetrologyError, NonConvergedSeries, SingularCovarianceError
+from dicke_metrology.errors import UnphysicalStateError
+from dicke_metrology.estimation import qfi_from_jet
 from dicke_metrology.gaussian import GaussianState, partial_trace, symplectic_form, symplectic_spectrum
-from dicke_metrology.measurements import DstsParams, _photon_fi_stack, mean_photon_decomposition, photon_series_inputs
+from dicke_metrology.measurements import (
+    DstsParams,
+    HomodyneSetting,
+    Target,
+    _photon_fi_stack,
+    fi_homodyne_from_jet,
+    fi_photon_counting_from_jet,
+    mean_photon_decomposition,
+    photon_series_inputs,
+)
 
 TRACE_LOSS_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -315,6 +328,14 @@ def render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_json(columns: tuple[str, ...], rows: list[list], extra: dict | None = None) -> str:
+    """The CLI's JSON table, row by row, with a NaN printed as null."""
+    cells = [[None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows]
+    doc = {"columns": [*columns, "status"], "rows": cells}
+    doc.update(extra or {})
+    return json.dumps(doc, indent=2) + "\n"
+
+
 # The CLI's former per-row path: a GaussianState per coupling, its partial
 # trace and the scalar spectrum and decomposition, and the Wigner grid one
 # point at a time.  The row builders take (couplings, config) as the CLI's do.
@@ -358,3 +379,52 @@ def wigner_rows_per_point(params: DickeParams, points: int) -> tuple[GaussianSta
     xs = np.linspace(state.mean[0] - 6 * sx, state.mean[0] + 6 * sx, points)
     ps = np.linspace(state.mean[1] - 6 * sp, state.mean[1] + 6 * sp, points)
     return state, [[float(x), float(p), wigner_at_point(state, np.array([x, p])), "ok"] for x in xs for p in ps]
+
+
+# The CLI's former row path for the sweeps it vectorised: one list per row from
+# the stacked moments, and each chunk's rows with their status appended, a
+# failed point padded with NaN.
+
+
+def _jet(lams: list[float], cfg: dict):
+    return moment_jet(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+
+
+def qfi_rows(lams: list[float], cfg: dict) -> list[list]:
+    columns = (column.tolist() for column in qfi_from_jet(_jet(lams, cfg)))
+    return [list(row) for row in zip(lams, *columns)]
+
+
+def fi_homodyne_rows(lams: list[float], cfg: dict) -> list[list]:
+    jet = _jet(lams, cfg)
+    target = Target(cfg["target"])
+    fis = [fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)).tolist() for phi in cfg["phi"]]
+    return [
+        [lam, phi, fi, h, fi / h]
+        for lam, h, *row in zip(lams, qfi_from_jet(jet)[0].tolist(), *fis)
+        for phi, fi in zip(cfg["phi"], row)
+    ]
+
+
+def fi_photon_rows(lams: list[float], cfg: dict) -> list[list]:
+    jet = _jet(lams, cfg)
+    return [
+        [lam, fi, h, fi / h, n_max]
+        for lam, h, (fi, n_max) in zip(lams, qfi_from_jet(jet)[0].tolist(), fi_photon_counting_from_jet(jet))
+    ]
+
+
+def chunk_rows(builder, width: int, lams: list[float], cfg: dict) -> list[list]:
+    """The rows, status included, of a chunk of a table `width` columns wide
+    before its status: after a domain error each point again on its own, a
+    failed one with NaN values."""
+    try:
+        return [row + ["ok"] for row in builder(lams, cfg)]
+    except (DickeMetrologyError, np.linalg.LinAlgError) as exc:
+        status = "nonconverged" if isinstance(exc, NonConvergedSeries) else "singular"
+    if len(lams) > 1:
+        return [row for lam in lams for row in chunk_rows(builder, width, [lam], cfg)]
+    pad = [math.nan] * (width - 1)
+    if builder is fi_homodyne_rows:
+        return [[lams[0], phi] + pad[1:] + [status] for phi in cfg["phi"]]
+    return [[lams[0]] + pad + [status]]

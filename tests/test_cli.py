@@ -19,7 +19,17 @@ from dicke_metrology import cli
 from dicke_metrology.cli import EXIT_OK, main
 from dicke_metrology.dicke import derive
 from dicke_metrology.gaussian import state_to_dict
-from oracles import entanglement_rows_per_state, photon_rows_per_state, render_csv, wigner_rows_per_point
+from oracles import (
+    chunk_rows,
+    entanglement_rows_per_state,
+    fi_homodyne_rows,
+    fi_photon_rows,
+    photon_rows_per_state,
+    qfi_rows,
+    render_csv,
+    render_json,
+    wigner_rows_per_point,
+)
 
 
 def run(capsys, argv):
@@ -329,8 +339,14 @@ class TestPoolGate:
         assert cli._chunk_count(2, [start] * 3) == 1
 
 
+def _as_columns(rows: list[list], width: int) -> list[tuple[list, int]]:
+    """Rows as the CLI's (values, repeat) columns, one value per row each."""
+    return [([row[i] for row in rows], 1) for i in range(width)]
+
+
 class TestRenderCsv:
-    """One %-template a row gives the bytes of the former cell-by-cell formatter."""
+    """The column renderers give the bytes of the former cell-by-cell formatter
+    and row-wise JSON."""
 
     DOUBLES = st.floats() | st.sampled_from(
         [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.7976931348623157e308]
@@ -342,14 +358,38 @@ class TestRenderCsv:
     def test_fi_photon_rows(self, rows):
         rows = [list(row) for row in rows]
         columns = cli._COMMANDS["fi-photon"].columns
-        assert cli._render_csv(columns, rows) == render_csv(columns, rows)
+        assert cli._render_csv(columns, _as_columns(rows, 6)) == render_csv(columns, rows)
 
     @given(st.lists(st.tuples(st.integers(0, 10**6), DOUBLES.map(np.float64), STATUSES), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_pn_rows(self, rows):
         # the p(n) table: an int column, and doubles as numpy scalars
         rows = [list(row) for row in rows]
-        assert cli._render_csv(("n", "p"), rows) == render_csv(("n", "p"), rows)
+        assert cli._render_csv(("n", "p"), _as_columns(rows, 3)) == render_csv(("n", "p"), rows)
+
+    @given(
+        st.lists(st.tuples(DOUBLES, DOUBLES, STATUSES), min_size=1, max_size=6),
+        st.lists(DOUBLES, min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_values_shared_by_rows(self, couplings, angles, data):
+        # a fi-homodyne table: lambda, H and the status fill one row per angle,
+        # and the angles repeat for every coupling
+        k = len(angles)
+        size = len(couplings) * k
+        cells = data.draw(st.lists(st.tuples(self.DOUBLES, self.DOUBLES), min_size=size, max_size=size))
+        rows = [
+            [lam, phi, fi, h, ratio, status]
+            for i, (lam, h, status) in enumerate(couplings)
+            for phi, (fi, ratio) in zip(angles, cells[i * k:(i + 1) * k])
+        ]
+        lams, hs, statuses = (list(column) for column in zip(*couplings))
+        fis, ratios = (list(column) for column in zip(*cells))
+        table = [(lams, k), (angles, 1), (fis, 1), (hs, k), (ratios, 1), (statuses, k)]
+        names = cli._COMMANDS["fi-homodyne"].columns
+        assert cli._render_csv(names, table) == render_csv(names, rows)
+        assert cli._render_json(names, table) == render_json(names, rows)
 
 
 class TestStatusAndExitCodes:
@@ -399,14 +439,14 @@ class TestStatusAndExitCodes:
 
     def test_chunk_falls_back_to_per_point_statuses(self):
         cfg = dict(cli._DEFAULTS, phi=[0.0, 1.0])
-        rows = cli._compute_chunk(("fi-homodyne", [0.4, 0.5, 0.6], cfg))
-        assert [(row[0], row[1], row[-1]) for row in rows] == [
-            (0.4, 0.0, "ok"), (0.4, 1.0, "ok"),
-            (0.5, 0.0, "singular"), (0.5, 1.0, "singular"),
-            (0.6, 0.0, "ok"), (0.6, 1.0, "ok"),
-        ]
-        alone = cli._compute_chunk(("fi-homodyne", [0.4], cfg)) + cli._compute_chunk(("fi-homodyne", [0.6], cfg))
-        assert rows[:2] + rows[4:] == alone
+        (fi, h, ratio), statuses = cli._compute_chunk(("fi-homodyne", [0.4, 0.5, 0.6], cfg))
+        assert statuses == ["ok", "singular", "ok"]
+        # FI and ratio hold one value per (coupling, angle), H one per coupling
+        assert len(fi) == len(ratio) == 6 and len(h) == 3
+        assert all(map(math.isnan, fi[2:4] + h[1:2] + ratio[2:4]))
+        assert not any(map(math.isnan, fi[:2] + fi[4:] + h[:1] + h[2:] + ratio[:2] + ratio[4:]))
+        alone = cli._joined([cli._compute_chunk(("fi-homodyne", [lam], cfg)) for lam in (0.4, 0.6)])
+        assert alone == ([fi[:2] + fi[4:], h[:1] + h[2:], ratio[:2] + ratio[4:]], ["ok", "ok"])
 
 
 class TestErrorTaxonomy:
@@ -416,7 +456,7 @@ class TestErrorTaxonomy:
         def broken(lam, cfg):
             raise ValueError("fault in a row builder")
 
-        monkeypatch.setitem(cli._COMMANDS, "qfi", cli._COMMANDS["qfi"]._replace(rows=broken))
+        monkeypatch.setitem(cli._COMMANDS, "qfi", cli._COMMANDS["qfi"]._replace(build=broken))
         with pytest.raises(ValueError, match="fault in a row builder"):
             main(["qfi", "--lambda", "0.3"])
         assert capsys.readouterr().out == ""
@@ -805,8 +845,10 @@ class TestWigner:
 
 
 class TestPerRowReference:
-    """entanglement, photon and wigner print the bytes of the former per-row path
-    (tests/oracles.py): a GaussianState per coupling, and the Wigner grid point by point."""
+    """Every subcommand prints the bytes of the former row path (tests/oracles.py):
+    a list per row with its status appended, a failed point padded with NaN,
+    the entanglement and photon rows from a GaussianState per coupling, and
+    the Wigner grid point by point."""
 
     GRIDS = [
         ["--lambda", "0"],
@@ -822,16 +864,38 @@ class TestPerRowReference:
         ["--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "21", "--exclusion", "0"],
     ]
 
+    @staticmethod
+    def check(tmp_path, builder, argv, fmt):
+        # written to a file: photon --lambda also writes its p(n) table
+        out = tmp_path / f"table.{fmt}"
+        code = main(argv + ["--format", fmt, "--out", str(out)])
+        cfg = cli._load_config(cli._build_parser().parse_args(argv))
+        columns = cli._COMMANDS[argv[0]].columns
+        rows = chunk_rows(builder, len(columns), cli._lambda_grid(cfg), cfg)
+        assert out.read_text() == (render_csv if fmt == "csv" else render_json)(columns, rows)
+        assert code == (EXIT_OK if all(row[-1] == "ok" for row in rows) else 3)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize(
-        "command, builder", [("entanglement", entanglement_rows_per_state), ("photon", photon_rows_per_state)]
+        "command, builder",
+        [
+            ("entanglement", entanglement_rows_per_state),
+            ("photon", photon_rows_per_state),
+            ("qfi", qfi_rows),
+            ("fi-homodyne", fi_homodyne_rows),
+            ("fi-photon", fi_photon_rows),
+        ],
     )
-    def test_rows(self, capsys, monkeypatch, command, builder, grid, fmt):
-        argv = [command, *grid, "--format", fmt]
-        batched = run(capsys, argv)
-        monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(rows=builder))
-        assert run(capsys, argv) == batched
+    def test_rows(self, tmp_path, command, builder, grid, fmt):
+        self.check(tmp_path, builder, [command, *grid], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("target", ["radiation", "atoms"])
+    def test_homodyne_angles(self, tmp_path, target, grid, fmt):
+        argv = ["fi-homodyne", *grid, "--phi", "0,0.7853981633974483,2.5", "--target", target]
+        self.check(tmp_path, fi_homodyne_rows, argv, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -864,6 +928,19 @@ class TestPhotonTables:
         assert lines[0] == "n,p,status"
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-8)
+
+    def test_pn_file_beside_a_dotted_directory(self, tmp_path):
+        # "t.d/photon" named its p(n) table "t_pn.d/photon" and exited 2
+        (tmp_path / "t.d").mkdir()
+        assert main(["photon", "--lambda", "0.7", "--out", str(tmp_path / "t.d" / "photon")]) == EXIT_OK
+        assert sorted(path.name for path in (tmp_path / "t.d").iterdir()) == ["photon", "photon_pn"]
+
+    def test_pn_file_of_a_relative_path(self, tmp_path, monkeypatch):
+        # "./photon" named its p(n) table "_pn./photon"
+        monkeypatch.chdir(tmp_path)
+        assert main(["photon", "--lambda", "0.7", "--out", "./photon"]) == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["photon", "photon_pn"]
+        assert (tmp_path / "photon_pn").read_text().startswith("n,p,status\n0,")
 
     def test_decomposition_row(self, capsys):
         code, out = run(capsys, ["photon", "--lambda", "0.55"])

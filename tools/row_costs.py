@@ -11,7 +11,9 @@ Prints, for the machine it runs on:
 2. the fi-homodyne split into a per-coupling and a per-angle part, fitted
    over 1, 2, 4 and 8 angles;
 3. the fi-photon cost per estimated series term and the fixed terms per row,
-   fitted over sweeps whose series hold 100 to 10^4 terms;
+   fitted in relative error over sweeps whose series hold 100 to 10^4 terms,
+   so that the short sweeps, which carry the fixed part, weigh as much as
+   the long ones;
 4. the forced-pool break-even: sweeps timed through `cli.main` in one chunk
    and with a 2-worker pool forced (`cli._WORKER_START_US` set to 0), the
    work the pool saves by the estimate (the total minus its largest chunk),
@@ -52,10 +54,13 @@ def _sweep_cfg(**keys) -> dict:
 
 
 def _chunk_us(command: str, cfg: dict, repeat: int) -> tuple[float, int]:
-    """Median in-process time of the whole grid as one chunk, in us, and its rows."""
+    """Median in-process time of the whole grid as one chunk, in us, and its couplings."""
     grid = cli._lambda_grid(cfg)
     task = (command, grid, cfg)
-    cli._compute_chunk(task)  # warm-up
+    _, statuses = cli._compute_chunk(task)  # warm-up
+    if set(statuses) != {"ok"}:
+        # such a chunk ran again one point at a time: not the cost of its rows
+        raise SystemExit(f"{command} over {grid[0]}..{grid[-1]}: statuses {sorted(set(statuses))}")
     return 1e6 * _median_s(lambda: cli._compute_chunk(task), repeat), len(grid)
 
 
@@ -97,9 +102,10 @@ def row_costs(repeat: int) -> None:
         times.append(us)
         print(f"   N={n_atoms:<6d} {lo}-{hi}: {us / 1e3:7.1f} ms for {rows} rows, {terms:9.0f} terms,"
               f" {us / (terms + rows * cli._ROW_TERMS):5.2f} us per estimated term")
-    # us = TERM_US * terms + TERM_US * ROW_TERMS * rows, least squares
-    design = np.array([[terms, rows] for rows, terms in rows_terms])
-    (term_us, row_us), *_ = np.linalg.lstsq(design, np.array(times), rcond=None)
+    # us = TERM_US * terms + TERM_US * ROW_TERMS * rows, least squares in
+    # relative error: in microseconds the N=10^4 sweeps would set the fit
+    design = np.array([[terms, rows] for rows, terms in rows_terms]) / np.array(times)[:, None]
+    (term_us, row_us), *_ = np.linalg.lstsq(design, np.ones(len(times)), rcond=None)
     print(f"   fit: {term_us:.2f} us per term, {row_us / term_us:.0f} terms per row   "
           f"(cli._TERM_US = {cli._TERM_US}, cli._ROW_TERMS = {cli._ROW_TERMS})")
 
