@@ -25,6 +25,14 @@ evaluation is stable: rounding errors excite only solutions that it outgrows.
 The values run scaled, starting at 1 with the scale r00; the three live
 values are renormalised by a power of two 2^-e whenever their largest
 magnitude leaves [1e-200, 1e200], and the scale becomes r00 2^(e1 + e2 + ...).
+Each term tests only the new value against that band, and takes the largest
+magnitude of the three only when the new value lies outside it (zero and
+negative values included).  That is the decision of a test of all three on
+every term: a value above 1e200 is renormalised at the step that makes it,
+which leaves the largest live value in [0.5, 1), so the two older values
+never exceed 1e200; and all three below 1e-200 puts the new one there too.
+The new value alone would not do: a squeezed vacuum has p = 0 at every odd
+n, where p(n-1) may still lie inside the band.
 The exponents add exactly, so the log scale log r00 + (e1 + e2 + ...) ln 2
 does not collect a rounding per renormalisation, which at <n> ~ 1e5 had
 summed to 1e-10 of the mass.  Only the final exponentiation can leave
@@ -93,7 +101,12 @@ class PnSeries:
 
     def extend(self, n_max: int, tail_tol: float | None = None) -> bool:
         """Run on to p(n_max), or with tail_tol stop at the first n where
-        p(0) + ... + p(n) reaches 1 - tail_tol.  Returns whether it did."""
+        p(0) + ... + p(n) reaches 1 - tail_tol.  Returns whether it did.
+
+        Each term tests p(n) alone against [1e-200, 1e200], and only a p(n)
+        outside it (zero and negative included) asks whether the largest of
+        |p(n)|, |p(n-1)|, |p(n-2)| has left the band: the decision of a test
+        of all three on every term, for the reasons in the module docstring."""
         a1, a2, a3, q0, q1, q2 = self._coeffs
         vals, scales = self._vals, self._scales
         append = vals.append
@@ -102,23 +115,29 @@ class PnSeries:
         log_scale = self._log_r00 + exp2 * _LN2
         goal = math.inf if tail_tol is None else 1.0 - tail_tol
         run_goal = _run_goal(goal - banked, log_scale)
-        for n in range(len(vals) - 1, n_max):
+        # n as a double: exact for any n a list can index (below 2^53), so
+        # the terms are those of the integer n, without a conversion each
+        n = float(len(vals) - 1)
+        for _ in range(len(vals) - 1, n_max):
             if run_mass >= run_goal:
                 break
+            m = n + 1.0
             p0, p1, p2 = (
-                ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1),
+                ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1.0)) * p1 + (q2 - a3 * (n - 2.0)) * p2) / m,
                 p0,
                 p1,
             )
-            big = max(abs(p0), abs(p1), abs(p2))
-            if big > _HIGH or 0.0 < big < _LOW:
-                e = math.frexp(big)[1]
-                p0, p1, p2 = math.ldexp(p0, -e), math.ldexp(p1, -e), math.ldexp(p2, -e)
-                banked += run_mass * math.exp(log_scale) if log_scale < 700.0 else math.inf
-                exp2 += e
-                log_scale = self._log_r00 + exp2 * _LN2
-                scales.append((n + 1, exp2))
-                run_mass, run_goal = 0.0, _run_goal(goal - banked, log_scale)
+            n = m
+            if not _LOW <= p0 <= _HIGH:
+                big = max(abs(p0), abs(p1), abs(p2))
+                if big > _HIGH or 0.0 < big < _LOW:
+                    e = math.frexp(big)[1]
+                    p0, p1, p2 = math.ldexp(p0, -e), math.ldexp(p1, -e), math.ldexp(p2, -e)
+                    banked += run_mass * math.exp(log_scale) if log_scale < 700.0 else math.inf
+                    exp2 += e
+                    log_scale = self._log_r00 + exp2 * _LN2
+                    scales.append((len(vals), exp2))
+                    run_mass, run_goal = 0.0, _run_goal(goal - banked, log_scale)
             append(p0)
             run_mass += p0
         self._live, self._banked, self._run_mass = (p0, p1, p2), banked, run_mass

@@ -203,13 +203,13 @@ def _sweep_table(
 # moments, plus one vectorised FI per --phi angle for fi-homodyne; a fi-photon
 # row runs a photon series and its derivative filter over about
 # <n> + 10 sd(n) terms, after a share of the vectorised layers and a fixed
-# setup that cost about as much as 50 terms.  The per-term, fixed-term and
+# setup that cost about as much as 80 terms.  The per-term, fixed-term and
 # per-angle costs were scaled from the previous calibration by measured
 # ratios (see the README).
 _ROW_US = {"entanglement": 17.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 13.0}
 _ANGLE_US = 0.15
-_TERM_US = 1.1
-_ROW_TERMS = 50.0
+_TERM_US = 0.7
+_ROW_TERMS = 80.0
 _SERIES_SDS = 10.0
 # what each worker process adds to a sweep's wall time (starting it, pickling
 # its chunk and its columns, shutting it down, and for the vectorised rows the two

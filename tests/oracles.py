@@ -4,8 +4,10 @@ Truncated Fock-space construction of displaced squeezed thermal states,
 Gaussian pure-state overlaps, purity and the characteristic function,
 direct numerical Fisher-information integrals, the rotated-quadrature
 marginal they integrate, the package's photon-counting FI on an arbitrary
-single-mode family, the photon series at a fixed cutoff, its derivative
-filter over unscaled p(n) and the former two-pass photon FI row built on it,
+single-mode family, the photon series at a fixed cutoff, its former
+forward loop (the band test on all three live values every term), its
+derivative filter over unscaled p(n) and the former two-pass photon FI row
+built on it,
 the ground-state covariance from its six closed-form entries, the CLI's
 former cell-by-cell CSV formatting and row-wise JSON, its former per-row
 builders for entanglement, photon and Wigner tables, and its former row
@@ -252,6 +254,42 @@ def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.
     if state.cov.shape != (2, 2) or dmean.shape != (2,) or dcov.shape != (2, 2):
         raise ValueError(f"expected the moments of one mode, got cov {state.cov.shape}, dcov {dcov.shape}")
     return _photon_fi_stack(state.mean[None], state.cov[None], dmean[None], dcov[None])[0]
+
+
+class ThreeValueSeries(_kernels.PnSeries):
+    """`_kernels.PnSeries` with the `extend` loop it had before its two-stage
+    band test: the largest of the three live magnitudes against [1e-200, 1e200]
+    on every term, and an integer n."""
+
+    def extend(self, n_max: int, tail_tol: float | None = None) -> bool:
+        a1, a2, a3, q0, q1, q2 = self._coeffs
+        vals, scales = self._vals, self._scales
+        p0, p1, p2 = self._live
+        banked, run_mass, exp2 = self._banked, self._run_mass, scales[-1][1]
+        log_scale = self._log_r00 + exp2 * _kernels._LN2
+        goal = math.inf if tail_tol is None else 1.0 - tail_tol
+        run_goal = _kernels._run_goal(goal - banked, log_scale)
+        for n in range(len(vals) - 1, n_max):
+            if run_mass >= run_goal:
+                break
+            p0, p1, p2 = (
+                ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1),
+                p0,
+                p1,
+            )
+            big = max(abs(p0), abs(p1), abs(p2))
+            if big > _kernels._HIGH or 0.0 < big < _kernels._LOW:
+                e = math.frexp(big)[1]
+                p0, p1, p2 = math.ldexp(p0, -e), math.ldexp(p1, -e), math.ldexp(p2, -e)
+                banked += run_mass * math.exp(log_scale) if log_scale < 700.0 else math.inf
+                exp2 += e
+                log_scale = self._log_r00 + exp2 * _kernels._LN2
+                scales.append((n + 1, exp2))
+                run_mass, run_goal = 0.0, _kernels._run_goal(goal - banked, log_scale)
+            vals.append(p0)
+            run_mass += p0
+        self._live, self._banked, self._run_mass = (p0, p1, p2), banked, run_mass
+        return run_mass >= run_goal
 
 
 def pn_derivative(

@@ -4,13 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dicke_metrology import _kernels, measurements
 from dicke_metrology.dicke import DickeParams, moment_jet, reduced_radiation_state
 from dicke_metrology.errors import UnphysicalStateError
 from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution, photon_series_inputs
-from oracles import photon_fi_row_two_pass, pn_derivative
+from oracles import ThreeValueSeries, photon_fi_row_two_pass, pn_derivative
 
 _LOG4 = math.log(4.0)
 
@@ -242,6 +244,98 @@ def test_extend_reports_an_unreached_mass():
 
 # an arbitrary direction in (log r00, t, s, c)
 PATH_DIRECTION = (0.3, 0.05, -0.04, 0.2)
+
+
+def _normalised(t, s, c):
+    """Series inputs whose p(n) sum to 1: r00 = sqrt((1 - s)(1 - t)) exp(-c^2 / (1 - t))."""
+    return 0.5 * math.log1p(-s) + 0.5 * math.log1p(-t) - c * c / (1.0 - t), t, s, c
+
+
+@st.composite
+def _squeezed_vacua(draw):
+    # p(2m) ~ t^(2m), zero at every odd n, run past 1e-200 by up to 2.5 times
+    t = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 0.6))
+    crossing = 200.0 * math.log(10.0) / -math.log(abs(t))
+    return _normalised(t, -t, 0.0), math.ceil(crossing * draw(st.floats(1.05, 2.5))), None, 1.0
+
+
+@st.composite
+def _near_vacua(draw):
+    # t, s and c of ~1e-146: each term falls by ~1e-146, so the values leave
+    # the band downward every few terms, and some underflow to 0.0.  t and s
+    # share a sign, so p(1) ~ (s + t)/2 does not cancel, and the slopes are
+    # those of a coupling lam ~ sqrt(t), as t ~ lam^2 near the vacuum: a
+    # step of 1e-308 between two values, or slopes of 1, would overflow the
+    # filter's history at a renormalisation
+    exponent = draw(st.floats(-155.0, -135.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    t, s, c = (10.0 ** (exponent + draw(st.floats(-2.0, 2.0))) for _ in range(3))
+    inputs = (0.0, sign * t, sign * s, draw(st.sampled_from([-c, c])))
+    return inputs, draw(st.integers(2, 80)), None, 10.0 ** (0.5 * exponent)
+
+
+@st.composite
+def _displaced(draw):
+    # the scaled values start at 1 and peak near exp(c^2 / (1 - t)), here
+    # e^480 to e^2300, so they rise past 1e200 ~ e^460 up to five times
+    # before the mass stop
+    t, s = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.5, 0.5))
+    return _normalised(t, s, draw(st.floats(25.0, 40.0))), 10**5, 1e-10, 1.0
+
+
+@st.composite
+def _mixed(draw):
+    # thermal, coherent and squeezed-thermal states, to the mass stop or a fixed cutoff
+    t, s = draw(st.floats(-0.95, 0.95)), draw(st.floats(-0.95, 0.95))
+    c = draw(st.sampled_from([0.0, draw(st.floats(0.0, 5.0))]))
+    tail_tol = draw(st.sampled_from([None, 1e-10, 1e-3]))
+    return _normalised(t, s, c), draw(st.integers(0, 2000)), tail_tol, 1.0
+
+
+SVAC_005 = (_normalised(0.05, -0.05, 0.0), 400, None, 1.0)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@given(
+    case=st.one_of(_squeezed_vacua(), _near_vacua(), _displaced(), _mixed()),
+    split=st.floats(0.0, 1.0),
+    slopes=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+)
+@example(case=SVAC_005, split=0.5, slopes=PATH_DIRECTION)
+@settings(max_examples=150, deadline=None)
+def test_band_test_on_the_new_value_decides_as_the_three_value_test(case, split, slopes):
+    # the two-stage band test of `PnSeries.extend` against its former loop,
+    # which tested the largest of the three live values on every term; both
+    # extended in two calls, each followed by a walk of the FI terms
+    inputs, n_max, tail_tol, slope_scale = case
+    series, oracle = _kernels.PnSeries(*inputs), ThreeValueSeries(*inputs)
+    slopes = [slope_scale * x for x in slopes]
+    terms, oracle_terms = (
+        _kernels.FisherTerms(x, *slopes, measurements.FI_TERM_FLOOR, measurements._BREAKDOWN)
+        for x in (series, oracle)
+    )
+    for stop in (int(split * n_max), n_max):
+        assert series.extend(stop, tail_tol) == oracle.extend(stop, tail_tol)
+        assert _bits(series._vals) == _bits(oracle._vals)
+        assert series._scales == oracle._scales
+        assert _bits(series._live + (series._banked, series._run_mass)) == _bits(
+            oracle._live + (oracle._banked, oracle._run_mass)
+        )
+        assert terms.walk() == oracle_terms.walk()
+        assert _bits(terms.terms) == _bits(oracle_terms.terms)
+
+
+def test_squeezed_vacuum_renormalises_where_all_three_values_leave_the_band():
+    # p = 0 at every odd n: a test of |p(n)| alone would renormalise at
+    # n = 143 and 299, where p(n), 0 up to rounding, lies below the band
+    # but p(n-1) still lies inside it
+    inputs, n_max, _, _ = SVAC_005
+    series = _kernels.PnSeries(*inputs)
+    series.extend(n_max)
+    assert [n for n, _ in series._scales] == [0, 155, 309]
 
 
 @pytest.mark.parametrize("r00,t,s,c,n_max", BRANCH_CASES)
