@@ -16,6 +16,7 @@ its QFI are printed once for all its --phi angles.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -26,8 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dicke import RADIATION_MODE, DickeParams, MomentJet, _checked_couplings, derive, ground_moments
-from .dicke import moment_jet, reduced_radiation_state
+from .dicke import RADIATION_MODE, DickeParams, _checked_couplings, _ground, _Ground, _jet, derive
+from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
 from .gaussian import state_to_dict, symplectic_spectrum, wigner_at
@@ -85,44 +86,41 @@ def _params(cfg: dict, lam: float) -> DickeParams:
     return DickeParams(lam=lam, omega=cfg["omega"], omega0=cfg["omega0"], n_atoms=cfg["n_atoms"])
 
 
-def _jet(lams: list[float], cfg: dict) -> MomentJet:
-    return moment_jet(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+def _grid_ground(lams: list[float], cfg: dict) -> _Ground:
+    model = cfg["omega"], cfg["omega0"], cfg["n_atoms"]
+    return _ground(_checked_couplings(lams, *model), *model)
 
 
-def _moments(lams: list[float], cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    return ground_moments(lams, cfg["omega"], cfg["omega0"], cfg["n_atoms"])
+# A builder maps the ground stage of a contiguous chunk of the grid to the
+# columns of its table after lambda and phi, in order; the moment layers run
+# once per chunk, vectorised over its couplings.  A column holds one value per
+# coupling, or, if its command lists it under per_angle, one per (coupling,
+# --phi angle), coupling-major.
 
 
-# A builder maps a contiguous chunk of the grid to the columns of its table
-# after lambda and phi, in order; the moment layers run once per chunk,
-# vectorised over its couplings.  A column holds one value per coupling, or,
-# if its command lists it under per_angle, one per (coupling, --phi angle),
-# coupling-major.
-
-
-def _entanglement(lams: list[float], cfg: dict) -> list[list]:
-    spec = symplectic_spectrum(_moments(lams, cfg)[1])
+def _entanglement(ground: _Ground, cfg: dict) -> list[list]:
+    spec = symplectic_spectrum(ground.cov)
     return [spec.log_negativity.tolist(), spec.ppt_d_minus.tolist()]
 
 
-def _qfi(lams: list[float], cfg: dict) -> list[list]:
-    return [column.tolist() for column in qfi_from_jet(_jet(lams, cfg))]
+def _qfi(ground: _Ground, cfg: dict) -> list[list]:
+    return [column.tolist() for column in qfi_from_jet(_jet(ground))]
 
 
-def _fi_homodyne(lams: list[float], cfg: dict) -> list[list]:
-    jet = _jet(lams, cfg)
+def _fi_homodyne(ground: _Ground, cfg: dict) -> list[list]:
+    jet = _jet(ground)
     target = Target(cfg["target"])
     h = qfi_from_jet(jet)[0]
     fi = np.stack([fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)) for phi in cfg["phi"]], axis=-1)
     return [fi.ravel().tolist(), h.tolist(), (fi / h[:, None]).ravel().tolist()]
 
 
-def _photon(lams: list[float], cfg: dict) -> list[list]:
-    return _radiation_decompositions(*_moments(lams, cfg))
+def _photon(ground: _Ground, cfg: dict) -> list[list]:
+    return _radiation_decompositions(ground.mean, ground.cov)
 
 
-def _fi_photon(lams: list[float], cfg: dict) -> list[list]:
-    jet = _jet(lams, cfg)
+def _fi_photon(ground: _Ground, cfg: dict) -> list[list]:
+    jet = _jet(ground)
     fis, n_maxes = (list(column) for column in zip(*fi_photon_counting_from_jet(jet)))
     hs = qfi_from_jet(jet)[0].tolist()
     return [fis, hs, [fi / h for fi, h in zip(fis, hs)], n_maxes]
@@ -130,7 +128,7 @@ def _fi_photon(lams: list[float], cfg: dict) -> list[list]:
 
 class _Command(NamedTuple):
     columns: tuple[str, ...]
-    build: Callable[[list[float], dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
+    build: Callable[[_Ground, dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
     help: str
     # the columns whose value changes from one --phi angle to the next within
     # a coupling's rows; the others print one value per coupling on each
@@ -158,17 +156,20 @@ def _built_columns(command: str) -> list[str]:
     return [name for name in _COMMANDS[command].columns if name not in ("lambda", "phi")]
 
 
-def _compute_chunk(task: tuple[str, list[float], dict]) -> tuple[list[list], list[str]]:
+def _compute_chunk(task: tuple[str, list[float], dict], ground: _Ground | None = None) -> tuple[list[list], list[str]]:
     """A contiguous chunk of grid points -> its builder's columns and one status per point.
 
-    A domain error anywhere in the chunk sends each of its points through the
-    builder again on its own, so every point gets the status it has alone and
-    a failed point NaN values; one-point and whole-chunk evaluations give the
+    ground is the chunk's ground stage if the caller has it already.  A domain
+    error anywhere in the chunk sends each of its points through the builder
+    again on its own, so every point gets the status it has alone and a
+    failed point NaN values; one-point and whole-chunk evaluations give the
     same bits.
     """
     command, lams, cfg = task
     try:
-        return _COMMANDS[command].build(lams, cfg), ["ok"] * len(lams)
+        if ground is None:
+            ground = _grid_ground(lams, cfg)
+        return _COMMANDS[command].build(ground, cfg), ["ok"] * len(lams)
     except _DOMAIN_ERRORS as exc:
         status = _status(exc)
     if len(lams) > 1:
@@ -219,24 +220,26 @@ _SERIES_SDS = 10.0
 _WORKER_START_US = 30_000.0
 
 
-def _row_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
+def _row_costs(command: str, grid: list[float], cfg: dict, ground: _Ground | None = None) -> list[float]:
     """Estimated cost of each row in microseconds, known before any series runs.
 
     fi-photon rows weigh their photon series, from the <n> and sd(n) of the
-    radiation mode; the rows of every other command weigh the same.
+    radiation mode in the grid's ground stage, computed here unless given;
+    the rows of every other command weigh the same.
     """
     if command == "fi-homodyne":
         return [_ROW_US[command] + _ANGLE_US * len(cfg["phi"])] * len(grid)
     if command != "fi-photon":
         return [_ROW_US[command]] * len(grid)
     try:
-        mean, cov = _moments(grid, cfg)
+        if ground is None:
+            ground = _grid_ground(grid, cfg)
     except _DOMAIN_ERRORS:
         # a grid that holds the critical coupling: equal weights, far below
         # any series, so the sweep runs in this process
         return [1.0] * len(grid)
     mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
-    mean_n, var_n = photon_number_moments(mean[:, mode], cov[:, mode, mode])
+    mean_n, var_n = photon_number_moments(ground.mean[:, mode], ground.cov[:, mode, mode])
     return (_TERM_US * (_ROW_TERMS + mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0)))).tolist()
 
 
@@ -496,9 +499,14 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    chunks = [grid]
+    chunks, ground = [grid], None
     if cfg["jobs"] > 1:  # one job is one chunk, whatever the rows cost
-        costs = _row_costs(args.command, grid, cfg)
+        if args.command == "fi-photon":
+            # the gate weighs the rows by the grid's ground stage, which one
+            # chunk then takes over; a grid at the critical coupling has none
+            with contextlib.suppress(*_DOMAIN_ERRORS):
+                ground = _grid_ground(grid, cfg)
+        costs = _row_costs(args.command, grid, cfg, ground)
         chunks = _contiguous_chunks(grid, _chunk_count(cfg["jobs"], costs), costs)
     tasks = [(args.command, chunk, cfg) for chunk in chunks]
     if len(tasks) > 1:
@@ -508,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
     else:
-        parts = [_compute_chunk(tasks[0])]
+        parts = [_compute_chunk(tasks[0], ground)]
     values, statuses = _joined(parts)
     table = _sweep_table(args.command, grid, cfg, values, statuses)
     _write(cfg, _COMMANDS[args.command].columns, table, cfg["out"])

@@ -15,19 +15,26 @@ normal-mode frequencies eps_minus, eps_plus.  Atom number enters the first
 moments only; all second moments are N-independent.
 
 All of this is written once, vectorised over a 1-D array of couplings that
-share (omega, omega0, N): `moment_jet` runs mean field ->
-Bogoliubov modes -> chain -> exact coupling derivatives and returns mean,
-cov, dmean and dcov with one row per coupling; `ground_moments` is the same
-code without the derivatives.  `ground_state` and everything built on it
-call it with a single coupling, and each coupling is evaluated on its own,
-so a sweep and a point-by-point loop give the same bits.  `derive` and
-`symplectic_chain` read the mean-field data and the chain at one coupling
-from the same code.
+share (omega, omega0, N), in two stages: the ground stage `_ground` runs mean
+field -> Bogoliubov modes -> chain -> mean and cov, and the derivative stage
+`_jet` adds the exact coupling derivatives.  `moment_jet` runs both and
+returns mean, cov, dmean and dcov with one row per coupling;
+`ground_moments` returns the ground stage's mean and cov.  Each coupling is
+evaluated on its own, so a sweep and a point-by-point loop give the same
+bits.
+
+A DickeParams runs the ground stage at its one coupling once, on first use,
+and keeps that record: `ground_state`, `reduced_radiation_state`, `derive`,
+`symplectic_chain` and the one-coupling jet of `estimation.state_derivative`
+all read it, and the record's mean, cov and chain, which they hand out, are
+read-only.  The derivative stage is not kept; it runs again on each call
+that needs it.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +64,24 @@ class DickeParams:
     @property
     def lambda_c(self) -> float:
         return np.sqrt(self.omega * self.omega0) / 2.0
+
+    @functools.cached_property
+    def _record(self) -> _Ground:
+        """The ground stage `_ground` at lam, computed on first use.
+
+        mean, cov and chain, the arrays that the public functions hand out,
+        are read-only; the others never leave the package's private functions.
+        Equality and hashing read the fields alone, and a copy or an unpickled
+        params computes its own record (see __getstate__).
+        """
+        # __post_init__ has checked the coupling
+        record = _ground(np.array([self.lam], dtype=float), self.omega, self.omega0, self.n_atoms)
+        for array in (record.mean, record.cov, record.chain):
+            array.setflags(write=False)
+        return record
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Modes(NamedTuple):
@@ -131,11 +156,11 @@ def derive(params: DickeParams) -> dict:
     read from the normal modes that build the state; phase is "normal" or
     "superradiant".  Raises CriticalPointSingularity within DELTA_MIN of lambda_c.
     """
-    m = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0)
-    fields = ("k", "alpha", "beta", "theta", "eps_minus", "eps_plus", "omega_tilde")
+    m = params._record.modes
+    names = ("k", "alpha", "beta", "theta", "eps_minus", "eps_plus", "omega_tilde")
     return {
         "lambda_c": m.lam_c,
-        **{name: float(getattr(m, name)[0]) for name in fields},
+        **{name: float(getattr(m, name)[0]) for name in names},
         "phase": "superradiant" if m.superradiant[0] else "normal",
     }
 
@@ -177,6 +202,8 @@ _ROT_GEN = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 # d log _squeezers(a, b) = _DLOG_A da/a + _DLOG_B db/b
 _DLOG_A = np.array([0.5, -0.5, 0.0, 0.0])
 _DLOG_B = np.array([0.0, 0.0, 0.5, -0.5])
+# the smallest normal double
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -219,35 +246,54 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
     return lam
 
 
-def _checked_chain(modes: _Modes, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factors (diag F1^-1, F2(theta)^T, diag F3^-1) and the chain S at each coupling, S checked symplectic.
+class _Ground(NamedTuple):
+    """The ground stage at each coupling of a 1-D array that shares (omega, omega0, n_atoms).
+
+    f1_inv, rot and f3_inv are the factors (diag F1^-1, F2(theta)^T, diag F3^-1)
+    of the chain S = F1^-1 F2(theta)^T F3^-1, which is checked symplectic; mean
+    and cov are the moments of the normal-mode vacuum mapped by S.
+    """
+
+    modes: _Modes
+    omega: float
+    omega0: float
+    n_atoms: int
+    f1_inv: np.ndarray
+    rot: np.ndarray
+    f3_inv: np.ndarray
+    chain: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Ground:
+    """Mean field, normal modes, chain and moments at each coupling in lam, a
+    1-D float array that `_checked_couplings` accepts with the model.
 
     The chain F1 -> rotation F2(theta) -> F3 brings the Hamiltonian to normal
     form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
     dimensionless quadratures and F3 = Diag(sqrt(em), 1/sqrt(em), sqrt(ep),
-    1/sqrt(ep)) into the normal-mode scales, so S = F1^-1 F2(theta)^T F3^-1
-    maps the normal-mode vacuum to the ground state; theta is that of
-    `_normal_modes`, pi/4 at the degenerate point.
+    1/sqrt(ep)) into the normal-mode scales, so S maps the normal-mode vacuum
+    to the ground state: mean sqrt(2N) (alpha, 0, -beta, 0) and covariance
+    S S^T / 2; theta is that of `_normal_modes`, pi/4 at the degenerate point.
+    Raises ValueError if a chain is not symplectic.
     """
-    f1_inv = _squeezers(w, modes.omega_tilde)
+    modes = _normal_modes(lam, omega, omega0)
+    f1_inv = _squeezers(omega, modes.omega_tilde)
     rot = np.swapaxes(_rotation(modes.theta), -1, -2)
     f3_inv = 1.0 / _squeezers(modes.eps_minus, modes.eps_plus)
     chain = _product(f1_inv, rot, f3_inv)
     require_symplectic(chain)
-    return f1_inv, rot, f3_inv, chain
+    g = chain @ chain.transpose(0, 2, 1)
+    mean = _x_displacement(modes.alpha, modes.beta, n_atoms)
+    cov = (g + g.transpose(0, 2, 1)) / 4.0
+    return _Ground(modes, omega, omega0, n_atoms, f1_inv, rot, f3_inv, chain, mean, cov)
 
 
 def symplectic_chain(params: DickeParams) -> np.ndarray:
-    """The 4 x 4 chain S of `_checked_chain` at the coupling of params, the
-    matrix whose S S^T / 2 is the covariance of `ground_moments`."""
-    modes = _normal_modes(np.array([params.lam], dtype=float), params.omega, params.omega0)
-    return _checked_chain(modes, params.omega)[3][0]
-
-
-def _moments(modes: _Modes, chain: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean sqrt(2N) (alpha, 0, -beta, 0) and covariance S S^T / 2 of the vacuum mapped by S."""
-    g = chain @ chain.transpose(0, 2, 1)
-    return _x_displacement(modes.alpha, modes.beta, n_atoms), (g + g.transpose(0, 2, 1)) / 4.0
+    """The 4 x 4 chain S of `_ground` at the coupling of params, the matrix
+    whose S S^T / 2 is the ground-state covariance; read-only."""
+    return params._record.chain[0]
 
 
 def ground_moments(lams, omega: float, omega0: float, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,24 +302,29 @@ def ground_moments(lams, omega: float, omega0: float, n_atoms: int) -> tuple[np.
     The couplings share omega, omega0 and n_atoms.  This is moment_jet
     without the derivatives.
     """
-    modes = _normal_modes(_checked_couplings(lams, omega, omega0, n_atoms), omega, omega0)
-    return _moments(modes, _checked_chain(modes, omega)[3], n_atoms)
+    ground = _ground(_checked_couplings(lams, omega, omega0, n_atoms), omega, omega0, n_atoms)
+    return ground.mean, ground.cov
 
 
 def moment_jet(lams, omega: float, omega0: float, n_atoms: int) -> MomentJet:
     """Ground-state moments and their exact coupling derivatives at each coupling in lams.
 
-    The couplings share omega, omega0 and n_atoms.  The chain rule runs
-    through k, alpha, beta, the effective atomic frequency, the normal-mode
-    frequencies and theta, and the product rule through the chain S, so that
-    dcov = (dS S^T + S dS^T) / 2 and dmean = sqrt(2N) (dalpha, 0, -dbeta, 0).
-    Each coupling is evaluated on its own: a batch gives every coupling the
-    same bits as a one-coupling call.
+    The couplings share omega, omega0 and n_atoms.  Each coupling is
+    evaluated on its own: a batch gives every coupling the same bits as a
+    one-coupling call.
     """
-    w, w0 = omega, omega0
-    m = _normal_modes(_checked_couplings(lams, w, w0, n_atoms), w, w0)
-    f1_inv, rot, f3_inv, chain = _checked_chain(m, w)
-    mean, cov = _moments(m, chain, n_atoms)
+    return _jet(_ground(_checked_couplings(lams, omega, omega0, n_atoms), omega, omega0, n_atoms))
+
+
+def _jet(ground: _Ground) -> MomentJet:
+    """The derivative stage: the moments of ground and their coupling derivatives.
+
+    The chain rule runs through k, alpha, beta, the effective atomic
+    frequency, the normal-mode frequencies and theta, and the product rule
+    through the chain S, so that dcov = (dS S^T + S dS^T) / 2 and
+    dmean = sqrt(2N) (dalpha, 0, -dbeta, 0).
+    """
+    m, w, w0, chain = ground.modes, ground.omega, ground.omega0, ground.chain
     lam, k, sr = m.lam, m.k, m.superradiant
     # below lambda_c, k, alpha and beta are constant; the safe denominators
     # only stand in where the numerators vanish
@@ -286,8 +337,15 @@ def moment_jet(lams, omega: float, omega0: float, n_atoms: int) -> MomentJet:
     # r = 0 only at the degenerate point, where the limit lam -> 0+ has
     # r = v and a constant theta (see _normal_modes)
     regular = m.r > 0.0
-    dr = np.where(regular, (m.v * dv - m.u * ds) / np.where(regular, m.r, 1.0), dv)
-    dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(regular, m.r * m.r, 1.0)
+    r = np.where(regular, m.r, 1.0)
+    dr = np.where(regular, (m.v * dv - m.u * ds) / r, dv)
+    # r * r underflows where u and v both fall below ~1e-154, at couplings near
+    # 0 on resonance; there dtheta is taken with the unit vector (u, v) / r
+    rr = r * r
+    small = rr < _TINY
+    dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(small, 1.0, rr)
+    if small.any():
+        dtheta = np.where(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)
     # log derivatives of s + r, of eps_+ = sqrt((s + r)/2)/k, of eps_-^2 = 2 p/(s + r)
     # and of omega_tilde / eps_+, with omega_tilde = w0 (1 + k)/(2 k)
     dlog_sr = (ds + dr) / (m.s + m.r)
@@ -305,16 +363,17 @@ def moment_jet(lams, omega: float, omega0: float, n_atoms: int) -> MomentJet:
     rows = np.multiply.outer(dlog_ratio, _DLOG_B)
     ep_rows = np.multiply.outer(dlog_ep, _DLOG_B)
     cols = -np.multiply.outer(dlog_em, _DLOG_A) - ep_rows
-    turn = dtheta[:, None, None] * _product(f1_inv, rot @ _ROT_GEN, f3_inv)
+    turn = dtheta[:, None, None] * _product(ground.f1_inv, ground.rot @ _ROT_GEN, ground.f3_inv)
     dchain = (rows[:, :, None] + (ep_rows[:, :, None] + cols[:, None, :])) * chain + turn
     a = dchain @ chain.transpose(0, 2, 1)
-    return MomentJet(mean, cov, _x_displacement(dalpha, dbeta, n_atoms), (a + a.transpose(0, 2, 1)) / 2.0)
+    dmean = _x_displacement(dalpha, dbeta, ground.n_atoms)
+    return MomentJet(ground.mean, ground.cov, dmean, (a + a.transpose(0, 2, 1)) / 2.0)
 
 
 def ground_state(params: DickeParams) -> GaussianState:
     """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms)."""
-    mean, cov = ground_moments([params.lam], params.omega, params.omega0, params.n_atoms)
-    return GaussianState(mean[0], cov[0])
+    record = params._record
+    return GaussianState(record.mean[0], record.cov[0])
 
 
 def reduced_radiation_state(params: DickeParams) -> GaussianState:

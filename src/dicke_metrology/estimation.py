@@ -11,26 +11,31 @@ Phi = -dcov, zeta = Omega^T cov^-1 dmean, nu = Tr[Omega^T cov Omega Phi].
 The moments and their exact coupling derivatives come from one vectorised
 jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
 whole jet into arrays of QFIs and their two parts at once; `state_derivative`
-runs the same jet at a single coupling, and `qfi` and the SLD functions read
-from it.  There is no step to
-choose; the only excluded couplings are the window of half-width
-dicke.DELTA_MIN = 1e-8 around lambda_c, where the jet raises.
+runs the derivative stage of the same jet on the ground state that a
+DickeParams computes once, on first use, and `qfi` and the SLD functions read
+from it, so the derivatives are computed again on each call but the mean
+field and the chain are not.  There is no step to choose; the only excluded
+couplings are the window of half-width dicke.DELTA_MIN = 1e-8 around
+lambda_c, where the jet raises.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, MomentJet, derive, moment_jet
+from .dicke import DickeParams, MomentJet, _jet
 from .gaussian import symplectic_form
 
 
 def state_derivative(params: DickeParams) -> MomentJet:
     """The one-coupling moment jet at params: the ground-state moments and their
-    closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), each a single row."""
-    return moment_jet([params.lam], params.omega, params.omega0, params.n_atoms)
+    closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), each a single row.
+
+    The derivatives are computed on every call from the params' ground state,
+    which is computed once; mean and cov are that state's read-only arrays.
+    """
+    return _jet(params._record)
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ def sld_coefficients_f1_frame(params: DickeParams) -> SldCoefficients:
     """
     raw = sld_coefficients(params)
     # F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)), so R^T Phi R = R'^T F1^-1 Phi F1^-1 R'
-    w, wt = math.sqrt(params.omega), math.sqrt(derive(params)["omega_tilde"])
-    f1_inv = np.array([w, 1.0 / w, wt, 1.0 / wt])
+    f1_inv = params._record.f1_inv[0]
     return SldCoefficients(phi=f1_inv[:, None] * raw.phi * f1_inv, zeta=f1_inv * raw.zeta, nu=raw.nu)
 
 

@@ -195,7 +195,12 @@ def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     trace = cov[..., 0, 0] + cov[..., 1, 1]
     mean_n = 0.5 * (trace + np.sum(mean * mean, axis=-1) - 1.0)
-    var_n = 0.5 * np.sum(cov * cov, axis=(-2, -1)) - 0.25 + np.einsum("...i,...ij,...j->...", mean, cov, mean)
+    # mu^T sigma mu term by term and elementwise, so that a member of a stack
+    # gets the bits it gets alone (einsum's summation order depends on the
+    # stack's size)
+    mx, mp = mean[..., 0], mean[..., 1]
+    quadratic = mx * cov[..., 0, 0] * mx + mx * cov[..., 0, 1] * mp + mp * cov[..., 1, 0] * mx + mp * cov[..., 1, 1] * mp
+    var_n = 0.5 * np.sum(cov * cov, axis=(-2, -1)) - 0.25 + quadratic
     return mean_n, var_n
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicke_metrology
-from dicke_metrology import cli
+from dicke_metrology import cli, dicke
 from dicke_metrology.cli import EXIT_OK, main
 from dicke_metrology.dicke import derive
 from dicke_metrology.gaussian import state_to_dict
@@ -338,6 +338,19 @@ class TestPoolGate:
         # 2 chunks of 3 save 1 start-up and cost 2
         assert cli._chunk_count(2, [start] * 3) == 1
 
+    def test_one_chunk_reuses_the_moments_the_gate_read(self, capsys, monkeypatch):
+        # the gate's costs and the chunk's jet ran the mean field of the grid twice
+        argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
+        cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
+        grid = cli._lambda_grid(cfg)
+        assert cli._chunk_count(2, cli._row_costs("fi-photon", grid, cfg)) == 1
+        calls = []
+        normal_modes = dicke._normal_modes
+        monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
+        assert main(argv + ["--jobs", "2"]) == EXIT_OK
+        assert len(calls) == 1 and calls[0][0].tolist() == grid
+        assert capsys.readouterr().out == run(capsys, argv)[1]
+
 
 def _as_columns(rows: list[list], width: int) -> list[tuple[list, int]]:
     """Rows as the CLI's (values, repeat) columns, one value per row each."""
@@ -548,7 +561,7 @@ class TestErrorTaxonomy:
         # fifo's reader, and the write after it then blocked with no reader;
         # the slowed sweep gives the reader time to see that EOF
         compute = cli._compute_chunk
-        monkeypatch.setattr(cli, "_compute_chunk", lambda task: (time.sleep(0.5), compute(task))[1])
+        monkeypatch.setattr(cli, "_compute_chunk", lambda *args: (time.sleep(0.5), compute(*args))[1])
         fifo = tmp_path / "table.csv"
         os.mkfifo(fifo)
         received = []
@@ -686,11 +699,14 @@ def test_calls_in_one_process_match_fresh_interpreters(tmp_path):
 
 
 # documented entry points that nothing else in the package has to call: the
-# scalar API of the README, the console script, the SLD and power-law fit that
-# carry criteria 1 and 11, and the chain that criterion 9 checks
+# scalar API of the README, its batch moments, the console script, the SLD and
+# power-law fit that carry criteria 1 and 11, and the chain that criterion 9
+# checks
 ENTRY_POINTS = {
     "cli.main",
     "dicke.DickeParams",
+    "dicke.ground_moments",
+    "dicke.moment_jet",
     "dicke.ground_state",
     "dicke.reduced_radiation_state",
     "dicke.symplectic_chain",

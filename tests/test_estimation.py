@@ -208,6 +208,15 @@ class TestQfi:
         res = qfi(DickeParams(lam=0.0, omega0=omega0))
         assert res.qfi == pytest.approx(4 / (1 + omega0) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [1e-160, 1e-200, 5e-324])
+    def test_coupling_whose_square_underflows(self, lam):
+        # r * r underflowed to 0 on resonance, dtheta read 0 / 0, and the CLI
+        # printed H = nan with status ok
+        tiny, zero = state_derivative(DickeParams(lam=lam)), state_derivative(DickeParams(lam=0.0))
+        for field in ("mean", "cov", "dmean", "dcov"):
+            assert np.array_equal(getattr(tiny, field), getattr(zero, field)), field
+        assert qfi(DickeParams(lam=lam)) == qfi(DickeParams(lam=0.0))
+
     def test_deep_superradiant_limit(self):
         res = qfi(DickeParams(lam=50.0, n_atoms=100))
         assert res.qfi == pytest.approx(400.0, rel=0.01)

@@ -1,0 +1,219 @@
+"""Tests for the ground state that a DickeParams computes once and keeps.
+
+Every one-coupling entry point reads that record, so on one params any order
+of calls must give the bits of fresh params and of the coupling's row in a
+batched jet, nothing handed out may write into the record, and the record
+never leaks into equality, hashing, copies or `dataclasses.replace`.
+"""
+import copy
+import dataclasses
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dicke_metrology import dicke
+from dicke_metrology.dicke import (
+    DELTA_MIN,
+    DickeParams,
+    derive,
+    ground_state,
+    moment_jet,
+    reduced_radiation_state,
+    symplectic_chain,
+)
+from dicke_metrology.errors import CriticalPointSingularity, DickeMetrologyError
+from dicke_metrology.estimation import (
+    qfi,
+    qfi_from_jet,
+    sld_coefficients,
+    sld_coefficients_f1_frame,
+    state_derivative,
+)
+from dicke_metrology.gaussian import log_negativity
+from dicke_metrology.measurements import (
+    HomodyneSetting,
+    Target,
+    fi_homodyne,
+    fi_homodyne_from_jet,
+    fi_photon_counting,
+    fi_photon_counting_from_jet,
+    photon_distribution,
+)
+
+PHIS = (0.0, 1.0)
+
+
+def _homodyne(target: Target):
+    return lambda params: [fi_homodyne(params, HomodyneSetting(phi=phi, target=target)) for phi in PHIS]
+
+
+# the one-coupling entry points, by name
+CALLS = {
+    "ground_state": ground_state,
+    "qfi": qfi,
+    "fi_homodyne_radiation": _homodyne(Target.RADIATION),
+    "fi_homodyne_atoms": _homodyne(Target.ATOMS),
+    "fi_photon_counting": fi_photon_counting,
+    "derive": derive,
+    "symplectic_chain": symplectic_chain,
+}
+
+
+def _bits(value):
+    """value as a structure that compares equal only for the same bits."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(list(vars(value).values()))
+    return value
+
+
+def _outcome(call, params):
+    """The bits of call(params), or the type and message of the domain error it raises."""
+    try:
+        return _bits(call(params))
+    except DickeMetrologyError as exc:
+        return type(exc), str(exc)
+
+
+# the accepted domain: positive frequencies, a positive atom number and a
+# nonnegative coupling, drawn as lam / lambda_c so that both phases, the
+# degenerate point lam = 0 and the refused window at lambda_c all occur; the
+# ranges keep each photon series below ~10^5 terms
+FREQUENCIES = st.floats(0.25, 4.0)
+ATOMS = st.sampled_from([1, 2, 100, 1000])
+RATIOS = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, 1.0 + 1e-9, 0.999, 1.001]))
+# (omega, omega0, n_atoms, couplings as lam / lambda_c)
+MODELS = st.tuples(FREQUENCIES, FREQUENCIES, ATOMS, st.lists(RATIOS, min_size=1, max_size=4))
+
+
+def _couplings(omega: float, omega0: float, ratios: list[float]) -> list[float]:
+    return [math.sqrt(omega * omega0) / 2.0 * ratio for ratio in ratios]
+
+
+class TestOneRecordPerParams:
+    @given(MODELS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_call_order_gives_the_bits_of_fresh_params_and_of_the_batch(self, model, data):
+        omega, omega0, n_atoms, ratios = model
+        lams = _couplings(omega, omega0, ratios)
+        i = data.draw(st.integers(0, len(lams) - 1), label="index")
+        order = data.draw(st.lists(st.sampled_from(sorted(CALLS)), min_size=1, max_size=12), label="calls")
+        params = DickeParams(lam=lams[i], omega=omega, omega0=omega0, n_atoms=n_atoms)
+        fresh = {
+            name: _outcome(call, DickeParams(lam=lams[i], omega=omega, omega0=omega0, n_atoms=n_atoms))
+            for name, call in CALLS.items()
+        }
+        for name in order:
+            assert _outcome(CALLS[name], params) == fresh[name], name
+        lc = math.sqrt(omega * omega0) / 2.0
+        if any(abs(lam - lc) <= DELTA_MIN for lam in lams):
+            with pytest.raises(CriticalPointSingularity):
+                moment_jet(lams, omega, omega0, n_atoms)
+            return
+        jet = moment_jet(lams, omega, omega0, n_atoms)
+        one = state_derivative(params)
+        for field in ("mean", "cov", "dmean", "dcov"):
+            assert _bits(getattr(jet, field)[i]) == _bits(getattr(one, field)[0]), field
+        state = ground_state(params)
+        assert _bits([state.mean, state.cov]) == _bits([jet.mean[i], jet.cov[i]])
+        res = qfi(params)
+        columns = [column[i] for column in qfi_from_jet(jet)]
+        assert _bits(columns) == _bits([res.qfi, res.quadratic_term, res.displacement_term])
+        for target in Target:
+            rows = [float(fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target))[i]) for phi in PHIS]
+            assert _bits(rows) == fresh[f"fi_homodyne_{target.value}"]
+        try:
+            photon = fi_photon_counting_from_jet(jet)
+        except DickeMetrologyError as exc:
+            # the batch stops at a coupling whose series fails alone
+            assert any(
+                _outcome(fi_photon_counting, DickeParams(lam, omega, omega0, n_atoms))[0] is type(exc) for lam in lams
+            )
+        else:
+            assert _bits(photon[i][0]) == fresh["fi_photon_counting"]
+
+    @given(MODELS, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_writes_to_what_the_record_hands_out_raise_or_stay_out(self, model, data):
+        omega, omega0, n_atoms, ratios = model
+        lam = _couplings(omega, omega0, ratios)[0]
+        params = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
+        try:
+            before = {name: _bits(CALLS[name](params)) for name in ("ground_state", "qfi", "derive", "symplectic_chain")}
+        except DickeMetrologyError:
+            return  # the refused window at lambda_c: no record is kept
+        jet = state_derivative(params)
+        state, reduced = ground_state(params), reduced_radiation_state(params)
+        sld, frame = sld_coefficients(params), sld_coefficients_f1_frame(params)
+        handed_out = [
+            state.mean, state.cov, reduced.mean, reduced.cov, symplectic_chain(params),
+            jet.mean, jet.cov, jet.dmean, jet.dcov, sld.phi, sld.zeta, frame.phi, frame.zeta,
+        ]
+        for array in handed_out:
+            try:
+                array[...] = data.draw(st.floats(-1e3, 1e3), label="written")
+            except ValueError as exc:
+                assert "read-only" in str(exc)
+        after = {name: _bits(CALLS[name](params)) for name in before}
+        assert after == before
+        assert _bits(state_derivative(params)) == _bits(moment_jet([lam], omega, omega0, n_atoms))
+
+    @given(MODELS)
+    @settings(max_examples=30, deadline=None)
+    def test_replace_copy_and_pickle_never_see_the_old_record(self, model):
+        omega, omega0, n_atoms, ratios = model
+        lams = _couplings(omega, omega0, ratios + [0.5])
+        params = DickeParams(lam=lams[0], omega=omega, omega0=omega0, n_atoms=n_atoms)
+        _outcome(qfi, params)  # keeps the record, where there is one
+        for lam in lams[1:]:
+            moved = dataclasses.replace(params, lam=lam)
+            assert "_record" not in vars(moved)
+            fresh = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
+            for call in CALLS.values():
+                assert _outcome(call, moved) == _outcome(call, fresh)
+        for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert twin == params and "_record" not in vars(twin)
+            for call in (ground_state, symplectic_chain, derive):
+                assert _outcome(call, twin) == _outcome(call, params)
+
+    @given(MODELS)
+    @settings(max_examples=30, deadline=None)
+    def test_equality_and_hash_read_the_fields_alone(self, model):
+        omega, omega0, n_atoms, ratios = model
+        lams = _couplings(omega, omega0, ratios)
+        used = DickeParams(lam=lams[0], omega=omega, omega0=omega0, n_atoms=n_atoms)
+        _outcome(ground_state, used)
+        unused = DickeParams(lam=lams[0], omega=omega, omega0=omega0, n_atoms=n_atoms)
+        assert used == unused and hash(used) == hash(unused) == hash(dataclasses.astuple(unused))
+        for lam in lams[1:]:
+            other = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
+            assert (other == used) == (lam == lams[0])
+        assert len({used, unused}) == 1
+
+
+def test_readme_example_computes_the_mean_field_once(monkeypatch):
+    # every one-coupling call on one params reads the record its first call keeps
+    calls = []
+    normal_modes = dicke._normal_modes
+    monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
+    params = DickeParams(lam=0.45, omega=1.0, omega0=1.0, n_atoms=100)
+    state = ground_state(params)
+    result = qfi(params)
+    log_negativity(state.cov)
+    fi_x = fi_homodyne(params, HomodyneSetting(phi=0.0, target=Target.RADIATION))
+    fi_n = fi_photon_counting(params)
+    photon_distribution(reduced_radiation_state(params))
+    derive(params), symplectic_chain(params), sld_coefficients_f1_frame(params)
+    assert 0 < fi_x <= result.qfi and 0 < fi_n <= result.qfi
+    assert len(calls) == 1
