@@ -4,8 +4,9 @@ Six subcommands cover the standard figures: entanglement and QFI sweeps,
 a Wigner grid of the radiation mode, homodyne and photon-counting Fisher
 information ratios, and the photon-number statistics.  Output is fully
 deterministic: identical configuration produces byte-identical files, rows
-stay in grid order regardless of --jobs, and floats are printed with 17
-significant digits.  Rows that hit the critical window or a non-converged
+stay in grid order regardless of --jobs, and a float prints at 17
+significant digits in CSV and as the shortest repr that reads back as the
+same double in JSON.  Rows that hit the critical window or a non-converged
 series are emitted with a status flag instead of being dropped.
 
 A sweep travels as columns from the moment jet to the output: each chunk of
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dicke import RADIATION_MODE, DickeParams, _checked_couplings, _ground, _Ground, _jet, derive
+from .dicke import DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
 from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
@@ -35,6 +36,7 @@ from .gaussian import state_to_dict, symplectic_spectrum, wigner_at
 from .measurements import (
     HomodyneSetting,
     Target,
+    _RAD,
     _radiation_decompositions,
     fi_homodyne_from_jet,
     fi_photon_counting_from_jet,
@@ -129,6 +131,8 @@ def _fi_photon(ground: _Ground, cfg: dict) -> list[list]:
 class _Command(NamedTuple):
     columns: tuple[str, ...]
     build: Callable[[_Ground, dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
+    # the estimated chunk work per coupling in microseconds (see `_row_costs`)
+    row_us: float | None
     help: str
     # the columns whose value changes from one --phi angle to the next within
     # a coupling's rows; the others print one value per coupling on each
@@ -136,17 +140,17 @@ class _Command(NamedTuple):
 
 
 _COMMANDS = {
-    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _entanglement,
+    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _entanglement, 17.0,
                              "log-negativity between radiation and atoms over a coupling grid"),
-    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _qfi,
+    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _qfi, 5.0,
                     "quantum Fisher information and its two contributions"),
-    "wigner": _Command(("x", "p", "W"), None,
+    "wigner": _Command(("x", "p", "W"), None, None,
                        "Wigner function of the reduced radiation mode on an x/p grid"),
-    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _fi_homodyne,
+    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _fi_homodyne, 5.0,
                             "homodyne Fisher information and its ratio to the QFI", ("phi", "FI", "ratio")),
-    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _photon,
+    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _photon, 13.0,
                        "mean-photon decomposition; with --lambda also the p(n) table"),
-    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _fi_photon,
+    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _fi_photon, 56.0,
                           "photon-counting Fisher information and its ratio to the QFI"),
 }
 
@@ -198,19 +202,16 @@ def _sweep_table(
     return columns + [(statuses, angles)]
 
 
-# Estimated cost of one row in microseconds, as tools/row_costs.py prints it:
-# the work a worker takes off this process (`_compute_chunk`; parsing and CSV
-# rendering stay here).  Each row costs its share of the chunk's stacked
-# moments, plus one vectorised FI per --phi angle for fi-homodyne; a fi-photon
-# row runs a photon series and its derivative filter over about
-# <n> + 10 sd(n) terms, after a share of the vectorised layers and a fixed
-# setup that cost about as much as 80 terms.  The per-term, fixed-term and
-# per-angle costs were scaled from the previous calibration by measured
-# ratios (see the README).
-_ROW_US = {"entanglement": 17.0, "qfi": 5.0, "fi-homodyne": 5.0, "photon": 13.0}
-_ANGLE_US = 0.15
+# A row's estimated cost in microseconds, as tools/row_costs.py prints it, is
+# the work a worker takes off this process (`_compute_chunk`); parsing and
+# rendering stay here, and with them the row that each --phi angle adds to a
+# fi-homodyne coupling.  A row costs its command's row_us, its share of the
+# chunk's stacked moments.  The fi-photon row_us also holds a fixed setup that
+# costs about as much as 80 series terms, and each row adds its photon series
+# and derivative filter at _TERM_US per term over about <n> + _SERIES_SDS sd(n)
+# terms.  The per-term and fixed costs were scaled from the previous
+# calibration by measured ratios (see the README).
 _TERM_US = 0.7
-_ROW_TERMS = 80.0
 _SERIES_SDS = 10.0
 # what each worker process adds to a sweep's wall time (starting it, pickling
 # its chunk and its columns, shutting it down, and for the vectorised rows the two
@@ -220,27 +221,18 @@ _SERIES_SDS = 10.0
 _WORKER_START_US = 30_000.0
 
 
-def _row_costs(command: str, grid: list[float], cfg: dict, ground: _Ground | None = None) -> list[float]:
+def _row_costs(command: str, grid: list[float], ground: _Ground | None) -> list[float]:
     """Estimated cost of each row in microseconds, known before any series runs.
 
-    fi-photon rows weigh their photon series, from the <n> and sd(n) of the
-    radiation mode in the grid's ground stage, computed here unless given;
-    the rows of every other command weigh the same.
+    Each row costs its command's row_us.  Given the grid's ground stage,
+    which `main` takes for fi-photon alone, a row adds its photon series,
+    weighed by the <n> and sd(n) of the radiation mode.
     """
-    if command == "fi-homodyne":
-        return [_ROW_US[command] + _ANGLE_US * len(cfg["phi"])] * len(grid)
-    if command != "fi-photon":
-        return [_ROW_US[command]] * len(grid)
-    try:
-        if ground is None:
-            ground = _grid_ground(grid, cfg)
-    except _DOMAIN_ERRORS:
-        # a grid that holds the critical coupling: equal weights, far below
-        # any series, so the sweep runs in this process
-        return [1.0] * len(grid)
-    mode = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
-    mean_n, var_n = photon_number_moments(ground.mean[:, mode], ground.cov[:, mode, mode])
-    return (_TERM_US * (_ROW_TERMS + mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0)))).tolist()
+    price = _COMMANDS[command].row_us
+    if ground is None:
+        return [price] * len(grid)
+    mean_n, var_n = photon_number_moments(ground.mean[:, _RAD], ground.cov[:, _RAD, _RAD])
+    return (price + _TERM_US * (mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0)))).tolist()
 
 
 def _chunk_count(jobs: int, costs: list[float]) -> int:
@@ -293,7 +285,7 @@ def _lambda_grid(cfg: dict) -> list[float]:
         raise ConfigError("points must be >= 2 for a sweep")
     if not cfg["lambda_min"] < cfg["lambda_max"]:
         raise ConfigError("lambda-min must be below lambda-max")
-    lam_c = math.sqrt(cfg["omega"] * cfg["omega0"]) / 2.0
+    lam_c = _critical_coupling(cfg["omega"], cfg["omega0"])
     grid = np.linspace(cfg["lambda_min"], cfg["lambda_max"], cfg["points"])
     kept = [x for x in grid.tolist() if abs(x - lam_c) >= cfg["exclusion"]]
     if not kept:
@@ -394,8 +386,6 @@ def _load_config(args: argparse.Namespace) -> dict:
             cfg["phi"] = [float(tok) for tok in args.phi.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --phi list: {args.phi!r}") from exc
-        if not cfg["phi"]:
-            raise ConfigError("empty --phi list")
     for key, (_, kind, _) in _OPTIONS.items():
         if isinstance(kind, tuple) and cfg[key] not in kind:
             raise ConfigError(f"{key} must be {' or '.join(kind)}, got {cfg[key]!r}")
@@ -412,6 +402,8 @@ def _load_config(args: argparse.Namespace) -> dict:
     cfg["n_atoms"] = int(cfg["n_atoms"])
     if not isinstance(cfg["phi"], list) or not all(_finite(phi) for phi in cfg["phi"]):
         raise ConfigError(f"phi must be a list of finite angles, got {cfg['phi']!r}")
+    if not cfg["phi"]:  # from the config file or from --phi
+        raise ConfigError("empty --phi list")
     for key in ("points", "jobs"):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
@@ -503,10 +495,11 @@ def main(argv: list[str] | None = None) -> int:
     if cfg["jobs"] > 1:  # one job is one chunk, whatever the rows cost
         if args.command == "fi-photon":
             # the gate weighs the rows by the grid's ground stage, which one
-            # chunk then takes over; a grid at the critical coupling has none
+            # chunk then takes over; a grid at the critical coupling has none,
+            # and its rows are priced without their series
             with contextlib.suppress(*_DOMAIN_ERRORS):
                 ground = _grid_ground(grid, cfg)
-        costs = _row_costs(args.command, grid, cfg, ground)
+        costs = _row_costs(args.command, grid, ground)
         chunks = _contiguous_chunks(grid, _chunk_count(cfg["jobs"], costs), costs)
     tasks = [(args.command, chunk, cfg) for chunk in chunks]
     if len(tasks) > 1:

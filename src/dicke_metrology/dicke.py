@@ -63,7 +63,7 @@ class DickeParams:
 
     @property
     def lambda_c(self) -> float:
-        return np.sqrt(self.omega * self.omega0) / 2.0
+        return _critical_coupling(self.omega, self.omega0)
 
     @functools.cached_property
     def _record(self) -> _Ground:
@@ -82,6 +82,11 @@ class DickeParams:
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _critical_coupling(w: float, w0: float) -> float:
+    """lambda_c = sqrt(omega * omega0) / 2, where the superradiant phase begins."""
+    return math.sqrt(w * w0) / 2.0
 
 
 class _Modes(NamedTuple):
@@ -116,7 +121,7 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     where the lower normal-mode frequency vanishes and the Gaussian
     description is singular.
     """
-    lc = math.sqrt(w * w0) / 2.0
+    lc = _critical_coupling(w, w0)
     gap = np.abs(lam - lc)
     inside = gap <= DELTA_MIN
     if inside.any():

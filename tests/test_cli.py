@@ -187,6 +187,18 @@ class TestGridAndConfig:
         assert code == 0
         assert out.strip().split("\n")[1].startswith("0.34999")
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_empty_phi_list_is_a_config_error(self, capsys, tmp_path, source):
+        # an empty list in the config file passed, and fi-homodyne then died
+        # in np.stack with a traceback
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"phi": []} if source == "config" else {}))
+        argv = ["fi-homodyne", "--lambda", "0.3", "--config", str(path)]
+        code = main(argv + (["--phi", ""] if source == "flag" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err == "error: empty --phi list\n"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"lambda": 0.25, "typo_key": 1}))
@@ -270,6 +282,12 @@ class TestOptionTable:
         assert cli._load_config(parse(["qfi", *flags])) == from_file == self.VALUES
 
 
+def _gate_costs(command: str, cfg: dict) -> list[float]:
+    """The row costs that `main` prices a sweep with at --jobs > 1."""
+    grid = cli._lambda_grid(cfg)
+    return cli._row_costs(command, grid, cli._grid_ground(grid, cfg) if command == "fi-photon" else None)
+
+
 class TestChunks:
     def test_equal_costs_split_into_near_equal_sizes(self):
         for n in range(1, 25):
@@ -279,20 +297,18 @@ class TestChunks:
                 assert sizes == [size + 1] * extra + [size] * (min(count, n) - extra), (n, count)
 
     def test_qfi_rows_weigh_the_same(self):
-        grid = [0.1, 0.3, 0.7, 0.9]
-        assert len(set(cli._row_costs("qfi", grid, dict(cli._DEFAULTS)))) == 1
+        assert set(cli._row_costs("qfi", [0.1, 0.3, 0.7, 0.9], None)) == {cli._COMMANDS["qfi"].row_us}
 
     def test_long_photon_sweep_pays_for_two_workers(self):
         cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=40)
-        grid = cli._lambda_grid(cfg)
-        assert cli._chunk_count(2, cli._row_costs("fi-photon", grid, cfg)) == 2
+        assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 2
 
     def test_photon_chunks_balance_the_series_cost(self):
         # superradiant rows carry longer series, so the later chunk holds
         # fewer couplings but about the same estimated cost
-        cfg = dict(cli._DEFAULTS, n_atoms=1000)
-        grid = cli._lambda_grid(dict(cfg, lambda_min=0.55, lambda_max=1.0, points=40))
-        costs = cli._row_costs("fi-photon", grid, cfg)
+        cfg = dict(cli._DEFAULTS, n_atoms=1000, lambda_min=0.55, lambda_max=1.0, points=40)
+        grid = cli._lambda_grid(cfg)
+        costs = _gate_costs("fi-photon", cfg)
         assert costs == sorted(costs)
         first, last = cli._contiguous_chunks(grid, 2, costs)
         assert first + last == grid
@@ -308,9 +324,15 @@ class TestChunks:
         gap = abs(math.fsum(costs[: len(first)]) - math.fsum(costs[len(first):]))
         assert gap <= max(costs) + 1e-12 * math.fsum(costs)
 
-    def test_costs_fall_back_to_equal_at_the_critical_coupling(self):
-        cfg = dict(cli._DEFAULTS)
-        assert cli._row_costs("fi-photon", [0.4, 0.5, 0.6], cfg) == [1.0] * 3
+    def test_costs_fall_back_to_equal_at_the_critical_coupling(self, capsys, monkeypatch):
+        # the grid holds lambda_c, so it has no ground stage: each row costs
+        # the fi-photon price without a series part
+        seen = []
+        chunk_count = cli._chunk_count
+        monkeypatch.setattr(cli, "_chunk_count", lambda jobs, costs: (seen.append(costs), chunk_count(jobs, costs))[1])
+        argv = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
+        assert main(argv + ["--jobs", "2"]) == 3
+        assert seen == [[cli._COMMANDS["fi-photon"].row_us] * 3]
 
 
 class TestPoolGate:
@@ -319,16 +341,20 @@ class TestPoolGate:
     def test_long_qfi_sweep_runs_in_one_chunk(self):
         # 100 ms of estimated work, but a 2-worker pool saves only the 50 ms
         # outside its larger chunk; it took 356 ms against 277 ms in one chunk
-        cfg = dict(cli._DEFAULTS, points=20_000)
-        grid = cli._lambda_grid(cfg)
-        assert cli._chunk_count(2, cli._row_costs("qfi", grid, cfg)) == 1
+        assert cli._chunk_count(2, _gate_costs("qfi", dict(cli._DEFAULTS, points=20_000))) == 1
+
+    def test_many_angles_do_not_buy_a_pool(self):
+        # an angle adds a row that this process renders, not work a worker
+        # takes: 20000 couplings at 16 angles took 1108 ms in one chunk and
+        # 1146 ms with a 2-worker pool
+        cfg = dict(cli._DEFAULTS, points=20_000, phi=[0.1 * i for i in range(16)])
+        assert cli._chunk_count(2, _gate_costs("fi-homodyne", cfg)) == 1
 
     def test_short_steep_photon_grid_runs_in_one_chunk(self):
         # the last couplings hold most of the series work, so one contiguous
         # chunk holds most of it; the pool took 86 ms against 61 ms
         cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=8)
-        grid = cli._lambda_grid(cfg)
-        assert cli._chunk_count(2, cli._row_costs("fi-photon", grid, cfg)) == 1
+        assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 1
 
     def test_count_that_saves_the_most(self):
         start = cli._WORKER_START_US
@@ -339,17 +365,23 @@ class TestPoolGate:
         assert cli._chunk_count(2, [start] * 3) == 1
 
     def test_one_chunk_reuses_the_moments_the_gate_read(self, capsys, monkeypatch):
-        # the gate's costs and the chunk's jet ran the mean field of the grid twice
+        # the gate's costs and the chunk's jet ran the mean field of the grid
+        # twice; at lambda_c the gate tried the grid's ground stage again
+        # itself, a third time before the per-point fallback
         argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
         cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
-        grid = cli._lambda_grid(cfg)
-        assert cli._chunk_count(2, cli._row_costs("fi-photon", grid, cfg)) == 1
+        assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 1
         calls = []
         normal_modes = dicke._normal_modes
         monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
         assert main(argv + ["--jobs", "2"]) == EXIT_OK
-        assert len(calls) == 1 and calls[0][0].tolist() == grid
+        assert len(calls) == 1 and calls[0][0].tolist() == cli._lambda_grid(cfg)
         assert capsys.readouterr().out == run(capsys, argv)[1]
+        calls.clear()
+        critical = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
+        assert main(critical + ["--jobs", "2"]) == 3
+        assert [len(lam) for lam, *_ in calls] == [3, 3, 1, 1, 1]
+        assert capsys.readouterr().out == run(capsys, critical)[1]
 
 
 def _as_columns(rows: list[list], width: int) -> list[tuple[list, int]]:
@@ -812,6 +844,19 @@ class TestJsonFormat:
         data = json.loads(out)
         assert code == 0
         assert data["rows"][0][1] == pytest.approx(3.3203125, rel=1e-8)
+
+    def test_csv_and_json_print_the_same_doubles(self, capsys):
+        # CSV prints 17 significant digits (0.10000000000000001), JSON the
+        # shortest text that reads back as the same double (0.1)
+        argv = ["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "9"]
+        _, text = run(capsys, argv)
+        _, doc = run(capsys, argv + ["--format", "json"])
+        rows = json.loads(doc)["rows"]
+        assert [[float(cell) for cell in line.split(",")[:-1]] for line in text.split("\n")[1:-1]] == [
+            row[:-1] for row in rows
+        ]
+        assert text.split("\n")[1].startswith("0.10000000000000001,")
+        assert "\n      0.1,\n" in doc
 
     def test_wigner_extras(self, capsys):
         code, out = run(

@@ -3,6 +3,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dicke_metrology import cli, dicke
 from dicke_metrology.dicke import (
     ATOMIC_MODE,
     CriticalPointSingularity,
@@ -26,6 +27,18 @@ class TestParams:
 
     def test_lambda_c_detuned(self):
         assert DickeParams(lam=0.1, omega=0.25).lambda_c == 0.25
+
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (0.25, 1.0), (2.0, 3.0), (0.3, 0.7), (1e-3, 7.0)])
+    def test_lambda_c_is_one_float_everywhere(self, omega, omega0):
+        # the params, the mean field and the CLI grid's exclusion window read
+        # one lambda_c; the params returned a numpy.float64
+        lam_c = DickeParams(lam=0.1, omega=omega, omega0=omega0).lambda_c
+        assert type(lam_c) is float
+        assert dicke._normal_modes(np.array([0.0]), omega, omega0).lam_c == lam_c
+        # a window of the least double removes the first grid point only if
+        # it is the CLI's lambda_c to the bit
+        cfg = dict(cli._DEFAULTS, omega=omega, omega0=omega0, points=2, exclusion=5e-324)
+        assert cli._lambda_grid(dict(cfg, lambda_min=lam_c, lambda_max=lam_c + 1.0)) == [lam_c + 1.0]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -6,23 +6,21 @@ Prints, for the machine it runs on:
 
 1. microseconds per row of each command's chunk work (`cli._compute_chunk`,
    median of --repeat runs over two grid sizes), the work a worker process
-   takes off this one; parsing and CSV rendering stay in this process and
-   are not counted;
-2. the fi-homodyne split into a per-coupling and a per-angle part, fitted
-   over 1, 2, 4 and 8 angles;
-3. the fi-photon cost per estimated series term and the fixed terms per row,
-   fitted in relative error over sweeps whose series hold 100 to 10^4 terms,
-   so that the short sweeps, which carry the fixed part, weigh as much as
-   the long ones;
-4. the forced-pool break-even: sweeps timed through `cli.main` in one chunk
+   takes off this one; parsing and rendering stay in this process and are
+   not counted;
+2. the fi-photon cost per estimated series term and per row, fitted in
+   relative error over sweeps whose series hold 100 to 10^4 terms, so that
+   the short sweeps, which carry the per-row part, weigh as much as the
+   long ones;
+3. the forced-pool break-even: sweeps timed through `cli.main` in one chunk
    and with a 2-worker pool forced (`cli._WORKER_START_US` set to 0), the
    work the pool saves by the estimate (the total minus its largest chunk),
    and the overhead per worker that makes the two times agree,
    (pool - one chunk + saved) / 2.
 
-Compare the printed values with `cli._ROW_US`, `cli._ANGLE_US`,
-`cli._TERM_US`, `cli._ROW_TERMS` and `cli._WORKER_START_US`, and the last
-column of part 4 with the chunk count a run would get.
+Compare the printed values with each command's `row_us` in `cli._COMMANDS`,
+with `cli._TERM_US` and `cli._WORKER_START_US`, and the last column of
+part 3 with the chunk count a run would get.
 """
 from __future__ import annotations
 
@@ -64,6 +62,11 @@ def _chunk_us(command: str, cfg: dict, repeat: int) -> tuple[float, int]:
     return 1e6 * _median_s(lambda: cli._compute_chunk(task), repeat), len(grid)
 
 
+def _gate_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
+    """The row costs that `cli.main` prices a sweep with at --jobs > 1."""
+    return cli._row_costs(command, grid, cli._grid_ground(grid, cfg) if command == "fi-photon" else None)
+
+
 def row_costs(repeat: int) -> None:
     print("1. in-process us per coupling (cli._compute_chunk, whole grid in one chunk)")
     sizes = {"qfi": (200, 2000), "fi-homodyne": (200, 2000), "photon": (200, 1000), "entanglement": (200, 1000)}
@@ -73,20 +76,10 @@ def row_costs(repeat: int) -> None:
             us, rows = _chunk_us(command, _sweep_cfg(points=n), repeat)
             per_row.append(us / rows)
         cells = "  ".join(f"{n} points: {us:6.2f}" for n, us in zip(points, per_row))
-        print(f"   {command:13s} {cells}   cli._ROW_US = {cli._ROW_US[command]}")
+        print(f"   {command:13s} {cells}   row_us = {cli._COMMANDS[command].row_us}")
 
-    print("2. fi-homodyne us per coupling against --phi angles (1000 points)")
-    angles = [1, 2, 4, 8]
-    per_row = []
-    for k in angles:
-        us, rows = _chunk_us("fi-homodyne", _sweep_cfg(points=1000, phi=[0.1 * i for i in range(k)]), repeat)
-        per_row.append(us / rows)
-    slope, intercept = np.polyfit(angles, per_row, 1)
-    print("   " + "  ".join(f"{k} angles: {us:6.2f}" for k, us in zip(angles, per_row)))
-    print(f"   fit: {intercept:.2f} + {slope:.2f} per angle   "
-          f"(cli._ROW_US = {cli._ROW_US['fi-homodyne']}, cli._ANGLE_US = {cli._ANGLE_US})")
-
-    print("3. fi-photon us against estimated series terms, <n> + 10 sd(n) per row")
+    print("2. fi-photon us against estimated series terms, <n> + 10 sd(n) per row")
+    price = cli._COMMANDS["fi-photon"].row_us
     sweeps = [
         (100, 0.05, 0.45), (100, 0.55, 1.0), (1000, 0.05, 0.45),
         (1000, 0.55, 1.0), (10_000, 0.05, 0.45), (10_000, 0.55, 1.0),
@@ -94,30 +87,32 @@ def row_costs(repeat: int) -> None:
     rows_terms, times = [], []
     for n_atoms, lo, hi in sweeps:
         cfg = _sweep_cfg(n_atoms=n_atoms, lambda_min=lo, lambda_max=hi, points=40)
-        grid = cli._lambda_grid(cfg)
-        # the series part of each row's estimate, without the fixed terms
-        terms = sum(c / cli._TERM_US - cli._ROW_TERMS for c in cli._row_costs("fi-photon", grid, cfg))
+        costs = _gate_costs("fi-photon", cli._lambda_grid(cfg), cfg)
+        # the series part of each row's estimate, without the row price
+        terms = sum(c - price for c in costs) / cli._TERM_US
         us, rows = _chunk_us("fi-photon", cfg, repeat)
         rows_terms.append((rows, terms))
         times.append(us)
         print(f"   N={n_atoms:<6d} {lo}-{hi}: {us / 1e3:7.1f} ms for {rows} rows, {terms:9.0f} terms,"
-              f" {us / (terms + rows * cli._ROW_TERMS):5.2f} us per estimated term")
-    # us = TERM_US * terms + TERM_US * ROW_TERMS * rows, least squares in
-    # relative error: in microseconds the N=10^4 sweeps would set the fit
+              f" {cli._TERM_US * us / sum(costs):5.2f} us per estimated term")
+    # us = TERM_US * terms + row_us * rows, least squares in relative error:
+    # in microseconds the N=10^4 sweeps would set the fit
     design = np.array([[terms, rows] for rows, terms in rows_terms]) / np.array(times)[:, None]
     (term_us, row_us), *_ = np.linalg.lstsq(design, np.ones(len(times)), rcond=None)
-    print(f"   fit: {term_us:.2f} us per term, {row_us / term_us:.0f} terms per row   "
-          f"(cli._TERM_US = {cli._TERM_US}, cli._ROW_TERMS = {cli._ROW_TERMS})")
+    print(f"   fit: {term_us:.2f} us per term, {row_us:.0f} us per row   "
+          f"(cli._TERM_US = {cli._TERM_US}, fi-photon row_us = {price})")
 
 
 def break_even(repeat: int) -> None:
-    print("4. forced-pool break-even, cli.main, median of alternating runs (ms)")
+    print("3. forced-pool break-even, cli.main, median of alternating runs (ms)")
     print("   sweep                                    work  saved  1 chunk  2-pool  per worker  gate at --jobs 2")
     photon = ["fi-photon", "--lambda-min", "0.55", "--lambda-max", "1.0", "--n-atoms"]
+    span = ["--lambda-min", "0.01", "--lambda-max", "1.0", "--points"]
+    angles = ",".join(repr(0.1 * i) for i in range(16))
     sweeps = [
-        ("qfi", ["qfi", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "200"]),
-        ("qfi", ["qfi", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "2000"]),
-        ("qfi", ["qfi", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "20000"]),
+        ("qfi", ["qfi", *span, "200"]),
+        ("qfi", ["qfi", *span, "2000"]),
+        ("qfi", ["qfi", *span, "20000"]),
         ("fi-photon N=100", photon + ["100", "--points", "40"]),
         ("fi-photon N=1000", photon + ["1000", "--points", "40"]),
         ("fi-photon N=1000", photon + ["1000", "--points", "80"]),
@@ -125,7 +120,11 @@ def break_even(repeat: int) -> None:
         ("fi-photon N=10^4", photon + ["10000", "--points", "8"]),
         ("fi-photon N=10^4", photon + ["10000", "--points", "14"]),
         ("fi-photon N=10^4", photon + ["10000", "--points", "40"]),
-        ("entanglement", ["entanglement", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "200"]),
+        ("entanglement", ["entanglement", *span, "200"]),
+        ("entanglement", ["entanglement", *span, "5000"]),
+        ("entanglement", ["entanglement", *span, "20000"]),
+        ("photon", ["photon", *span, "20000"]),
+        ("fi-homodyne, 16 angles", ["fi-homodyne", *span, "20000", "--phi", angles]),
     ]
     start_us = cli._WORKER_START_US
     overheads = []
@@ -134,7 +133,7 @@ def break_even(repeat: int) -> None:
         for label, argv in sweeps:
             cfg = cli._load_config(cli._build_parser().parse_args(argv))
             grid = cli._lambda_grid(cfg)
-            costs = cli._row_costs(argv[0], grid, cfg)
+            costs = _gate_costs(argv[0], grid, cfg)
             total = sum(costs)
             saved = total - max(sum(c) for c in cli._contiguous_chunks(costs, 2, costs))
             gate = cli._chunk_count(2, costs)
