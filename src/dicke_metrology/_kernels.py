@@ -115,22 +115,22 @@ class PnSeries:
         log_scale = self._log_r00 + exp2 * _LN2
         goal = math.inf if tail_tol is None else 1.0 - tail_tol
         run_goal = _run_goal(goal - banked, log_scale)
-        # n as a double: exact for any n a list can index (below 2^53), so
-        # the terms are those of the integer n, without a conversion each
+        low, high = _LOW, _HIGH
+        # n, n - 1 and n - 2 as doubles, carried on by adding 1.0: every
+        # integer below 2^53 is a double, and no list is that long, so each
+        # sum is exact and the counters are the integers the recurrence
+        # names, without a conversion or a subtraction per term
         n = float(len(vals) - 1)
+        n1, n2 = n - 1.0, n - 2.0
         for _ in range(len(vals) - 1, n_max):
             if run_mass >= run_goal:
                 break
             m = n + 1.0
-            p0, p1, p2 = (
-                ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1.0)) * p1 + (q2 - a3 * (n - 2.0)) * p2) / m,
-                p0,
-                p1,
-            )
-            n = m
-            if not _LOW <= p0 <= _HIGH:
+            p0, p1, p2 = ((q0 - a1 * n) * p0 + (q1 - a2 * n1) * p1 + (q2 - a3 * n2) * p2) / m, p0, p1
+            n2, n1, n = n1, n, m
+            if not low <= p0 <= high:
                 big = max(abs(p0), abs(p1), abs(p2))
-                if big > _HIGH or 0.0 < big < _LOW:
+                if big > high or 0.0 < big < low:
                     e = math.frexp(big)[1]
                     p0, p1, p2 = math.ldexp(p0, -e), math.ldexp(p1, -e), math.ldexp(p2, -e)
                     banked += run_mass * math.exp(log_scale) if log_scale < 700.0 else math.inf

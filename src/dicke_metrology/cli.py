@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dicke import DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
+from .dicke import _RAD, DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
 from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
@@ -36,7 +36,6 @@ from .gaussian import state_to_dict, symplectic_spectrum, wigner_at
 from .measurements import (
     HomodyneSetting,
     Target,
-    _RAD,
     _radiation_decompositions,
     fi_homodyne_from_jet,
     fi_photon_counting_from_jet,
@@ -64,8 +63,9 @@ _OPTIONS = {
     "target": ("radiation", ("radiation", "atoms"), "homodyne subsystem"),
     "format": ("csv", ("csv", "json"), None),
     "out": (None, str, "output path (default stdout)"),
-    "jobs": (1, int, "at most this many worker processes, one contiguous chunk of the grid each; a sweep runs "
-             "in this process unless a pool saves more estimated work than its workers' start-up"),
+    "jobs": (1, int, "at most this many worker processes, and no more than the CPUs this process may run on, "
+             "one contiguous chunk of the grid each; a sweep runs in this process unless a pool saves more "
+             "estimated work than its workers' start-up"),
 }
 _DEFAULTS = {key: default for key, (default, _, _) in _OPTIONS.items()}
 
@@ -252,6 +252,36 @@ def _chunk_count(jobs: int, costs: list[float]) -> int:
         if gain > best_gain:
             best, best_gain = count, gain
     return best
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _planned_chunks(command: str, grid: list[float], cfg: dict) -> tuple[list[list[float]], _Ground | None]:
+    """The chunks a sweep runs in, one per worker process if more than one,
+    and the grid's ground stage if the gate computed it.
+
+    At most --jobs chunks, and no more than the CPUs this process may run on:
+    the work outside the largest chunk is saved only if each chunk has a CPU
+    of its own.
+    """
+    jobs = min(cfg["jobs"], _usable_cpus())
+    if jobs == 1:  # one job is one chunk, whatever the rows cost
+        return [grid], None
+    ground = None
+    if command == "fi-photon":
+        # the gate weighs the rows by the grid's ground stage, which one
+        # chunk then takes over; a grid at the critical coupling has none,
+        # and its rows are priced without their series
+        with contextlib.suppress(*_DOMAIN_ERRORS):
+            ground = _grid_ground(grid, cfg)
+    costs = _row_costs(command, grid, ground)
+    return _contiguous_chunks(grid, _chunk_count(jobs, costs), costs), ground
 
 
 def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> list[list[float]]:
@@ -491,16 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    chunks, ground = [grid], None
-    if cfg["jobs"] > 1:  # one job is one chunk, whatever the rows cost
-        if args.command == "fi-photon":
-            # the gate weighs the rows by the grid's ground stage, which one
-            # chunk then takes over; a grid at the critical coupling has none,
-            # and its rows are priced without their series
-            with contextlib.suppress(*_DOMAIN_ERRORS):
-                ground = _grid_ground(grid, cfg)
-        costs = _row_costs(args.command, grid, ground)
-        chunks = _contiguous_chunks(grid, _chunk_count(cfg["jobs"], costs), costs)
+    chunks, ground = _planned_chunks(args.command, grid, cfg)
     tasks = [(args.command, chunk, cfg) for chunk in chunks]
     if len(tasks) > 1:
         # imported here: loading the pool takes ~25 ms and ~2 MB that one chunk does not need

@@ -27,8 +27,9 @@ A DickeParams runs the ground stage at its one coupling once, on first use,
 and keeps that record: `ground_state`, `reduced_radiation_state`, `derive`,
 `symplectic_chain` and the one-coupling jet of `estimation.state_derivative`
 all read it, and the record's mean, cov and chain, which they hand out, are
-read-only.  The derivative stage is not kept; it runs again on each call
-that needs it.
+read-only; `reduced_radiation_state` hands out copies of its radiation
+block.  The derivative stage is not kept; it runs again on each call that
+needs it.
 """
 from __future__ import annotations
 
@@ -40,13 +41,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CriticalPointSingularity
-from .gaussian import GaussianState, partial_trace, require_symplectic
+from .gaussian import GaussianState, require_symplectic
 
 # half-width of the window around lambda_c that every coupling evaluation refuses
 DELTA_MIN = 1e-8
 
 RADIATION_MODE = 0
 ATOMIC_MODE = 1
+# the radiation mode's quadratures in the two-mode moments
+_RAD = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
 
 
 @dataclass(frozen=True)
@@ -382,5 +385,12 @@ def ground_state(params: DickeParams) -> GaussianState:
 
 
 def reduced_radiation_state(params: DickeParams) -> GaussianState:
-    """Single-mode reduced state of the radiation mode."""
-    return partial_trace(ground_state(params), [RADIATION_MODE])
+    """Single-mode reduced state of the radiation mode: the radiation block of
+    the record's mean and cov, as writable copies.
+
+    This is the partial trace of `ground_state`, bit for bit: the state
+    symmetrizes the cov block into a fresh array, which has the block's bits
+    because the record's cov is exactly symmetric.
+    """
+    record = params._record
+    return GaussianState(record.mean[0, _RAD].copy(), record.cov[0, _RAD, _RAD])

@@ -142,10 +142,13 @@ def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
     cov = np.asarray(cov, dtype=float)
     if cov.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
-    a = np.linalg.det(cov[..., :2, :2])
-    b = np.linalg.det(cov[..., 2:, 2:])
-    c = np.linalg.det(cov[..., :2, 2:])
-    det = np.linalg.det(cov)
+    # a block of subnormal entries, as a nearly uncorrelated state's C can be,
+    # makes det warn of a division by zero while it returns the right 0.0
+    with np.errstate(divide="ignore"):
+        a = np.linalg.det(cov[..., :2, :2])
+        b = np.linalg.det(cov[..., 2:, 2:])
+        c = np.linalg.det(cov[..., :2, 2:])
+        det = np.linalg.det(cov)
     # each matrix at its own scale; fmax, like max(1.0, x), reads a nan scale as 1
     tol = -1e-10 * np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)) ** 4)
     # both invariant sums, the state's and its partial transpose's, in one check

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dicke import ATOMIC_MODE, RADIATION_MODE, DickeParams, MomentJet
+from .dicke import _RAD, ATOMIC_MODE, RADIATION_MODE, DickeParams, MomentJet
 from .errors import NonConvergedSeries, UnphysicalStateError
 from .estimation import state_derivative
 from .gaussian import GaussianState, _symmetrized
@@ -36,8 +36,6 @@ FI_TERM_FLOOR = 1e-14
 # a p(n) below this is no rounding of a nonnegative value: the series broke down
 _BREAKDOWN = -1e-9
 FI_MARGIN = 0.4
-# the radiation mode's quadratures in the moments of a MomentJet
-_RAD = slice(2 * RADIATION_MODE, 2 * RADIATION_MODE + 2)
 
 
 class Target(str, enum.Enum):
@@ -238,7 +236,7 @@ def photon_distribution(state: GaussianState) -> PhotonDistribution:
 
 def _distribution(probs: np.ndarray) -> PhotonDistribution:
     _check_breakdown(probs)
-    return PhotonDistribution(probs, len(probs) - 1, tail_mass=max(0.0, 1.0 - math.fsum(probs)))
+    return PhotonDistribution(probs, len(probs) - 1, tail_mass=max(0.0, 1.0 - math.fsum(probs.tolist())))
 
 
 def _check_breakdown(probs: np.ndarray) -> None:

@@ -135,8 +135,10 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
-        # grids this small run in one chunk unless starting a worker costs nothing
+        # grids this small run in one chunk unless starting a worker costs
+        # nothing; and the 3- and 7-job splits need as many CPUs on any host
         monkeypatch.setattr(cli, "_WORKER_START_US", 0.0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         sweeps = [
             (["fi-homodyne", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6", "--phi", "0,1.0"], ["3"]),
             (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
@@ -329,6 +331,7 @@ class TestChunks:
         # the fi-photon price without a series part
         seen = []
         chunk_count = cli._chunk_count
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
         monkeypatch.setattr(cli, "_chunk_count", lambda jobs, costs: (seen.append(costs), chunk_count(jobs, costs))[1])
         argv = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
         assert main(argv + ["--jobs", "2"]) == 3
@@ -364,6 +367,24 @@ class TestPoolGate:
         # 2 chunks of 3 save 1 start-up and cost 2
         assert cli._chunk_count(2, [start] * 3) == 1
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_no_more_chunks_than_cpus(self, monkeypatch, affinity):
+        # every chunk past the CPUs waits for one: 8 jobs planned 7 chunks of
+        # this grid on a 2-CPU box, where they took 1083 ms against 990 ms for 2
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        else:  # a platform without CPU affinity
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=400, jobs=8)
+        grid = cli._lambda_grid(cfg)
+        assert cli._chunk_count(8, _gate_costs("fi-photon", cfg)) == 7
+        chunks, ground = cli._planned_chunks("fi-photon", grid, cfg)
+        assert len(chunks) == 2 and sum(chunks, []) == grid and ground is not None
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert cli._planned_chunks("fi-photon", grid, cfg) == ([grid], None)
+
     def test_one_chunk_reuses_the_moments_the_gate_read(self, capsys, monkeypatch):
         # the gate's costs and the chunk's jet ran the mean field of the grid
         # twice; at lambda_c the gate tried the grid's ground stage again
@@ -371,6 +392,7 @@ class TestPoolGate:
         argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
         cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
         assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 1
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
         calls = []
         normal_modes = dicke._normal_modes
         monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
@@ -466,8 +488,9 @@ class TestStatusAndExitCodes:
     @pytest.mark.parametrize("points", ["3", "5"])
     def test_mixed_rows_same_with_jobs(self, capsys, monkeypatch, points):
         # the chunk that holds the critical coupling falls back to one point
-        # at a time, however the grid is split
+        # at a time, however the grid is split, on any host
         monkeypatch.setattr(cli, "_WORKER_START_US", 0.0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         args = [
             "qfi",
             "--lambda-min", "0.4",
@@ -732,8 +755,9 @@ def test_calls_in_one_process_match_fresh_interpreters(tmp_path):
 
 # documented entry points that nothing else in the package has to call: the
 # scalar API of the README, its batch moments, the console script, the SLD and
-# power-law fit that carry criteria 1 and 11, and the chain that criterion 9
-# checks
+# power-law fit that carry criteria 1 and 11, the chain that criterion 9
+# checks, and the partial trace, which README lists and the tests take the
+# atomic mode with, now that the radiation mode is read from the record
 ENTRY_POINTS = {
     "cli.main",
     "dicke.DickeParams",
@@ -747,6 +771,7 @@ ENTRY_POINTS = {
     "estimation.sld_coefficients",
     "estimation.sld_coefficients_f1_frame",
     "gaussian.log_negativity",
+    "gaussian.partial_trace",
     "measurements.HomodyneSetting",
     "measurements.Target",
     "measurements.fi_homodyne",

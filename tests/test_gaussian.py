@@ -296,6 +296,15 @@ class TestStacks:
         with pytest.raises(UnphysicalStateError):
             symplectic_spectrum(np.stack(covs))
 
+    def test_subnormal_correlations_raise_no_warning(self):
+        # det of a C block of subnormal entries warned of a division by zero,
+        # an error under this suite's warning filter, and returns 0.0
+        cov = 1.5 * np.eye(4)
+        cov[:2, 2:] = [[0.0, -5e-324], [5e-324, 0.0]]
+        cov[2:, :2] = cov[:2, 2:].T
+        spec = symplectic_spectrum(np.stack([np.eye(4) / 2, cov]))
+        assert spec.i3.tolist() == [0.0, 0.0] and spec.d_minus[1] == pytest.approx(1.5)
+
     def test_nested_stack_keeps_its_shape(self):
         covs = np.stack([np.eye(4) / 2, np.diag([np.e / 2, 1 / (2 * np.e), 0.5, 0.5])] * 3).reshape(3, 2, 4, 4)
         assert symplectic_spectrum(covs).log_negativity.shape == (3, 2)

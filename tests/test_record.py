@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dicke_metrology import dicke
 from dicke_metrology.dicke import (
     DELTA_MIN,
+    RADIATION_MODE,
     DickeParams,
     derive,
     ground_state,
@@ -33,7 +34,7 @@ from dicke_metrology.estimation import (
     sld_coefficients_f1_frame,
     state_derivative,
 )
-from dicke_metrology.gaussian import log_negativity
+from dicke_metrology.gaussian import log_negativity, partial_trace
 from dicke_metrology.measurements import (
     HomodyneSetting,
     Target,
@@ -54,6 +55,7 @@ def _homodyne(target: Target):
 # the one-coupling entry points, by name
 CALLS = {
     "ground_state": ground_state,
+    "reduced_radiation_state": reduced_radiation_state,
     "qfi": qfi,
     "fi_homodyne_radiation": _homodyne(Target.RADIATION),
     "fi_homodyne_atoms": _homodyne(Target.ATOMS),
@@ -150,11 +152,14 @@ class TestOneRecordPerParams:
         lam = _couplings(omega, omega0, ratios)[0]
         params = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
         try:
-            before = {name: _bits(CALLS[name](params)) for name in ("ground_state", "qfi", "derive", "symplectic_chain")}
+            names = ("ground_state", "reduced_radiation_state", "qfi", "derive", "symplectic_chain")
+            before = {name: _bits(CALLS[name](params)) for name in names}
         except DickeMetrologyError:
             return  # the refused window at lambda_c: no record is kept
         jet = state_derivative(params)
         state, reduced = ground_state(params), reduced_radiation_state(params)
+        # the radiation state is the caller's own copy of the record's block
+        assert reduced.mean.flags.writeable and reduced.cov.flags.writeable
         sld, frame = sld_coefficients(params), sld_coefficients_f1_frame(params)
         handed_out = [
             state.mean, state.cov, reduced.mean, reduced.cov, symplectic_chain(params),
@@ -168,6 +173,25 @@ class TestOneRecordPerParams:
         after = {name: _bits(CALLS[name](params)) for name in before}
         assert after == before
         assert _bits(state_derivative(params)) == _bits(moment_jet([lam], omega, omega0, n_atoms))
+
+    @given(FREQUENCIES, FREQUENCIES, st.sampled_from([1, 2, 100, 1000, 10**4, 10**6]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_radiation_state_is_the_partial_trace_of_the_ground_state(self, omega, omega0, n_atoms, data):
+        # read from the record's radiation block, it has the bits of the
+        # two-mode state traced out, in both phases, at the degenerate point
+        # lam = 0 and just outside the refused window at lambda_c
+        lc = math.sqrt(omega * omega0) / 2.0
+        near = lc + DELTA_MIN * data.draw(st.sampled_from([-1.001, 1.001]), label="just outside")
+        lam = data.draw(st.one_of(st.floats(0.0, 3.0 * lc), st.sampled_from([0.0, near])), label="lam")
+        params = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
+        reduced = reduced_radiation_state(params)
+        traced = partial_trace(ground_state(DickeParams(lam, omega, omega0, n_atoms)), [RADIATION_MODE])
+        assert _bits([reduced.mean, reduced.cov]) == _bits([traced.mean, traced.cov])
+        reduced.mean[...], reduced.cov[...] = 1e3, -1e3
+        again = reduced_radiation_state(params)
+        assert _bits([again.mean, again.cov]) == _bits([traced.mean, traced.cov])
+        state = ground_state(params)
+        assert _bits([state.mean[:2], state.cov[:2, :2]]) == _bits([traced.mean, traced.cov])
 
     @given(MODELS)
     @settings(max_examples=30, deadline=None)

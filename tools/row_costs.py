@@ -2,7 +2,7 @@
 
     python tools/row_costs.py [--repeat 9]
 
-Prints, for the machine it runs on:
+Prints the number of CPUs it may run on, then, for that machine:
 
 1. microseconds per row of each command's chunk work (`cli._compute_chunk`,
    median of --repeat runs over two grid sizes), the work a worker process
@@ -16,7 +16,9 @@ Prints, for the machine it runs on:
    and with a 2-worker pool forced (`cli._WORKER_START_US` set to 0), the
    work the pool saves by the estimate (the total minus its largest chunk),
    and the overhead per worker that makes the two times agree,
-   (pool - one chunk + saved) / 2.
+   (pool - one chunk + saved) / 2.  `cli.main` plans no more workers than
+   there are CPUs, so on one CPU there is no pool to force and part 3 is
+   skipped.
 
 Compare the printed values with each command's `row_us` in `cli._COMMANDS`,
 with `cli._TERM_US` and `cli._WORKER_START_US`, and the last column of
@@ -104,6 +106,9 @@ def row_costs(repeat: int) -> None:
 
 
 def break_even(repeat: int) -> None:
+    if cli._usable_cpus() < 2:
+        print("3. forced-pool break-even: skipped, one CPU runs every sweep in one chunk")
+        return
     print("3. forced-pool break-even, cli.main, median of alternating runs (ms)")
     print("   sweep                                    work  saved  1 chunk  2-pool  per worker  gate at --jobs 2")
     photon = ["fi-photon", "--lambda-min", "0.55", "--lambda-max", "1.0", "--n-atoms"]
@@ -160,6 +165,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=9, help="timed runs per measurement (default 9)")
     args = parser.parse_args()
+    print(f"CPUs this process may run on: {cli._usable_cpus()}")
     row_costs(args.repeat)
     break_even(args.repeat)
 
