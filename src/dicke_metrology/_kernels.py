@@ -57,13 +57,18 @@ linear, so `FisherTerms` runs it on the scaled runs themselves: within a run
 it gives dp(n) / (r00 2^e), and at each renormalisation its history is
 rescaled by the same exact 2^-e as the series'.  Each photon-counting FI term
 dp^2 / p is then (y S)(y / v) for the scaled value v, its filtered y and the
-run's scale S; written so, nothing overflows where y^2 would.
+run's scale S; written so, nothing overflows where y^2 would.  The history
+also holds p(n-3), which the series neither rescales nor tests: where the
+values fall by more than the double range over three terms, that value has
+no double in the new run's scale, and the walk raises NonConvergedSeries.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import NonConvergedSeries
 
 _LOW, _HIGH = 1e-200, 1e200
 _LN2 = math.log(2.0)
@@ -229,7 +234,12 @@ class FisherTerms:
                 # the series renormalised here: rescale the history with it
                 run += 1
                 e = scales[run][1] - scales[run - 1][1]
-                v1, v2, v3, y1, y2, y3 = (math.ldexp(x, -e) for x in (v1, v2, v3, y1, y2, y3))
+                try:
+                    v1, v2, v3, y1, y2, y3 = (math.ldexp(x, -e) for x in (v1, v2, v3, y1, y2, y3))
+                except OverflowError:
+                    raise NonConvergedSeries(
+                        f"photon-counting FI history leaves the double range at the renormalisation at n = {n}"
+                    ) from None
                 scale, floor, low = self._run_bounds(scales[run][1])
             stop = scales[run + 1][0] if run + 1 < len(scales) else len(vals)
             for v in vals[n:stop]:

@@ -14,22 +14,25 @@ quadratures, a two-mode rotation by theta, and local squeezers into the
 normal-mode frequencies eps_minus, eps_plus.  Atom number enters the first
 moments only; all second moments are N-independent.
 
-All of this is written once, vectorised over a 1-D array of couplings that
+All of this is written once, vectorised over couplings of any shape that
 share (omega, omega0, N), in two stages: the ground stage `_ground` runs mean
 field -> Bogoliubov modes -> chain -> mean and cov, and the derivative stage
-`_jet` adds the exact coupling derivatives.  `moment_jet` runs both and
-returns mean, cov, dmean and dcov with one row per coupling;
+`_jet` adds the exact coupling derivatives.  `moment_jet` runs both on a 1-D
+array and returns mean, cov, dmean and dcov with one row per coupling;
 `ground_moments` returns the ground stage's mean and cov.  Each coupling is
 evaluated on its own, so a sweep and a point-by-point loop give the same
 bits.
 
-A DickeParams runs the ground stage at its one coupling once, on first use,
-and keeps that record: `ground_state`, `reduced_radiation_state`, `derive`,
+A DickeParams runs the ground stage once, on first use, at its one coupling
+as a numpy scalar, where each step is scalar arithmetic rather than a ufunc
+call on a one-element array, and keeps that record: mean (4,), cov and
+chain (4, 4).  `ground_state`, `reduced_radiation_state`, `derive`,
 `symplectic_chain` and the one-coupling jet of `estimation.state_derivative`
 all read it, and the record's mean, cov and chain, which they hand out, are
 read-only; `reduced_radiation_state` hands out copies of its radiation
 block.  The derivative stage is not kept; it runs again on each call that
-needs it.
+needs it.  Squares are written as products, because a numpy scalar's `** 2`
+calls pow, which can differ from an array's `** 2` in the last bit.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ class DickeParams:
         params computes its own record (see __getstate__).
         """
         # __post_init__ has checked the coupling
-        record = _ground(np.array([self.lam], dtype=float), self.omega, self.omega0, self.n_atoms)
+        record = _ground(np.float64(self.lam), self.omega, self.omega0, self.n_atoms)
         for array in (record.mean, record.cov, record.chain):
             array.setflags(write=False)
         return record
@@ -93,7 +96,7 @@ def _critical_coupling(w: float, w0: float) -> float:
 
 
 class _Modes(NamedTuple):
-    """Mean-field and normal-mode data, one entry per coupling.
+    """Mean-field and normal-mode data, with the shape of the couplings.
 
     u, v, s, r and p are the Bogoliubov quantities scaled by k^2, which keeps
     them of order omega0^2 deep in the superradiant phase.
@@ -133,7 +136,8 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
         )
     superradiant = lam >= lc
     # k = (lambda_c / lam)^2 in the superradiant phase and exactly 1 below it
-    k = (lc / np.maximum(lam, lc)) ** 2
+    ratio = lc / np.maximum(lam, lc)
+    k = ratio * ratio
     # mean-field branch: both displacements taken with the positive sign
     root = np.sqrt(1.0 - k * k)
     alpha = (lam / w) * root
@@ -147,11 +151,12 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     r = np.hypot(u, v)
     # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
     # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase
-    p = np.where(superradiant, (w * w0 * root) ** 2, 4.0 * w * w0 * (lc - lam) * (lc + lam))
+    wr = w * w0 * root
+    p = np.where(superradiant, wr * wr, 4.0 * w * w0 * (lc - lam) * (lc + lam))[()]
     # at resonance and lam = 0 the two normal modes are degenerate and theta is
     # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
     # and fixes the derivative
-    theta = np.where(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)
+    theta = np.where(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)[()]
     return _Modes(
         lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p,
         np.sqrt(2.0 * p / (s + r)), np.sqrt((s + r) / 2.0) / k, theta,
@@ -168,8 +173,8 @@ def derive(params: DickeParams) -> dict:
     names = ("k", "alpha", "beta", "theta", "eps_minus", "eps_plus", "omega_tilde")
     return {
         "lambda_c": m.lam_c,
-        **{name: float(getattr(m, name)[0]) for name in names},
-        "phase": "superradiant" if m.superradiant[0] else "normal",
+        **{name: float(getattr(m, name)) for name in names},
+        "phase": "superradiant" if m.superradiant else "normal",
     }
 
 
@@ -255,7 +260,7 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
 
 
 class _Ground(NamedTuple):
-    """The ground stage at each coupling of a 1-D array that shares (omega, omega0, n_atoms).
+    """The ground stage at each coupling of an array that shares (omega, omega0, n_atoms).
 
     f1_inv, rot and f3_inv are the factors (diag F1^-1, F2(theta)^T, diag F3^-1)
     of the chain S = F1^-1 F2(theta)^T F3^-1, which is checked symplectic; mean
@@ -275,8 +280,10 @@ class _Ground(NamedTuple):
 
 
 def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Ground:
-    """Mean field, normal modes, chain and moments at each coupling in lam, a
-    1-D float array that `_checked_couplings` accepts with the model.
+    """Mean field, normal modes, chain and moments at each coupling in lam,
+    couplings that `_checked_couplings` accepts with the model: a 1-D float
+    array, whose results carry a leading axis, or a numpy float64 scalar,
+    whose mean is (4,), cov and chain (4, 4) and modes numpy scalars.
 
     The chain F1 -> rotation F2(theta) -> F3 brings the Hamiltonian to normal
     form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
@@ -292,16 +299,16 @@ def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Grou
     f3_inv = 1.0 / _squeezers(modes.eps_minus, modes.eps_plus)
     chain = _product(f1_inv, rot, f3_inv)
     require_symplectic(chain)
-    g = chain @ chain.transpose(0, 2, 1)
+    g = chain @ np.swapaxes(chain, -1, -2)
     mean = _x_displacement(modes.alpha, modes.beta, n_atoms)
-    cov = (g + g.transpose(0, 2, 1)) / 4.0
+    cov = (g + np.swapaxes(g, -1, -2)) / 4.0
     return _Ground(modes, omega, omega0, n_atoms, f1_inv, rot, f3_inv, chain, mean, cov)
 
 
 def symplectic_chain(params: DickeParams) -> np.ndarray:
     """The 4 x 4 chain S of `_ground` at the coupling of params, the matrix
     whose S S^T / 2 is the ground-state covariance; read-only."""
-    return params._record.chain[0]
+    return params._record.chain
 
 
 def ground_moments(lams, omega: float, omega0: float, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,37 +337,39 @@ def _jet(ground: _Ground) -> MomentJet:
     The chain rule runs through k, alpha, beta, the effective atomic
     frequency, the normal-mode frequencies and theta, and the product rule
     through the chain S, so that dcov = (dS S^T + S dS^T) / 2 and
-    dmean = sqrt(2N) (dalpha, 0, -dbeta, 0).
+    dmean = sqrt(2N) (dalpha, 0, -dbeta, 0).  The jet has the shape of
+    ground: rows for a 1-D batch, mean (4,) and cov (4, 4) for a scalar.
     """
     m, w, w0, chain = ground.modes, ground.omega, ground.omega0, ground.chain
     lam, k, sr = m.lam, m.k, m.superradiant
     # below lambda_c, k, alpha and beta are constant; the safe denominators
     # only stand in where the numerators vanish
-    dk = np.where(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)
-    dalpha = m.root / w - (lam / w) * k * dk / np.where(sr, m.root, 1.0)
-    dbeta = -dk / (4.0 * np.where(sr, m.beta, 1.0))
+    dk = np.where(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)[()]
+    safe_root = np.where(sr, m.root, 1.0)[()]
+    dalpha = m.root / w - (lam / w) * k * dk / safe_root
+    dbeta = -dk / (4.0 * np.where(sr, m.beta, 1.0)[()])
     # u and s differ by the constant 2 omega0^2, so du = -ds; v = 4 lam sqrt(w w0) k^(5/2)
     ds = 2.0 * k * w * w * dk
     dv = 4.0 * np.sqrt(w * w0 * k) * k * k * (1.0 + 2.5 * lam * dk / k)
     # r = 0 only at the degenerate point, where the limit lam -> 0+ has
     # r = v and a constant theta (see _normal_modes)
     regular = m.r > 0.0
-    r = np.where(regular, m.r, 1.0)
-    dr = np.where(regular, (m.v * dv - m.u * ds) / r, dv)
+    r = np.where(regular, m.r, 1.0)[()]
+    dr = np.where(regular, (m.v * dv - m.u * ds) / r, dv)[()]
     # r * r underflows where u and v both fall below ~1e-154, at couplings near
     # 0 on resonance; there dtheta is taken with the unit vector (u, v) / r
     rr = r * r
     small = rr < _TINY
-    dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(small, 1.0, rr)
+    dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(small, 1.0, rr)[()]
     if small.any():
-        dtheta = np.where(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)
+        dtheta = np.where(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)[()]
     # log derivatives of s + r, of eps_+ = sqrt((s + r)/2)/k, of eps_-^2 = 2 p/(s + r)
     # and of omega_tilde / eps_+, with omega_tilde = w0 (1 + k)/(2 k)
     dlog_sr = (ds + dr) / (m.s + m.r)
     dlog_ep = 0.5 * dlog_sr - dk / k
     dlog_p = np.where(
-        sr, -2.0 * k * dk / np.where(sr, m.root, 1.0) ** 2, -2.0 * lam / ((m.lam_c - lam) * (m.lam_c + lam))
-    )
+        sr, -2.0 * k * dk / (safe_root * safe_root), -2.0 * lam / ((m.lam_c - lam) * (m.lam_c + lam))
+    )[()]
     dlog_em = 0.5 * (dlog_p - dlog_sr)
     dlog_ratio = dk / (1.0 + k) - 0.5 * dlog_sr
     # the squeezers are diagonal, so S_ij = f1_i R_ij f3_j changes by
@@ -371,17 +380,17 @@ def _jet(ground: _Ground) -> MomentJet:
     rows = np.multiply.outer(dlog_ratio, _DLOG_B)
     ep_rows = np.multiply.outer(dlog_ep, _DLOG_B)
     cols = -np.multiply.outer(dlog_em, _DLOG_A) - ep_rows
-    turn = dtheta[:, None, None] * _product(ground.f1_inv, ground.rot @ _ROT_GEN, ground.f3_inv)
-    dchain = (rows[:, :, None] + (ep_rows[:, :, None] + cols[:, None, :])) * chain + turn
-    a = dchain @ chain.transpose(0, 2, 1)
+    turn = dtheta[..., None, None] * _product(ground.f1_inv, ground.rot @ _ROT_GEN, ground.f3_inv)
+    dchain = (rows[..., :, None] + (ep_rows[..., :, None] + cols[..., None, :])) * chain + turn
+    a = dchain @ np.swapaxes(chain, -1, -2)
     dmean = _x_displacement(dalpha, dbeta, ground.n_atoms)
-    return MomentJet(ground.mean, ground.cov, dmean, (a + a.transpose(0, 2, 1)) / 2.0)
+    return MomentJet(ground.mean, ground.cov, dmean, (a + np.swapaxes(a, -1, -2)) / 2.0)
 
 
 def ground_state(params: DickeParams) -> GaussianState:
     """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms)."""
     record = params._record
-    return GaussianState(record.mean[0], record.cov[0])
+    return GaussianState(record.mean, record.cov)
 
 
 def reduced_radiation_state(params: DickeParams) -> GaussianState:
@@ -393,4 +402,4 @@ def reduced_radiation_state(params: DickeParams) -> GaussianState:
     because the record's cov is exactly symmetric.
     """
     record = params._record
-    return GaussianState(record.mean[0, _RAD].copy(), record.cov[0, _RAD, _RAD])
+    return GaussianState(record.mean[_RAD].copy(), record.cov[_RAD, _RAD])

@@ -10,7 +10,7 @@ class CriticalPointSingularity(DickeMetrologyError):
 
 
 class NonConvergedSeries(DickeMetrologyError):
-    """A truncated series failed to reach the requested tail mass."""
+    """A truncated series failed to reach the requested tail mass, or could not be carried on in doubles."""
 
 
 class UnphysicalStateError(DickeMetrologyError, ValueError):

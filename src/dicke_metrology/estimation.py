@@ -12,9 +12,10 @@ The moments and their exact coupling derivatives come from one vectorised
 jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
 whole jet into arrays of QFIs and their two parts at once; `state_derivative`
 runs the derivative stage of the same jet on the ground state that a
-DickeParams computes once, on first use, and `qfi` and the SLD functions read
-from it, so the derivatives are computed again on each call but the mean
-field and the chain are not.  There is no step to choose; the only excluded
+DickeParams computes once, on first use, at its coupling as a numpy scalar,
+and returns it as a one-row jet; `qfi` and the SLD functions read from it, so
+the derivatives are computed again on each call but the mean field and the
+chain are not.  There is no step to choose; the only excluded
 couplings are the window of half-width dicke.DELTA_MIN = 1e-8 around
 lambda_c, where the jet raises.
 """
@@ -33,9 +34,11 @@ def state_derivative(params: DickeParams) -> MomentJet:
     closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), each a single row.
 
     The derivatives are computed on every call from the params' ground state,
-    which is computed once; mean and cov are that state's read-only arrays.
+    which is computed once; mean and cov are views of that state's read-only
+    arrays.
     """
-    return _jet(params._record)
+    jet = _jet(params._record)
+    return MomentJet(jet.mean[None], jet.cov[None], jet.dmean[None], jet.dcov[None])
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def sld_coefficients_f1_frame(params: DickeParams) -> SldCoefficients:
     """
     raw = sld_coefficients(params)
     # F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)), so R^T Phi R = R'^T F1^-1 Phi F1^-1 R'
-    f1_inv = params._record.f1_inv[0]
+    f1_inv = params._record.f1_inv
     return SldCoefficients(phi=f1_inv[:, None] * raw.phi * f1_inv, zeta=f1_inv * raw.zeta, nu=raw.nu)
 
 

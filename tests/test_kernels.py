@@ -10,7 +10,7 @@ from scipy.special import gammaln
 
 from dicke_metrology import _kernels, measurements
 from dicke_metrology.dicke import DickeParams, moment_jet, reduced_radiation_state
-from dicke_metrology.errors import UnphysicalStateError
+from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution, photon_series_inputs
 from oracles import ThreeValueSeries, photon_fi_row_two_pass, pn_derivative
 
@@ -265,8 +265,9 @@ def _near_vacua(draw):
     # the band downward every few terms, and some underflow to 0.0.  t and s
     # share a sign, so p(1) ~ (s + t)/2 does not cancel, and the slopes are
     # those of a coupling lam ~ sqrt(t), as t ~ lam^2 near the vacuum: a
-    # step of 1e-308 between two values, or slopes of 1, would overflow the
-    # filter's history at a renormalisation
+    # step of 1e-308 between two values, or slopes of 1, would take the
+    # filter's history out of the double range at a renormalisation, where
+    # the walk raises
     exponent = draw(st.floats(-155.0, -135.0))
     sign = draw(st.sampled_from([-1.0, 1.0]))
     t, s, c = (10.0 ** (exponent + draw(st.floats(-2.0, 2.0))) for _ in range(3))
@@ -293,10 +294,21 @@ def _mixed(draw):
 
 
 SVAC_005 = (_normalised(0.05, -0.05, 0.0), 400, None, 1.0)
+# subnormal s: p(1) = s/2 ~ 1e-311 after p(0) = 1, and p(2) = p(3) = 0, so
+# the run that starts at n = 3 is scaled by 2^1032 and p(0) has no double there
+SUBNORMAL_DROP = ((-1.1125369292535e-311, 0.0, 2.225073858507e-311, 0.0), 3, None, 1.0)
 
 
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
+
+
+def _walked(fisher):
+    """walk()'s result and the bits of all terms so far, or the error it raises."""
+    try:
+        return fisher.walk(), _bits(fisher.terms)
+    except NonConvergedSeries as exc:
+        return type(exc), str(exc)
 
 
 @given(
@@ -305,11 +317,13 @@ def _bits(values):
     slopes=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
 )
 @example(case=SVAC_005, split=0.5, slopes=PATH_DIRECTION)
+@example(case=SUBNORMAL_DROP, split=0.0, slopes=(0.0, 0.0, 0.0, 0.0))
 @settings(max_examples=150, deadline=None)
 def test_band_test_on_the_new_value_decides_as_the_three_value_test(case, split, slopes):
     # the two-stage band test of `PnSeries.extend` against its former loop,
     # which tested the largest of the three live values on every term; both
-    # extended in two calls, each followed by a walk of the FI terms
+    # extended in two calls, each followed by a walk of the FI terms, which
+    # give the same terms or raise the same error
     inputs, n_max, tail_tol, slope_scale = case
     series, oracle = _kernels.PnSeries(*inputs), ThreeValueSeries(*inputs)
     slopes = [slope_scale * x for x in slopes]
@@ -324,8 +338,21 @@ def test_band_test_on_the_new_value_decides_as_the_three_value_test(case, split,
         assert _bits(series._live + (series._banked, series._run_mass)) == _bits(
             oracle._live + (oracle._banked, oracle._run_mass)
         )
-        assert terms.walk() == oracle_terms.walk()
-        assert _bits(terms.terms) == _bits(oracle_terms.terms)
+        walked = _walked(terms)
+        assert walked == _walked(oracle_terms)
+        if walked[0] is NonConvergedSeries:
+            return
+
+
+def test_a_history_with_no_double_in_the_new_scale_raises_a_domain_error():
+    # p(0) = 1 in a run scaled by 2^1032: a status for the CLI, not an OverflowError
+    inputs, n_max, _, _ = SUBNORMAL_DROP
+    series = _kernels.PnSeries(*inputs)
+    series.extend(n_max)
+    assert series._scales == [(0, 0), (3, -1032)]
+    terms = _kernels.FisherTerms(series, 0.0, 0.0, 0.0, 0.0, measurements.FI_TERM_FLOOR, measurements._BREAKDOWN)
+    with pytest.raises(NonConvergedSeries, match="double range"):
+        terms.walk()
 
 
 def test_squeezed_vacuum_renormalises_where_all_three_values_leave_the_band():

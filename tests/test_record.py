@@ -12,7 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicke_metrology import dicke
@@ -88,6 +88,9 @@ def _outcome(call, params):
         return type(exc), str(exc)
 
 
+# every call, in name order
+ALL_CALLS = sorted(CALLS)
+
 # the accepted domain: positive frequencies, a positive atom number and a
 # nonnegative coupling, drawn as lam / lambda_c so that both phases, the
 # degenerate point lam = 0 and the refused window at lambda_c all occur; the
@@ -103,14 +106,44 @@ def _couplings(omega: float, omega0: float, ratios: list[float]) -> list[float]:
     return [math.sqrt(omega * omega0) / 2.0 * ratio for ratio in ratios]
 
 
+@st.composite
+def _call_orders(draw):
+    """(model, the index of the params' coupling, the names of the calls made on it, in order)."""
+    model = draw(MODELS)
+    i = draw(st.integers(0, len(model[3]) - 1), label="index")
+    return model, i, draw(st.lists(st.sampled_from(ALL_CALLS), min_size=1, max_size=12), label="calls")
+
+
+@st.composite
+def _radiation_cases(draw):
+    """(omega, omega0, n_atoms, lam) in both phases, at the degenerate point lam = 0 and
+    just outside the refused window at lambda_c; a lam drawn from [0, 3 lambda_c] may
+    be lambda_c itself."""
+    omega, omega0 = draw(FREQUENCIES), draw(FREQUENCIES)
+    n_atoms = draw(st.sampled_from([1, 2, 100, 1000, 10**4, 10**6]))
+    lc = math.sqrt(omega * omega0) / 2.0
+    near = lc + DELTA_MIN * draw(st.sampled_from([-1.001, 1.001]), label="just outside")
+    return omega, omega0, n_atoms, draw(st.one_of(st.floats(0.0, 3.0 * lc), st.sampled_from([0.0, near])), label="lam")
+
+
 class TestOneRecordPerParams:
-    @given(MODELS, st.data())
+    @given(_call_orders())
+    # the branches where a scalar coupling could part from the batch: lam = 0
+    # on and off resonance (theta's degenerate point), u^2 + v^2 below the
+    # smallest normal double (dtheta's `small` branch at 1e-160; 1e-150 stays
+    # just above it), deep in the superradiant phase, a large atom number,
+    # and a coupling where pow(x, 2) and x * x differ in the last bit
+    @example(((1.0, 1.0, 100, [0.0, 0.5]), 0, ALL_CALLS))
+    @example(((1.0, 2.0, 100, [0.0]), 0, ALL_CALLS))
+    @example(((1.0, 1.0, 100, [1e-150, 1e-160]), 0, ALL_CALLS))
+    @example(((1.0, 1.0, 100, [1e-150, 1e-160]), 1, ALL_CALLS))
+    @example(((1.0, 2.0, 100, [1e4, 0.5]), 0, ALL_CALLS))
+    @example(((1.0, 1.0, 10**6, [1.5, 0.5]), 0, ALL_CALLS))
+    @example(((1.0, 1.0, 100, [1.3970406077070024]), 0, ALL_CALLS))
     @settings(max_examples=40, deadline=None)
-    def test_any_call_order_gives_the_bits_of_fresh_params_and_of_the_batch(self, model, data):
-        omega, omega0, n_atoms, ratios = model
+    def test_any_call_order_gives_the_bits_of_fresh_params_and_of_the_batch(self, case):
+        (omega, omega0, n_atoms, ratios), i, order = case
         lams = _couplings(omega, omega0, ratios)
-        i = data.draw(st.integers(0, len(lams) - 1), label="index")
-        order = data.draw(st.lists(st.sampled_from(sorted(CALLS)), min_size=1, max_size=12), label="calls")
         params = DickeParams(lam=lams[i], omega=omega, omega0=omega0, n_atoms=n_atoms)
         fresh = {
             name: _outcome(call, DickeParams(lam=lams[i], omega=omega, omega0=omega0, n_atoms=n_atoms))
@@ -119,6 +152,12 @@ class TestOneRecordPerParams:
         for name in order:
             assert _outcome(CALLS[name], params) == fresh[name], name
         lc = math.sqrt(omega * omega0) / 2.0
+        if abs(lams[i] - lc) > DELTA_MIN:
+            # the ground stage at a numpy scalar: scalars and unbatched arrays, no one-row stacks
+            record = params._record
+            assert all(np.ndim(value) == 0 and not isinstance(value, np.ndarray) for value in record.modes)
+            shapes = [np.shape(getattr(record, name)) for name in ("f1_inv", "f3_inv", "mean", "rot", "chain", "cov")]
+            assert shapes == [(4,)] * 3 + [(4, 4)] * 3
         if any(abs(lam - lc) <= DELTA_MIN for lam in lams):
             with pytest.raises(CriticalPointSingularity):
                 moment_jet(lams, omega, omega0, n_atoms)
@@ -174,16 +213,21 @@ class TestOneRecordPerParams:
         assert after == before
         assert _bits(state_derivative(params)) == _bits(moment_jet([lam], omega, omega0, n_atoms))
 
-    @given(FREQUENCIES, FREQUENCIES, st.sampled_from([1, 2, 100, 1000, 10**4, 10**6]), st.data())
+    @given(_radiation_cases())
+    @example((0.5, 0.5, 1, 0.25))  # lam = lambda_c
     @settings(max_examples=60, deadline=None)
-    def test_radiation_state_is_the_partial_trace_of_the_ground_state(self, omega, omega0, n_atoms, data):
+    def test_radiation_state_is_the_partial_trace_of_the_ground_state(self, case):
         # read from the record's radiation block, it has the bits of the
         # two-mode state traced out, in both phases, at the degenerate point
-        # lam = 0 and just outside the refused window at lambda_c
-        lc = math.sqrt(omega * omega0) / 2.0
-        near = lc + DELTA_MIN * data.draw(st.sampled_from([-1.001, 1.001]), label="just outside")
-        lam = data.draw(st.one_of(st.floats(0.0, 3.0 * lc), st.sampled_from([0.0, near])), label="lam")
+        # lam = 0 and just outside the refused window at lambda_c; inside it
+        # both raise
+        omega, omega0, n_atoms, lam = case
         params = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
+        if abs(lam - math.sqrt(omega * omega0) / 2.0) <= DELTA_MIN:
+            for call in (reduced_radiation_state, ground_state):
+                with pytest.raises(CriticalPointSingularity):
+                    call(params)
+            return
         reduced = reduced_radiation_state(params)
         traced = partial_trace(ground_state(DickeParams(lam, omega, omega0, n_atoms)), [RADIATION_MODE])
         assert _bits([reduced.mean, reduced.cov]) == _bits([traced.mean, traced.cov])
