@@ -17,7 +17,6 @@ its QFI are printed once for all its --phi angles.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -28,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dicke import _RAD, DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
+from .dicke import _RAD, DELTA_MIN, DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
 from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
@@ -225,14 +224,37 @@ def _row_costs(command: str, grid: list[float], ground: _Ground | None) -> list[
     """Estimated cost of each row in microseconds, known before any series runs.
 
     Each row costs its command's row_us.  Given the grid's ground stage,
-    which `main` takes for fi-photon alone, a row adds its photon series,
-    weighed by the <n> and sd(n) of the radiation mode.
+    which `_gate_costs` takes for fi-photon alone, a row adds its photon
+    series, weighed by the <n> and sd(n) of the radiation mode.
     """
     price = _COMMANDS[command].row_us
     if ground is None:
         return [price] * len(grid)
     mean_n, var_n = photon_number_moments(ground.mean[:, _RAD], ground.cov[:, _RAD, _RAD])
     return (price + _TERM_US * (mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0)))).tolist()
+
+
+def _gate_costs(command: str, grid: list[float], cfg: dict) -> tuple[list[float], _Ground | None]:
+    """The row costs that the --jobs gate weighs a sweep by, and the grid's
+    ground stage if the costs read one that covers the whole grid.
+
+    fi-photon rows are weighed by the ground stage of the couplings outside
+    the window dicke.DELTA_MIN around lambda_c; a row inside it is refused
+    before any series runs and costs row_us alone.
+    """
+    costs = _row_costs(command, grid, None)
+    if command != "fi-photon":
+        return costs, None
+    lam_c = _critical_coupling(cfg["omega"], cfg["omega0"])
+    # the rows that `_normal_modes` does not refuse, by its own test
+    kept = [i for i, lam in enumerate(grid) if abs(lam - lam_c) > DELTA_MIN]
+    if not kept:
+        return costs, None
+    lams = [grid[i] for i in kept]
+    ground = _grid_ground(lams, cfg)
+    for i, cost in zip(kept, _row_costs(command, lams, ground)):
+        costs[i] = cost
+    return costs, ground if len(kept) == len(grid) else None
 
 
 def _chunk_count(jobs: int, costs: list[float]) -> int:
@@ -264,7 +286,7 @@ def _usable_cpus() -> int:
 
 def _planned_chunks(command: str, grid: list[float], cfg: dict) -> tuple[list[list[float]], _Ground | None]:
     """The chunks a sweep runs in, one per worker process if more than one,
-    and the grid's ground stage if the gate computed it.
+    and the grid's ground stage if the gate computed one that covers the grid.
 
     At most --jobs chunks, and no more than the CPUs this process may run on:
     the work outside the largest chunk is saved only if each chunk has a CPU
@@ -273,14 +295,7 @@ def _planned_chunks(command: str, grid: list[float], cfg: dict) -> tuple[list[li
     jobs = min(cfg["jobs"], _usable_cpus())
     if jobs == 1:  # one job is one chunk, whatever the rows cost
         return [grid], None
-    ground = None
-    if command == "fi-photon":
-        # the gate weighs the rows by the grid's ground stage, which one
-        # chunk then takes over; a grid at the critical coupling has none,
-        # and its rows are priced without their series
-        with contextlib.suppress(*_DOMAIN_ERRORS):
-            ground = _grid_ground(grid, cfg)
-    costs = _row_costs(command, grid, ground)
+    costs, ground = _gate_costs(command, grid, cfg)
     return _contiguous_chunks(grid, _chunk_count(jobs, costs), costs), ground
 
 

@@ -27,12 +27,15 @@ A DickeParams runs the ground stage once, on first use, at its one coupling
 as a numpy scalar, where each step is scalar arithmetic rather than a ufunc
 call on a one-element array, and keeps that record: mean (4,), cov and
 chain (4, 4).  `ground_state`, `reduced_radiation_state`, `derive`,
-`symplectic_chain` and the one-coupling jet of `estimation.state_derivative`
-all read it, and the record's mean, cov and chain, which they hand out, are
+`symplectic_chain` and the 0-d jet of `estimation.state_derivative` all read
+it, and the record's mean, cov and chain, which they hand out, are
 read-only; `reduced_radiation_state` hands out copies of its radiation
 block.  The derivative stage is not kept; it runs again on each call that
-needs it.  Squares are written as products, because a numpy scalar's `** 2`
-calls pow, which can differ from an array's `** 2` in the last bit.
+needs it.  Where a batch picks one of two values per coupling, `_select`
+calls np.where, and for one coupling returns the chosen value itself, so
+both shapes run one formula.  Squares are written as products, because a
+numpy scalar's `** 2` calls pow, which can differ from an array's `** 2` in
+the last bit.
 """
 from __future__ import annotations
 
@@ -120,6 +123,19 @@ class _Modes(NamedTuple):
     theta: np.ndarray
 
 
+def _select(cond, a, b):
+    """np.where(cond, a, b) for a batch; for the 0-d np.bool_ condition of one
+    coupling, the chosen value itself, which skips the ufunc call.
+
+    Both values are computed, as np.where needs them; a Python float constant
+    chosen at 0-d stays a Python float, and arithmetic with the numpy scalars
+    around it gives the bits of the batch.
+    """
+    if isinstance(cond, np.bool_):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
 def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     """Mean-field displacements and Bogoliubov data at every coupling in lam.
 
@@ -152,11 +168,11 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
     # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase
     wr = w * w0 * root
-    p = np.where(superradiant, wr * wr, 4.0 * w * w0 * (lc - lam) * (lc + lam))[()]
+    p = _select(superradiant, wr * wr, 4.0 * w * w0 * (lc - lam) * (lc + lam))
     # at resonance and lam = 0 the two normal modes are degenerate and theta is
     # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
     # and fixes the derivative
-    theta = np.where(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)[()]
+    theta = _select(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)
     return _Modes(
         lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p,
         np.sqrt(2.0 * p / (s + r)), np.sqrt((s + r) / 2.0) / k, theta,
@@ -221,10 +237,12 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class MomentJet:
-    """Ground-state moments and their coupling derivatives, one row per coupling.
+    """Ground-state moments and their coupling derivatives: rows for a batch,
+    0-d for one coupling.
 
-    mean and dmean have shape (n, 4), cov and dcov shape (n, 4, 4), with the
-    quadratures ordered (x_rad, p_rad, x_atoms, p_atoms).
+    mean and dmean have shape (n, 4), cov and dcov shape (n, 4, 4) for a batch
+    of n couplings, and (4,) and (4, 4) for one, with the quadratures ordered
+    (x_rad, p_rad, x_atoms, p_atoms).
     """
 
     mean: np.ndarray
@@ -344,32 +362,32 @@ def _jet(ground: _Ground) -> MomentJet:
     lam, k, sr = m.lam, m.k, m.superradiant
     # below lambda_c, k, alpha and beta are constant; the safe denominators
     # only stand in where the numerators vanish
-    dk = np.where(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)[()]
-    safe_root = np.where(sr, m.root, 1.0)[()]
+    dk = _select(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)
+    safe_root = _select(sr, m.root, 1.0)
     dalpha = m.root / w - (lam / w) * k * dk / safe_root
-    dbeta = -dk / (4.0 * np.where(sr, m.beta, 1.0)[()])
+    dbeta = -dk / (4.0 * _select(sr, m.beta, 1.0))
     # u and s differ by the constant 2 omega0^2, so du = -ds; v = 4 lam sqrt(w w0) k^(5/2)
     ds = 2.0 * k * w * w * dk
     dv = 4.0 * np.sqrt(w * w0 * k) * k * k * (1.0 + 2.5 * lam * dk / k)
     # r = 0 only at the degenerate point, where the limit lam -> 0+ has
     # r = v and a constant theta (see _normal_modes)
     regular = m.r > 0.0
-    r = np.where(regular, m.r, 1.0)[()]
-    dr = np.where(regular, (m.v * dv - m.u * ds) / r, dv)[()]
+    r = _select(regular, m.r, 1.0)
+    dr = _select(regular, (m.v * dv - m.u * ds) / r, dv)
     # r * r underflows where u and v both fall below ~1e-154, at couplings near
     # 0 on resonance; there dtheta is taken with the unit vector (u, v) / r
     rr = r * r
     small = rr < _TINY
-    dtheta = 0.5 * (m.u * dv + m.v * ds) / np.where(small, 1.0, rr)[()]
+    dtheta = 0.5 * (m.u * dv + m.v * ds) / _select(small, 1.0, rr)
     if small.any():
-        dtheta = np.where(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)[()]
+        dtheta = _select(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)
     # log derivatives of s + r, of eps_+ = sqrt((s + r)/2)/k, of eps_-^2 = 2 p/(s + r)
     # and of omega_tilde / eps_+, with omega_tilde = w0 (1 + k)/(2 k)
     dlog_sr = (ds + dr) / (m.s + m.r)
     dlog_ep = 0.5 * dlog_sr - dk / k
-    dlog_p = np.where(
+    dlog_p = _select(
         sr, -2.0 * k * dk / (safe_root * safe_root), -2.0 * lam / ((m.lam_c - lam) * (m.lam_c + lam))
-    )[()]
+    )
     dlog_em = 0.5 * (dlog_p - dlog_sr)
     dlog_ratio = dk / (1.0 + k) - 0.5 * dlog_sr
     # the squeezers are diagonal, so S_ij = f1_i R_ij f3_j changes by

@@ -13,7 +13,8 @@ jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
 whole jet into arrays of QFIs and their two parts at once; `state_derivative`
 runs the derivative stage of the same jet on the ground state that a
 DickeParams computes once, on first use, at its coupling as a numpy scalar,
-and returns it as a one-row jet; `qfi` and the SLD functions read from it, so
+and returns the 0-d jet, mean (4,) and cov (4, 4); `qfi` and the SLD
+functions read from it, and `qfi_from_jet` takes it as it takes a batch, so
 the derivatives are computed again on each call but the mean field and the
 chain are not.  There is no step to choose; the only excluded
 couplings are the window of half-width dicke.DELTA_MIN = 1e-8 around
@@ -26,19 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DickeParams, MomentJet, _jet
-from .gaussian import symplectic_form
+from .gaussian import _OMEGA2
 
 
 def state_derivative(params: DickeParams) -> MomentJet:
-    """The one-coupling moment jet at params: the ground-state moments and their
-    closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), each a single row.
+    """The one-coupling moment jet at params, at 0-d: the ground-state moments
+    and their closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), with mean
+    and dmean (4,), cov and dcov (4, 4).
 
     The derivatives are computed on every call from the params' ground state,
-    which is computed once; mean and cov are views of that state's read-only
-    arrays.
+    which is computed once; mean and cov are that state's read-only arrays.
     """
-    jet = _jet(params._record)
-    return MomentJet(jet.mean[None], jet.cov[None], jet.dmean[None], jet.dcov[None])
+    return _jet(params._record)
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,17 @@ class EstimationResult:
 
 def qfi_from_jet(jet: MomentJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantum Fisher information at every coupling of the jet, as the arrays
-    (qfi, quadratic_term, displacement_term) with one entry per coupling."""
-    omega = symplectic_form(2)
-    quadratic = -np.trace(omega.T @ jet.dcov @ omega @ jet.dcov, axis1=-2, axis2=-1)
-    dmean = jet.dmean[:, :, None]
-    displacement = (np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean))[:, 0, 0]
+    (qfi, quadratic_term, displacement_term) with the jet's leading shape:
+    one entry per coupling of a batch, numpy scalars for a 0-d jet."""
+    quadratic = -np.trace(_OMEGA2.T @ jet.dcov @ _OMEGA2 @ jet.dcov, axis1=-2, axis2=-1)
+    dmean = jet.dmean[..., None]
+    displacement = (np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean))[..., 0, 0]
     return quadratic + displacement, quadratic, displacement
 
 
 def qfi(params: DickeParams) -> EstimationResult:
     """Quantum Fisher information of the coupling at params."""
-    h, quadratic, displacement = (float(column[0]) for column in qfi_from_jet(state_derivative(params)))
+    h, quadratic, displacement = map(float, qfi_from_jet(state_derivative(params)))
     return EstimationResult(qfi=h, quadratic_term=quadratic, displacement_term=displacement)
 
 
@@ -78,11 +78,9 @@ class SldCoefficients:
 def sld_coefficients(params: DickeParams) -> SldCoefficients:
     """SLD coefficients (Phi, zeta, nu) in the laboratory quadratures."""
     jet = state_derivative(params)
-    cov, dmean, dcov = jet.cov[0], jet.dmean[0], jet.dcov[0]
-    omega = symplectic_form(2)
-    phi = -dcov
-    zeta = omega.T @ np.linalg.solve(cov, dmean)
-    nu = float(np.trace(omega.T @ cov @ omega @ phi))
+    phi = -jet.dcov
+    zeta = _OMEGA2.T @ np.linalg.solve(jet.cov, jet.dmean)
+    nu = float(np.trace(_OMEGA2.T @ jet.cov @ _OMEGA2 @ phi))
     return SldCoefficients(phi=phi, zeta=zeta, nu=nu)
 
 

@@ -31,6 +31,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+# the two-mode form, built once and shared read-only
+_OMEGA2 = symplectic_form(2)
+_OMEGA2.setflags(write=False)
+# partial transposition of the second mode: p2 -> -p2 on each side of a cov
+_PPT_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """First moments and covariance matrix of an M-mode Gaussian state."""
@@ -69,7 +76,7 @@ def _symmetrized(cov: np.ndarray) -> np.ndarray:
 
 def require_symplectic(f: np.ndarray) -> None:
     """Raise ValueError unless F Omega F^T = Omega for F, or for every F of a stack (..., 2M, 2M)."""
-    omega = symplectic_form(f.shape[-1] // 2)
+    omega = _OMEGA2 if f.shape[-1] == 4 else symplectic_form(f.shape[-1] // 2)
     defect = np.abs(f @ omega @ np.swapaxes(f, -1, -2) - omega).max(axis=(-2, -1))
     # scale-aware: squeezers with large entries lose a few digits in the product
     tol = SYMPLECTIC_TOL * np.maximum(1.0, np.abs(f).max(axis=(-2, -1))) ** 2
@@ -126,16 +133,6 @@ def _check_invariants(delta: np.ndarray, det: np.ndarray, tol: np.ndarray) -> No
         raise UnphysicalStateError("negative squared symplectic eigenvalue")
 
 
-def _eigen_pair(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # d+- = sqrt((Delta +- sqrt(Delta^2 - 4 det))/2) in terms of the invariants;
-    # evaluated through eig(Omega cov), whose error stays linear in machine
-    # epsilon at the degenerate spectra of pure states (the determinant route
-    # loses half the digits there through radicand cancellation).
-    ev = np.linalg.eigvals(symplectic_form(2) @ cov)
-    d = np.sort(np.abs(ev.imag), axis=-1)
-    return (d[..., 2] + d[..., 3]) / 2.0, (d[..., 0] + d[..., 1]) / 2.0
-
-
 def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
     """Spectrum of a two-mode covariance matrix and its partial transpose, or of
     each matrix of a stack (..., 4, 4), with the bits that matrix gets alone."""
@@ -153,10 +150,17 @@ def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
     tol = -1e-10 * np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)) ** 4)
     # both invariant sums, the state's and its partial transpose's, in one check
     _check_invariants(np.stack([a + b + 2.0 * c, a + b - 2.0 * c]), det, tol)
-    d_plus, d_minus = _eigen_pair(cov)
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    ppt_plus, ppt_minus = _eigen_pair(flip @ cov @ flip)
-    return SymplecticSpectrum(d_plus, d_minus, ppt_plus, ppt_minus, a, b, c, det)
+    # d+- = sqrt((Delta +- sqrt(Delta^2 - 4 det))/2) in terms of the invariants,
+    # evaluated through eig(Omega cov), whose error stays linear in machine
+    # epsilon at the degenerate spectra of pure states (the determinant route
+    # loses half the digits there through radicand cancellation).  One call
+    # takes the state and its partial transpose, each matrix on its own.  Each
+    # entry of the product with Omega is one exact term, so flipping p2 by
+    # signs keeps the bits of the flip as diagonal matrix products
+    pair = np.stack([cov, cov * _PPT_SIGNS[:, None] * _PPT_SIGNS])
+    d = np.sort(np.abs(np.linalg.eigvals(_OMEGA2 @ pair).imag), axis=-1)
+    d_plus, d_minus = (d[..., 2] + d[..., 3]) / 2.0, (d[..., 0] + d[..., 1]) / 2.0
+    return SymplecticSpectrum(d_plus[0], d_minus[0], d_plus[1], d_minus[1], a, b, c, det)
 
 
 def log_negativity(cov: np.ndarray) -> float:

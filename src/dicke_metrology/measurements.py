@@ -75,7 +75,8 @@ def _require_aligned(mx: float, mp: float, cxx: float, cxp: float, cpx: float, c
 
 
 def fi_homodyne_from_jet(jet: MomentJet, setting: HomodyneSetting) -> np.ndarray:
-    """Homodyne Fisher information about the coupling at every coupling of the jet.
+    """Homodyne Fisher information about the coupling at every coupling of the
+    jet, with the jet's leading shape (a numpy scalar for a 0-d jet).
 
     For the Gaussian marginal with mean m(lam) and variance v(lam),
     FI = (dm)^2 / v + (dv)^2 / (2 v^2).
@@ -83,15 +84,15 @@ def fi_homodyne_from_jet(jet: MomentJet, setting: HomodyneSetting) -> np.ndarray
     i = 2 * setting.mode
     c2 = math.cos(setting.phi) ** 2
     s2 = math.sin(setting.phi) ** 2
-    var = c2 * jet.cov[:, i, i] + s2 * jet.cov[:, i + 1, i + 1]
-    dvar = c2 * jet.dcov[:, i, i] + s2 * jet.dcov[:, i + 1, i + 1]
-    dmean = math.cos(setting.phi) * jet.dmean[:, i]
+    var = c2 * jet.cov[..., i, i] + s2 * jet.cov[..., i + 1, i + 1]
+    dvar = c2 * jet.dcov[..., i, i] + s2 * jet.dcov[..., i + 1, i + 1]
+    dmean = math.cos(setting.phi) * jet.dmean[..., i]
     return dmean * dmean / var + dvar * dvar / (2.0 * var * var)
 
 
 def fi_homodyne(params: DickeParams, setting: HomodyneSetting) -> float:
     """Fisher information of homodyne outcomes about the coupling at params."""
-    return float(fi_homodyne_from_jet(state_derivative(params), setting)[0])
+    return float(fi_homodyne_from_jet(state_derivative(params), setting))
 
 
 @dataclass(frozen=True)
@@ -269,15 +270,19 @@ def _fi_tail_terms(terms: list[float], fi: float, tail_tol: float) -> int:
 
 def fi_photon_counting_from_jet(jet: MomentJet) -> list[tuple[float, int]]:
     """Photon-counting Fisher information of the radiation mode at every
-    coupling of the jet, each with the series cutoff it summed over."""
-    return _photon_fi_stack(jet.mean[:, _RAD], jet.cov[:, _RAD, _RAD], jet.dmean[:, _RAD], jet.dcov[:, _RAD, _RAD])
+    coupling of the jet, each with the series cutoff it summed over: one
+    (FI, cutoff) per coupling in C order, a list of one for a 0-d jet."""
+    return _photon_fi_stack(
+        jet.mean[..., _RAD], jet.cov[..., _RAD, _RAD], jet.dmean[..., _RAD], jet.dcov[..., _RAD, _RAD]
+    )
 
 
 def _photon_fi_stack(
     mean: np.ndarray, cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray
 ) -> list[tuple[float, int]]:
     """(FI, cutoff) of photon counting for each member of the single-mode stacks
-    mean (n, 2), cov (n, 2, 2) with parameter derivatives dmean (n, 2), dcov (n, 2, 2).
+    mean (..., 2), cov (..., 2, 2) with parameter derivatives dmean (..., 2),
+    dcov (..., 2, 2), in C order; one member for an unstacked mode.
 
     FI = sum_n (dp(n))^2 / p(n) with dp(n) exact, summed in one pass of the
     derivative filter over the series (`_kernels.FisherTerms`); terms with
@@ -293,15 +298,16 @@ def _photon_fi_stack(
     # a member gets the bits it gets alone: in the family the x-p and p terms
     # of Var(n) are below the rounding of the x terms, whatever their order,
     # and members outside it are refused below before any series runs
-    mean_n, var_n = photon_number_moments(mean, cov)
-    limits = [_series_limit(m, v) for m, v in zip(mean_n.tolist(), var_n.tolist())]
-    members = list(zip(mean.tolist(), cov.reshape(-1, 4).tolist(), dmean.tolist(), dcov.reshape(-1, 4).tolist()))
+    mean_n, var_n = (np.reshape(x, -1).tolist() for x in photon_number_moments(mean, cov))
+    limits = [_series_limit(m, v) for m, v in zip(mean_n, var_n)]
+    # each member's mean, cov, dmean and dcov as flat lists, in C order
+    members = list(zip(*(np.reshape(x, (len(mean_n), -1)).tolist() for x in (mean, cov, dmean, dcov))))
     for m, c, dm, dc in members:
         _require_aligned(*m, *c)
         _require_aligned(*dm, *dc)
     return [
         _photon_fi_row(n, limit, _series_inputs(c[0], c[3], m[0]), _series_derivatives(c[0], c[3], m[0], dc[0], dc[3], dm[0]))
-        for n, limit, (m, c, dm, dc) in zip(mean_n.tolist(), limits, members)
+        for n, limit, (m, c, dm, dc) in zip(mean_n, limits, members)
     ]
 
 

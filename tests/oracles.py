@@ -8,7 +8,9 @@ single-mode family, the photon series at a fixed cutoff, its former
 forward loop (the band test on all three live values every term), its
 derivative filter over unscaled p(n) and the former two-pass photon FI row
 built on it,
-the ground-state covariance from its six closed-form entries, the CLI's
+the ground-state covariance from its six closed-form entries, the former
+two-call symplectic spectrum (one eigenvalue call for the state and one for
+its partial transpose, flipped by diagonal matrix products), the CLI's
 former cell-by-cell CSV formatting and row-wise JSON, its former per-row
 builders for entanglement, photon and Wigner tables, and its former row
 builders and row padding for every sweep.
@@ -243,6 +245,20 @@ def closed_form_cov(params: DickeParams) -> np.ndarray:
     cov[0, 2] = cov[2, 0] = 0.25 * np.sqrt(w * wt) * s2t * (1.0 / ep - 1.0 / em)
     cov[1, 3] = cov[3, 1] = -0.25 * s2t * (em - ep) / np.sqrt(w * wt)
     return cov
+
+
+def two_call_spectrum(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d_plus, d_minus, ppt_d_plus, ppt_d_minus) of a two-mode covariance, or of
+    each of a stack, as `symplectic_spectrum` took them before it stacked the
+    state and its partial transpose into one eigenvalue call."""
+
+    def eigen_pair(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ev = np.linalg.eigvals(symplectic_form(2) @ c)
+        d = np.sort(np.abs(ev.imag), axis=-1)
+        return (d[..., 2] + d[..., 3]) / 2.0, (d[..., 0] + d[..., 1]) / 2.0
+
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    return (*eigen_pair(cov), *eigen_pair(flip @ cov @ flip))
 
 
 def fi_photon_counting_family(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, int]:

@@ -286,8 +286,7 @@ class TestOptionTable:
 
 def _gate_costs(command: str, cfg: dict) -> list[float]:
     """The row costs that `main` prices a sweep with at --jobs > 1."""
-    grid = cli._lambda_grid(cfg)
-    return cli._row_costs(command, grid, cli._grid_ground(grid, cfg) if command == "fi-photon" else None)
+    return cli._gate_costs(command, cli._lambda_grid(cfg), cfg)[0]
 
 
 class TestChunks:
@@ -326,16 +325,37 @@ class TestChunks:
         gap = abs(math.fsum(costs[: len(first)]) - math.fsum(costs[len(first):]))
         assert gap <= max(costs) + 1e-12 * math.fsum(costs)
 
-    def test_costs_fall_back_to_equal_at_the_critical_coupling(self, capsys, monkeypatch):
-        # the grid holds lambda_c, so it has no ground stage: each row costs
-        # the fi-photon price without a series part
+    def test_refused_rows_cost_the_price_alone(self, capsys, monkeypatch):
+        # the grid holds lambda_c: that row is refused before any series runs
+        # and costs the fi-photon price alone, and the others keep the series
+        # part they have on a grid of their own
         seen = []
         chunk_count = cli._chunk_count
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
         monkeypatch.setattr(cli, "_chunk_count", lambda jobs, costs: (seen.append(costs), chunk_count(jobs, costs))[1])
         argv = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
         assert main(argv + ["--jobs", "2"]) == 3
-        assert seen == [[cli._COMMANDS["fi-photon"].row_us] * 3]
+        alone = [cli._gate_costs("fi-photon", [lam], cli._DEFAULTS)[0][0] for lam in (0.4, 0.6)]
+        assert seen == [[alone[0], cli._COMMANDS["fi-photon"].row_us, alone[1]]]
+        assert min(alone) > cli._COMMANDS["fi-photon"].row_us
+
+    def test_a_grid_through_lambda_c_is_priced_with_its_series(self, capsys, monkeypatch):
+        # 0.12 to 0.9 in 40 points puts 0.5 on the grid: priced without any
+        # series its 40 rows came to 2.24 ms, where the sweep runs 56 to 106 ms
+        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.12, lambda_max=0.9, points=40, exclusion=0.0)
+        grid = cli._lambda_grid(cfg)
+        refused = [i for i, lam in enumerate(grid) if abs(lam - 0.5) <= dicke.DELTA_MIN]
+        assert len(grid) == 40 and len(refused) == 1
+        costs, ground = cli._gate_costs("fi-photon", grid, cfg)
+        assert ground is None and costs[refused[0]] == cli._COMMANDS["fi-photon"].row_us
+        kept = [lam for i, lam in enumerate(grid) if i not in refused]
+        assert costs[: refused[0]] + costs[refused[0] + 1 :] == cli._gate_costs("fi-photon", kept, cfg)[0]
+        assert sum(costs) > 25_000.0
+        argv = ["fi-photon", "--n-atoms", "10000", "--lambda-min", "0.12", "--lambda-max", "0.9",
+                "--points", "40", "--exclusion", "0"]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
+        for fmt in ("csv", "json"):
+            assert run(capsys, argv + ["--format", fmt, "--jobs", "2"]) == run(capsys, argv + ["--format", fmt])
 
 
 class TestPoolGate:
@@ -387,8 +407,9 @@ class TestPoolGate:
 
     def test_one_chunk_reuses_the_moments_the_gate_read(self, capsys, monkeypatch):
         # the gate's costs and the chunk's jet ran the mean field of the grid
-        # twice; at lambda_c the gate tried the grid's ground stage again
-        # itself, a third time before the per-point fallback
+        # twice; at lambda_c the gate reads the ground stage of the two rows
+        # outside the window, which does not cover the chunk, so the chunk
+        # tries the whole grid before the per-point fallback
         argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
         cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
         assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 1
@@ -402,7 +423,7 @@ class TestPoolGate:
         calls.clear()
         critical = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
         assert main(critical + ["--jobs", "2"]) == 3
-        assert [len(lam) for lam, *_ in calls] == [3, 3, 1, 1, 1]
+        assert [len(lam) for lam, *_ in calls] == [2, 3, 1, 1, 1]
         assert capsys.readouterr().out == run(capsys, critical)[1]
 
 

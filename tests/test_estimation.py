@@ -98,11 +98,11 @@ BAD_MODELS = [
 class TestStateDerivative:
     def test_normal_phase_mean_frozen(self):
         sd = state_derivative(DickeParams(lam=0.3))
-        assert np.array_equal(sd.dmean[0], np.zeros(4))
+        assert np.array_equal(sd.dmean, np.zeros(4))
 
     def test_dcov_symmetric(self):
         sd = state_derivative(DickeParams(lam=0.7))
-        assert np.array_equal(sd.dcov[0], sd.dcov[0].T)
+        assert np.array_equal(sd.dcov, sd.dcov.T)
 
     def test_against_analytic_oracle(self):
         for omega, omega0 in ORACLE_FREQUENCIES:
@@ -112,12 +112,12 @@ class TestStateDerivative:
                 dcov_exact, dmean_exact = analytic_moment_derivatives(lam, omega, omega0)
                 sd = state_derivative(DickeParams(lam=lam, omega=omega, omega0=omega0))
                 scale = np.max(np.abs(dcov_exact))
-                assert np.max(np.abs(sd.dcov[0] - dcov_exact)) / scale < 1e-10, where
+                assert np.max(np.abs(sd.dcov - dcov_exact)) / scale < 1e-10, where
                 if ratio < 1:
                     assert np.array_equal(dmean_exact, np.zeros(4)), where
-                    assert np.array_equal(sd.dmean[0], np.zeros(4)), where
+                    assert np.array_equal(sd.dmean, np.zeros(4)), where
                 else:
-                    worst = np.max(np.abs(sd.dmean[0] - dmean_exact)) / np.max(np.abs(dmean_exact))
+                    worst = np.max(np.abs(sd.dmean - dmean_exact)) / np.max(np.abs(dmean_exact))
                     assert worst < 1e-10, where
 
     @pytest.mark.parametrize("omega0", [1.0, 2.0])
@@ -125,7 +125,7 @@ class TestStateDerivative:
         # at resonance the two modes are degenerate at lam = 0
         at_zero = state_derivative(DickeParams(lam=0.0, omega0=omega0))
         near_zero = state_derivative(DickeParams(lam=1e-9, omega0=omega0))
-        assert np.max(np.abs(at_zero.dcov[0] - near_zero.dcov[0])) < 1e-8
+        assert np.max(np.abs(at_zero.dcov - near_zero.dcov)) < 1e-8
 
 
 class TestMomentJet:
@@ -261,8 +261,8 @@ class TestQfi:
         params = DickeParams(lam=0.9)
         sd = state_derivative(params)
         cov = ground_state(params).cov
-        plus = sd.dmean[0] @ np.linalg.solve(cov, sd.dmean[0])
-        minus = (-sd.dmean[0]) @ np.linalg.solve(cov, -sd.dmean[0])
+        plus = sd.dmean @ np.linalg.solve(cov, sd.dmean)
+        minus = (-sd.dmean) @ np.linalg.solve(cov, -sd.dmean)
         assert plus == minus
 
     @pytest.mark.parametrize("lam", [0.3, 0.7])
@@ -287,7 +287,7 @@ class TestSld:
         params = DickeParams(lam=0.6)
         coeffs = sld_coefficients(params)
         sd = state_derivative(params)
-        assert np.array_equal(coeffs.phi, -sd.dcov[0])
+        assert np.array_equal(coeffs.phi, -sd.dcov)
 
     @pytest.mark.parametrize("side", [-1, 1])
     def test_phi_prime_divergence_exponent(self, side):

@@ -1,7 +1,7 @@
 """Tests for the Gaussian-state layer: moments, symplectic maps, spectra."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicke_metrology.gaussian import (
@@ -18,7 +18,7 @@ from dicke_metrology.gaussian import (
     symplectic_spectrum,
     wigner_at,
 )
-from oracles import characteristic_function_at, purity, vacuum_state
+from oracles import characteristic_function_at, purity, two_call_spectrum, vacuum_state
 
 
 def rotation(theta):
@@ -259,14 +259,14 @@ OCCUPATIONS = st.floats(0.0, 5.0)
 
 
 @st.composite
-def physical_two_mode_covs(draw):
-    # local rotations and squeezers up to r = 3 on a thermal diagonal, then a
-    # beam splitter that entangles the two squeezed modes
+def physical_two_mode_covs(draw, pure=False):
+    # local rotations and squeezers up to r = 3 on a thermal diagonal, the
+    # vacuum's if pure, then a beam splitter that entangles the two squeezed modes
     blocks = np.zeros((4, 4))
     for m in (0, 1):
         blocks[2 * m:2 * m + 2, 2 * m:2 * m + 2] = rotation(draw(ANGLES)) @ squeezer(draw(SQUEEZINGS)) @ rotation(draw(ANGLES))
     f = beamsplitter(draw(ANGLES)) @ blocks
-    nu = [draw(OCCUPATIONS) + 0.5 for _ in range(2)]
+    nu = [0.5 if pure else draw(OCCUPATIONS) + 0.5 for _ in range(2)]
     return f @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ f.T
 
 
@@ -288,6 +288,22 @@ class TestStacks:
             for field in self.FIELDS:
                 assert isinstance(getattr(alone, field), np.float64), field
                 assert same_bits(getattr(stack, field)[i], getattr(alone, field)), (i, field)
+
+    @given(st.lists(st.one_of(physical_two_mode_covs(pure=True), physical_two_mode_covs()), min_size=1, max_size=6))
+    # diagonal states, whose zero entries carry either sign: the flip's matrix
+    # products turned each into +0.0, where the sign flip keeps it
+    @example([np.where(np.eye(4) == 1.0, np.diag([0.5, 0.5, 2.0, 0.125]), -0.0)])
+    @example([np.eye(4) / 2, np.where(np.eye(4) == 1.0, np.diag([3.0, 1 / 12, 0.5, 0.5]), -0.0)])
+    @settings(max_examples=150, deadline=None)
+    def test_spectrum_has_the_bits_of_the_two_call_form(self, covs):
+        # the state and its partial transpose in one eigenvalue call, the p2
+        # flip as signs: each matrix, alone or stacked, keeps the bits of one
+        # call per matrix with the flip as diagonal matrix products
+        for cov in [*covs, np.stack(covs)]:
+            spec = symplectic_spectrum(cov)
+            former = two_call_spectrum(cov)
+            for field, value in zip(("d_plus", "d_minus", "ppt_d_plus", "ppt_d_minus"), former):
+                assert same_bits(getattr(spec, field), value), field
 
     @given(st.lists(physical_two_mode_covs(), min_size=1, max_size=4), st.integers(0, 4))
     @settings(max_examples=50, deadline=None)

@@ -400,7 +400,7 @@ class TestPhotonCountingFi:
         state = reduced_radiation_state(params)
         center = photon_distribution(state)
         sd = state_derivative(params)
-        dp = state_pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], center.probs)
+        dp = state_pn_derivative(state, sd.dmean[:2], sd.dcov[:2, :2], center.probs)
 
         def probs_at(x):
             side = reduced_radiation_state(DickeParams(lam=x, n_atoms=n_atoms))
@@ -421,7 +421,7 @@ class TestPhotonCountingFi:
             assert 1.0 - math.fsum(fixed_cutoff_probs(state, n_max)) < PN_TAIL_TOL
             sd = state_derivative(params)
             longer = fixed_cutoff_probs(state, 2 * n_max)
-            dp = state_pn_derivative(state, sd.dmean[0, :2], sd.dcov[0, :2, :2], longer)
+            dp = state_pn_derivative(state, sd.dmean[:2], sd.dcov[:2, :2], longer)
             keep = longer >= FI_TERM_FLOOR
             assert fi == pytest.approx(math.fsum((dp[keep] ** 2 / longer[keep]).tolist()), rel=1e-10)
 

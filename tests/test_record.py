@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dicke_metrology.dicke import (
     DELTA_MIN,
     RADIATION_MODE,
     DickeParams,
+    MomentJet,
     derive,
     ground_state,
     moment_jet,
@@ -80,6 +82,11 @@ def _bits(value):
     return value
 
 
+def _row(jet: MomentJet, i: int) -> MomentJet:
+    """Row i of a batched jet, as a 0-d jet."""
+    return MomentJet(jet.mean[i], jet.cov[i], jet.dmean[i], jet.dcov[i])
+
+
 def _outcome(call, params):
     """The bits of call(params), or the type and message of the domain error it raises."""
     try:
@@ -126,6 +133,98 @@ def _radiation_cases(draw):
     return omega, omega0, n_atoms, draw(st.one_of(st.floats(0.0, 3.0 * lc), st.sampled_from([0.0, near])), label="lam")
 
 
+def _nearest_outside(lc: float, away: float) -> float:
+    """The coupling nearest lambda_c on the side of `away` that the window DELTA_MIN does not refuse."""
+    lam = lc + math.copysign(DELTA_MIN, away - lc)
+    while abs(lam - lc) > DELTA_MIN:
+        lam = math.nextafter(lam, lc)
+    while abs(lam - lc) <= DELTA_MIN:
+        lam = math.nextafter(lam, away)
+    return lam
+
+
+def _homodyne_pair(target: Target):
+    settings_ = [HomodyneSetting(phi=phi, target=target) for phi in PHIS]
+    return (
+        lambda params: [fi_homodyne(params, setting) for setting in settings_],
+        lambda jet, i: [float(fi_homodyne_from_jet(jet, setting)[i]) for setting in settings_],
+    )
+
+
+# the one-coupling readers of a jet, by name: each reader on a params, and its
+# batch twin on row i of a batched jet
+JET_READERS = {
+    "state_derivative": (state_derivative, _row),
+    "qfi": (
+        lambda params: dataclasses.astuple(qfi(params)),
+        lambda jet, i: tuple(float(column[i]) for column in qfi_from_jet(jet)),
+    ),
+    "fi_homodyne_radiation": _homodyne_pair(Target.RADIATION),
+    "fi_homodyne_atoms": _homodyne_pair(Target.ATOMS),
+    # the batch's own row would raise for the whole batch where one member's series fails
+    "fi_photon_counting": (
+        fi_photon_counting,
+        lambda jet, i: fi_photon_counting_from_jet(_row(jet, i))[0][0],
+    ),
+    "sld_phi": (lambda params: sld_coefficients(params).phi, lambda jet, i: -jet.dcov[i]),
+}
+
+
+# the readers share nothing but the params' record, which the first call
+# computes, so the orders are the rotations of the readers, either way round:
+# each reader runs first, last and in every place between, after and before
+# each other reader
+ORDERS = [
+    names[k:] + names[:k] for names in (list(JET_READERS), list(JET_READERS)[::-1]) for k in range(len(JET_READERS))
+]
+
+
+class TestOneCouplingAgainstTheBatch:
+    """Each one-coupling reader runs the batch code at 0-d, where `dicke._select`
+    hands back the chosen value itself, a Python float where that is a
+    constant: it must give the bits of the coupling's row in a batch."""
+
+    LC = 0.5  # lambda_c at omega = omega0 = 1
+    # lam = 0 on and off resonance (theta's degenerate point, and dk, safe_root
+    # and beta's constants of the normal phase), dtheta's `small` branch at
+    # 1e-160 lambda_c, deep in the superradiant phase, the couplings nearest
+    # lambda_c on either side of the window, and one point in each phase
+    MODELS = {
+        (1.0, 1.0, 100): [
+            0.0, 1e-160 * LC, 1e4 * LC, _nearest_outside(LC, 0.0), _nearest_outside(LC, math.inf), 0.3, 0.7,
+        ],
+        (1.0, 2.0, 100): [0.0, 1e4 * math.sqrt(2.0) / 2.0, 0.3],
+    }
+
+    def test_the_cases_reach_the_python_constants(self):
+        modes = DickeParams(lam=0.0)._record.modes
+        assert type(modes.theta) is float and modes.r == 0.0
+        assert not DickeParams(lam=0.0, omega0=2.0)._record.modes.superradiant
+        lam = self.MODELS[(1.0, 1.0, 100)][1]
+        m = DickeParams(lam=lam)._record.modes
+        assert m.r * m.r < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_readers_in_any_place_give_the_bits_of_the_batch_row(self, model):
+        omega, omega0, n_atoms = model
+        lams = self.MODELS[model]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jet = moment_jet(lams, omega, omega0, n_atoms)
+            batch = {
+                name: [_outcome(lambda _: twin(jet, i), None) for i in range(len(lams))]
+                for name, (_, twin) in JET_READERS.items()
+            }
+            for i, lam in enumerate(lams):
+                one = state_derivative(DickeParams(lam, omega, omega0, n_atoms))
+                assert [one.mean.shape, one.cov.shape, one.dmean.shape, one.dcov.shape] == [(4,), (4, 4)] * 2
+                assert not one.mean.flags.writeable and not one.cov.flags.writeable
+                for order in ORDERS:
+                    params = DickeParams(lam, omega, omega0, n_atoms)
+                    for name in order:
+                        assert _outcome(JET_READERS[name][0], params) == batch[name][i], (lam, order, name)
+
+
 class TestOneRecordPerParams:
     @given(_call_orders())
     # the branches where a scalar coupling could part from the batch: lam = 0
@@ -165,7 +264,7 @@ class TestOneRecordPerParams:
         jet = moment_jet(lams, omega, omega0, n_atoms)
         one = state_derivative(params)
         for field in ("mean", "cov", "dmean", "dcov"):
-            assert _bits(getattr(jet, field)[i]) == _bits(getattr(one, field)[0]), field
+            assert _bits(getattr(jet, field)[i]) == _bits(getattr(one, field)), field
         state = ground_state(params)
         assert _bits([state.mean, state.cov]) == _bits([jet.mean[i], jet.cov[i]])
         res = qfi(params)
@@ -211,7 +310,7 @@ class TestOneRecordPerParams:
                 assert "read-only" in str(exc)
         after = {name: _bits(CALLS[name](params)) for name in before}
         assert after == before
-        assert _bits(state_derivative(params)) == _bits(moment_jet([lam], omega, omega0, n_atoms))
+        assert _bits(state_derivative(params)) == _bits(_row(moment_jet([lam], omega, omega0, n_atoms), 0))
 
     @given(_radiation_cases())
     @example((0.5, 0.5, 1, 0.25))  # lam = lambda_c

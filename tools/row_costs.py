@@ -66,7 +66,7 @@ def _chunk_us(command: str, cfg: dict, repeat: int) -> tuple[float, int]:
 
 def _gate_costs(command: str, grid: list[float], cfg: dict) -> list[float]:
     """The row costs that `cli.main` prices a sweep with at --jobs > 1."""
-    return cli._row_costs(command, grid, cli._grid_ground(grid, cfg) if command == "fi-photon" else None)
+    return cli._gate_costs(command, grid, cfg)[0]
 
 
 def row_costs(repeat: int) -> None:
