@@ -5,7 +5,7 @@ x displacement has the generating function
 
     G(z) = sum_n p(n) z^n = r00 (1 - s z)^{-1/2} (1 - t z)^{-1/2} exp{c^2 z/(1 - t z)}
 
-with t, s and c from the moments (`measurements.photon_series_inputs`); only
+with t, s and c from the moments (`measurements._series_inputs`); only
 c^2 enters, so the sign of c is free.
 G is D-finite: multiplying G'/G through by (1 - s z)(1 - t z)^2 gives
 

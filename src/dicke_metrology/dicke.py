@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CriticalPointSingularity
-from .gaussian import GaussianState, require_symplectic
+from .gaussian import GaussianState, _own_state, require_symplectic
 
 # half-width of the window around lambda_c that every coupling evaluation refuses
 DELTA_MIN = 1e-8
@@ -406,18 +406,19 @@ def _jet(ground: _Ground) -> MomentJet:
 
 
 def ground_state(params: DickeParams) -> GaussianState:
-    """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms)."""
+    """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms): the
+    record's read-only mean and cov themselves."""
     record = params._record
-    return GaussianState(record.mean, record.cov)
+    return _own_state(record.mean, record.cov)
 
 
 def reduced_radiation_state(params: DickeParams) -> GaussianState:
     """Single-mode reduced state of the radiation mode: the radiation block of
     the record's mean and cov, as writable copies.
 
-    This is the partial trace of `ground_state`, bit for bit: the state
-    symmetrizes the cov block into a fresh array, which has the block's bits
-    because the record's cov is exactly symmetric.
+    This is the partial trace of `ground_state`, bit for bit: the record's cov
+    is exactly symmetric, so the check and symmetrization of a public
+    GaussianState would return the block's own bits, and neither runs.
     """
     record = params._record
-    return GaussianState(record.mean[_RAD].copy(), record.cov[_RAD, _RAD])
+    return _own_state(record.mean[_RAD].copy(), record.cov[_RAD, _RAD].copy())

@@ -60,6 +60,19 @@ class GaussianState:
         return self.mean.size // 2
 
 
+def _own_state(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
+    """A GaussianState that holds mean and cov themselves, unchecked.
+
+    For the package's own records only: float arrays of shapes (2M,) and
+    (2M, 2M) with cov exactly symmetric, which the public constructor's check
+    and symmetrization would hand back with the same bits.
+    """
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", cov)
+    return state
+
+
 def _symmetrized(cov: np.ndarray) -> np.ndarray:
     """(cov + cov^T)/2 of a covariance matrix, or of each matrix of a stack (..., 2M, 2M).
 

@@ -55,12 +55,15 @@ class HomodyneSetting:
         return RADIATION_MODE if self.target is Target.RADIATION else ATOMIC_MODE
 
 
-def _require_in_family(mean: np.ndarray, cov: np.ndarray) -> None:
+def _require_in_family(mean: np.ndarray, cov: np.ndarray) -> tuple[float, ...]:
     """Raise unless mean and cov, the moments of one mode or their derivatives,
-    keep the x/p-aligned, x-displaced form."""
+    keep the x/p-aligned, x-displaced form; return their entries
+    (mx, mp, cxx, cxp, cpx, cpp) as floats."""
     if cov.shape != (2, 2):
         raise ValueError(f"expected a single-mode state, got {cov.shape[0] // 2} modes")
-    _require_aligned(float(mean[0]), float(mean[1]), *cov.ravel().tolist())
+    entries = (*mean.tolist(), *cov.ravel().tolist())
+    _require_aligned(*entries)
+    return entries
 
 
 def _require_aligned(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> None:
@@ -107,8 +110,8 @@ class DstsParams:
 
 def dsts_params(state: GaussianState) -> DstsParams:
     """Thermal occupation, squeezing, and displacement of an x/p-aligned state."""
-    _require_in_family(state.mean, state.cov)
-    return _dsts(float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0]))
+    mx, _, sx, _, _, sp = _require_in_family(state.mean, state.cov)
+    return _dsts(sx, sp, mx)
 
 
 def _dsts(sx: float, sp: float, mx: float) -> DstsParams:
@@ -154,12 +157,6 @@ def _radiation_decompositions(mean: np.ndarray, cov: np.ndarray) -> list[list[fl
     return [list(column) for column in zip(*(_decomposition(_dsts(c[0], c[3], m[0])) for m, c in members))]
 
 
-def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
-    """Inputs (log r00, t, s, c) of the photon-number series of `_kernels` for the state."""
-    _require_in_family(state.mean, state.cov)
-    return _series_inputs(float(state.cov[0, 0]), float(state.cov[1, 1]), float(state.mean[0]))
-
-
 def _series_inputs(sx: float, sp: float, mx: float) -> tuple[float, float, float, float]:
     """(log r00, t, s, c) of an x/p-aligned mode with variances sx, sp and x mean mx.
 
@@ -203,6 +200,14 @@ def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray
     return mean_n, var_n
 
 
+def _mode_moments(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> tuple[float, float]:
+    """`photon_number_moments` of one mode from the entries of its mean and cov,
+    in the same order of operations, so with the same bits."""
+    mean_n = 0.5 * (cxx + cpp + (mx * mx + mp * mp) - 1.0)
+    quadratic = mx * cxx * mx + mx * cxp * mp + mp * cpx * mx + mp * cpp * mp
+    return mean_n, 0.5 * (cxx * cxx + cxp * cxp + cpx * cpx + cpp * cpp) - 0.25 + quadratic
+
+
 def _series_limit(mean_n: float, var_n: float) -> int:
     """Cutoff by which a photon series with these moments must have converged."""
     if not mean_n < PN_MAX_TERMS:
@@ -212,7 +217,11 @@ def _series_limit(mean_n: float, var_n: float) -> int:
 
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """Truncated photon-number distribution with its unresolved tail mass."""
+    """Truncated photon-number distribution with its unresolved tail mass.
+
+    tail_mass is max(0, 1 - (p(0) + ... + p(n_max))), the sum taken pairwise
+    (np.sum), which lies within ~1e-15 of the exactly rounded sum.
+    """
 
     probs: np.ndarray
     n_max: int
@@ -226,18 +235,20 @@ def photon_distribution(state: GaussianState) -> PhotonDistribution:
     p(0) + ... + p(n) reaches 1 - PN_TAIL_TOL; p(0..n) do not depend on where
     it stops.  It raises NonConvergedSeries if that has not happened by
     <n> + PN_LIMIT_SDS sd(n) + PN_LIMIT_FLOOR from the state's own moments,
-    at most PN_MAX_TERMS.
+    at most PN_MAX_TERMS.  The state's six entries are read once as floats,
+    and the family check, the moments and the series inputs all run on them.
     """
-    limit = _series_limit(*photon_number_moments(state.mean, state.cov))
-    dist = _distribution(_kernels.pn_series(*photon_series_inputs(state), limit, PN_TAIL_TOL))
+    entries = _require_in_family(state.mean, state.cov)
+    mx, _, sx, _, _, sp = entries
+    limit = _series_limit(*_mode_moments(*entries))
+    probs = _kernels.pn_series(*_series_inputs(sx, sp, mx), limit, PN_TAIL_TOL)
+    _check_breakdown(probs)
+    # 1e-10 tail against a pairwise sum's ~1e-15 rounding: math.fsum would
+    # cost more than the series on long tables
+    dist = PhotonDistribution(probs, len(probs) - 1, tail_mass=max(0.0, 1.0 - float(np.sum(probs))))
     if dist.n_max == limit and not dist.tail_mass < PN_TAIL_TOL:
         raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
     return dist
-
-
-def _distribution(probs: np.ndarray) -> PhotonDistribution:
-    _check_breakdown(probs)
-    return PhotonDistribution(probs, len(probs) - 1, tail_mass=max(0.0, 1.0 - math.fsum(probs.tolist())))
 
 
 def _check_breakdown(probs: np.ndarray) -> None:

@@ -7,7 +7,7 @@ marginal they integrate, the package's photon-counting FI on an arbitrary
 single-mode family, the photon series at a fixed cutoff, its former
 forward loop (the band test on all three live values every term), its
 derivative filter over unscaled p(n) and the former two-pass photon FI row
-built on it,
+built on it, the series inputs of a single-mode state,
 the ground-state covariance from its six closed-form entries, the former
 two-call symplectic spectrum (one eigenvalue call for the state and one for
 its partial transpose, flipped by diagonal matrix products), the CLI's
@@ -42,7 +42,6 @@ from dicke_metrology.measurements import (
     fi_homodyne_from_jet,
     fi_photon_counting_from_jet,
     mean_photon_decomposition,
-    photon_series_inputs,
 )
 
 TRACE_LOSS_TOL = 1e-9
@@ -357,6 +356,13 @@ def photon_fi_row_two_pass(
             return fi, series.n_max
         if series.n_max >= limit:
             raise NonConvergedSeries(f"photon-counting FI tail above the tail tolerance at the cutoff limit {limit}")
+
+
+def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
+    """Inputs (log r00, t, s, c) of the photon-number series of `_kernels` for
+    an x/p-aligned, x-displaced single-mode state."""
+    mx, _, sx, _, _, sp = measurements._require_in_family(state.mean, state.cov)
+    return measurements._series_inputs(sx, sp, mx)
 
 
 def fixed_cutoff_probs(state: GaussianState, n_max: int) -> np.ndarray:

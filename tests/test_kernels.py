@@ -11,8 +11,8 @@ from scipy.special import gammaln
 from dicke_metrology import _kernels, measurements
 from dicke_metrology.dicke import DickeParams, moment_jet, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
-from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution, photon_series_inputs
-from oracles import ThreeValueSeries, photon_fi_row_two_pass, pn_derivative
+from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution
+from oracles import ThreeValueSeries, photon_fi_row_two_pass, photon_series_inputs, pn_derivative
 
 _LOG4 = math.log(4.0)
 

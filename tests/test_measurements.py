@@ -24,12 +24,12 @@ from dicke_metrology.measurements import (
     mean_photon_decomposition,
     photon_distribution,
     photon_number_moments,
-    photon_series_inputs,
 )
 from oracles import (
     fi_gauss_hermite,
     fi_photon_counting_family,
     fixed_cutoff_probs,
+    photon_series_inputs,
     pn_derivative,
     quadrature_distribution,
     vacuum_state,
@@ -327,6 +327,37 @@ class TestPhotonDistribution:
         assert math.isfinite(log_r00) and log_r00 <= math.log(2.0)
         # |B| <= A + 1 for A = (s + t)/2, B = (s - t)/2
         assert abs(s - t) <= s + t + 2.0
+
+    @given(
+        st.one_of(
+            st.tuples(st.floats(0.0, 2.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)).map(lambda d: dsts_state(*d)),
+            st.tuples(
+                st.sampled_from([(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)]),
+                st.sampled_from([1, 10, 100, 1000, 10_000]),
+                st.one_of(st.floats(0.0, 0.999), st.floats(1.001, 3.0)),
+            ).map(lambda m: reduced_radiation_state(DickeParams(0.5 * math.sqrt(m[0][0] * m[0][1]) * m[2], *m[0], m[1]))),
+        )
+    )
+    @example(reduced_radiation_state(DickeParams(lam=1.0, n_atoms=10_000)))
+    @settings(max_examples=80, deadline=None)
+    def test_tail_mass_within_two_ulps_of_the_exact_sum(self, state):
+        # the pairwise sum against the correctly rounded one, on displaced
+        # squeezed thermal states and Dicke radiation states in both phases
+        dist = photon_distribution(state)
+        assert abs(dist.tail_mass - max(0.0, 1.0 - math.fsum(dist.probs.tolist()))) <= 2.0 * 2.0**-52
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6), st.booleans())
+    @example([131.0, 0.001953125, 21.0, 1.0, 1.0, 1.0], False)
+    @settings(max_examples=300, deadline=None)
+    def test_mode_moments_have_the_bits_of_the_array_moments(self, entries, symmetric):
+        # <n> and Var(n) from a state's six floats set the series limit, which
+        # then cannot move: any entries, symmetric or not, in or out of the family
+        if symmetric:
+            entries[4] = entries[3]
+        mean, cov = np.array(entries[:2]), np.array(entries[2:]).reshape(2, 2)
+        floats = measurements._mode_moments(*entries)
+        arrays = photon_number_moments(mean, cov)
+        assert [np.float64(x).tobytes() for x in floats] == [np.float64(x).tobytes() for x in arrays]
 
 
 class TestPhotonCountingFi:

@@ -1,11 +1,15 @@
-"""One digest over every one-coupling result of `dicke_metrology`.
+"""One digest over every one-coupling result of `dicke_metrology`, and one per field.
 
     python tools/one_coupling_bits.py
 
 Runs each one-coupling reader on a fixed set of points and prints one sha256
 digest over the bytes of every result, together with the type and message of
 every error raised, under warnings-as-errors.  Two commits that print the
-same digest give every one of these results the same bits.
+same digest give every one of these results the same bits.  Below it comes
+one digest per reader and top-level field of its result (a dataclass's
+fields, a dict's keys; a result of neither kind, and an error, under the
+reader's name alone), so two commits whose totals differ show which fields
+moved.
 
 The points are a lattice (three frequency pairs, N from 1 to 10^6, couplings
 from 1e-3 to 1e3 lambda_c and from 1e-1 to 1e-7 of lambda_c on either side
@@ -131,9 +135,20 @@ def _feed(h, value) -> None:
         raise TypeError(f"no bits for {type(value).__name__}")
 
 
+def _fields(value) -> list[tuple[str, object]]:
+    """(name, part) of each top-level field of a result; ("", value) for a
+    result without fields."""
+    if isinstance(value, dict):
+        return [(key, value[key]) for key in sorted(value)]
+    if hasattr(value, "__dataclass_fields__"):
+        return [(name, getattr(value, name)) for name in value.__dataclass_fields__]
+    return [("", value)]
+
+
 def main() -> None:
     points = _lattice() + _draws() + _extremes()
     digest, results = hashlib.sha256(), 0
+    by_field = {}  # "reader.field" -> the sha256 of that field alone
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for w, w0, n, lam in points:
@@ -148,8 +163,12 @@ def main() -> None:
                     value = f"{type(exc).__name__}: {exc}"
                 digest.update(name.encode())
                 _feed(digest, value)
+                for field, part in _fields(value):
+                    _feed(by_field.setdefault(f"{name}.{field}" if field else name, hashlib.sha256()), part)
                 results += 1
     print(f"sha256 {digest.hexdigest()}  {len(points)} points, {results} results")
+    for label, field_digest in by_field.items():
+        print(f"{field_digest.hexdigest()}  {label}")
 
 
 if __name__ == "__main__":
