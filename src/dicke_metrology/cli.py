@@ -31,7 +31,7 @@ from .dicke import _RAD, DELTA_MIN, DickeParams, _checked_couplings, _critical_c
 from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
-from .gaussian import state_to_dict, symplectic_spectrum, wigner_at
+from .gaussian import _log_negativity, _ppt_d_minus, state_to_dict, wigner_at
 from .measurements import (
     HomodyneSetting,
     Target,
@@ -100,8 +100,8 @@ def _grid_ground(lams: list[float], cfg: dict) -> _Ground:
 
 
 def _entanglement(ground: _Ground, cfg: dict) -> list[list]:
-    spec = symplectic_spectrum(ground.cov)
-    return [spec.log_negativity.tolist(), spec.ppt_d_minus.tolist()]
+    ppt_d_minus = _ppt_d_minus(ground.cov)
+    return [_log_negativity(ppt_d_minus).tolist(), ppt_d_minus.tolist()]
 
 
 def _qfi(ground: _Ground, cfg: dict) -> list[list]:

@@ -33,9 +33,10 @@ read-only; `reduced_radiation_state` hands out copies of its radiation
 block.  The derivative stage is not kept; it runs again on each call that
 needs it.  Where a batch picks one of two values per coupling, `_select`
 calls np.where, and for one coupling returns the chosen value itself, so
-both shapes run one formula.  Squares are written as products, because a
-numpy scalar's `** 2` calls pow, which can differ from an array's `** 2` in
-the last bit.
+both shapes run one formula; `gaussian._any` likewise reduces a batch's
+condition and reads one coupling's as it is.  Squares are written as
+products, because a numpy scalar's `** 2` calls pow, which can differ from
+an array's `** 2` in the last bit.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CriticalPointSingularity
-from .gaussian import GaussianState, _own_state, require_symplectic
+from .gaussian import GaussianState, _any, _own_state, require_symplectic
 
 # half-width of the window around lambda_c that every coupling evaluation refuses
 DELTA_MIN = 1e-8
@@ -146,13 +147,13 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     lc = _critical_coupling(w, w0)
     gap = np.abs(lam - lc)
     inside = gap <= DELTA_MIN
-    if inside.any():
+    if _any(inside):
         raise CriticalPointSingularity(
             f"|lam - lambda_c| = {gap[inside][0]:.3e} <= DELTA_MIN = {DELTA_MIN:.3e}"
         )
     superradiant = lam >= lc
     # k = (lambda_c / lam)^2 in the superradiant phase and exactly 1 below it
-    ratio = lc / np.maximum(lam, lc)
+    ratio = lc / _select(superradiant, lam, lc)
     k = ratio * ratio
     # mean-field branch: both displacements taken with the positive sign
     root = np.sqrt(1.0 - k * k)
@@ -219,11 +220,13 @@ def _product(f1_inv: np.ndarray, rot: np.ndarray, f3_inv: np.ndarray) -> np.ndar
 
 
 def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
-    """Vectors sqrt(2N) (x1, 0, -x2, 0), per coupling."""
-    out = np.zeros(np.broadcast(x1, x2).shape + (4,))
-    out[..., 0] = x1
-    out[..., 2] = -x2
-    return math.sqrt(2.0 * n_atoms) * out
+    """Vectors sqrt(2N) (x1, 0, -x2, 0), per coupling: x1 a numpy array or
+    scalar, x2 of its shape or a Python float at 0-d."""
+    scale = math.sqrt(2.0 * n_atoms)
+    out = np.zeros(x1.shape + (4,))
+    out[..., 0] = scale * x1
+    out[..., 2] = scale * -x2
+    return out
 
 
 # generator of the two-mode rotation: d/dtheta F2(theta)^T = F2(theta)^T @ _ROT_GEN
@@ -362,7 +365,7 @@ def _jet(ground: _Ground) -> MomentJet:
     lam, k, sr = m.lam, m.k, m.superradiant
     # below lambda_c, k, alpha and beta are constant; the safe denominators
     # only stand in where the numerators vanish
-    dk = _select(sr, -2.0 * k / np.maximum(lam, m.lam_c), 0.0)
+    dk = _select(sr, -2.0 * k / _select(sr, lam, m.lam_c), 0.0)
     safe_root = _select(sr, m.root, 1.0)
     dalpha = m.root / w - (lam / w) * k * dk / safe_root
     dbeta = -dk / (4.0 * _select(sr, m.beta, 1.0))
@@ -379,7 +382,7 @@ def _jet(ground: _Ground) -> MomentJet:
     rr = r * r
     small = rr < _TINY
     dtheta = 0.5 * (m.u * dv + m.v * ds) / _select(small, 1.0, rr)
-    if small.any():
+    if _any(small):
         dtheta = _select(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)
     # log derivatives of s + r, of eps_+ = sqrt((s + r)/2)/k, of eps_-^2 = 2 p/(s + r)
     # and of omega_tilde / eps_+, with omega_tilde = w0 (1 + k)/(2 k)
@@ -395,9 +398,9 @@ def _jet(ground: _Ground) -> MomentJet:
     # phase omega_tilde and eps_+ grow alike, so the atomic rows' sqrt(omega_tilde)
     # is split into sqrt(omega_tilde / eps_+) sqrt(eps_+), and the second factor
     # cancels exactly against the eps_+ columns
-    rows = np.multiply.outer(dlog_ratio, _DLOG_B)
-    ep_rows = np.multiply.outer(dlog_ep, _DLOG_B)
-    cols = -np.multiply.outer(dlog_em, _DLOG_A) - ep_rows
+    rows = dlog_ratio[..., None] * _DLOG_B
+    ep_rows = dlog_ep[..., None] * _DLOG_B
+    cols = -(dlog_em[..., None] * _DLOG_A) - ep_rows
     turn = dtheta[..., None, None] * _product(ground.f1_inv, ground.rot @ _ROT_GEN, ground.f3_inv)
     dchain = (rows[..., :, None] + (ep_rows[..., :, None] + cols[..., None, :])) * chain + turn
     a = dchain @ np.swapaxes(chain, -1, -2)

@@ -34,8 +34,17 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 # the two-mode form, built once and shared read-only
 _OMEGA2 = symplectic_form(2)
 _OMEGA2.setflags(write=False)
-# partial transposition of the second mode: p2 -> -p2 on each side of a cov
-_PPT_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+# partial transposition of the second mode, p2 -> -p2 on each side of a cov,
+# as one sign per entry; each product with it is exact, so it keeps the bits of
+# the flip as diagonal matrix products
+_PPT_FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+_PPT_FLIP.setflags(write=False)
+
+
+def _any(cond):
+    """cond.any() for a batch; a 0-d condition, as one coupling or one matrix
+    gives it, unchanged, which skips the reduction."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ def require_symplectic(f: np.ndarray) -> None:
     # scale-aware: squeezers with large entries lose a few digits in the product
     tol = SYMPLECTIC_TOL * np.maximum(1.0, np.abs(f).max(axis=(-2, -1))) ** 2
     bad = defect > tol
-    if bad.any():
+    if _any(bad):
         raise ValueError(f"matrix is not symplectic: |F Omega F^T - Omega| = {defect[bad].flat[0]:.3e}")
 
 
@@ -134,51 +143,86 @@ class SymplecticSpectrum:
     @property
     def log_negativity(self) -> float | np.ndarray:
         """Logarithmic negativity E_N = max(0, -ln(2 ppt_d_minus))."""
-        # max(0.0, x) bit for bit: fmax reads a nan as 0.0, and + 0.0 turns -0.0 into 0.0
-        return np.fmax(-np.log(2.0 * self.ppt_d_minus), 0.0) + 0.0
+        return _log_negativity(self.ppt_d_minus)
 
 
-def _check_invariants(delta: np.ndarray, det: np.ndarray, tol: np.ndarray) -> None:
-    rad = delta * delta - 4.0 * det
-    if (rad < tol).any():
-        raise UnphysicalStateError(f"negative discriminant {np.extract(rad < tol, rad)[0]:.3e} in symplectic spectrum")
-    if ((delta - np.sqrt(np.maximum(rad, 0.0))) / 2.0 < tol).any():
-        raise UnphysicalStateError("negative squared symplectic eigenvalue")
+def _checked_invariants(cov) -> tuple[np.ndarray, ...]:
+    """cov as a float array (..., 4, 4) with the invariants det A, det B,
+    det C, det cov of each matrix, once they pass the checks.
+
+    The invariant sums of the state and of its partial transpose are
+    a + b + 2c and a + b - 2c.  UnphysicalStateError is raised where either
+    gives a discriminant or a squared symplectic eigenvalue below -1e-10 of
+    the matrix's largest entry magnitude (or 1) to the fourth; both
+    discriminants are checked first, the state's before its transpose's.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
+    # the 2 x 2 blocks ((A, C), (C^T, B)) of each matrix in one det call, which
+    # gives each block the bits it gets alone; a block of subnormal entries, as
+    # a nearly uncorrelated state's C can be, makes det warn of a division by
+    # zero while it returns the right 0.0
+    with np.errstate(divide="ignore"):
+        dets = np.linalg.det(np.swapaxes(cov.reshape(cov.shape[:-2] + (2, 2, 2, 2)), -3, -2))
+        det = np.linalg.det(cov)
+    # [()] reads a 0-d block determinant as a numpy scalar, like det's own
+    a, b, c = dets[..., 0, 0][()], dets[..., 1, 1][()], dets[..., 0, 1][()]
+    # each matrix at its own scale; fmax, like max(1.0, x), reads a nan scale as 1
+    tol = -1e-10 * np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)) ** 4)
+    deltas = (a + b + 2.0 * c, a + b - 2.0 * c)
+    rads = [delta * delta - 4.0 * det for delta in deltas]
+    for rad in rads:
+        bad = rad < tol
+        if _any(bad):
+            raise UnphysicalStateError(f"negative discriminant {np.extract(bad, rad)[0]:.3e} in symplectic spectrum")
+    for delta, rad in zip(deltas, rads):
+        if _any((delta - np.sqrt(np.maximum(rad, 0.0))) / 2.0 < tol):
+            raise UnphysicalStateError("negative squared symplectic eigenvalue")
+    return cov, a, b, c, det
+
+
+def _symplectic_eigenvalues(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d_plus, d_minus) of each matrix of cov (..., 4, 4).
+
+    d+- = sqrt((Delta +- sqrt(Delta^2 - 4 det))/2) in terms of the invariants,
+    evaluated through eig(Omega cov), whose error stays linear in machine
+    epsilon at the degenerate spectra of pure states (the determinant route
+    loses half the digits there through radicand cancellation).  Each entry of
+    the product with Omega is one exact term, and each matrix of a stack gets
+    the bits it gets alone.
+    """
+    d = np.sort(np.abs(np.linalg.eigvals(_OMEGA2 @ cov).imag), axis=-1)
+    return (d[..., 2] + d[..., 3]) / 2.0, (d[..., 0] + d[..., 1]) / 2.0
+
+
+def _log_negativity(ppt_d_minus):
+    """E_N = max(0, -ln(2 ppt_d_minus)), elementwise."""
+    # max(0.0, x) bit for bit: fmax reads a nan as 0.0, and + 0.0 turns -0.0 into 0.0
+    return np.fmax(-np.log(2.0 * ppt_d_minus), 0.0) + 0.0
 
 
 def symplectic_spectrum(cov: np.ndarray) -> SymplecticSpectrum:
     """Spectrum of a two-mode covariance matrix and its partial transpose, or of
     each matrix of a stack (..., 4, 4), with the bits that matrix gets alone."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
-    # a block of subnormal entries, as a nearly uncorrelated state's C can be,
-    # makes det warn of a division by zero while it returns the right 0.0
-    with np.errstate(divide="ignore"):
-        a = np.linalg.det(cov[..., :2, :2])
-        b = np.linalg.det(cov[..., 2:, 2:])
-        c = np.linalg.det(cov[..., :2, 2:])
-        det = np.linalg.det(cov)
-    # each matrix at its own scale; fmax, like max(1.0, x), reads a nan scale as 1
-    tol = -1e-10 * np.fmax(1.0, np.abs(cov).max(axis=(-2, -1)) ** 4)
-    # both invariant sums, the state's and its partial transpose's, in one check
-    _check_invariants(np.stack([a + b + 2.0 * c, a + b - 2.0 * c]), det, tol)
-    # d+- = sqrt((Delta +- sqrt(Delta^2 - 4 det))/2) in terms of the invariants,
-    # evaluated through eig(Omega cov), whose error stays linear in machine
-    # epsilon at the degenerate spectra of pure states (the determinant route
-    # loses half the digits there through radicand cancellation).  One call
-    # takes the state and its partial transpose, each matrix on its own.  Each
-    # entry of the product with Omega is one exact term, so flipping p2 by
-    # signs keeps the bits of the flip as diagonal matrix products
-    pair = np.stack([cov, cov * _PPT_SIGNS[:, None] * _PPT_SIGNS])
-    d = np.sort(np.abs(np.linalg.eigvals(_OMEGA2 @ pair).imag), axis=-1)
-    d_plus, d_minus = (d[..., 2] + d[..., 3]) / 2.0, (d[..., 0] + d[..., 1]) / 2.0
+    cov, a, b, c, det = _checked_invariants(cov)
+    # one eigenvalue call takes the state and its partial transpose
+    d_plus, d_minus = _symplectic_eigenvalues(np.stack([cov, cov * _PPT_FLIP]))
     return SymplecticSpectrum(d_plus[0], d_minus[0], d_plus[1], d_minus[1], a, b, c, det)
 
 
-def log_negativity(cov: np.ndarray) -> float:
-    """Logarithmic negativity E_N = max(0, -ln(2 d_minus_ppt)) of a two-mode state."""
-    return symplectic_spectrum(cov).log_negativity
+def _ppt_d_minus(cov: np.ndarray) -> np.ndarray:
+    """`symplectic_spectrum(cov).ppt_d_minus` bit for bit, after the same
+    checks, from the eigenvalues of the partial transpose alone."""
+    cov = _checked_invariants(cov)[0]
+    return _symplectic_eigenvalues(cov * _PPT_FLIP)[1]
+
+
+def log_negativity(cov: np.ndarray) -> float | np.ndarray:
+    """Logarithmic negativity E_N = max(0, -ln(2 ppt_d_minus)) of a two-mode
+    state, or of each of a stack: `symplectic_spectrum(cov).log_negativity`
+    bit for bit, read from the partial transpose alone."""
+    return _log_negativity(_ppt_d_minus(cov))
 
 
 def wigner_at(state: GaussianState, points: np.ndarray) -> float | np.ndarray:

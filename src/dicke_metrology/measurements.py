@@ -114,11 +114,18 @@ def dsts_params(state: GaussianState) -> DstsParams:
     return _dsts(sx, sp, mx)
 
 
-def _dsts(sx: float, sp: float, mx: float) -> DstsParams:
-    """`dsts_params` of an x/p-aligned mode with variances sx, sp and x mean mx."""
+def _require_above_vacuum(sx: float, sp: float) -> float:
+    """Raise unless an x/p-aligned mode with variances sx, sp has a covariance
+    determinant at or above the vacuum bound 1/4; return the determinant."""
     det = sx * sp
     if det < 0.25 * (1.0 - 1e-9):
         raise UnphysicalStateError(f"covariance determinant {det:.6e} below the vacuum bound 1/4")
+    return det
+
+
+def _dsts(sx: float, sp: float, mx: float) -> DstsParams:
+    """`dsts_params` of an x/p-aligned mode with variances sx, sp and x mean mx."""
+    det = _require_above_vacuum(sx, sp)
     n_th = max(0.0, math.sqrt(det) - 0.5)
     r = 0.25 * math.log(sx / sp)
     n_s = math.sinh(r) ** 2
@@ -240,15 +247,43 @@ def photon_distribution(state: GaussianState) -> PhotonDistribution:
     """
     entries = _require_in_family(state.mean, state.cov)
     mx, _, sx, _, _, sp = entries
+    _require_above_vacuum(sx, sp)
     limit = _series_limit(*_mode_moments(*entries))
-    probs = _kernels.pn_series(*_series_inputs(sx, sp, mx), limit, PN_TAIL_TOL)
+    inputs = _series_inputs(sx, sp, mx)
+    probs = _kernels.pn_series(*inputs, limit, PN_TAIL_TOL)
     _check_breakdown(probs)
+    dist = PhotonDistribution(probs, len(probs) - 1, tail_mass=_tail_mass(probs))
+    if dist.n_max == limit and not dist.tail_mass < PN_TAIL_TOL:
+        raise _short_of_mass(limit, inputs[0], dist.tail_mass)
+    return dist
+
+
+def _tail_mass(probs: np.ndarray) -> float:
+    """max(0, 1 - (p(0) + ... + p(n_max))), the sum taken pairwise."""
     # 1e-10 tail against a pairwise sum's ~1e-15 rounding: math.fsum would
     # cost more than the series on long tables
-    dist = PhotonDistribution(probs, len(probs) - 1, tail_mass=max(0.0, 1.0 - float(np.sum(probs))))
-    if dist.n_max == limit and not dist.tail_mass < PN_TAIL_TOL:
-        raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
-    return dist
+    return max(0.0, 1.0 - float(np.sum(probs)))
+
+
+def _short_of_mass(limit: int, log_r00: float, shortfall: float) -> NonConvergedSeries:
+    """The error of a photon series still short of 1 - PN_TAIL_TOL at its
+    cutoff limit, 1 - sum p(n) = shortfall.
+
+    log r00 carries the roundings of c^2, of its division by 1 - t and of the
+    sum in `_series_inputs`, up to about 1.5 ulp of itself, and every p(n)
+    carries that error relative (one ulp is 1.2e-10 at log r00 = -9e5).  A
+    shortfall within 2 ulps of log r00 says more about the doubles than about
+    the tail, and the message says so.
+    """
+    message = f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}"
+    resolution = 2.0 * math.ulp(log_r00)
+    if shortfall <= resolution:
+        message += (
+            f"; the shortfall 1 - sum p(n) = {shortfall:.2e} lies within the rounding of"
+            f" log r00 = {log_r00:.6e} (2 ulps, {resolution:.1e}) that every p(n) carries:"
+            f" the doubles, not the tail, limit the mass"
+        )
+    return NonConvergedSeries(message)
 
 
 def _check_breakdown(probs: np.ndarray) -> None:
@@ -329,7 +364,7 @@ def _photon_fi_row(
     (log r00, t, s, c) and their derivatives (d log r00, dt, ds, dc)."""
     series = _kernels.PnSeries(*inputs)
     if not series.extend(limit, PN_TAIL_TOL):
-        raise NonConvergedSeries(f"photon series tail above {PN_TAIL_TOL:.1e} at the cutoff limit {limit}")
+        raise _short_of_mass(limit, inputs[0], _tail_mass(series.probs()))
     fisher = _kernels.FisherTerms(series, *slopes, FI_TERM_FLOOR, _BREAKDOWN)
     # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
     # past it: on 306 Dicke radiation states (N 1 to 1e4, three frequency

@@ -777,8 +777,10 @@ def test_calls_in_one_process_match_fresh_interpreters(tmp_path):
 # documented entry points that nothing else in the package has to call: the
 # scalar API of the README, its batch moments, the console script, the SLD and
 # power-law fit that carry criteria 1 and 11, the chain that criterion 9
-# checks, and the partial trace, which README lists and the tests take the
-# atomic mode with, now that the radiation mode is read from the record
+# checks, the partial trace, which README lists and the tests take the
+# atomic mode with, now that the radiation mode is read from the record, and
+# the full symplectic spectrum, which README lists now that E_N and the
+# `entanglement` rows read the partial transpose alone
 ENTRY_POINTS = {
     "cli.main",
     "dicke.DickeParams",
@@ -793,6 +795,7 @@ ENTRY_POINTS = {
     "estimation.sld_coefficients_f1_frame",
     "gaussian.log_negativity",
     "gaussian.partial_trace",
+    "gaussian.symplectic_spectrum",
     "measurements.HomodyneSetting",
     "measurements.Target",
     "measurements.fi_homodyne",

@@ -347,6 +347,93 @@ class TestStacks:
         assert same_bits(wigner_at(state, points[None]), values[None])
 
 
+
+# entries of the symmetric matrices below, -0.0 among them
+ENTRIES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, 3.0]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # every combination of the state's and the partial transpose's checks,
+    # each passed or failed, occurs among these
+    upper = np.triu_indices(4)
+    m = np.empty((4, 4))
+    m[upper] = m.T[upper] = draw(st.lists(st.sampled_from(ENTRIES), min_size=10, max_size=10))
+    return m
+
+
+@st.composite
+def diagonal_covs_with_negative_zeros(draw):
+    nu = [draw(OCCUPATIONS) + 0.5 for _ in range(2)]
+    r = [draw(SQUEEZINGS) for _ in range(2)]
+    diag = np.diag([nu[0] * np.exp(r[0]), nu[0] * np.exp(-r[0]), nu[1] * np.exp(r[1]), nu[1] * np.exp(-r[1])])
+    return np.where(np.eye(4) == 1.0, diag, -0.0)
+
+
+# one matrix per outcome of the checks of the state and of its partial
+# transpose: a failed discriminant check ("disc"), a failed eigenvalue check
+# ("eig") or none ("ok")
+CHECK_OUTCOMES = {
+    ("ok", "ok"): [[1.0, -0.5, 1.0, -0.5], [-0.5, 1.0, -0.5, 1.0], [1.0, -0.5, 3.0, -0.5], [-0.5, 1.0, -0.5, 2.0]],
+    ("eig", "ok"): [[1.0, 0.5, -0.5, 3.0], [0.5, 3.0, 2.0, 1.5], [-0.5, 2.0, 1.0, 0.5], [3.0, 1.5, 0.5, 3.0]],
+    ("ok", "eig"): [[0.0, 0.0, 1.0, -1.0], [0.0, 1.0, 3.0, -1.0], [1.0, 3.0, 1.5, 0.5], [-1.0, -1.0, 0.5, 0.0]],
+    ("eig", "eig"): [[1.5, -1.0, -0.5, 1.0], [-1.0, 0.0, 0.0, 0.0], [-0.5, 0.0, -1.0, 3.0], [1.0, 0.0, 3.0, -1.0]],
+    ("disc", "ok"): [[-1.0, -0.5, 0.0, 1.5], [-0.5, -0.5, 1.0, 1.5], [0.0, 1.0, 1.0, 1.0], [1.5, 1.5, 1.0, 2.0]],
+    ("ok", "disc"): [[1.5, 1.5, 1.0, -0.5], [1.5, 2.0, 3.0, 1.0], [1.0, 3.0, -1.0, 0.0], [-0.5, 1.0, 0.0, 0.5]],
+    ("disc", "disc"): [[-1.0, -0.5, -0.5, 3.0], [-0.5, 1.5, -1.0, 0.0], [-0.5, -1.0, -0.5, 0.0], [3.0, 0.0, 0.0, 0.5]],
+    ("disc", "eig"): [[0.0, 1.5, 0.0, -0.5], [1.5, 1.0, 2.0, 2.0], [0.0, 2.0, 0.0, 0.0], [-0.5, 2.0, 0.0, -1.0]],
+    ("eig", "disc"): [[0.5, 0.0, 1.5, 1.0], [0.0, -0.5, 1.5, -0.5], [1.5, 1.5, 0.0, -0.5], [1.0, -0.5, -0.5, 2.0]],
+}
+
+
+def outcome(read):
+    """The value of read(), or the type and message of what it raised."""
+    try:
+        return read()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+class TestLogNegativity:
+    """log_negativity reads the partial transpose alone, with the bits and
+    the errors of `symplectic_spectrum(cov).log_negativity`."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                physical_two_mode_covs(), physical_two_mode_covs(pure=True),
+                diagonal_covs_with_negative_zeros(), symmetric_matrices(),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example([np.array(cov) for cov in CHECK_OUTCOMES.values()])
+    @settings(max_examples=200, deadline=None)
+    def test_log_negativity_has_the_bits_and_errors_of_the_spectrum(self, covs):
+        for cov in [*covs, np.stack(covs)]:
+            expected = outcome(lambda: symplectic_spectrum(cov).log_negativity)
+            got = outcome(lambda: log_negativity(cov))
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert type(got) is type(expected) and same_bits(got, expected)
+
+    @pytest.mark.parametrize("checks", list(CHECK_OUTCOMES))
+    def test_both_discriminants_are_checked_before_either_eigenvalue(self, checks):
+        cov = np.array(CHECK_OUTCOMES[checks])
+        if "disc" in checks:
+            expected = "negative discriminant"
+        elif "eig" in checks:
+            expected = "negative squared symplectic eigenvalue"
+        else:
+            assert log_negativity(cov) == symplectic_spectrum(cov).log_negativity
+            return
+        for read in (log_negativity, symplectic_spectrum):
+            with pytest.raises(UnphysicalStateError, match=expected):
+                read(cov)
+
+
 class TestPurity:
     def test_vacuum(self):
         assert purity(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)

@@ -207,6 +207,18 @@ class TestDstsParams:
             dsts_params(state)
 
 
+# modes whose covariance determinant lies below the vacuum bound 1/4
+BELOW_VACUUM = [np.diag([0.3, 0.3]), np.diag([0.45, 0.45])]
+
+
+@pytest.mark.parametrize("cov", BELOW_VACUUM, ids=["0.09", "0.2025"])
+@pytest.mark.parametrize("reader", [dsts_params, mean_photon_decomposition, photon_distribution])
+def test_readers_refuse_a_mode_below_the_vacuum_bound(reader, cov):
+    # photon_distribution summed these to p(0) = 1.25 and 1.0526 with no tail
+    with pytest.raises(UnphysicalStateError, match="below the vacuum bound 1/4"):
+        reader(GaussianState(np.zeros(2), cov))
+
+
 class TestMeanPhotons:
     def test_squeezed_vacuum(self):
         total = mean_photon_decomposition(dsts_state(0.0, 0.8, 0.0)).total
@@ -296,6 +308,33 @@ class TestPhotonDistribution:
         assert near.probs.argmax() == 0
         assert far.probs.argmax() == 0
         assert far.probs[0] > near.probs[0]
+
+    # a squeezed coherent state whose p(n) sum to 1 - 5.3e-14, within one ulp
+    # of its log r00 = -346.2, and a displaced thermal one that falls short
+    # by 2.6e-14, 7 ulps of its log r00 = -20.9
+    WITHIN_ROUNDING = GaussianState(np.array([30.0, 0.0]), np.diag([0.8, 0.3125]))
+    BEYOND_ROUNDING = GaussianState(np.array([10.0, 0.0]), np.diag([2.0, 2.0]))
+
+    @pytest.mark.parametrize("state, within", [(WITHIN_ROUNDING, True), (BEYOND_ROUNDING, False)])
+    def test_nonconverged_says_when_the_doubles_limit_the_mass(self, monkeypatch, state, within):
+        log_r00 = measurements._series_inputs(state.cov[0, 0], state.cov[1, 1], state.mean[0])[0]
+        monkeypatch.setattr(measurements, "PN_TAIL_TOL", math.ulp(log_r00) / 8.0)
+        note = "the doubles, not the tail, limit the mass"
+        for read in (
+            lambda: photon_distribution(state),
+            lambda: fi_photon_counting_family(state, np.array([1.0, 0.0]), np.zeros((2, 2))),
+        ):
+            with pytest.raises(NonConvergedSeries, match="photon series tail above") as info:
+                read()
+            assert (note in str(info.value)) is within
+            assert (f"log r00 = {log_r00:.6e}" in str(info.value)) is within
+
+    def test_nonconverged_near_the_term_bound_says_the_doubles_limit_the_mass(self):
+        # <n> ~ 9e5: the series stops at its limit 1 - 1.27e-10 short, within
+        # the 2.3e-10 of two ulps of log r00 = -9.0e5
+        state = reduced_radiation_state(DickeParams(lam=30.0, n_atoms=1000))
+        with pytest.raises(NonConvergedSeries, match="the doubles, not the tail, limit the mass"):
+            photon_distribution(state)
 
     def test_nonconverged_at_tiny_limit(self, monkeypatch):
         # the series limit shrinks to <n> + 3, far short of the resolved tail

@@ -108,6 +108,8 @@ def _readers(params: dm.DickeParams):
     for setting in SETTINGS:
         yield "fi_homodyne", lambda setting=setting: dm.fi_homodyne(params, setting)
     yield "moment_jet", lambda: dm.moment_jet([params.lam], params.omega, params.omega0, params.n_atoms)
+    yield "dsts_params", lambda: dm.dsts_params(dm.reduced_radiation_state(params))
+    yield "mean_photon_decomposition", lambda: dm.mean_photon_decomposition(dm.reduced_radiation_state(params))
     try:
         cheap = _photon_cheap(params)
     except Exception:  # the readers above record the error
