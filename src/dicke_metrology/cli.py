@@ -4,15 +4,15 @@ Six subcommands cover the standard figures: entanglement and QFI sweeps,
 a Wigner grid of the radiation mode, homodyne and photon-counting Fisher
 information ratios, and the photon-number statistics.  Output is fully
 deterministic: identical configuration produces byte-identical files, rows
-stay in grid order regardless of --jobs, and a float prints at 17
-significant digits in CSV and as the shortest repr that reads back as the
-same double in JSON.  Rows that hit the critical window or a non-converged
-series are emitted with a status flag instead of being dropped.
+stay in grid order, and a float prints at 17 significant digits in CSV and
+as the shortest repr that reads back as the same double in JSON.  Rows that
+hit the critical window or a non-converged series are emitted with a status
+flag instead of being dropped.
 
-A sweep travels as columns from the moment jet to the output: each chunk of
-the grid returns its builder's columns and one status per coupling, and the
-renderers format each distinct value once, so a fi-homodyne coupling and
-its QFI are printed once for all its --phi angles.
+A sweep travels as columns from the moment jet to the output: one vectorised
+pass over the grid returns its builder's columns and one status per coupling,
+and the renderers format each distinct value once, so a fi-homodyne coupling
+and its QFI are printed once for all its --phi angles.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dicke import _RAD, DELTA_MIN, DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
+from .dicke import DickeParams, _checked_couplings, _critical_coupling, _ground, _Ground, _jet, derive
 from .dicke import reduced_radiation_state
 from .errors import DickeMetrologyError, NonConvergedSeries
 from .estimation import qfi_from_jet
@@ -39,7 +39,6 @@ from .measurements import (
     fi_homodyne_from_jet,
     fi_photon_counting_from_jet,
     photon_distribution,
-    photon_number_moments,
 )
 
 EXIT_OK = 0
@@ -62,9 +61,7 @@ _OPTIONS = {
     "target": ("radiation", ("radiation", "atoms"), "homodyne subsystem"),
     "format": ("csv", ("csv", "json"), None),
     "out": (None, str, "output path (default stdout)"),
-    "jobs": (1, int, "at most this many worker processes, and no more than the CPUs this process may run on, "
-             "one contiguous chunk of the grid each; a sweep runs in this process unless a pool saves more "
-             "estimated work than its workers' start-up"),
+    "jobs": (1, int, "accepted and ignored: every sweep runs once, vectorised, in this process"),
 }
 _DEFAULTS = {key: default for key, (default, _, _) in _OPTIONS.items()}
 
@@ -87,16 +84,10 @@ def _params(cfg: dict, lam: float) -> DickeParams:
     return DickeParams(lam=lam, omega=cfg["omega"], omega0=cfg["omega0"], n_atoms=cfg["n_atoms"])
 
 
-def _grid_ground(lams: list[float], cfg: dict) -> _Ground:
-    model = cfg["omega"], cfg["omega0"], cfg["n_atoms"]
-    return _ground(_checked_couplings(lams, *model), *model)
-
-
-# A builder maps the ground stage of a contiguous chunk of the grid to the
-# columns of its table after lambda and phi, in order; the moment layers run
-# once per chunk, vectorised over its couplings.  A column holds one value per
-# coupling, or, if its command lists it under per_angle, one per (coupling,
-# --phi angle), coupling-major.
+# A builder maps the ground stage of the grid to the columns of its table
+# after lambda and phi, in order; the moment layers run once, vectorised over
+# its couplings.  A column holds one value per coupling, or, if its command
+# lists it under per_angle, one per (coupling, --phi angle), coupling-major.
 
 
 def _entanglement(ground: _Ground, cfg: dict) -> list[list]:
@@ -130,8 +121,6 @@ def _fi_photon(ground: _Ground, cfg: dict) -> list[list]:
 class _Command(NamedTuple):
     columns: tuple[str, ...]
     build: Callable[[_Ground, dict], list[list]] | None  # None: a wigner grid, not a coupling sweep
-    # the estimated chunk work per coupling in microseconds (see `_row_costs`)
-    row_us: float | None
     help: str
     # the columns whose value changes from one --phi angle to the next within
     # a coupling's rows; the others print one value per coupling on each
@@ -139,17 +128,17 @@ class _Command(NamedTuple):
 
 
 _COMMANDS = {
-    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _entanglement, 17.0,
+    "entanglement": _Command(("lambda", "E_N", "d_tilde_minus"), _entanglement,
                              "log-negativity between radiation and atoms over a coupling grid"),
-    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _qfi, 5.0,
+    "qfi": _Command(("lambda", "H", "quadratic_term", "displacement_term"), _qfi,
                     "quantum Fisher information and its two contributions"),
-    "wigner": _Command(("x", "p", "W"), None, None,
+    "wigner": _Command(("x", "p", "W"), None,
                        "Wigner function of the reduced radiation mode on an x/p grid"),
-    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _fi_homodyne, 5.0,
+    "fi-homodyne": _Command(("lambda", "phi", "FI", "H", "ratio"), _fi_homodyne,
                             "homodyne Fisher information and its ratio to the QFI", ("phi", "FI", "ratio")),
-    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _photon, 13.0,
+    "photon": _Command(("lambda", "n_s", "thermal", "coherent", "total"), _photon,
                        "mean-photon decomposition; with --lambda also the p(n) table"),
-    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _fi_photon, 56.0,
+    "fi-photon": _Command(("lambda", "FI", "H", "ratio", "n_max"), _fi_photon,
                           "photon-counting Fisher information and its ratio to the QFI"),
 }
 
@@ -159,31 +148,29 @@ def _built_columns(command: str) -> list[str]:
     return [name for name in _COMMANDS[command].columns if name not in ("lambda", "phi")]
 
 
-def _compute_chunk(task: tuple[str, list[float], dict], ground: _Ground | None = None) -> tuple[list[list], list[str]]:
-    """A contiguous chunk of grid points -> its builder's columns and one status per point.
+def _compute_chunk(command: str, lams: list[float], cfg: dict) -> tuple[list[list], list[str]]:
+    """Grid points -> the command's builder columns and one status per point.
 
-    ground is the chunk's ground stage if the caller has it already.  A domain
-    error anywhere in the chunk sends each of its points through the builder
-    again on its own, so every point gets the status it has alone and a
-    failed point NaN values; one-point and whole-chunk evaluations give the
+    A domain error anywhere in the grid sends each of its points through the
+    builder again on its own, so every point gets the status it has alone and
+    a failed point NaN values; one-point and whole-grid evaluations give the
     same bits.
     """
-    command, lams, cfg = task
+    model = cfg["omega"], cfg["omega0"], cfg["n_atoms"]
     try:
-        if ground is None:
-            ground = _grid_ground(lams, cfg)
+        ground = _ground(_checked_couplings(lams, *model), *model)
         return _COMMANDS[command].build(ground, cfg), ["ok"] * len(lams)
     except _DOMAIN_ERRORS as exc:
         status = _status(exc)
     if len(lams) > 1:
-        return _joined([_compute_chunk((command, [lam], cfg)) for lam in lams])
+        return _joined([_compute_chunk(command, [lam], cfg) for lam in lams])
     angles = len(cfg["phi"])
     per_angle = _COMMANDS[command].per_angle
     return [[math.nan] * (angles if name in per_angle else 1) for name in _built_columns(command)], [status]
 
 
 def _joined(parts: list[tuple[list[list], list[str]]]) -> tuple[list[list], list[str]]:
-    """`_compute_chunk` results of consecutive chunks as the result of their union."""
+    """`_compute_chunk` results of consecutive grid points as the result of their union."""
     columns = [list(itertools.chain.from_iterable(column)) for column in zip(*(values for values, _ in parts))]
     return columns, [status for _, statuses in parts for status in statuses]
 
@@ -199,128 +186,6 @@ def _sweep_table(
     given = {"lambda": grid, "phi": cfg["phi"], **dict(zip(_built_columns(command), values))}
     columns = [(given[name], 1 if name in spec.per_angle else angles) for name in spec.columns]
     return columns + [(statuses, angles)]
-
-
-# A row's estimated cost in microseconds, as tools/row_costs.py prints it, is
-# the work a worker takes off this process (`_compute_chunk`); parsing and
-# rendering stay here, and with them the row that each --phi angle adds to a
-# fi-homodyne coupling.  A row costs its command's row_us, its share of the
-# chunk's stacked moments.  The fi-photon row_us also holds a fixed setup that
-# costs about as much as 80 series terms, and each row adds its photon series
-# and derivative filter at _TERM_US per term over about <n> + _SERIES_SDS sd(n)
-# terms.  The per-term and fixed costs were scaled from the previous
-# calibration by measured ratios (see the README).
-_TERM_US = 0.7
-_SERIES_SDS = 10.0
-# what each worker process adds to a sweep's wall time (starting it, pickling
-# its chunk and its columns, shutting it down, and for the vectorised rows the two
-# workers' contention): tools/row_costs.py measured 8 to 81 ms on a shared
-# 2-core x86-64 box, highest for 20000 qfi rows; 30 ms keeps the pool off
-# every sweep on which it measured the pool losing
-_WORKER_START_US = 30_000.0
-
-
-def _row_costs(command: str, grid: list[float], ground: _Ground | None) -> list[float]:
-    """Estimated cost of each row in microseconds, known before any series runs.
-
-    Each row costs its command's row_us.  Given the grid's ground stage,
-    which `_gate_costs` takes for fi-photon alone, a row adds its photon
-    series, weighed by the <n> and sd(n) of the radiation mode.
-    """
-    price = _COMMANDS[command].row_us
-    if ground is None:
-        return [price] * len(grid)
-    mean_n, var_n = photon_number_moments(ground.mean[:, _RAD], ground.cov[:, _RAD, _RAD])
-    return (price + _TERM_US * (mean_n + _SERIES_SDS * np.sqrt(np.maximum(var_n, 0.0)))).tolist()
-
-
-def _gate_costs(command: str, grid: list[float], cfg: dict) -> tuple[list[float], _Ground | None]:
-    """The row costs that the --jobs gate weighs a sweep by, and the grid's
-    ground stage if the costs read one that covers the whole grid.
-
-    fi-photon rows are weighed by the ground stage of the couplings outside
-    the window dicke.DELTA_MIN around lambda_c; a row inside it is refused
-    before any series runs and costs row_us alone.
-    """
-    costs = _row_costs(command, grid, None)
-    if command != "fi-photon":
-        return costs, None
-    lam_c = _critical_coupling(cfg["omega"], cfg["omega0"])
-    # the rows that `_normal_modes` does not refuse, by its own test
-    kept = [i for i, lam in enumerate(grid) if abs(lam - lam_c) > DELTA_MIN]
-    if not kept:
-        return costs, None
-    lams = [grid[i] for i in kept]
-    ground = _grid_ground(lams, cfg)
-    for i, cost in zip(kept, _row_costs(command, lams, ground)):
-        costs[i] = cost
-    return costs, ground if len(kept) == len(grid) else None
-
-
-def _chunk_count(jobs: int, costs: list[float]) -> int:
-    """How many chunks to run, at most jobs: the count whose pool saves the most
-    beyond its workers' start-up, or 1 (this process, no pool) if none saves any.
-
-    A pool of k workers saves the estimated work outside its largest
-    contiguous chunk and costs k start-ups.
-    """
-    total = math.fsum(costs)
-    best, best_gain = 1, 0.0
-    for count in range(2, min(jobs, len(costs)) + 1):
-        if total - count * _WORKER_START_US <= best_gain:
-            break  # no pool of this many workers or more can gain more
-        largest = max(math.fsum(chunk) for chunk in _contiguous_chunks(costs, count, costs))
-        gain = total - largest - count * _WORKER_START_US
-        if gain > best_gain:
-            best, best_gain = count, gain
-    return best
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _planned_chunks(command: str, grid: list[float], cfg: dict) -> tuple[list[list[float]], _Ground | None]:
-    """The chunks a sweep runs in, one per worker process if more than one,
-    and the grid's ground stage if the gate computed one that covers the grid.
-
-    At most --jobs chunks, and no more than the CPUs this process may run on:
-    the work outside the largest chunk is saved only if each chunk has a CPU
-    of its own.
-    """
-    jobs = min(cfg["jobs"], _usable_cpus())
-    if jobs == 1:  # one job is one chunk, whatever the rows cost
-        return [grid], None
-    costs, ground = _gate_costs(command, grid, cfg)
-    return _contiguous_chunks(grid, _chunk_count(jobs, costs), costs), ground
-
-
-def _contiguous_chunks(grid: list[float], count: int, costs: list[float]) -> list[list[float]]:
-    """Split the grid into min(count, len(grid)) contiguous chunks of near-equal cost.
-
-    Each chunk is the shortest run of points whose cost reaches an equal
-    share of the cost still left, except that the last two split where the
-    larger of them costs least, so they differ by at most one point's cost;
-    with equal costs the first len(grid) % count chunks hold one point more
-    than the others.
-    """
-    count = min(count, len(grid))
-    chunks, lo, left = [], 0, math.fsum(costs)
-    for k in range(count, 1, -1):
-        hi, spent = lo + 1, costs[lo]
-        while hi < len(grid) - k + 1 and spent < left / k:
-            spent += costs[hi]
-            hi += 1
-        if k == 2 and hi - lo > 1 and left - spent + costs[hi - 1] < spent:
-            # its last point makes this chunk the larger by more than that point's cost
-            hi, spent = hi - 1, spent - costs[hi - 1]
-        chunks.append(grid[lo:hi])
-        lo, left = hi, left - spent
-    return chunks + [grid[lo:]]
 
 
 def _lambda_grid(cfg: dict) -> list[float]:
@@ -524,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if cfg["jobs"] > 1:
+            print("note: jobs is ignored; the sweep runs in this process", file=sys.stderr)
         pn_table = args.command == "photon" and cfg["lambda"] is not None
         # before any work, so that an unopenable path does not end a finished sweep
         _require_writable([cfg["out"], _pn_out_path(cfg["out"]) if pn_table else None])
@@ -536,17 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    chunks, ground = _planned_chunks(args.command, grid, cfg)
-    tasks = [(args.command, chunk, cfg) for chunk in chunks]
-    if len(tasks) > 1:
-        # imported here: loading the pool takes ~25 ms and ~2 MB that one chunk does not need
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            parts = list(pool.map(_compute_chunk, tasks))
-    else:
-        parts = [_compute_chunk(tasks[0], ground)]
-    values, statuses = _joined(parts)
+    values, statuses = _compute_chunk(args.command, grid, cfg)
     table = _sweep_table(args.command, grid, cfg, values, statuses)
     _write(cfg, _COMMANDS[args.command].columns, table, cfg["out"])
     code = EXIT_OK if all(status == "ok" for status in statuses) else EXIT_NUMERICAL

@@ -351,6 +351,7 @@ def _photon_fi_stack(
     for m, c, dm, dc in members:
         _require_aligned(*m, *c)
         _require_aligned(*dm, *dc)
+        _require_above_vacuum(c[0], c[3])
     return [
         _photon_fi_row(n, limit, _series_inputs(c[0], c[3], m[0]), _series_derivatives(c[0], c[3], m[0], dc[0], dc[3], dm[0]))
         for n, limit, (m, c, dm, dc) in zip(mean_n, limits, members)

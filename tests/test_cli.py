@@ -134,28 +134,47 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
-        # grids this small run in one chunk unless starting a worker costs
-        # nothing; and the 3- and 7-job splits need as many CPUs on any host
-        monkeypatch.setattr(cli, "_WORKER_START_US", 0.0)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-        sweeps = [
-            (["fi-homodyne", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6", "--phi", "0,1.0"], ["3"]),
-            (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
-            (["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "4"], ["2", "3"]),
-            (["entanglement", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
-            (["photon", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"], ["2", "3"]),
-            # more jobs than grid points
-            (["qfi", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "3"], ["7"]),
-            (["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "3"], ["7"]),
-        ]
-        for args, jobs in sweeps:
-            a = tmp_path / "serial.csv"
-            assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
-            for n in jobs:
-                b = tmp_path / f"parallel{n}.csv"
-                assert main(args + ["--jobs", n, "--out", str(b)]) == 0
-                assert a.read_bytes() == b.read_bytes(), (args, n)
+    # every subcommand, all rows ok
+    RUNS = [
+        ["fi-homodyne", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6", "--phi", "0,1.0"],
+        ["qfi", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"],
+        ["fi-photon", "--lambda-min", "0.1", "--lambda-max", "0.8", "--points", "4"],
+        ["entanglement", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"],
+        ["photon", "--lambda-min", "0.1", "--lambda-max", "0.9", "--points", "6"],
+        ["photon", "--lambda", "0.3"],
+        ["wigner", "--lambda", "0.3", "--points", "4"],
+    ]
+    # grids with singular and nonconverged rows
+    MIXED_RUNS = [
+        ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"],
+        ["fi-homodyne", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"],
+        ["fi-photon", "--lambda-min", "0.3", "--lambda-max", "0.7", "--points", "2", "--n-atoms", "1" + "0" * 18],
+    ]
+
+    def test_jobs_do_not_change_output(self, capsys):
+        # --jobs is accepted and ignored: past 1 it adds one note on stderr
+        statuses = set()
+        for argv in self.RUNS + self.MIXED_RUNS:
+            for fmt in ("csv", "json"):
+                args = argv + ["--format", fmt]
+                code, serial = main(args + ["--jobs", "1"]), capsys.readouterr()
+                assert serial.err == "" and code == (EXIT_OK if argv in self.RUNS else 3), args
+                for jobs in ("2", "4"):
+                    assert main(args + ["--jobs", jobs]) == code
+                    captured = capsys.readouterr()
+                    assert captured.out == serial.out, (args, jobs)
+                    assert captured.err == "note: jobs is ignored; the sweep runs in this process\n"
+                if fmt == "csv":
+                    statuses.update(line.rsplit(",", 1)[-1] for line in serial.out.splitlines())
+        assert {"ok", "singular", "nonconverged"} <= statuses
+
+    def test_jobs_below_one_or_fractional_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"jobs": 1.5}')
+        for argv in (["--jobs", "0"], ["--config", str(path)]):
+            code = main(["qfi", "--lambda", "0.3", *argv])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "" and captured.err.startswith("error: jobs must be")
 
 
 class TestGridAndConfig:
@@ -284,149 +303,6 @@ class TestOptionTable:
         assert cli._load_config(parse(["qfi", *flags])) == from_file == self.VALUES
 
 
-def _gate_costs(command: str, cfg: dict) -> list[float]:
-    """The row costs that `main` prices a sweep with at --jobs > 1."""
-    return cli._gate_costs(command, cli._lambda_grid(cfg), cfg)[0]
-
-
-class TestChunks:
-    def test_equal_costs_split_into_near_equal_sizes(self):
-        for n in range(1, 25):
-            for count in range(1, 8):
-                sizes = [len(c) for c in cli._contiguous_chunks(list(range(n)), count, [1.0] * n)]
-                size, extra = divmod(n, min(count, n))
-                assert sizes == [size + 1] * extra + [size] * (min(count, n) - extra), (n, count)
-
-    def test_qfi_rows_weigh_the_same(self):
-        assert set(cli._row_costs("qfi", [0.1, 0.3, 0.7, 0.9], None)) == {cli._COMMANDS["qfi"].row_us}
-
-    def test_long_photon_sweep_pays_for_two_workers(self):
-        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=40)
-        assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 2
-
-    def test_photon_chunks_balance_the_series_cost(self):
-        # superradiant rows carry longer series, so the later chunk holds
-        # fewer couplings but about the same estimated cost
-        cfg = dict(cli._DEFAULTS, n_atoms=1000, lambda_min=0.55, lambda_max=1.0, points=40)
-        grid = cli._lambda_grid(cfg)
-        costs = _gate_costs("fi-photon", cfg)
-        assert costs == sorted(costs)
-        first, last = cli._contiguous_chunks(grid, 2, costs)
-        assert first + last == grid
-        assert len(first) > len(last)
-        assert abs(sum(costs[: len(first)]) - sum(costs[len(first):])) <= max(costs)
-
-    @given(st.lists(st.floats(0.01, 1e4), min_size=2, max_size=40))
-    @settings(max_examples=300, deadline=None)
-    def test_two_chunks_differ_by_at_most_one_point(self, costs):
-        grid = list(range(len(costs)))
-        first, last = cli._contiguous_chunks(grid, 2, costs)
-        assert first + last == grid and first and last
-        gap = abs(math.fsum(costs[: len(first)]) - math.fsum(costs[len(first):]))
-        assert gap <= max(costs) + 1e-12 * math.fsum(costs)
-
-    def test_refused_rows_cost_the_price_alone(self, capsys, monkeypatch):
-        # the grid holds lambda_c: that row is refused before any series runs
-        # and costs the fi-photon price alone, and the others keep the series
-        # part they have on a grid of their own
-        seen = []
-        chunk_count = cli._chunk_count
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
-        monkeypatch.setattr(cli, "_chunk_count", lambda jobs, costs: (seen.append(costs), chunk_count(jobs, costs))[1])
-        argv = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
-        assert main(argv + ["--jobs", "2"]) == 3
-        alone = [cli._gate_costs("fi-photon", [lam], cli._DEFAULTS)[0][0] for lam in (0.4, 0.6)]
-        assert seen == [[alone[0], cli._COMMANDS["fi-photon"].row_us, alone[1]]]
-        assert min(alone) > cli._COMMANDS["fi-photon"].row_us
-
-    def test_a_grid_through_lambda_c_is_priced_with_its_series(self, capsys, monkeypatch):
-        # 0.12 to 0.9 in 40 points puts 0.5 on the grid: priced without any
-        # series its 40 rows came to 2.24 ms, where the sweep runs 56 to 106 ms
-        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.12, lambda_max=0.9, points=40, exclusion=0.0)
-        grid = cli._lambda_grid(cfg)
-        refused = [i for i, lam in enumerate(grid) if abs(lam - 0.5) <= dicke.DELTA_MIN]
-        assert len(grid) == 40 and len(refused) == 1
-        costs, ground = cli._gate_costs("fi-photon", grid, cfg)
-        assert ground is None and costs[refused[0]] == cli._COMMANDS["fi-photon"].row_us
-        kept = [lam for i, lam in enumerate(grid) if i not in refused]
-        assert costs[: refused[0]] + costs[refused[0] + 1 :] == cli._gate_costs("fi-photon", kept, cfg)[0]
-        assert sum(costs) > 25_000.0
-        argv = ["fi-photon", "--n-atoms", "10000", "--lambda-min", "0.12", "--lambda-max", "0.9",
-                "--points", "40", "--exclusion", "0"]
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
-        for fmt in ("csv", "json"):
-            assert run(capsys, argv + ["--format", fmt, "--jobs", "2"]) == run(capsys, argv + ["--format", fmt])
-
-
-class TestPoolGate:
-    """A pool runs only when the work outside its largest chunk pays for its workers."""
-
-    def test_long_qfi_sweep_runs_in_one_chunk(self):
-        # 100 ms of estimated work, but a 2-worker pool saves only the 50 ms
-        # outside its larger chunk; it took 356 ms against 277 ms in one chunk
-        assert cli._chunk_count(2, _gate_costs("qfi", dict(cli._DEFAULTS, points=20_000))) == 1
-
-    def test_many_angles_do_not_buy_a_pool(self):
-        # an angle adds a row that this process renders, not work a worker
-        # takes: 20000 couplings at 16 angles took 1108 ms in one chunk and
-        # 1146 ms with a 2-worker pool
-        cfg = dict(cli._DEFAULTS, points=20_000, phi=[0.1 * i for i in range(16)])
-        assert cli._chunk_count(2, _gate_costs("fi-homodyne", cfg)) == 1
-
-    def test_short_steep_photon_grid_runs_in_one_chunk(self):
-        # the last couplings hold most of the series work, so one contiguous
-        # chunk holds most of it; the pool took 86 ms against 61 ms
-        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=8)
-        assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 1
-
-    def test_count_that_saves_the_most(self):
-        start = cli._WORKER_START_US
-        # k equal chunks of 12 start-ups of work save 12 - 12/k and cost k:
-        # 4 at k = 2, 5 at k = 3 and at k = 4 (the fewer workers win the tie)
-        assert cli._chunk_count(8, [start] * 12) == 3
-        # 2 chunks of 3 save 1 start-up and cost 2
-        assert cli._chunk_count(2, [start] * 3) == 1
-
-    @pytest.mark.parametrize("affinity", [True, False])
-    def test_no_more_chunks_than_cpus(self, monkeypatch, affinity):
-        # every chunk past the CPUs waits for one: 8 jobs planned 7 chunks of
-        # this grid on a 2-CPU box, where they took 1083 ms against 990 ms for 2
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        else:  # a platform without CPU affinity
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        cfg = dict(cli._DEFAULTS, n_atoms=10_000, lambda_min=0.55, lambda_max=1.0, points=400, jobs=8)
-        grid = cli._lambda_grid(cfg)
-        assert cli._chunk_count(8, _gate_costs("fi-photon", cfg)) == 7
-        chunks, ground = cli._planned_chunks("fi-photon", grid, cfg)
-        assert len(chunks) == 2 and sum(chunks, []) == grid and ground is not None
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
-        assert cli._planned_chunks("fi-photon", grid, cfg) == ([grid], None)
-
-    def test_one_chunk_reuses_the_moments_the_gate_read(self, capsys, monkeypatch):
-        # the gate's costs and the chunk's jet ran the mean field of the grid
-        # twice; at lambda_c the gate reads the ground stage of the two rows
-        # outside the window, which does not cover the chunk, so the chunk
-        # tries the whole grid before the per-point fallback
-        argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
-        cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
-        assert cli._chunk_count(2, _gate_costs("fi-photon", cfg)) == 1
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the gate runs on any host
-        calls = []
-        normal_modes = dicke._normal_modes
-        monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
-        assert main(argv + ["--jobs", "2"]) == EXIT_OK
-        assert len(calls) == 1 and calls[0][0].tolist() == cli._lambda_grid(cfg)
-        assert capsys.readouterr().out == run(capsys, argv)[1]
-        calls.clear()
-        critical = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
-        assert main(critical + ["--jobs", "2"]) == 3
-        assert [len(lam) for lam, *_ in calls] == [2, 3, 1, 1, 1]
-        assert capsys.readouterr().out == run(capsys, critical)[1]
-
-
 def _as_columns(rows: list[list], width: int) -> list[tuple[list, int]]:
     """Rows as the CLI's (values, repeat) columns, one value per row each."""
     return [([row[i] for row in rows], 1) for i in range(width)]
@@ -507,11 +383,8 @@ class TestStatusAndExitCodes:
 
 
     @pytest.mark.parametrize("points", ["3", "5"])
-    def test_mixed_rows_same_with_jobs(self, capsys, monkeypatch, points):
-        # the chunk that holds the critical coupling falls back to one point
-        # at a time, however the grid is split, on any host
-        monkeypatch.setattr(cli, "_WORKER_START_US", 0.0)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    def test_mixed_rows_same_with_jobs(self, capsys, points):
+        # the grid that holds the critical coupling falls back to one point at a time
         args = [
             "qfi",
             "--lambda-min", "0.4",
@@ -528,14 +401,28 @@ class TestStatusAndExitCodes:
 
     def test_chunk_falls_back_to_per_point_statuses(self):
         cfg = dict(cli._DEFAULTS, phi=[0.0, 1.0])
-        (fi, h, ratio), statuses = cli._compute_chunk(("fi-homodyne", [0.4, 0.5, 0.6], cfg))
+        (fi, h, ratio), statuses = cli._compute_chunk("fi-homodyne", [0.4, 0.5, 0.6], cfg)
         assert statuses == ["ok", "singular", "ok"]
         # FI and ratio hold one value per (coupling, angle), H one per coupling
         assert len(fi) == len(ratio) == 6 and len(h) == 3
         assert all(map(math.isnan, fi[2:4] + h[1:2] + ratio[2:4]))
         assert not any(map(math.isnan, fi[:2] + fi[4:] + h[:1] + h[2:] + ratio[:2] + ratio[4:]))
-        alone = cli._joined([cli._compute_chunk(("fi-homodyne", [lam], cfg)) for lam in (0.4, 0.6)])
+        alone = cli._joined([cli._compute_chunk("fi-homodyne", [lam], cfg) for lam in (0.4, 0.6)])
         assert alone == ([fi[:2] + fi[4:], h[:1] + h[2:], ratio[:2] + ratio[4:]], ["ok", "ok"])
+
+    def test_sweep_runs_the_mean_field_once_over_its_grid(self, capsys, monkeypatch):
+        # and a grid through lambda_c once more per point, in the fallback
+        argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
+        cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
+        calls = []
+        normal_modes = dicke._normal_modes
+        monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
+        assert main(argv + ["--jobs", "2"]) == EXIT_OK
+        assert len(calls) == 1 and calls[0][0].tolist() == cli._lambda_grid(cfg)
+        calls.clear()
+        critical = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
+        assert main(critical + ["--jobs", "2"]) == 3
+        assert [len(lam) for lam, *_ in calls] == [3, 1, 1, 1]
 
 
 class TestErrorTaxonomy:
@@ -694,20 +581,15 @@ def test_import_loads_no_scipy():
 
 
 def test_small_sweeps_start_no_pool(tmp_path):
-    # the sweeps of the cli_sweeps benchmark, at --jobs 2: their estimated work
-    # is below one worker's start-up, so they run in this process
+    # no subcommand loads a process pool, at any --jobs
     src = str(Path(dicke_metrology.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    sweeps = [
-        ["qfi", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "200"],
-        ["fi-homodyne", "--lambda-min", "0.01", "--lambda-max", "1.0", "--points", "200", "--phi", "0,1.0471975511965976"],
-        ["fi-photon", "--lambda-min", "0.35", "--lambda-max", "0.65", "--points", "20", "--exclusion", "0.015"],
-    ]
+    runs = [argv + ["--jobs", jobs] for argv in TestDeterminism.RUNS for jobs in ("1", "2", "4")]
     code = (
         "import sys\n"
         "from dicke_metrology.cli import main\n"
-        f"for argv in {sweeps!r}:\n"
-        f"    assert main(argv + ['--jobs', '2', '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main(argv + ['--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

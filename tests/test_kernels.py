@@ -431,10 +431,13 @@ def test_fi_terms_resume_with_the_same_bits(lam, n_atoms, monkeypatch):
 
 def test_fi_pass_reports_a_broken_series():
     # a covariance below the vacuum bound: p(n) = r00 (-1/4)^n with r00 = 5/4,
-    # whose mass is reached at n = 0 and whose p(1) is negative
-    mean, cov = np.zeros((1, 2)), np.diag([0.3, 0.3])[None]
+    # whose mass is reached at n = 0 and whose p(1) is negative; the row is
+    # fed by hand, as `_photon_fi_stack` refuses the mode before any series
+    mean_n, var_n = (float(x) for x in measurements.photon_number_moments(np.zeros(2), np.diag([0.3, 0.3])))
+    inputs = measurements._series_inputs(0.3, 0.3, 0.0)
+    slopes = measurements._series_derivatives(0.3, 0.3, 0.0, 0.1, 0.1, 0.0)
     with pytest.raises(UnphysicalStateError, match=r"broke down: p\(n\) = -3\.125e-01"):
-        measurements._photon_fi_stack(mean, cov, np.zeros((1, 2)), np.diag([0.1, 0.1])[None])
+        measurements._photon_fi_row(mean_n, measurements._series_limit(mean_n, var_n), inputs, slopes)
 
 
 class TestClosedForms:

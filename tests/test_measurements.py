@@ -211,10 +211,16 @@ class TestDstsParams:
 BELOW_VACUUM = [np.diag([0.3, 0.3]), np.diag([0.45, 0.45])]
 
 
+def photon_fi(state: GaussianState) -> tuple[float, int]:
+    """Photon-counting FI of a state along a parameter that moves nothing."""
+    return fi_photon_counting_family(state, np.zeros(2), np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("cov", BELOW_VACUUM, ids=["0.09", "0.2025"])
-@pytest.mark.parametrize("reader", [dsts_params, mean_photon_decomposition, photon_distribution])
+@pytest.mark.parametrize("reader", [dsts_params, mean_photon_decomposition, photon_distribution, photon_fi])
 def test_readers_refuse_a_mode_below_the_vacuum_bound(reader, cov):
-    # photon_distribution summed these to p(0) = 1.25 and 1.0526 with no tail
+    # photon_distribution summed these to p(0) = 1.25 and 1.0526 with no
+    # tail, and photon_fi refused them only as "photon series broke down"
     with pytest.raises(UnphysicalStateError, match="below the vacuum bound 1/4"):
         reader(GaussianState(np.zeros(2), cov))
 
