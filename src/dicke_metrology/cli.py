@@ -148,13 +148,13 @@ def _built_columns(command: str) -> list[str]:
     return [name for name in _COMMANDS[command].columns if name not in ("lambda", "phi")]
 
 
-def _compute_chunk(command: str, lams: list[float], cfg: dict) -> tuple[list[list], list[str]]:
+def _sweep_columns(command: str, lams: list[float], cfg: dict) -> tuple[list[list], list[str]]:
     """Grid points -> the command's builder columns and one status per point.
 
-    A domain error anywhere in the grid sends each of its points through the
-    builder again on its own, so every point gets the status it has alone and
-    a failed point NaN values; one-point and whole-grid evaluations give the
-    same bits.
+    The grid runs once, vectorised; a domain error anywhere in it sends each
+    of its points through the builder again on its own, so every point gets
+    the status it has alone and a failed point NaN values; one-point and
+    whole-grid evaluations give the same bits.
     """
     model = cfg["omega"], cfg["omega0"], cfg["n_atoms"]
     try:
@@ -163,14 +163,14 @@ def _compute_chunk(command: str, lams: list[float], cfg: dict) -> tuple[list[lis
     except _DOMAIN_ERRORS as exc:
         status = _status(exc)
     if len(lams) > 1:
-        return _joined([_compute_chunk(command, [lam], cfg) for lam in lams])
+        return _joined([_sweep_columns(command, [lam], cfg) for lam in lams])
     angles = len(cfg["phi"])
     per_angle = _COMMANDS[command].per_angle
     return [[math.nan] * (angles if name in per_angle else 1) for name in _built_columns(command)], [status]
 
 
 def _joined(parts: list[tuple[list[list], list[str]]]) -> tuple[list[list], list[str]]:
-    """`_compute_chunk` results of consecutive grid points as the result of their union."""
+    """`_sweep_columns` results of consecutive grid points as the result of their union."""
     columns = [list(itertools.chain.from_iterable(column)) for column in zip(*(values for values, _ in parts))]
     return columns, [status for _, statuses in parts for status in statuses]
 
@@ -403,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    values, statuses = _compute_chunk(args.command, grid, cfg)
+    values, statuses = _sweep_columns(args.command, grid, cfg)
     table = _sweep_table(args.command, grid, cfg, values, statuses)
     _write(cfg, _COMMANDS[args.command].columns, table, cfg["out"])
     code = EXIT_OK if all(status == "ok" for status in statuses) else EXIT_NUMERICAL

@@ -167,9 +167,11 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     s = w0 * w0 + k * k * w * w
     r = np.hypot(u, v)
     # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
-    # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase
+    # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase; the normal
+    # branch takes lambda_c at a superradiant coupling, whose square may overflow
     wr = w * w0 * root
-    p = _select(superradiant, wr * wr, 4.0 * w * w0 * (lc - lam) * (lc + lam))
+    normal = _select(superradiant, lc, lam)
+    p = _select(superradiant, wr * wr, 4.0 * w * w0 * (lc - normal) * (lc + normal))
     # at resonance and lam = 0 the two normal modes are degenerate and theta is
     # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
     # and fixes the derivative
@@ -235,7 +237,7 @@ _ROT_GEN = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 _DLOG_A = np.array([0.5, -0.5, 0.0, 0.0])
 _DLOG_B = np.array([0.0, 0.0, 0.5, -0.5])
 # the smallest normal double
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -256,27 +258,42 @@ class MomentJet:
 
 def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.ndarray:
     """The couplings as a 1-D float array, once they and (omega, omega0, n_atoms) are
-    checked to lie in the model's domain; raises ValueError where they do not."""
+    checked to lie in the model's domain; raises ValueError where they do not.
+
+    Two bounds keep the moments finite: 2N must be a finite double, and no
+    coupling may pass lambda_c / sqrt(_TINY max(1, omega) max(1, omega0)),
+    past which k = (lambda_c / lam)^2 or the upper normal-mode frequency,
+    about omega0 / k, leaves the doubles; at frequencies from 1e-3 to 1e3
+    the moments were measured finite up to twice the bound.
+    """
     try:
         lam = np.array(lams, dtype=float, ndmin=1)
     except OverflowError:  # an int too large for a double
         raise ValueError(f"couplings must be finite, got {lams!r}") from None
     if lam.ndim != 1:
         raise ValueError(f"couplings must form a 1-D array, got shape {lam.shape}")
+    try:
+        w, w0, n = float(omega), float(omega0), float(n_atoms)
+        inside = 0 < w < math.inf and 0 < w0 < math.inf and 1 <= n and 2.0 * n < math.inf and n.is_integer()
+    except OverflowError:  # an int too large for a double
+        inside = False
+    if inside:
+        bound = _critical_coupling(w, w0) / math.sqrt(max(1.0, w) * max(1.0, w0) * _TINY)
+        # the usual case in one pass; a nan coupling fails it, and the checks
+        # below name the first rule broken
+        if ((lam >= 0.0) & (lam <= bound)).all():
+            return lam
     if not np.isfinite(lam).all():
         raise ValueError(f"couplings must be finite, got {lam[~np.isfinite(lam)][0]}")
     if (lam < 0).any():
         raise ValueError(f"couplings must be nonnegative, got {lam[lam < 0][0]}")
-    try:
-        w, w0, n = float(omega), float(omega0), float(n_atoms)
-        inside = 0 < w < math.inf and 0 < w0 < math.inf and 1 <= n < math.inf and n.is_integer()
-    except OverflowError:  # an int too large for a double
-        inside = False
     if not inside:
         raise ValueError(
-            f"omega and omega0 must be finite and positive and n_atoms a positive integer, "
-            f"got {omega!r}, {omega0!r}, {n_atoms!r}"
+            f"omega and omega0 must be finite and positive and n_atoms a positive integer at most half the "
+            f"largest double, got {omega!r}, {omega0!r}, {n_atoms!r}"
         )
+    if (lam > bound).any():
+        raise ValueError(f"couplings must be at most {bound!r} at these frequencies, got {lam[lam > bound][0]}")
     return lam
 
 

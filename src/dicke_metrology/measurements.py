@@ -55,19 +55,23 @@ class HomodyneSetting:
         return RADIATION_MODE if self.target is Target.RADIATION else ATOMIC_MODE
 
 
-def _require_in_family(mean: np.ndarray, cov: np.ndarray) -> tuple[float, ...]:
-    """Raise unless mean and cov, the moments of one mode or their derivatives,
-    keep the x/p-aligned, x-displaced form; return their entries
-    (mx, mp, cxx, cxp, cpx, cpp) as floats."""
-    if cov.shape != (2, 2):
-        raise ValueError(f"expected a single-mode state, got {cov.shape[0] // 2} modes")
-    entries = (*mean.tolist(), *cov.ravel().tolist())
-    _require_aligned(*entries)
-    return entries
+def _mode_entries(mean: np.ndarray, cov: np.ndarray) -> list[list[float]]:
+    """The entries [mx, mp, cxx, cxp, cpx, cpp] of each member of one mode,
+    mean (2,) and cov (2, 2), or of a stack, (..., 2) and (..., 2, 2), as
+    floats in C order, once `_require_aligned` has passed each.  Every photon
+    reader reads here and refuses a member in one order: value family,
+    derivative family, vacuum bound, series limit."""
+    if cov.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a single-mode state, got {cov.shape[-1] // 2} modes")
+    members = [m + c for m, c in zip(mean.reshape(-1, 2).tolist(), cov.reshape(-1, 4).tolist(), strict=True)]
+    for entries in members:
+        _require_aligned(*entries)
+    return members
 
 
 def _require_aligned(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> None:
-    """`_require_in_family` on the entries of one mode's mean and covariance."""
+    """Raise unless the entries of one mode's mean and cov, or of their
+    derivatives, keep the x/p-aligned, x-displaced form."""
     cov = (cxx, cxp, cpx, cpp)
     # as max(1.0, np.max(np.abs(cov))) reads it: a nan entry leaves the scale at 1
     scale = 1.0 if any(map(math.isnan, cov)) else max(1.0, *map(abs, cov))
@@ -110,7 +114,7 @@ class DstsParams:
 
 def dsts_params(state: GaussianState) -> DstsParams:
     """Thermal occupation, squeezing, and displacement of an x/p-aligned state."""
-    mx, _, sx, _, _, sp = _require_in_family(state.mean, state.cov)
+    [(mx, _, sx, _, _, sp)] = _mode_entries(state.mean, state.cov)
     return _dsts(sx, sp, mx)
 
 
@@ -156,12 +160,11 @@ def _decomposition(d: DstsParams) -> tuple[float, float, float, float]:
 
 def _radiation_decompositions(mean: np.ndarray, cov: np.ndarray) -> list[list[float]]:
     """`mean_photon_decomposition` of the radiation mode at each coupling of
-    `ground_moments`, as the columns n_s, thermal, coherent and total."""
-    cov = _symmetrized(cov)  # the check and the symmetrization of GaussianState
-    members = list(zip(mean[:, _RAD].tolist(), cov[:, _RAD, _RAD].reshape(-1, 4).tolist()))
-    for m, c in members:
-        _require_aligned(*m, *c)
-    return [list(column) for column in zip(*(_decomposition(_dsts(c[0], c[3], m[0])) for m, c in members))]
+    the ground stage's mean and cov, as the columns n_s, thermal, coherent
+    and total.  `_ground` builds cov exactly symmetric, so the symmetrization
+    of GaussianState would return its bits, and it does not run."""
+    members = _mode_entries(mean[..., _RAD], cov[..., _RAD, _RAD])
+    return [list(column) for column in zip(*(_decomposition(_dsts(sx, sp, mx)) for mx, _, sx, _, _, sp in members))]
 
 
 def _series_inputs(sx: float, sp: float, mx: float) -> tuple[float, float, float, float]:
@@ -190,26 +193,11 @@ def _series_derivatives(
     return dlog_r00, 4.0 * dsx / (dx * dx), 4.0 * dsp / (dp * dp), dc
 
 
-def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<n> and Var(n) of single-mode Gaussian states, mean (..., 2), cov (..., 2, 2).
+def _mode_moments(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> tuple[float, float]:
+    """<n> and Var(n) of one mode from the entries of its mean and cov.
 
     <n> = (Tr sigma + |mu|^2 - 1)/2 and Var(n) = Tr sigma^2 / 2 - 1/4 + mu^T sigma mu.
     """
-    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-    trace = cov[..., 0, 0] + cov[..., 1, 1]
-    mean_n = 0.5 * (trace + np.sum(mean * mean, axis=-1) - 1.0)
-    # mu^T sigma mu term by term and elementwise, so that a member of a stack
-    # gets the bits it gets alone (einsum's summation order depends on the
-    # stack's size)
-    mx, mp = mean[..., 0], mean[..., 1]
-    quadratic = mx * cov[..., 0, 0] * mx + mx * cov[..., 0, 1] * mp + mp * cov[..., 1, 0] * mx + mp * cov[..., 1, 1] * mp
-    var_n = 0.5 * np.sum(cov * cov, axis=(-2, -1)) - 0.25 + quadratic
-    return mean_n, var_n
-
-
-def _mode_moments(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> tuple[float, float]:
-    """`photon_number_moments` of one mode from the entries of its mean and cov,
-    in the same order of operations, so with the same bits."""
     mean_n = 0.5 * (cxx + cpp + (mx * mx + mp * mp) - 1.0)
     quadratic = mx * cxx * mx + mx * cxp * mp + mp * cpx * mx + mp * cpp * mp
     return mean_n, 0.5 * (cxx * cxx + cxp * cxp + cpx * cpx + cpp * cpp) - 0.25 + quadratic
@@ -245,7 +233,7 @@ def photon_distribution(state: GaussianState) -> PhotonDistribution:
     at most PN_MAX_TERMS.  The state's six entries are read once as floats,
     and the family check, the moments and the series inputs all run on them.
     """
-    entries = _require_in_family(state.mean, state.cov)
+    [entries] = _mode_entries(state.mean, state.cov)
     mx, _, sx, _, _, sp = entries
     _require_above_vacuum(sx, sp)
     limit = _series_limit(*_mode_moments(*entries))
@@ -336,26 +324,19 @@ def _photon_fi_stack(
     cutoff that `photon_distribution` stops at, until the FI its tail is
     estimated to hold is below PN_TAIL_TOL FI.
 
-    The symmetry check and the photon-number moments run once for the stack,
-    the family checks and the series inputs once per member in plain floats;
-    each member then sums its own series.
+    Each member is read, checked and sized as in `photon_distribution`, and
+    no series runs until all have passed.  A `MomentJet` may come from outside
+    the package, so cov gets the check and symmetrization of GaussianState.
     """
-    cov = _symmetrized(cov)  # the check and the symmetrization of GaussianState
-    # a member gets the bits it gets alone: in the family the x-p and p terms
-    # of Var(n) are below the rounding of the x terms, whatever their order,
-    # and members outside it are refused below before any series runs
-    mean_n, var_n = (np.reshape(x, -1).tolist() for x in photon_number_moments(mean, cov))
-    limits = [_series_limit(m, v) for m, v in zip(mean_n, var_n)]
-    # each member's mean, cov, dmean and dcov as flat lists, in C order
-    members = list(zip(*(np.reshape(x, (len(mean_n), -1)).tolist() for x in (mean, cov, dmean, dcov))))
-    for m, c, dm, dc in members:
-        _require_aligned(*m, *c)
-        _require_aligned(*dm, *dc)
-        _require_above_vacuum(c[0], c[3])
-    return [
-        _photon_fi_row(n, limit, _series_inputs(c[0], c[3], m[0]), _series_derivatives(c[0], c[3], m[0], dc[0], dc[3], dm[0]))
-        for n, limit, (m, c, dm, dc) in zip(mean_n, limits, members)
-    ]
+    cov = _symmetrized(cov)
+    rows = []
+    for entries, (dmx, _, dsx, _, _, dsp) in zip(_mode_entries(mean, cov), _mode_entries(dmean, dcov), strict=True):
+        mx, _, sx, _, _, sp = entries
+        _require_above_vacuum(sx, sp)
+        mean_n, var_n = _mode_moments(*entries)
+        slopes = _series_derivatives(sx, sp, mx, dsx, dsp, dmx)
+        rows.append((mean_n, _series_limit(mean_n, var_n), _series_inputs(sx, sp, mx), slopes))
+    return [_photon_fi_row(*row) for row in rows]
 
 
 def _photon_fi_row(

@@ -7,13 +7,13 @@ marginal they integrate, the package's photon-counting FI on an arbitrary
 single-mode family, the photon series at a fixed cutoff, its former
 forward loop (the band test on all three live values every term), its
 derivative filter over unscaled p(n) and the former two-pass photon FI row
-built on it, the series inputs of a single-mode state,
-the ground-state covariance from its six closed-form entries, the former
-two-call symplectic spectrum (one eigenvalue call for the state and one for
-its partial transpose, flipped by diagonal matrix products), the CLI's
-former cell-by-cell CSV formatting and row-wise JSON, its former per-row
-builders for entanglement, photon and Wigner tables, and its former row
-builders and row padding for every sweep.
+built on it, the series inputs of a single-mode state, its photon-number
+moments as arrays over a stack, the ground-state covariance from its six
+closed-form entries, the former two-call symplectic spectrum (one
+eigenvalue call for the state and one for its partial transpose, flipped by
+diagonal matrix products), the CLI's former cell-by-cell CSV formatting and
+row-wise JSON, its former per-row builders for entanglement, photon and
+Wigner tables, and its former row builders and row padding for every sweep.
 Everything here trades speed for independence from the phase-space code
 paths it checks; only the tests import this module, and it is the only one
 that needs scipy.
@@ -361,8 +361,26 @@ def photon_fi_row_two_pass(
 def photon_series_inputs(state: GaussianState) -> tuple[float, float, float, float]:
     """Inputs (log r00, t, s, c) of the photon-number series of `_kernels` for
     an x/p-aligned, x-displaced single-mode state."""
-    mx, _, sx, _, _, sp = measurements._require_in_family(state.mean, state.cov)
+    [(mx, _, sx, _, _, sp)] = measurements._mode_entries(state.mean, state.cov)
     return measurements._series_inputs(sx, sp, mx)
+
+
+def photon_number_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<n> and Var(n) of single-mode Gaussian states, mean (..., 2), cov (..., 2, 2),
+    as arrays: the former stacked form of `measurements._mode_moments`.
+
+    <n> = (Tr sigma + |mu|^2 - 1)/2 and Var(n) = Tr sigma^2 / 2 - 1/4 + mu^T sigma mu.
+    """
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    trace = cov[..., 0, 0] + cov[..., 1, 1]
+    mean_n = 0.5 * (trace + np.sum(mean * mean, axis=-1) - 1.0)
+    # mu^T sigma mu term by term and elementwise, so that a member of a stack
+    # gets the bits it gets alone (einsum's summation order depends on the
+    # stack's size)
+    mx, mp = mean[..., 0], mean[..., 1]
+    quadratic = mx * cov[..., 0, 0] * mx + mx * cov[..., 0, 1] * mp + mp * cov[..., 1, 0] * mx + mp * cov[..., 1, 1] * mp
+    var_n = 0.5 * np.sum(cov * cov, axis=(-2, -1)) - 0.25 + quadratic
+    return mean_n, var_n
 
 
 def fixed_cutoff_probs(state: GaussianState, n_max: int) -> np.ndarray:
@@ -442,7 +460,7 @@ def wigner_rows_per_point(params: DickeParams, points: int) -> tuple[GaussianSta
 
 
 # The CLI's former row path for the sweeps it vectorised: one list per row from
-# the stacked moments, and each chunk's rows with their status appended, a
+# the stacked moments, and a sweep's rows with their status appended, a
 # failed point padded with NaN.
 
 
@@ -474,16 +492,16 @@ def fi_photon_rows(lams: list[float], cfg: dict) -> list[list]:
     ]
 
 
-def chunk_rows(builder, width: int, lams: list[float], cfg: dict) -> list[list]:
-    """The rows, status included, of a chunk of a table `width` columns wide
-    before its status: after a domain error each point again on its own, a
-    failed one with NaN values."""
+def sweep_rows(builder, width: int, lams: list[float], cfg: dict) -> list[list]:
+    """The rows, status included, of a sweep over lams of a table `width`
+    columns wide before its status: after a domain error each point again on
+    its own, a failed one with NaN values."""
     try:
         return [row + ["ok"] for row in builder(lams, cfg)]
     except (DickeMetrologyError, np.linalg.LinAlgError) as exc:
         status = "nonconverged" if isinstance(exc, NonConvergedSeries) else "singular"
     if len(lams) > 1:
-        return [row for lam in lams for row in chunk_rows(builder, width, [lam], cfg)]
+        return [row for lam in lams for row in sweep_rows(builder, width, [lam], cfg)]
     pad = [math.nan] * (width - 1)
     if builder is fi_homodyne_rows:
         return [[lams[0], phi] + pad[1:] + [status] for phi in cfg["phi"]]

@@ -20,7 +20,6 @@ from dicke_metrology.cli import EXIT_OK, main
 from dicke_metrology.dicke import derive
 from dicke_metrology.gaussian import state_to_dict
 from oracles import (
-    chunk_rows,
     entanglement_rows_per_state,
     fi_homodyne_rows,
     fi_photon_rows,
@@ -28,6 +27,7 @@ from oracles import (
     qfi_rows,
     render_csv,
     render_json,
+    sweep_rows,
     wigner_rows_per_point,
 )
 
@@ -401,13 +401,13 @@ class TestStatusAndExitCodes:
 
     def test_chunk_falls_back_to_per_point_statuses(self):
         cfg = dict(cli._DEFAULTS, phi=[0.0, 1.0])
-        (fi, h, ratio), statuses = cli._compute_chunk("fi-homodyne", [0.4, 0.5, 0.6], cfg)
+        (fi, h, ratio), statuses = cli._sweep_columns("fi-homodyne", [0.4, 0.5, 0.6], cfg)
         assert statuses == ["ok", "singular", "ok"]
         # FI and ratio hold one value per (coupling, angle), H one per coupling
         assert len(fi) == len(ratio) == 6 and len(h) == 3
         assert all(map(math.isnan, fi[2:4] + h[1:2] + ratio[2:4]))
         assert not any(map(math.isnan, fi[:2] + fi[4:] + h[:1] + h[2:] + ratio[:2] + ratio[4:]))
-        alone = cli._joined([cli._compute_chunk("fi-homodyne", [lam], cfg) for lam in (0.4, 0.6)])
+        alone = cli._joined([cli._sweep_columns("fi-homodyne", [lam], cfg) for lam in (0.4, 0.6)])
         assert alone == ([fi[:2] + fi[4:], h[:1] + h[2:], ratio[:2] + ratio[4:]], ["ok", "ok"])
 
     def test_sweep_runs_the_mean_field_once_over_its_grid(self, capsys, monkeypatch):
@@ -468,6 +468,33 @@ class TestErrorTaxonomy:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["qfi", "fi-homodyne"])
+    @pytest.mark.parametrize("omega,omega0", [(1.0, 1.0), (1.0, 2.0), (4.0, 4.0)])
+    def test_coupling_and_atom_number_edges(self, capsys, tmp_path, omega, omega0, command):
+        # past these edges the rows printed nan or inf as ok: at --lambda 1e160
+        # k = (lambda_c / lam)^2 left the normal doubles, at omega = omega0 = 4
+        # the upper normal-mode frequency overflowed from lambda_c 2^511 on, and
+        # with N = 1.7e308 sqrt(2N) overflowed; the largest accepted values
+        # print finite rows
+        lam_c = math.sqrt(omega * omega0) / 2.0
+        lam_edge = lam_c / math.sqrt(sys.float_info.min * max(1.0, omega) * max(1.0, omega0))
+        n_edge = sys.float_info.max / 2.0
+        for lam, n_atoms, accepted in [
+            (lam_edge, 100, True),
+            (math.nextafter(lam_edge, math.inf), 100, False),
+            (0.5 * lam_c, n_edge, True),
+            (0.5 * lam_c, math.nextafter(n_edge, math.inf), False),
+        ]:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"omega": omega, "omega0": omega0, "n_atoms": n_atoms, "lambda": lam}))
+            code, out = run(capsys, [command, "--config", str(path)])
+            if not accepted:
+                assert (code, out) == (2, "")
+                continue
+            assert code == 0
+            [row] = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert row[-1] == "ok" and all(math.isfinite(float(cell)) for cell in row[:-1])
+
     @pytest.mark.parametrize(
         "config",
         ['{"omega": null}', '{"lambda": "0.3"}', '{"n_atoms": true}', '{"lambda": 1' + "0" * 400 + "}"],
@@ -504,7 +531,7 @@ class TestErrorTaxonomy:
     def test_unopenable_out_is_a_config_error(self, capsys, monkeypatch, tmp_path, argv):
         # these ran the whole sweep, then stopped with a FileNotFoundError traceback
         # and exit 1; now nothing is computed before the check
-        monkeypatch.setattr(cli, "_compute_chunk", None)
+        monkeypatch.setattr(cli, "_sweep_columns", None)
         monkeypatch.setattr(cli, "reduced_radiation_state", None)
         code = main(argv + ["--out", str(tmp_path / "missing" / "table.csv")])
         captured = capsys.readouterr()
@@ -523,8 +550,8 @@ class TestErrorTaxonomy:
         # a probe open and close of --out before the sweep sent EOF to the
         # fifo's reader, and the write after it then blocked with no reader;
         # the slowed sweep gives the reader time to see that EOF
-        compute = cli._compute_chunk
-        monkeypatch.setattr(cli, "_compute_chunk", lambda *args: (time.sleep(0.5), compute(*args))[1])
+        compute = cli._sweep_columns
+        monkeypatch.setattr(cli, "_sweep_columns", lambda *args: (time.sleep(0.5), compute(*args))[1])
         fifo = tmp_path / "table.csv"
         os.mkfifo(fifo)
         received = []
@@ -863,7 +890,7 @@ class TestPerRowReference:
         code = main(argv + ["--format", fmt, "--out", str(out)])
         cfg = cli._load_config(cli._build_parser().parse_args(argv))
         columns = cli._COMMANDS[argv[0]].columns
-        rows = chunk_rows(builder, len(columns), cli._lambda_grid(cfg), cfg)
+        rows = sweep_rows(builder, len(columns), cli._lambda_grid(cfg), cfg)
         assert out.read_text() == (render_csv if fmt == "csv" else render_json)(columns, rows)
         assert code == (EXIT_OK if all(row[-1] == "ok" for row in rows) else 3)
 

@@ -12,7 +12,7 @@ from dicke_metrology import _kernels, measurements
 from dicke_metrology.dicke import DickeParams, moment_jet, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution
-from oracles import ThreeValueSeries, photon_fi_row_two_pass, photon_series_inputs, pn_derivative
+from oracles import ThreeValueSeries, photon_fi_row_two_pass, photon_number_moments, photon_series_inputs, pn_derivative
 
 _LOG4 = math.log(4.0)
 
@@ -385,7 +385,7 @@ def _fi_row_args(lam, n_atoms):
     photon-counting FI row of the radiation mode at resonance."""
     jet = moment_jet([lam], 1.0, 1.0, n_atoms)
     mean, cov, dmean, dcov = jet.mean[0, :2], jet.cov[0, :2, :2], jet.dmean[0, :2], jet.dcov[0, :2, :2]
-    mean_n, var_n = measurements.photon_number_moments(mean, cov)
+    mean_n, var_n = photon_number_moments(mean, cov)
     moments = float(cov[0, 0]), float(cov[1, 1]), float(mean[0])
     slopes = measurements._series_derivatives(*moments, float(dcov[0, 0]), float(dcov[1, 1]), float(dmean[0]))
     return float(mean_n), measurements._series_limit(mean_n, var_n), measurements._series_inputs(*moments), slopes
@@ -433,7 +433,7 @@ def test_fi_pass_reports_a_broken_series():
     # a covariance below the vacuum bound: p(n) = r00 (-1/4)^n with r00 = 5/4,
     # whose mass is reached at n = 0 and whose p(1) is negative; the row is
     # fed by hand, as `_photon_fi_stack` refuses the mode before any series
-    mean_n, var_n = (float(x) for x in measurements.photon_number_moments(np.zeros(2), np.diag([0.3, 0.3])))
+    mean_n, var_n = (float(x) for x in photon_number_moments(np.zeros(2), np.diag([0.3, 0.3])))
     inputs = measurements._series_inputs(0.3, 0.3, 0.0)
     slopes = measurements._series_derivatives(0.3, 0.3, 0.0, 0.1, 0.1, 0.0)
     with pytest.raises(UnphysicalStateError, match=r"broke down: p\(n\) = -3\.125e-01"):

@@ -23,12 +23,12 @@ from dicke_metrology.measurements import (
     fi_photon_counting_from_jet,
     mean_photon_decomposition,
     photon_distribution,
-    photon_number_moments,
 )
 from oracles import (
     fi_gauss_hermite,
     fi_photon_counting_family,
     fixed_cutoff_probs,
+    photon_number_moments,
     photon_series_inputs,
     pn_derivative,
     quadrature_distribution,
@@ -223,6 +223,22 @@ def test_readers_refuse_a_mode_below_the_vacuum_bound(reader, cov):
     # tail, and photon_fi refused them only as "photon series broke down"
     with pytest.raises(UnphysicalStateError, match="below the vacuum bound 1/4"):
         reader(GaussianState(np.zeros(2), cov))
+
+
+@pytest.mark.parametrize(
+    "cov,message",
+    [([[1.0, 0.5], [0.5, 1.0]], "off-diagonal covariance"), (np.diag([0.3, 0.3]), "below the vacuum bound 1/4")],
+    ids=["off-diagonal", "below-vacuum"],
+)
+@pytest.mark.parametrize("reader", [dsts_params, mean_photon_decomposition, photon_distribution, photon_fi])
+def test_readers_refuse_a_mode_past_the_term_bound_alike(reader, cov, message):
+    # <n> ~ 2e6 lies above PN_MAX_TERMS: photon_fi read NonConvergedSeries
+    # from its series limit before the family and vacuum checks that the
+    # other readers run first
+    state = GaussianState(np.array([2000.0, 0.0]), cov)
+    assert 0.5 * (np.trace(state.cov) + state.mean @ state.mean - 1.0) > measurements.PN_MAX_TERMS
+    with pytest.raises(UnphysicalStateError, match=message):
+        reader(state)
 
 
 class TestMeanPhotons:
@@ -526,26 +542,22 @@ class TestPhotonFiStack:
         assert batch == alone
         assert [fi for fi, _ in batch] == [fi_photon_counting(DickeParams(lam=lam, n_atoms=n_atoms)) for lam in lams]
 
-    @given(
-        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3, *[st.floats(-1.0, 1.0)] * 2), min_size=1, max_size=6)
-    )
-    # a p mean under a large p variance: this member's Var(n) came out one bit apart alone
-    @example([(0.0, 0.0, 0.0, 0.0, 0.0), (131.0, 0.001953125, 21.0, 1.0, 1.0)])
-    @settings(max_examples=200, deadline=None)
-    def test_moments_of_a_stack_match_each_member(self, members):
-        # <n> sets the first FI cutoff and Var(n) the series limit: a stack of
-        # states in the photon-counting family (p mean and x-p covariance
-        # within DIAGONAL_TOL) must give each member the bits it gets alone
-        tol = measurements.DIAGONAL_TOL
-        mean = np.array([[m0, tol * max(1.0, abs(m0)) * u] for m0, _, _, u, _ in members])
-        cov = np.array([[[a, c], [c, b]] for _, a, b, _, w in members for c in [tol * max(1.0, abs(a), abs(b)) * w]])
-        mean_n, var_n = photon_number_moments(mean, cov)
-        for i in range(len(members)):
-            assert (mean_n[i], var_n[i]) == photon_number_moments(mean[i], cov[i])
-
     def _jet(self):
         jet = moment_jet([0.2, 0.3, 0.4, 0.6], 1.0, 1.0, 100)
         return MomentJet(jet.mean.copy(), jet.cov.copy(), jet.dmean.copy(), jet.dcov.copy())
+
+    @pytest.mark.parametrize("short", ["cov", "derivatives"])
+    def test_stacks_of_different_lengths_rejected(self, short):
+        # a member without its cov or its derivatives is an error, not a
+        # shorter list of rows
+        jet = self._jet()
+        if short == "cov":
+            jet = MomentJet(jet.mean, jet.cov[:3], jet.dmean, jet.dcov)
+        else:
+            jet = MomentJet(jet.mean, jet.cov, jet.dmean[:3], jet.dcov[:3])
+        with pytest.raises(ValueError) as info:
+            fi_photon_counting_from_jet(jet)
+        assert type(info.value) is ValueError
 
     def test_derivative_outside_the_family_rejected_in_a_stack(self):
         jet = self._jet()

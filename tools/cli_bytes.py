@@ -1,0 +1,102 @@
+"""One digest over the bytes of a fixed set of `dicke-metrology` command lines.
+
+    python tools/cli_bytes.py
+
+Runs each command line below through `cli.main` in this process and prints
+one sha256 digest over every run's argv, exit code, stdout, stderr and the
+files it wrote, in a fixed order.  Two commits that print the same digest
+give each of these runs the same bytes.  Below it comes one digest per run,
+so two commits whose totals differ show which runs moved.
+
+The runs cover all six subcommands in CSV and JSON at --jobs 1 and 2, grids
+through lambda_c at --exclusion 0 (singular rows), a nonconverged fi-photon
+row (N = 1000, lambda = 30), a mixed fi-photon grid, a config file, photon
+--lambda --out with its _pn table, wigner --format json at lambda = 0 on
+resonance and a few config errors.  Each run writes into a fresh temporary
+directory, whose path reads as <tmp> in the hashed argv, output and file
+names.  The whole run takes a few seconds.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dicke_metrology import cli  # noqa: E402
+
+TMP = "<tmp>"
+# the subcommands' base command lines, each run in both formats at both --jobs
+SUBCOMMANDS = [
+    ["entanglement", "--points", "40"],
+    ["qfi", "--points", "40"],
+    ["wigner", "--lambda", "0.7", "--points", "9"],
+    ["fi-homodyne", "--points", "20", "--phi", "0,0.5,1.5707963267948966"],
+    ["photon", "--points", "40"],
+    ["fi-photon", "--points", "12"],
+]
+THROUGH_LAMBDA_C = ["--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "21", "--exclusion", "0"]
+EXTRA = [
+    *([command, *THROUGH_LAMBDA_C] for command in ("entanglement", "qfi", "fi-homodyne", "photon", "fi-photon")),
+    ["fi-photon", "--n-atoms", "1000", "--lambda", "30"],
+    ["fi-photon", "--n-atoms", "1000", "--lambda-min", "0.3", "--lambda-max", "30", "--points", "3"],
+    ["fi-homodyne", "--target", "atoms", "--omega0", "2", "--points", "15", "--phi", "0.3"],
+    ["qfi", "--config", f"{TMP}/model.json"],
+    ["photon", "--lambda", "0.7", "--out", f"{TMP}/photon.csv"],
+    ["photon", "--lambda", "0.7", "--format", "json", "--out", f"{TMP}/photon.json"],
+    ["wigner", "--lambda", "0", "--format", "json", "--points", "5"],
+    ["qfi", "--lambda", "0.5"],
+    ["qfi", "--lambda", "inf"],
+    ["qfi", "--points", "1"],
+    ["wigner"],
+]
+# the config file that a run may read from <tmp>
+CONFIG = {"model.json": {"omega0": 2.0, "n_atoms": 1000, "lambda_min": 0.1, "lambda_max": 2.0, "points": 25}}
+
+
+def command_lines() -> list[list[str]]:
+    lines = [[*base, "--format", fmt, "--jobs", jobs] for base in SUBCOMMANDS for fmt in ("csv", "json") for jobs in "12"]
+    return lines + EXTRA
+
+
+def run(argv: list[str]) -> list[bytes]:
+    """The argv, exit code, stdout, stderr and each written file (name and
+    bytes, by name) of one in-process run, with <tmp> for its directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in CONFIG.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        before = set(Path(tmp).iterdir())
+        out, err = io.StringIO(), io.StringIO()
+        # a fresh warnings registry, so a warning shows as in a fresh process
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.replace(TMP, tmp) for arg in argv])
+        written = sorted(set(Path(tmp).iterdir()) - before)
+        parts = [" ".join(argv), str(code), out.getvalue(), err.getvalue()]
+        for path in written:
+            parts += [path.name, path.read_text(encoding="ascii")]
+        return [part.replace(tmp, TMP).encode() for part in parts]
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    lines = []
+    for argv in command_lines():
+        one = hashlib.sha256()
+        for part in run(argv):
+            # length-prefixed, so that no two runs' parts can shift into each other
+            for h in (digest, one):
+                h.update(len(part).to_bytes(8, "little"))
+                h.update(part)
+        lines.append(f"{one.hexdigest()}  {' '.join(argv)}")
+    print(f"sha256 {digest.hexdigest()}  {len(lines)} runs")
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()
