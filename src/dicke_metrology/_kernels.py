@@ -35,13 +35,17 @@ The new value alone would not do: a squeezed vacuum has p = 0 at every odd
 n, where p(n-1) may still lie inside the band.
 The exponents add exactly, so the log scale log r00 + (e1 + e2 + ...) ln 2
 does not collect a rounding per renormalisation, which at <n> ~ 1e5 had
-summed to 1e-10 of the mass.  Only the final exponentiation can leave
-the double range, so r00 itself may underflow: entries below the smallest
-double become 0.0 and nothing raises.  The running sum of p(0..n) is kept
-the same way, as the mass of the values already renormalised plus the scaled
-sum of the current run, so the series can stop at the first n where it
-reaches 1 - tail_tol.  The recurrence runs forward, so p(0..n) do not depend
-on where it stops.
+summed to 1e-10 of the mass.  A run becomes p(n) by one multiply, v exp(L)
+for its log scale L, whenever exp(L) is a normal double (|L| < 700): one
+rounding of the scale and one of the product, where sign(v) exp(log|v| + L)
+adds the roundings of log|v| and of the sum, each relative to the size of
+the exponent.  Only a run whose scale leaves the doubles keeps that log
+form, so r00 itself may underflow; in either form entries below the
+smallest double become 0.0 and nothing raises.  The running sum of p(0..n)
+is kept the same way, as the mass of the values already renormalised plus
+the scaled sum of the current run, so the series can stop at the first n
+where it reaches 1 - tail_tol.  The recurrence runs forward, so p(0..n) do
+not depend on where it stops.
 
 Along any path of the inputs, d log G = d(log r00) + (ds/2) z/(1 - s z)
 + (dt/2 + 2 c dc) z/(1 - t z) + c^2 dt z^2/(1 - t z)^2, so with
@@ -149,12 +153,24 @@ class PnSeries:
         return run_mass >= run_goal
 
     def probs(self) -> np.ndarray:
-        """p(0..n_max) as doubles; entries below the smallest double read 0.0."""
-        v = np.array(self._vals)
-        starts = [i for i, _ in self._scales] + [len(v)]
-        logs = self._log_r00 + _LN2 * np.repeat([e for _, e in self._scales], np.diff(starts))
-        with np.errstate(divide="ignore"):
-            return np.sign(v) * np.exp(np.log(np.abs(v)) + logs)
+        """p(0..n_max) as doubles; entries below the smallest double read 0.0.
+
+        Each run of scaled values v with log scale L = log r00 + e ln 2 becomes
+        v exp(L), one multiply per entry, when exp(L) is a normal double
+        (|L| < 700); a run whose scale is no normal double keeps the log form
+        sign(v) exp(log|v| + L).  Either way a negative value stays negative,
+        so the breakdown check still sees it."""
+        p = np.array(self._vals)
+        stops = [i for i, _ in self._scales[1:]] + [len(p)]
+        for (start, e), stop in zip(self._scales, stops):
+            log_scale = self._log_r00 + e * _LN2
+            run = p[start:stop]
+            if -700.0 < log_scale < 700.0:
+                run *= math.exp(log_scale)
+            else:
+                with np.errstate(divide="ignore"):
+                    run[...] = np.sign(run) * np.exp(np.log(np.abs(run)) + log_scale)
+        return p
 
 
 def _run_goal(rest: float, log_scale: float) -> float:

@@ -7,7 +7,7 @@ deterministic: identical configuration produces byte-identical files, rows
 stay in grid order, and a float prints at 17 significant digits in CSV and
 as the shortest repr that reads back as the same double in JSON.  Rows that
 hit the critical window or a non-converged series are emitted with a status
-flag instead of being dropped.
+flag instead of being dropped, and so are rows whose values pass the doubles.
 
 A sweep travels as columns from the moment jet to the output: one vectorised
 pass over the grid returns its builder's columns and one status per coupling,
@@ -44,6 +44,8 @@ from .measurements import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# the status of a row that raised no domain error but holds an inf or nan value
+NONFINITE = "nonfinite"
 
 # Every setting once, by its config key: (default, flag type or choices, help).
 # Its flag is "--" plus the key with dashes and stores its value under the key;
@@ -104,7 +106,7 @@ def _fi_homodyne(ground: _Ground, cfg: dict) -> list[list]:
     target = Target(cfg["target"])
     h = qfi_from_jet(jet)[0]
     fi = np.stack([fi_homodyne_from_jet(jet, HomodyneSetting(phi=phi, target=target)) for phi in cfg["phi"]], axis=-1)
-    return [fi.ravel().tolist(), h.tolist(), (fi / h[:, None]).ravel().tolist()]
+    return [fi.ravel().tolist(), h.tolist(), _ratio(fi, h[:, None]).ravel().tolist()]
 
 
 def _photon(ground: _Ground, cfg: dict) -> list[list]:
@@ -114,8 +116,15 @@ def _photon(ground: _Ground, cfg: dict) -> list[list]:
 def _fi_photon(ground: _Ground, cfg: dict) -> list[list]:
     jet = _jet(ground)
     fis, n_maxes = (list(column) for column in zip(*fi_photon_counting_from_jet(jet)))
-    hs = qfi_from_jet(jet)[0].tolist()
-    return [fis, hs, [fi / h for fi, h in zip(fis, hs)], n_maxes]
+    h = qfi_from_jet(jet)[0]
+    return [fis, h.tolist(), _ratio(np.array(fis), h).tolist(), n_maxes]
+
+
+def _ratio(fi: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """FI / H, the ratio column of both FI commands: nan where H == 0, and no
+    floating-point warning (an inf or nan quotient makes its row non-finite)."""
+    with np.errstate(all="ignore"):
+        return np.where(h == 0.0, math.nan, fi / h)
 
 
 class _Command(NamedTuple):
@@ -154,19 +163,37 @@ def _sweep_columns(command: str, lams: list[float], cfg: dict) -> tuple[list[lis
     The grid runs once, vectorised; a domain error anywhere in it sends each
     of its points through the builder again on its own, so every point gets
     the status it has alone and a failed point NaN values; one-point and
-    whole-grid evaluations give the same bits.
+    whole-grid evaluations give the same bits.  A point that raised nothing
+    but has a value past the doubles (inf or nan) keeps its values and gets
+    the status NONFINITE: an `ok` row is finite.
     """
     model = cfg["omega"], cfg["omega0"], cfg["n_atoms"]
     try:
         ground = _ground(_checked_couplings(lams, *model), *model)
-        return _COMMANDS[command].build(ground, cfg), ["ok"] * len(lams)
+        values = _COMMANDS[command].build(ground, cfg)
     except _DOMAIN_ERRORS as exc:
         status = _status(exc)
+    else:
+        return values, _finite_statuses(values, len(lams))
     if len(lams) > 1:
         return _joined([_sweep_columns(command, [lam], cfg) for lam in lams])
     angles = len(cfg["phi"])
     per_angle = _COMMANDS[command].per_angle
     return [[math.nan] * (angles if name in per_angle else 1) for name in _built_columns(command)], [status]
+
+
+def _finite_statuses(values: list[list], points: int) -> list[str]:
+    """"ok" for each of the points whose values are all finite, NONFINITE for the others."""
+    # a column with a finite sum holds no inf or nan: the usual case in one pass
+    if all(math.isfinite(sum(column)) for column in values):
+        return ["ok"] * points
+    statuses = ["ok"] * points
+    for column in values:
+        per_point = len(column) // points
+        for i, value in enumerate(column):
+            if not math.isfinite(value):
+                statuses[i // per_point] = NONFINITE
+    return statuses
 
 
 def _joined(parts: list[tuple[list[list], list[str]]]) -> tuple[list[list], list[str]]:

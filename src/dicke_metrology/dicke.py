@@ -238,6 +238,9 @@ _DLOG_A = np.array([0.5, -0.5, 0.0, 0.0])
 _DLOG_B = np.array([0.0, 0.0, 0.5, -0.5])
 # the smallest normal double
 _TINY = float(np.finfo(float).tiny)
+# the frequency band [2^-511, sqrt(largest double)], inside which lambda_c,
+# omega omega0, omega^2 and omega0^2 are normal doubles
+_FREQ_MIN, _FREQ_MAX = math.sqrt(_TINY), math.sqrt(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -260,11 +263,17 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
     """The couplings as a 1-D float array, once they and (omega, omega0, n_atoms) are
     checked to lie in the model's domain; raises ValueError where they do not.
 
-    Two bounds keep the moments finite: 2N must be a finite double, and no
-    coupling may pass lambda_c / sqrt(_TINY max(1, omega) max(1, omega0)),
-    past which k = (lambda_c / lam)^2 or the upper normal-mode frequency,
-    about omega0 / k, leaves the doubles; at frequencies from 1e-3 to 1e3
-    the moments were measured finite up to twice the bound.
+    Three bounds keep the moments finite: 2N must be a finite double; omega
+    and omega0 must lie in [_FREQ_MIN, _FREQ_MAX] = [2^-511, 1.34e154], so
+    that lambda_c, omega omega0, omega^2 and omega0^2 are normal doubles
+    (measured on the lines omega = 2^k with omega0 = 2^-k or 1, and swapped:
+    the photon rows, which read the moments alone, at lam = 0 and
+    lambda_c / 2 were finite up to k = 511 and nan or inf at k = 512; other
+    rows may still overflow inside the band); and no coupling may pass
+    lambda_c / sqrt(_TINY max(1, omega) max(1, omega0)), past which
+    k = (lambda_c / lam)^2 or the upper normal-mode frequency, about
+    omega0 / k, leaves the doubles; at frequencies from 1e-3 to 1e3 the
+    moments were measured finite up to twice that bound.
     """
     try:
         lam = np.array(lams, dtype=float, ndmin=1)
@@ -274,10 +283,11 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
         raise ValueError(f"couplings must form a 1-D array, got shape {lam.shape}")
     try:
         w, w0, n = float(omega), float(omega0), float(n_atoms)
-        inside = 0 < w < math.inf and 0 < w0 < math.inf and 1 <= n and 2.0 * n < math.inf and n.is_integer()
     except OverflowError:  # an int too large for a double
-        inside = False
-    if inside:
+        w = w0 = n = math.nan
+    model = 0 < w < math.inf and 0 < w0 < math.inf and 1 <= n and 2.0 * n < math.inf and n.is_integer()
+    in_band = _FREQ_MIN <= w <= _FREQ_MAX and _FREQ_MIN <= w0 <= _FREQ_MAX
+    if model and in_band:
         bound = _critical_coupling(w, w0) / math.sqrt(max(1.0, w) * max(1.0, w0) * _TINY)
         # the usual case in one pass; a nan coupling fails it, and the checks
         # below name the first rule broken
@@ -287,10 +297,15 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
         raise ValueError(f"couplings must be finite, got {lam[~np.isfinite(lam)][0]}")
     if (lam < 0).any():
         raise ValueError(f"couplings must be nonnegative, got {lam[lam < 0][0]}")
-    if not inside:
+    if not model:
         raise ValueError(
             f"omega and omega0 must be finite and positive and n_atoms a positive integer at most half the "
             f"largest double, got {omega!r}, {omega0!r}, {n_atoms!r}"
+        )
+    if not in_band:
+        raise ValueError(
+            f"omega and omega0 must lie in [{_FREQ_MIN!r}, {_FREQ_MAX!r}], where lambda_c, omega omega0 and"
+            f" their squares are normal doubles, got {omega!r}, {omega0!r}"
         )
     if (lam > bound).any():
         raise ValueError(f"couplings must be at most {bound!r} at these frequencies, got {lam[lam > bound][0]}")

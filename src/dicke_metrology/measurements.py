@@ -250,7 +250,7 @@ def _tail_mass(probs: np.ndarray) -> float:
     """max(0, 1 - (p(0) + ... + p(n_max))), the sum taken pairwise."""
     # 1e-10 tail against a pairwise sum's ~1e-15 rounding: math.fsum would
     # cost more than the series on long tables
-    return max(0.0, 1.0 - float(np.sum(probs)))
+    return max(0.0, 1.0 - float(probs.sum()))
 
 
 def _short_of_mass(limit: int, log_r00: float, shortfall: float) -> NonConvergedSeries:
@@ -275,7 +275,7 @@ def _short_of_mass(limit: int, log_r00: float, shortfall: float) -> NonConverged
 
 
 def _check_breakdown(probs: np.ndarray) -> None:
-    low = float(np.min(probs))
+    low = float(probs.min())
     if low < _BREAKDOWN:
         raise UnphysicalStateError(f"photon series broke down: p(n) = {low:.3e}")
 

@@ -6,8 +6,9 @@ direct numerical Fisher-information integrals, the rotated-quadrature
 marginal they integrate, the package's photon-counting FI on an arbitrary
 single-mode family, the photon series at a fixed cutoff, its former
 forward loop (the band test on all three live values every term), its
-derivative filter over unscaled p(n) and the former two-pass photon FI row
-built on it, the series inputs of a single-mode state, its photon-number
+former log-form p(n) of the scaled runs, its derivative filter over
+unscaled p(n) and the former two-pass photon FI row built on it, the
+series inputs of a single-mode state, its photon-number
 moments as arrays over a stack, the ground-state covariance from its six
 closed-form entries, the former two-call symplectic spectrum (one
 eigenvalue call for the state and one for its partial transpose, flipped by
@@ -305,6 +306,17 @@ class ThreeValueSeries(_kernels.PnSeries):
             run_mass += p0
         self._live, self._banked, self._run_mass = (p0, p1, p2), banked, run_mass
         return run_mass >= run_goal
+
+
+def log_form_probs(series: _kernels.PnSeries) -> np.ndarray:
+    """p(0..n_max) of a series as `_kernels.PnSeries.probs` computed them
+    before its one-multiply runs: sign(v) exp(log|v| + log r00 + e ln 2) for
+    every scaled value v of every run."""
+    v = np.array(series._vals)
+    starts = [i for i, _ in series._scales] + [len(v)]
+    logs = series._log_r00 + _kernels._LN2 * np.repeat([e for _, e in series._scales], np.diff(starts))
+    with np.errstate(divide="ignore"):
+        return np.sign(v) * np.exp(np.log(np.abs(v)) + logs)
 
 
 def pn_derivative(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,70 @@ class TestStatusAndExitCodes:
         critical = ["fi-photon", "--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "3", "--exclusion", "0"]
         assert main(critical + ["--jobs", "2"]) == 3
         assert [len(lam) for lam, *_ in calls] == [3, 1, 1, 1]
+
+
+class TestFiniteOkRows:
+    """An `ok` row is finite, a ratio over H = 0 is nan without a warning,
+    and frequencies whose lambda_c or squares leave the doubles are refused."""
+
+    # FI and H underflow to 0.0 here
+    VANISHING_QFI = ["--omega", "1.57e-17", "--omega0", "1.21e97", "--n-atoms", "2490", "--lambda", "4.3e-217"]
+
+    @pytest.mark.parametrize("command", ["fi-photon", "fi-homodyne"])
+    def test_ratio_over_a_vanishing_qfi_is_nan(self, capsys, command):
+        # fi-photon ended in a ZeroDivisionError traceback here, and fi-homodyne
+        # printed ratio nan as ok with a RuntimeWarning from its division
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(capsys, [command, *self.VANISHING_QFI])
+        header, row = (line.split(",") for line in out.strip().split("\n"))
+        cells = dict(zip(header, row))
+        assert code == 3
+        assert (cells["FI"], cells["H"], cells["ratio"], cells["status"]) == ("0", "0", "nan", cli.NONFINITE)
+        assert [str(w.message) for w in caught if Path(w.filename).name == "cli.py"] == []
+
+    def test_frequencies_whose_critical_coupling_overflows_are_a_config_error(self, capsys):
+        # lambda_c = sqrt(omega omega0) / 2 was inf, and H = nan printed as ok
+        code = main(["qfi", "--omega", "1e200", "--omega0", "1e200", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"[{dicke._FREQ_MIN!r}, {dicke._FREQ_MAX!r}]" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, n_atoms, column",
+        [
+            # at the largest accepted N the displacement term overflows
+            (["qfi", "--lambda", "1"], sys.float_info.max / 2.0, "H"),
+            # the coherent part gamma^2 overflows
+            (["photon", "--lambda", "1e10"], 1e300, "coherent"),
+        ],
+    )
+    def test_a_row_past_the_doubles_is_not_ok(self, capsys, tmp_path, argv, n_atoms, column):
+        # both printed inf with status ok and exit 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n_atoms": n_atoms}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run(capsys, [*argv, "--config", str(path)])
+        header, row = (line.split(",") for line in out.strip().split("\n")[:2])
+        cells = dict(zip(header, row))
+        assert code == 3
+        assert (cells[column], cells["status"]) == ("inf", cli.NONFINITE)
+
+    def test_each_point_gets_its_own_status_and_ratio(self):
+        # one superradiant point past the doubles between two finite ones, and
+        # per-angle columns: each value maps to its own coupling
+        cfg = dict(cli._DEFAULTS, n_atoms=sys.float_info.max / 2.0, phi=[0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            (fi, h, ratio), statuses = cli._sweep_columns("fi-homodyne", [0.3, 1.0, 0.4], cfg)
+        assert statuses == ["ok", cli.NONFINITE, "ok"]
+        assert h[1] == math.inf and all(map(math.isfinite, fi[:2] + fi[4:] + h[::2] + ratio[:2] + ratio[4:]))
+        assert cli._finite_statuses([[1.0, 2.0], [1e308, 1e308, 3.0, 4.0]], 2) == ["ok", "ok"]
+        assert cli._finite_statuses([[1.0, 2.0], [1.0, 1.0, math.nan, 4.0]], 2) == ["ok", cli.NONFINITE]
+        # nan over H = 0 whatever the FI, and a plain quotient elsewhere
+        ratio = cli._ratio(np.array([1.0, 0.0, 1.0, 1e300]), np.array([0.0, 0.0, 4.0, 1e-300]))
+        assert np.array_equal(ratio, [math.nan, math.nan, 0.25, math.inf], equal_nan=True)
 
 
 class TestErrorTaxonomy:

@@ -1,4 +1,8 @@
 """Tests for the Dicke ground-state construction."""
+import math
+import re
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -58,6 +62,19 @@ class TestParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DickeParams(**kwargs)
+
+    def test_frequency_band_edges(self):
+        # inside [2^-511, sqrt(largest double)] lambda_c, omega omega0 and the
+        # squares are normal doubles; one step outside is refused
+        low, high = dicke._FREQ_MIN, dicke._FREQ_MAX
+        assert (low, low * low) == (2.0**-511, sys.float_info.min) and math.isfinite(high * high)
+        for w, w0 in [(low, low), (high, high), (low, high)]:
+            DickeParams(lam=0.3, omega=w, omega0=w0)
+        band = re.escape("must lie in [1.4916681462400413e-154, 1.3407807929942596e+154]")
+        for w in (math.nextafter(low, 0.0), math.nextafter(high, math.inf), 1e200):
+            for omega, omega0 in ((w, 1.0), (1.0, w)):
+                with pytest.raises(ValueError, match=band):
+                    DickeParams(lam=0.3, omega=omega, omega0=omega0)
 
 
 class TestDerive:

@@ -1,5 +1,6 @@
 """The photon-number recurrence and its derivative filter against oracles and closed forms."""
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -12,7 +13,14 @@ from dicke_metrology import _kernels, measurements
 from dicke_metrology.dicke import DickeParams, moment_jet, reduced_radiation_state
 from dicke_metrology.errors import NonConvergedSeries, UnphysicalStateError
 from dicke_metrology.measurements import fi_photon_counting_from_jet, photon_distribution
-from oracles import ThreeValueSeries, photon_fi_row_two_pass, photon_number_moments, photon_series_inputs, pn_derivative
+from oracles import (
+    ThreeValueSeries,
+    log_form_probs,
+    photon_fi_row_two_pass,
+    photon_number_moments,
+    photon_series_inputs,
+    pn_derivative,
+)
 
 _LOG4 = math.log(4.0)
 
@@ -162,7 +170,9 @@ def test_recurrence_matches_convolution_on_radiation_states(lam, n_atoms):
     assert np.min(out) >= 0.0
 
 
-def _recurrence_60_digits(log_r00, t, s, c, n_max):
+def _recurrence_exactly(log_r00, t, s, c, n_max):
+    """p(0..n_max) of the recurrence run at mpmath's working precision from
+    the double inputs, as mpf values."""
     t, s, c2 = mpmath.mpf(t), mpmath.mpf(s), mpmath.mpf(c) ** 2
     a1, a2, a3 = -(s + 2 * t), t * t + 2 * s * t, -s * t * t
     q0, q1, q2 = (s + t) / 2 + c2, -(3 * s * t / 2 + t * t / 2 + c2 * s), s * t * t
@@ -171,7 +181,11 @@ def _recurrence_60_digits(log_r00, t, s, c, n_max):
     for n in range(n_max):
         p0, p1, p2 = ((q0 - a1 * n) * p0 + (q1 - a2 * (n - 1)) * p1 + (q2 - a3 * (n - 2)) * p2) / (n + 1), p0, p1
         out.append(p0)
-    return np.array([float(p) for p in out])
+    return out
+
+
+def _recurrence_60_digits(log_r00, t, s, c, n_max):
+    return np.array([float(p) for p in _recurrence_exactly(log_r00, t, s, c, n_max)])
 
 
 @pytest.mark.parametrize("lam,n_atoms", [(1.5, 100), (1.0, 1000)])
@@ -185,6 +199,92 @@ def test_forward_evaluation_is_stable(lam, n_atoms):
     _agree(exact, out)
     bulk = exact > 1e-8 * np.max(exact)
     assert np.max(np.abs(out[bulk] / exact[bulk] - 1.0)) < 1e-12
+
+
+# radiation tables whose series run as one scaled run, and two that
+# renormalise: r00 = exp(-923) at N = 1000, lam = 1, and exp(-3381) at
+# N = 10^4, lam = 0.7, whose first runs have no normal double as their scale
+PROBS_CASES = [(0.1, 100), (0.3, 100), (0.49, 100), (0.51, 100), (2.0, 100), (0.6, 1000), (0.51, 10**4),
+               (1.0, 1000), (0.7, 10**4)]
+
+
+def _stopped_series(lam, n_atoms):
+    """The series of the radiation mode's p(n) table, run to its mass cutoff."""
+    series = _kernels.PnSeries(*photon_series_inputs(reduced_radiation_state(DickeParams(lam=lam, n_atoms=n_atoms))))
+    assert series.extend(10**6, measurements.PN_TAIL_TOL)
+    return series
+
+
+def _scaled_exactly(series):
+    """Each scaled value v of the series times its run's scale exp(log r00 + e ln 2),
+    at mpmath's working precision: the exact result of `probs`' own step."""
+    stops = [i for i, _ in series._scales[1:]] + [series.n_max + 1]
+    ln2 = mpmath.log(2)
+    return [
+        mpmath.mpf(v) * mpmath.exp(series._log_r00 + e * ln2)
+        for (start, e), stop in zip(series._scales, stops)
+        for v in series._vals[start:stop]
+    ]
+
+
+def _max_relative_error(probs, exact):
+    """The largest |p / exact - 1| over the entries whose exact value is a normal double."""
+    errors = (abs(mpmath.mpf(p) / x - 1) for p, x in zip(probs.tolist(), exact) if abs(x) >= sys.float_info.min)
+    return float(max(errors, default=0))
+
+
+@pytest.mark.parametrize("lam,n_atoms", PROBS_CASES)
+def test_probs_scale_each_run_at_least_as_closely_as_the_log_form(lam, n_atoms):
+    # against the recurrence run at 50 digits, both forms read its own
+    # rounding (up to 2.9e-13 here), and which of the two lies closer to it on
+    # a short table is a matter of one rounding; against the exact scaling of
+    # the same scaled values the step itself shows: one rounding of exp(L) and
+    # one of the product, where the log form adds roundings relative to log|v|
+    series = _stopped_series(lam, n_atoms)
+    with mpmath.workdps(50):
+        exact = _scaled_exactly(series)
+        error = _max_relative_error(series.probs(), exact)
+        assert error <= _max_relative_error(log_form_probs(series), exact)
+        if len(series._scales) == 1:
+            # log r00 itself is the scale's exponent: two roundings, each at most an ulp
+            assert error <= 2.0**-51
+
+
+@pytest.mark.parametrize("lam,n_atoms", PROBS_CASES)
+def test_probs_against_a_50_digit_run_of_the_recurrence(lam, n_atoms):
+    series = _stopped_series(lam, n_atoms)
+    with mpmath.workdps(50):
+        exact = _recurrence_exactly(series._log_r00, *series._inputs, series.n_max)
+        # the recurrence's own rounding, which both forms read: up to 2.9e-13
+        # here (N = 10^4, lam = 0.7), and 1e-12 near lambda_c
+        assert _max_relative_error(series.probs(), exact) < 1e-12
+
+
+@pytest.mark.parametrize("log_r00", [-699.0, -701.0])
+def test_probs_on_either_side_of_the_normal_scale(log_r00):
+    # exp(-699) is a normal double and the run is scaled by one multiply;
+    # exp(-701) is one too, but past the margin the run keeps the log form
+    series = _kernels.PnSeries(log_r00, 0.5, 0.5, 0.0)  # thermal, p(n) = r00 2^-n
+    series.extend(60)
+    if log_r00 > -700.0:
+        with mpmath.workdps(50):
+            assert _max_relative_error(series.probs(), _scaled_exactly(series)) <= 2.0**-51
+    else:
+        assert np.array_equal(series.probs(), log_form_probs(series))
+
+
+@pytest.mark.parametrize("log_r00", [math.log(1.25), 699.0, 705.0])
+def test_a_negative_scaled_value_trips_the_breakdown_check(log_r00):
+    # below the vacuum bound p(n) = r00 (-1/4)^n: p(1) < 0 in a run scaled by
+    # one multiply (r00 = 5/4, e^699) and in one that keeps the log form
+    # (e^705 is finite, but past the normal-scale margin)
+    _, t, s, c = measurements._series_inputs(0.3, 0.3, 0.0)
+    series = _kernels.PnSeries(log_r00, t, s, c)
+    series.extend(3)
+    probs = series.probs()
+    assert probs[1] < 0.0 < probs[2]
+    with pytest.raises(UnphysicalStateError, match=r"photon series broke down: p\(n\) = -"):
+        measurements._check_breakdown(probs)
 
 
 # radiation states whose series renormalise along the way (r00 underflows at

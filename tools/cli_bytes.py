@@ -12,9 +12,11 @@ The runs cover all six subcommands in CSV and JSON at --jobs 1 and 2, grids
 through lambda_c at --exclusion 0 (singular rows), a nonconverged fi-photon
 row (N = 1000, lambda = 30), a mixed fi-photon grid, a config file, photon
 --lambda --out with its _pn table, wigner --format json at lambda = 0 on
-resonance and a few config errors.  Each run writes into a fresh temporary
-directory, whose path reads as <tmp> in the hashed argv, output and file
-names.  The whole run takes a few seconds.
+resonance, a few config errors, both FI ratios over a QFI that underflows
+to 0, frequencies past their band, and rows whose values pass the doubles.
+Each run writes into a fresh temporary directory, whose path reads as <tmp>
+in the hashed argv, output and file names.  A warning is hashed after
+stderr as its category and message.  The whole run takes a few seconds.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ SUBCOMMANDS = [
     ["photon", "--points", "40"],
     ["fi-photon", "--points", "12"],
 ]
+VANISHING_QFI = ["--omega", "1.57e-17", "--omega0", "1.21e97", "--n-atoms", "2490", "--lambda", "4.3e-217"]
 THROUGH_LAMBDA_C = ["--lambda-min", "0.4", "--lambda-max", "0.6", "--points", "21", "--exclusion", "0"]
 EXTRA = [
     *([command, *THROUGH_LAMBDA_C] for command in ("entanglement", "qfi", "fi-homodyne", "photon", "fi-photon")),
@@ -55,9 +58,19 @@ EXTRA = [
     ["qfi", "--lambda", "inf"],
     ["qfi", "--points", "1"],
     ["wigner"],
+    # FI and H underflow to 0.0: the ratio is nan and the row not ok
+    *([command, *VANISHING_QFI] for command in ("fi-photon", "fi-homodyne")),
+    ["qfi", "--omega", "1e200", "--omega0", "1e200", "--lambda", "1"],
+    # rows past the doubles: H and the coherent part are inf
+    ["qfi", "--lambda", "1", "--config", f"{TMP}/largest_n.json"],
+    ["photon", "--lambda", "1e10", "--config", f"{TMP}/huge_n.json"],
 ]
-# the config file that a run may read from <tmp>
-CONFIG = {"model.json": {"omega0": 2.0, "n_atoms": 1000, "lambda_min": 0.1, "lambda_max": 2.0, "points": 25}}
+# the config files that a run may read from <tmp>
+CONFIG = {
+    "model.json": {"omega0": 2.0, "n_atoms": 1000, "lambda_min": 0.1, "lambda_max": 2.0, "points": 25},
+    "largest_n.json": {"n_atoms": sys.float_info.max / 2.0},
+    "huge_n.json": {"n_atoms": 1e300},
+}
 
 
 def command_lines() -> list[list[str]]:
@@ -74,9 +87,13 @@ def run(argv: list[str]) -> list[bytes]:
         before = set(Path(tmp).iterdir())
         out, err = io.StringIO(), io.StringIO()
         # a fresh warnings registry, so a warning shows as in a fresh process
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as warned, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
             code = cli.main([arg.replace(TMP, tmp) for arg in argv])
         written = sorted(set(Path(tmp).iterdir()) - before)
+        # a warning by its category and message, without the source path and
+        # line that it names, which move with the checkout and with edits
+        err.writelines(f"{w.category.__name__}: {w.message}\n" for w in warned)
         parts = [" ".join(argv), str(code), out.getvalue(), err.getvalue()]
         for path in written:
             parts += [path.name, path.read_text(encoding="ascii")]
