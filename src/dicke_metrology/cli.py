@@ -169,8 +169,10 @@ def _sweep_columns(command: str, lams: list[float], cfg: dict) -> tuple[list[lis
     """
     model = cfg["omega"], cfg["omega0"], cfg["n_atoms"]
     try:
-        ground = _ground(_checked_couplings(lams, *model), *model)
-        values = _COMMANDS[command].build(ground, cfg)
+        # an overflow leaves an inf or nan value, which its status reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            ground = _ground(_checked_couplings(lams, *model), *model)
+            values = _COMMANDS[command].build(ground, cfg)
     except _DOMAIN_ERRORS as exc:
         status = _status(exc)
     else:
@@ -261,19 +263,20 @@ def _render_csv(names: tuple[str, ...], columns: list[tuple[list, int]]) -> str:
     return "\n".join([",".join(names + ("status",)), *map(line.__mod__, zip(*cells))]) + "\n"
 
 
-def _json_cell(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
+def _json_value(value):
+    """value, with each float that JSON has no number for (nan, inf, -inf) in it as None."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _render_json(names: tuple[str, ...], columns: list[tuple[list, int]], extra: dict | None = None) -> str:
     rows = max(len(values) * repeat for values, repeat in columns)
-    cells = [_filled([_json_cell(value) for value in values], repeat, rows) for values, repeat in columns]
-    doc = {"columns": list(names) + ["status"], "rows": list(zip(*cells))}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+    cells = [_filled(values, repeat, rows) for values, repeat in columns]
+    doc = {"columns": list(names) + ["status"], "rows": list(zip(*cells)), **(extra or {})}
+    return json.dumps(_json_value(doc), indent=2) + "\n"
 
 
 def _write(

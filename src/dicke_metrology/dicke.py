@@ -8,41 +8,34 @@ transition sits at lambda_c = sqrt(omega * omega0) / 2; below it the mean
 field vanishes (normal phase), above it the field and the atomic polarization
 acquire macroscopic displacements (superradiant phase).
 
-The covariance matrix is built by undoing the symplectic chain that
-diagonalizes the quadratic Hamiltonian: local squeezers into dimensionless
-quadratures, a two-mode rotation by theta, and local squeezers into the
-normal-mode frequencies eps_minus, eps_plus.  Atom number enters the first
-moments only; all second moments are N-independent.
+In both phases the quadratic Hamiltonian reads H = (p^T T p + x^T V x) / 2
+with T = Diag(omega, omega_tilde) and no x-p terms (Emary and Brandes, PRE
+67, 066203 (2003)), so the covariance is an x block and a p block, read in
+closed form from the square root of M = T^1/2 V T^1/2 (see `_ground`).
+Atom number enters the first moments only; the second moments are
+N-independent.
 
 All of this is written once, vectorised over couplings of any shape that
 share (omega, omega0, N), in two stages: the ground stage `_ground` runs mean
-field -> Bogoliubov modes -> chain -> mean and cov, and the derivative stage
-`_jet` adds the exact coupling derivatives.  `moment_jet` runs both on a 1-D
-array and returns mean, cov, dmean and dcov with one row per coupling;
-`ground_moments` returns the ground stage's mean and cov.  Each coupling is
-evaluated on its own, so a sweep and a point-by-point loop give the same
-bits.
+field -> Bogoliubov modes -> blocks -> mean and cov, and the derivative stage
+`_jet` adds the exact coupling derivatives of the same closed form.
+`moment_jet` runs both on a 1-D array, one row per coupling, and
+`ground_moments` the first.  Each coupling is evaluated on its own, so a
+sweep and a point-by-point loop give the same bits.
 
-A DickeParams runs the ground stage once, on first use, at its one coupling
-as a numpy scalar, where each step is scalar arithmetic rather than a ufunc
-call on a one-element array, and keeps that record: mean (4,), cov and
-chain (4, 4).  `ground_state`, `reduced_radiation_state`, `derive`,
-`symplectic_chain` and the 0-d jet of `estimation.state_derivative` all read
-it, and the record's mean, cov and chain, which they hand out, are
-read-only; `reduced_radiation_state` hands out copies of its radiation
-block.  The derivative stage is not kept; it runs again on each call that
-needs it.  Where a batch picks one of two values per coupling, `_select`
-calls np.where, and for one coupling returns the chosen value itself, so
-both shapes run one formula; `gaussian._any` likewise reduces a batch's
-condition and reads one coupling's as it is.  Squares are written as
-products, because a numpy scalar's `** 2` calls pow, which can differ from
-an array's `** 2` in the last bit.
+A DickeParams keeps nothing but its fields: each one-coupling reader runs
+the stages it needs at the params' coupling as a numpy scalar, so each step
+is scalar arithmetic, and only `symplectic_chain` builds the 4 x 4 chain
+through the Bogoliubov angle theta.  Where a batch picks one of two values
+per coupling, `_select` calls np.where, and for one coupling returns the
+chosen value itself, so both shapes run one formula; `gaussian._any` does
+likewise for conditions.  Squares are written as products, because a numpy
+scalar's `** 2` calls pow, which can differ from an array's in the last bit.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,24 +68,6 @@ class DickeParams:
     def lambda_c(self) -> float:
         return _critical_coupling(self.omega, self.omega0)
 
-    @functools.cached_property
-    def _record(self) -> _Ground:
-        """The ground stage `_ground` at lam, computed on first use.
-
-        mean, cov and chain, the arrays that the public functions hand out,
-        are read-only; the others never leave the package's private functions.
-        Equality and hashing read the fields alone, and a copy or an unpickled
-        params computes its own record (see __getstate__).
-        """
-        # __post_init__ has checked the coupling
-        record = _ground(np.float64(self.lam), self.omega, self.omega0, self.n_atoms)
-        for array in (record.mean, record.cov, record.chain):
-            array.setflags(write=False)
-        return record
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _critical_coupling(w: float, w0: float) -> float:
     """lambda_c = sqrt(omega * omega0) / 2, where the superradiant phase begins."""
@@ -102,8 +77,8 @@ def _critical_coupling(w: float, w0: float) -> float:
 class _Modes(NamedTuple):
     """Mean-field and normal-mode data, with the shape of the couplings.
 
-    u, v, s, r and p are the Bogoliubov quantities scaled by k^2, which keeps
-    them of order omega0^2 deep in the superradiant phase.
+    u, v, s, r and p are the Bogoliubov quantities scaled by k^2, and q =
+    sqrt(p) by k, which keeps them finite deep in the superradiant phase.
     """
 
     lam: np.ndarray
@@ -119,6 +94,7 @@ class _Modes(NamedTuple):
     s: np.ndarray  # omega0^2 + (k omega)^2
     r: np.ndarray  # hypot(u, v)
     p: np.ndarray  # (k eps_minus eps_plus)^2
+    q: np.ndarray  # k eps_minus eps_plus, without the square
     eps_minus: np.ndarray
     eps_plus: np.ndarray
     theta: np.ndarray
@@ -172,23 +148,25 @@ def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
     wr = w * w0 * root
     normal = _select(superradiant, lc, lam)
     p = _select(superradiant, wr * wr, 4.0 * w * w0 * (lc - normal) * (lc + normal))
+    q = _select(superradiant, wr, 4.0 * lc * np.sqrt((lc - normal) * (lc + normal)))
     # at resonance and lam = 0 the two normal modes are degenerate and theta is
     # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
     # and fixes the derivative
     theta = _select(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)
     return _Modes(
-        lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p,
+        lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p, q,
         np.sqrt(2.0 * p / (s + r)), np.sqrt((s + r) / 2.0) / k, theta,
     )
 
 
 def derive(params: DickeParams) -> dict:
     """Mean-field and normal-mode data at the coupling of params, as the dict
-    {lambda_c, k, alpha, beta, theta, eps_minus, eps_plus, omega_tilde, phase}
-    read from the normal modes that build the state; phase is "normal" or
-    "superradiant".  Raises CriticalPointSingularity within DELTA_MIN of lambda_c.
+    {lambda_c, k, alpha, beta, theta, eps_minus, eps_plus, omega_tilde, phase};
+    phase is "normal" or "superradiant".  Raises CriticalPointSingularity
+    within DELTA_MIN of lambda_c.
     """
-    m = params._record.modes
+    # __post_init__ has checked the coupling
+    m = _normal_modes(np.float64(params.lam), params.omega, params.omega0)
     names = ("k", "alpha", "beta", "theta", "eps_minus", "eps_plus", "omega_tilde")
     return {
         "lambda_c": m.lam_c,
@@ -198,27 +176,34 @@ def derive(params: DickeParams) -> dict:
 
 
 def _squeezers(a, b) -> np.ndarray:
-    """Diagonal (sqrt a, 1/sqrt a, sqrt b, 1/sqrt b) of two local squeezers, per coupling."""
-    diag = np.empty(np.broadcast(a, b).shape + (4,))
-    diag[..., 0] = np.sqrt(a)
-    diag[..., 2] = np.sqrt(b)
-    diag[..., 1::2] = 1.0 / diag[..., 0::2]
-    return diag
+    """Diagonal (sqrt a, 1/sqrt a, sqrt b, 1/sqrt b) of two local squeezers."""
+    root_a, root_b = np.sqrt(a), np.sqrt(b)
+    return np.array([root_a, 1.0 / root_a, root_b, 1.0 / root_b])
 
 
 def _rotation(theta) -> np.ndarray:
-    """Two-mode rotation F2(theta) mixing the dimensionless quadratures, per coupling."""
+    """Two-mode rotation F2(theta) mixing the dimensionless quadratures."""
     c, s = np.cos(theta), np.sin(theta)
-    f2 = np.zeros(np.shape(theta) + (4, 4))
-    for i in (0, 1):
-        f2[..., i, i] = f2[..., i + 2, i + 2] = c
-        f2[..., i, i + 2] = -s
-        f2[..., i + 2, i] = s
-    return f2
+    return np.array([[c, 0.0, -s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, s, 0.0, c]])
 
 
-def _product(f1_inv: np.ndarray, rot: np.ndarray, f3_inv: np.ndarray) -> np.ndarray:
-    return f1_inv[..., :, None] * rot * f3_inv[..., None, :]
+def symplectic_chain(params: DickeParams) -> np.ndarray:
+    """The 4 x 4 symplectic matrix S whose S S^T / 2 is the ground-state
+    covariance at the coupling of params.
+
+    S = F1^-1 F2(theta)^T F3^-1 undoes the chain that brings the Hamiltonian
+    to normal form: F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
+    dimensionless quadratures, the rotation F2 by the theta of `derive`
+    (pi/4 at the degenerate point lam = 0 on resonance), and F3 =
+    Diag(sqrt(em), 1/sqrt(em), sqrt(ep), 1/sqrt(ep)) into the normal-mode
+    scales.  Raises ValueError if S is not symplectic.
+    """
+    m = _normal_modes(np.float64(params.lam), params.omega, params.omega0)
+    f1_inv = _squeezers(params.omega, m.omega_tilde)
+    f3_inv = 1.0 / _squeezers(m.eps_minus, m.eps_plus)
+    chain = f1_inv[:, None] * _rotation(m.theta).T * f3_inv
+    require_symplectic(chain)
+    return chain
 
 
 def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
@@ -231,11 +216,6 @@ def _x_displacement(x1, x2, n_atoms: int) -> np.ndarray:
     return out
 
 
-# generator of the two-mode rotation: d/dtheta F2(theta)^T = F2(theta)^T @ _ROT_GEN
-_ROT_GEN = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
-# d log _squeezers(a, b) = _DLOG_A da/a + _DLOG_B db/b
-_DLOG_A = np.array([0.5, -0.5, 0.0, 0.0])
-_DLOG_B = np.array([0.0, 0.0, 0.5, -0.5])
 # the smallest normal double
 _TINY = float(np.finfo(float).tiny)
 # the frequency band [2^-511, sqrt(largest double)], inside which lambda_c,
@@ -313,55 +293,74 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
 
 
 class _Ground(NamedTuple):
-    """The ground stage at each coupling of an array that shares (omega, omega0, n_atoms).
-
-    f1_inv, rot and f3_inv are the factors (diag F1^-1, F2(theta)^T, diag F3^-1)
-    of the chain S = F1^-1 F2(theta)^T F3^-1, which is checked symplectic; mean
-    and cov are the moments of the normal-mode vacuum mapped by S.
-    """
+    """The ground stage at each coupling of an array that shares (omega,
+    omega0, n_atoms): the normal modes, the moments, and the block
+    quantities a, b, s2, s, g and l_s = L / s of `_ground` that the
+    derivative stage reads."""
 
     modes: _Modes
     omega: float
     omega0: float
     n_atoms: int
-    f1_inv: np.ndarray
-    rot: np.ndarray
-    f3_inv: np.ndarray
-    chain: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    s2: np.ndarray
+    s: np.ndarray
+    g: np.ndarray
+    l_s: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
 
 
 def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Ground:
-    """Mean field, normal modes, chain and moments at each coupling in lam,
+    """Mean field, normal modes, blocks and moments at each coupling in lam,
     couplings that `_checked_couplings` accepts with the model: a 1-D float
     array, whose results carry a leading axis, or a numpy float64 scalar,
-    whose mean is (4,), cov and chain (4, 4) and modes numpy scalars.
+    whose mean is (4,), cov (4, 4) and modes numpy scalars.
 
-    The chain F1 -> rotation F2(theta) -> F3 brings the Hamiltonian to normal
-    form, with F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)) into
-    dimensionless quadratures and F3 = Diag(sqrt(em), 1/sqrt(em), sqrt(ep),
-    1/sqrt(ep)) into the normal-mode scales, so S maps the normal-mode vacuum
-    to the ground state: mean sqrt(2N) (alpha, 0, -beta, 0) and covariance
-    S S^T / 2; theta is that of `_normal_modes`, pi/4 at the degenerate point.
-    Raises ValueError if a chain is not symplectic.
+    The blocks are sigma_x = T^1/2 R^-1 T^1/2 / 2 and sigma_p = T^-1/2 R
+    T^-1/2 / 2, with T = Diag(omega, omega_tilde) and R = sqrt(M) = (M +
+    sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)) for M = T^1/2 V T^1/2 =
+    [[omega^2, m], [m, omega0^2 / k^2]], m = 2 lam sqrt(omega omega0 k).
+    Scaled by k^2: k sqrt(det M) = q of `_normal_modes`, formed without a
+    subtraction, and (k tr R)^2 = s2 = omega0^2 + (k omega)^2 + 2 k q.  With
+    a = omega0^2 + k q, b = k omega^2 + q, s = sqrt(s2), g = sqrt((1 + k)/2)
+    and L = lam k^2:
+
+        sigma_x = [[omega a / (2 q s), -omega omega0 g L / (q s)],
+                   [.., omega0 (1 + k) b / (4 q s)]],
+        sigma_p = [[b / (2 omega s), L / (g s)], [.., a / (omega0 (1 + k) s)]],
+
+    each entry a product of ratios, which stays inside the doubles where the
+    entry does.  The mean is sqrt(2N) (alpha, 0, -beta, 0).
     """
-    modes = _normal_modes(lam, omega, omega0)
-    f1_inv = _squeezers(omega, modes.omega_tilde)
-    rot = np.swapaxes(_rotation(modes.theta), -1, -2)
-    f3_inv = 1.0 / _squeezers(modes.eps_minus, modes.eps_plus)
-    chain = _product(f1_inv, rot, f3_inv)
-    require_symplectic(chain)
-    g = chain @ np.swapaxes(chain, -1, -2)
-    mean = _x_displacement(modes.alpha, modes.beta, n_atoms)
-    cov = (g + np.swapaxes(g, -1, -2)) / 4.0
-    return _Ground(modes, omega, omega0, n_atoms, f1_inv, rot, f3_inv, chain, mean, cov)
+    m = _normal_modes(lam, omega, omega0)
+    k, q = m.k, m.q
+    a = omega0 * omega0 + k * q
+    b = k * omega * omega + q
+    kw = k * omega
+    s2 = omega0 * omega0 + kw * kw + 2.0 * k * q
+    s = np.sqrt(s2)
+    g = np.sqrt((1.0 + k) / 2.0)
+    # L / s, taken so that lam k^2 may underflow where L / s does not
+    l_s = lam * k / s * k
+    a_s = a / s
+    # (x_rad, p_rad, x_atoms, p_atoms): x-x and p-p entries only
+    cov = np.zeros(np.shape(lam) + (4, 4))
+    cov[..., 0, 0] = a_s * (omega / q) / 2.0
+    cov[..., 1, 1] = b / s / (2.0 * omega)
+    cov[..., 2, 2] = omega0 * (1.0 + k) / 4.0 * (b / q) / s
+    cov[..., 3, 3] = a_s / (omega0 * (1.0 + k))
+    cov[..., 0, 2] = cov[..., 2, 0] = -(omega * omega0 / q) * g * l_s
+    cov[..., 1, 3] = cov[..., 3, 1] = l_s / g
+    mean = _x_displacement(m.alpha, m.beta, n_atoms)
+    return _Ground(m, omega, omega0, n_atoms, a, b, s2, s, g, l_s, mean, cov)
 
 
-def symplectic_chain(params: DickeParams) -> np.ndarray:
-    """The 4 x 4 chain S of `_ground` at the coupling of params, the matrix
-    whose S S^T / 2 is the ground-state covariance; read-only."""
-    return params._record.chain
+def _ground_at(params: DickeParams) -> _Ground:
+    """The ground stage at the coupling of params, as a numpy scalar."""
+    # __post_init__ has checked the coupling
+    return _ground(np.float64(params.lam), params.omega, params.omega0, params.n_atoms)
 
 
 def ground_moments(lams, omega: float, omega0: float, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,73 +386,71 @@ def moment_jet(lams, omega: float, omega0: float, n_atoms: int) -> MomentJet:
 def _jet(ground: _Ground) -> MomentJet:
     """The derivative stage: the moments of ground and their coupling derivatives.
 
-    The chain rule runs through k, alpha, beta, the effective atomic
-    frequency, the normal-mode frequencies and theta, and the product rule
-    through the chain S, so that dcov = (dS S^T + S dS^T) / 2 and
-    dmean = sqrt(2N) (dalpha, 0, -dbeta, 0).  The jet has the shape of
-    ground: rows for a 1-D batch, mean (4,) and cov (4, 4) for a scalar.
+    The chain rule runs through k, alpha and beta for the mean, dmean =
+    sqrt(2N) (dalpha, 0, -dbeta, 0), and through k and q for the blocks of
+    `_ground`.  Deep in the superradiant phase the entries tend to constants,
+    and the sums d log a - d log q - d log s that their derivatives take would
+    cancel to a few digits there, so each diagonal entry's log-derivative is
+    one sum of like-signed terms.  With Z = (q^2 - (omega omega0)^2) dk =
+    -(k omega omega0)^2 dk (dk = 0 below lambda_c):
+
+        d log(a / s) = k (k b dq + Z) / (a s2),
+        d log(b / s) = (a dq - Z) / (b s2),
+        d log(b / (q s)) = -(k y d log q + Z) / (b s2),
+
+    with y = q^2 + (omega omega0)^2 + 3 k omega^2 q + k^2 omega^4, each a
+    sum of ratios that stays inside the doubles where the result does.  The
+    jet has the shape of ground: rows for a 1-D batch, mean (4,) and cov
+    (4, 4) for a scalar.
     """
-    m, w, w0, chain = ground.modes, ground.omega, ground.omega0, ground.chain
-    lam, k, sr = m.lam, m.k, m.superradiant
+    m, w, w0, cov = ground.modes, ground.omega, ground.omega0, ground.cov
+    lam, k, sr, q = m.lam, m.k, m.superradiant, m.q
+    a, b, s2, s, g, l_s = ground.a, ground.b, ground.s2, ground.s, ground.g, ground.l_s
     # below lambda_c, k, alpha and beta are constant; the safe denominators
     # only stand in where the numerators vanish
-    dk = _select(sr, -2.0 * k / _select(sr, lam, m.lam_c), 0.0)
+    lam_sr = _select(sr, lam, m.lam_c)
+    dk = _select(sr, -2.0 * k / lam_sr, 0.0)
     safe_root = _select(sr, m.root, 1.0)
     dalpha = m.root / w - (lam / w) * k * dk / safe_root
     dbeta = -dk / (4.0 * _select(sr, m.beta, 1.0))
-    # u and s differ by the constant 2 omega0^2, so du = -ds; v = 4 lam sqrt(w w0) k^(5/2)
-    ds = 2.0 * k * w * w * dk
-    dv = 4.0 * np.sqrt(w * w0 * k) * k * k * (1.0 + 2.5 * lam * dk / k)
-    # r = 0 only at the degenerate point, where the limit lam -> 0+ has
-    # r = v and a constant theta (see _normal_modes)
-    regular = m.r > 0.0
-    r = _select(regular, m.r, 1.0)
-    dr = _select(regular, (m.v * dv - m.u * ds) / r, dv)
-    # r * r underflows where u and v both fall below ~1e-154, at couplings near
-    # 0 on resonance; there dtheta is taken with the unit vector (u, v) / r
-    rr = r * r
-    small = rr < _TINY
-    dtheta = 0.5 * (m.u * dv + m.v * ds) / _select(small, 1.0, rr)
-    if _any(small):
-        dtheta = _select(small, 0.5 * (m.u / r * dv + m.v / r * ds) / r, dtheta)
-    # log derivatives of s + r, of eps_+ = sqrt((s + r)/2)/k, of eps_-^2 = 2 p/(s + r)
-    # and of omega_tilde / eps_+, with omega_tilde = w0 (1 + k)/(2 k)
-    dlog_sr = (ds + dr) / (m.s + m.r)
-    dlog_ep = 0.5 * dlog_sr - dk / k
-    dlog_p = _select(
-        sr, -2.0 * k * dk / (safe_root * safe_root), -2.0 * lam / ((m.lam_c - lam) * (m.lam_c + lam))
+    # q = w w0 sqrt(1 - k^2) above lambda_c, where d log k = -2 / lam, and
+    # 4 lambda_c sqrt((lambda_c - lam)(lambda_c + lam)) below it
+    dlog_q = _select(
+        sr, 2.0 * k * k / (lam_sr * (safe_root * safe_root)), -lam / ((m.lam_c - lam) * (m.lam_c + lam))
     )
-    dlog_em = 0.5 * (dlog_p - dlog_sr)
-    dlog_ratio = dk / (1.0 + k) - 0.5 * dlog_sr
-    # the squeezers are diagonal, so S_ij = f1_i R_ij f3_j changes by
-    # S_ij (dlog f1_i + dlog f3_j) and through R.  Deep in the superradiant
-    # phase omega_tilde and eps_+ grow alike, so the atomic rows' sqrt(omega_tilde)
-    # is split into sqrt(omega_tilde / eps_+) sqrt(eps_+), and the second factor
-    # cancels exactly against the eps_+ columns
-    rows = dlog_ratio[..., None] * _DLOG_B
-    ep_rows = dlog_ep[..., None] * _DLOG_B
-    cols = -(dlog_em[..., None] * _DLOG_A) - ep_rows
-    turn = dtheta[..., None, None] * _product(ground.f1_inv, ground.rot @ _ROT_GEN, ground.f3_inv)
-    dchain = (rows[..., :, None] + (ep_rows[..., :, None] + cols[..., None, :])) * chain + turn
-    a = dchain @ np.swapaxes(chain, -1, -2)
+    dq = q * dlog_q
+    ww0, kw2 = w * w0, k * w * w
+    z = k * ww0
+    z_as, z_bs = z / a * (z / s2) * dk, z / b * (z / s2) * dk  # -Z / (a s2), -Z / (b s2)
+    dlog_as = k * (k * (b / s2) * (dq / a) - z_as)
+    dlog_bs = (a / s2) * (dq / b) + z_bs
+    ky_bs = k * (q / b * (q / s2) + ww0 / b * (ww0 / s2) + 3.0 * (kw2 / b) * (q / s2) + kw2 / b * (kw2 / s2))
+    dlog_bqs = z_bs - ky_bs * dlog_q
+    dlog_1k = dk / (1.0 + k)  # = 2 d log g
+    dlog_s = b / s2 * dk + k / s2 * dq
+    dl_s = _select(sr, -3.0, 1.0) * (k / s) * k  # dL / s = k^2 (1 + 2 lam d log k) / s
+    dcov = np.zeros_like(cov)
+    dcov[..., 0, 0] = cov[..., 0, 0] * (dlog_as - dlog_q)
+    dcov[..., 1, 1] = cov[..., 1, 1] * dlog_bs
+    dcov[..., 2, 2] = cov[..., 2, 2] * (dlog_1k + dlog_bqs)
+    dcov[..., 3, 3] = cov[..., 3, 3] * (dlog_as - dlog_1k)
+    x_slope = cov[..., 0, 2] * (0.5 * dlog_1k - dlog_q - dlog_s) - (ww0 / q) * g * dl_s
+    dcov[..., 0, 2] = dcov[..., 2, 0] = x_slope
+    dcov[..., 1, 3] = dcov[..., 3, 1] = (dl_s - l_s * (0.5 * dlog_1k + dlog_s)) / g
     dmean = _x_displacement(dalpha, dbeta, ground.n_atoms)
-    return MomentJet(ground.mean, ground.cov, dmean, (a + np.swapaxes(a, -1, -2)) / 2.0)
+    return MomentJet(ground.mean, cov, dmean, dcov)
 
 
 def ground_state(params: DickeParams) -> GaussianState:
-    """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms): the
-    record's read-only mean and cov themselves."""
-    record = params._record
-    return _own_state(record.mean, record.cov)
+    """Two-mode Gaussian ground state (mode 0 radiation, mode 1 atoms)."""
+    ground = _ground_at(params)
+    return _own_state(ground.mean, ground.cov)
 
 
 def reduced_radiation_state(params: DickeParams) -> GaussianState:
-    """Single-mode reduced state of the radiation mode: the radiation block of
-    the record's mean and cov, as writable copies.
-
-    This is the partial trace of `ground_state`, bit for bit: the record's cov
-    is exactly symmetric, so the check and symmetrization of a public
-    GaussianState would return the block's own bits, and neither runs.
-    """
-    record = params._record
-    return _own_state(record.mean[_RAD].copy(), record.cov[_RAD, _RAD].copy())
+    """Single-mode reduced state of the radiation mode: the partial trace of
+    `ground_state`, bit for bit.  `_ground` builds cov exactly symmetric, so
+    the check and symmetrization of a public GaussianState would return the
+    block's own bits, and neither runs."""
+    ground = _ground_at(params)
+    return _own_state(ground.mean[_RAD], ground.cov[_RAD, _RAD])

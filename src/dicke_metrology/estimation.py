@@ -11,14 +11,12 @@ Phi = -dcov, zeta = Omega^T cov^-1 dmean, nu = Tr[Omega^T cov Omega Phi].
 The moments and their exact coupling derivatives come from one vectorised
 jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
 whole jet into arrays of QFIs and their two parts at once; `state_derivative`
-runs the derivative stage of the same jet on the ground state that a
-DickeParams computes once, on first use, at its coupling as a numpy scalar,
-and returns the 0-d jet, mean (4,) and cov (4, 4); `qfi` and the SLD
-functions read from it, and `qfi_from_jet` takes it as it takes a batch, so
-the derivatives are computed again on each call but the mean field and the
-chain are not.  There is no step to choose; the only excluded
-couplings are the window of half-width dicke.DELTA_MIN = 1e-8 around
-lambda_c, where the jet raises.
+runs both stages of the same jet at a DickeParams' coupling as a numpy
+scalar and returns the 0-d jet, mean (4,) and cov (4, 4), on every call;
+`qfi` and the SLD functions read from it, and `qfi_from_jet` takes it as it
+takes a batch.  There is no step to choose; the only excluded couplings are
+the window of half-width dicke.DELTA_MIN = 1e-8 around lambda_c, where the
+jet raises.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, MomentJet, _jet
+from .dicke import DickeParams, MomentJet, _ground_at, _jet, _squeezers, derive
 from .gaussian import _OMEGA2
 
 
@@ -35,10 +33,9 @@ def state_derivative(params: DickeParams) -> MomentJet:
     and their closed-form derivatives d(mean)/d(lam), d(cov)/d(lam), with mean
     and dmean (4,), cov and dcov (4, 4).
 
-    The derivatives are computed on every call from the params' ground state,
-    which is computed once; mean and cov are that state's read-only arrays.
+    Both stages run on every call, at the params' coupling as a numpy scalar.
     """
-    return _jet(params._record)
+    return _jet(_ground_at(params))
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ def sld_coefficients_f1_frame(params: DickeParams) -> SldCoefficients:
     """
     raw = sld_coefficients(params)
     # F1 = Diag(1/sqrt(w), sqrt(w), 1/sqrt(wt), sqrt(wt)), so R^T Phi R = R'^T F1^-1 Phi F1^-1 R'
-    f1_inv = params._record.f1_inv
+    f1_inv = _squeezers(params.omega, derive(params)["omega_tilde"])
     return SldCoefficients(phi=f1_inv[:, None] * raw.phi * f1_inv, zeta=f1_inv * raw.zeta, nu=raw.nu)
 
 

@@ -120,9 +120,10 @@ def dsts_params(state: GaussianState) -> DstsParams:
 
 def _require_above_vacuum(sx: float, sp: float) -> float:
     """Raise unless an x/p-aligned mode with variances sx, sp has a covariance
-    determinant at or above the vacuum bound 1/4; return the determinant."""
+    determinant at or above the vacuum bound 1/4; return the determinant.
+    A nan determinant, as a variance past the doubles gives, is not above it."""
     det = sx * sp
-    if det < 0.25 * (1.0 - 1e-9):
+    if not det >= 0.25 * (1.0 - 1e-9):
         raise UnphysicalStateError(f"covariance determinant {det:.6e} below the vacuum bound 1/4")
     return det
 

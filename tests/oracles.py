@@ -10,7 +10,8 @@ former log-form p(n) of the scaled runs, its derivative filter over
 unscaled p(n) and the former two-pass photon FI row built on it, the
 series inputs of a single-mode state, its photon-number
 moments as arrays over a stack, the ground-state covariance from its six
-closed-form entries, the former two-call symplectic spectrum (one
+closed-form entries, the covariance and its coupling derivative at 400
+digits from the square root of M = T^1/2 V T^1/2, the former two-call symplectic spectrum (one
 eigenvalue call for the state and one for its partial transpose, flipped by
 diagonal matrix products), the CLI's former cell-by-cell CSV formatting and
 row-wise JSON, its former per-row builders for entanglement, photon and
@@ -25,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -247,6 +249,48 @@ def closed_form_cov(params: DickeParams) -> np.ndarray:
     return cov
 
 
+def _reference_cov(lam, omega: float, omega0: float) -> mpmath.matrix:
+    """The ground-state covariance at the mpf coupling lam, from R = sqrt(M) =
+    (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)) for M = T^1/2 V T^1/2 =
+    [[omega^2, m], [m, omega0^2 / k^2]], with det M written per phase without
+    cancellation, as sigma_x = T^1/2 R^-1 T^1/2 / 2 and sigma_p = T^-1/2 R
+    T^-1/2 / 2 for T = Diag(omega, omega_tilde)."""
+    w, w0 = mpmath.mpf(omega), mpmath.mpf(omega0)
+    lc = mpmath.sqrt(w * w0) / 2
+    k = (lc / lam) ** 2 if lam > lc else mpmath.mpf(1)
+    m = 2 * lam * mpmath.sqrt(w * w0 * k)
+    m11, m22 = w * w, w0 * w0 / (k * k)
+    det = (w * w0) ** 2 * (1 - k) * (1 + k) / (k * k) if lam > lc else 4 * w * w0 * (lc - lam) * (lc + lam)
+    root_det = mpmath.sqrt(det)
+    trace_root = mpmath.sqrt(m11 + m22 + 2 * root_det)
+    r = [[(m11 + root_det) / trace_root, m / trace_root], [m / trace_root, (m22 + root_det) / trace_root]]
+    r_inv = [[r[1][1] / root_det, -r[0][1] / root_det], [-r[1][0] / root_det, r[0][0] / root_det]]
+    t = [mpmath.sqrt(w), mpmath.sqrt(w0 * (1 + k) / (2 * k))]
+    cov = mpmath.zeros(4, 4)
+    for i in range(2):
+        for j in range(2):
+            cov[2 * i, 2 * j] = t[i] * r_inv[i][j] * t[j] / 2
+            cov[2 * i + 1, 2 * j + 1] = r[i][j] / (t[i] * t[j]) / 2
+    return cov
+
+
+def reference_moments(lam: float, omega: float, omega0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cov, dcov) of the ground state at the exact double lam, rounded to
+    doubles; dcov by a central difference whose step lies 20 orders below the
+    coupling's distance from lambda_c and from 0.  400 digits, because at
+    extreme detuning an entry of order 1 moves by 1e-205 of itself per unit
+    of lam."""
+    with mpmath.workdps(400):
+        x = mpmath.mpf(lam)
+        lc = mpmath.sqrt(mpmath.mpf(omega) * omega0) / 2
+        step = min(abs(x - lc) / 10, max(x, lc)) * mpmath.mpf(10) ** -20
+        cov = _reference_cov(x, omega, omega0)
+        dcov = mpmath.zeros(4, 4)
+        for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)):
+            dcov[i, j] = mpmath.diff(lambda y: _reference_cov(y, omega, omega0)[i, j], x, h=step)
+        return np.array(cov.tolist(), dtype=float), np.array(dcov.tolist(), dtype=float)
+
+
 def two_call_spectrum(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(d_plus, d_minus, ppt_d_plus, ppt_d_minus) of a two-mode covariance, or of
     each of a stack, as `symplectic_spectrum` took them before it stacked the
@@ -419,8 +463,8 @@ def render_csv(columns: tuple[str, ...], rows: list[list]) -> str:
 
 
 def render_json(columns: tuple[str, ...], rows: list[list], extra: dict | None = None) -> str:
-    """The CLI's JSON table, row by row, with a NaN printed as null."""
-    cells = [[None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows]
+    """The CLI's JSON table, row by row, with a nan or an infinity printed as null."""
+    cells = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
     doc = {"columns": [*columns, "status"], "rows": cells}
     doc.update(extra or {})
     return json.dumps(doc, indent=2) + "\n"

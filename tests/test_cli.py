@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dicke_metrology
-from dicke_metrology import cli, dicke
+from dicke_metrology import cli, dicke, measurements
 from dicke_metrology.cli import EXIT_OK, main
 from dicke_metrology.dicke import derive
 from dicke_metrology.gaussian import state_to_dict
@@ -430,21 +430,36 @@ class TestFiniteOkRows:
     """An `ok` row is finite, a ratio over H = 0 is nan without a warning,
     and frequencies whose lambda_c or squares leave the doubles are refused."""
 
-    # FI and H underflow to 0.0 here
+    # the chain's FI and H underflowed to 0.0 here
     VANISHING_QFI = ["--omega", "1.57e-17", "--omega0", "1.21e97", "--n-atoms", "2490", "--lambda", "4.3e-217"]
 
     @pytest.mark.parametrize("command", ["fi-photon", "fi-homodyne"])
-    def test_ratio_over_a_vanishing_qfi_is_nan(self, capsys, command):
-        # fi-photon ended in a ZeroDivisionError traceback here, and fi-homodyne
-        # printed ratio nan as ok with a RuntimeWarning from its division
+    def test_ratio_over_a_vanishing_qfi_is_nan(self, capsys, monkeypatch, command):
+        # fi-photon ended in a ZeroDivisionError traceback where H was 0.0, and
+        # fi-homodyne printed ratio nan as ok with a RuntimeWarning from its
+        # division; no accepted model gives H = 0.0 now, so the QFI is set to 0
+        monkeypatch.setattr(cli, "qfi_from_jet", lambda jet: [np.zeros(jet.cov.shape[:-2])] * 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(capsys, [command, "--lambda", "0.3"])
+        header, row = (line.split(",") for line in out.strip().split("\n"))
+        cells = dict(zip(header, row))
+        assert code == 3
+        assert (cells["H"], cells["ratio"], cells["status"]) == ("0", "nan", cli.NONFINITE)
+        assert float(cells["FI"]) > 0.0
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["fi-photon", "fi-homodyne"])
+    def test_qfi_that_underflowed_reads_its_small_coupling_limit(self, capsys, command):
+        # H = 4 / (omega + omega0)^2 to first order in lam
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out = run(capsys, [command, *self.VANISHING_QFI])
         header, row = (line.split(",") for line in out.strip().split("\n"))
         cells = dict(zip(header, row))
-        assert code == 3
-        assert (cells["FI"], cells["H"], cells["ratio"], cells["status"]) == ("0", "0", "nan", cli.NONFINITE)
-        assert [str(w.message) for w in caught if Path(w.filename).name == "cli.py"] == []
+        assert (code, cells["status"]) == (0, "ok")
+        assert float(cells["H"]) == pytest.approx(4.0 / (1.57e-17 + 1.21e97) ** 2, rel=1e-15)
+        assert [str(w.message) for w in caught] == []
 
     def test_frequencies_whose_critical_coupling_overflows_are_a_config_error(self, capsys):
         # lambda_c = sqrt(omega omega0) / 2 was inf, and H = nan printed as ok
@@ -466,9 +481,10 @@ class TestFiniteOkRows:
         # both printed inf with status ok and exit 0
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"n_atoms": n_atoms}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out = run(capsys, [*argv, "--config", str(path)])
+        assert [str(w.message) for w in caught] == []
         header, row = (line.split(",") for line in out.strip().split("\n")[:2])
         cells = dict(zip(header, row))
         assert code == 3
@@ -478,9 +494,10 @@ class TestFiniteOkRows:
         # one superradiant point past the doubles between two finite ones, and
         # per-angle columns: each value maps to its own coupling
         cfg = dict(cli._DEFAULTS, n_atoms=sys.float_info.max / 2.0, phi=[0.0, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             (fi, h, ratio), statuses = cli._sweep_columns("fi-homodyne", [0.3, 1.0, 0.4], cfg)
+        assert [str(w.message) for w in caught] == []
         assert statuses == ["ok", cli.NONFINITE, "ok"]
         assert h[1] == math.inf and all(map(math.isfinite, fi[:2] + fi[4:] + h[::2] + ratio[:2] + ratio[4:]))
         assert cli._finite_statuses([[1.0, 2.0], [1e308, 1e308, 3.0, 4.0]], 2) == ["ok", "ok"]
@@ -488,6 +505,63 @@ class TestFiniteOkRows:
         # nan over H = 0 whatever the FI, and a plain quotient elsewhere
         ratio = cli._ratio(np.array([1.0, 0.0, 1.0, 1e300]), np.array([0.0, 0.0, 4.0, 1e-300]))
         assert np.array_equal(ratio, [math.nan, math.nan, 0.25, math.inf], equal_nan=True)
+
+
+@st.composite
+def _accepted_models(draw):
+    """(command, omega, omega0, n_atoms, lam) anywhere in the accepted domain:
+    frequencies log-uniform over the band, N log-uniform up to half the
+    largest double, and lam = 0 or log-uniform from 1e-300 lambda_c up to the
+    coupling bound, with either side of lambda_c drawn often."""
+    command = draw(st.sampled_from(["entanglement", "qfi", "fi-homodyne", "photon", "fi-photon"]))
+    band = st.floats(math.log(dicke._FREQ_MIN), math.log(dicke._FREQ_MAX))
+    omega, omega0 = (min(max(math.exp(draw(band)), dicke._FREQ_MIN), dicke._FREQ_MAX) for _ in range(2))
+    n_atoms = int(min(math.exp(draw(st.floats(0.0, math.log(sys.float_info.max / 2.0)))), sys.float_info.max / 2.0))
+    lam_c = math.sqrt(omega * omega0) / 2.0
+    bound = lam_c / math.sqrt(sys.float_info.min * max(1.0, omega) * max(1.0, omega0))
+    ratio = draw(st.one_of(
+        st.just(0.0),
+        st.floats(math.log(1e-300), math.log(bound / lam_c)).map(math.exp),
+        st.floats(-8.0, 1.0).map(lambda e: 1.0 + math.copysign(10.0 ** -abs(e), e)),
+    ))
+    return command, omega, omega0, n_atoms, min(lam_c * ratio, bound)
+
+
+def _photon_count(omega: float, omega0: float, n_atoms: int, lam: float) -> float:
+    """<n> of the radiation mode, or 0 where the ground stage refuses the coupling."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, cov = dicke.ground_moments([lam], omega, omega0, n_atoms)
+            return 0.5 * float(cov[0, 0, 0] + cov[0, 1, 1] + mean[0, 0] * mean[0, 0] - 1.0)
+    except dicke.CriticalPointSingularity:
+        return 0.0
+
+
+class TestAcceptedDomain:
+    """Over the whole accepted domain no sweep raises, and an `ok` row is
+    finite and keeps the signs of what it prints."""
+
+    # columns that are nonnegative in every ok row
+    NONNEGATIVE = {"E_N", "H", "FI", "n_s", "thermal", "coherent", "total", "ratio", "quadratic_term", "displacement_term"}
+
+    @given(_accepted_models())
+    # H printed -3.8e-73 as ok, where the displacement term 4 N / omega^2 is 2.9e-25
+    @example(("qfi", 8.048807980736873e148, 3.118559808777612e-55, int(4.656e272), 4.222102817699426e100))
+    @settings(max_examples=300, deadline=None)
+    def test_ok_rows_are_finite_and_nonnegative(self, case):
+        command, omega, omega0, n_atoms, lam = case
+        if command == "fi-photon":
+            # a photon series costs its <n> terms; past PN_MAX_TERMS it is refused at once
+            mean_n = _photon_count(omega, omega0, n_atoms, lam)
+            assume(not 2000.0 < mean_n < measurements.PN_MAX_TERMS)
+        cfg = dict(cli._DEFAULTS, omega=omega, omega0=omega0, n_atoms=n_atoms, phi=[0.0, 1.0])
+        values, [status] = cli._sweep_columns(command, [lam], cfg)
+        if status != "ok":
+            return
+        for name, column in zip(cli._built_columns(command), values):
+            assert all(math.isfinite(value) for value in column), name
+            if name in self.NONNEGATIVE:
+                assert min(column) >= 0.0, (name, column)
 
 
 class TestErrorTaxonomy:
@@ -861,6 +935,23 @@ class TestJsonFormat:
         assert data["columns"] == ["lambda", "H", "quadratic_term", "displacement_term", "status"]
         assert data["rows"][0][1] is None  # nan rendered as null
         assert data["rows"][0][-1] == "singular"
+
+    def test_values_past_the_doubles_print_as_null(self, capsys, tmp_path):
+        # the nonfinite row printed the bare token Infinity, which JSON has not,
+        # and so did wigner's header where derive's eps_minus overflows
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n_atoms": sys.float_info.max / 2.0}))
+        code, out = run(capsys, ["qfi", "--lambda", "1", "--format", "json", "--config", str(path)])
+
+        def refuse(token):
+            raise ValueError(f"{token} is no JSON value")
+
+        [row] = json.loads(out, parse_constant=refuse)["rows"]
+        assert code == 3
+        assert row[1] is None and row[-1] == cli.NONFINITE
+        extra = {"derived": {"eps_minus": math.inf, "phase": "normal"}, "state": {"cov": [[-math.inf, math.nan]]}}
+        doc = json.loads(cli._render_json(("x",), [([1.0], 1), (["ok"], 1)], extra), parse_constant=refuse)
+        assert doc["derived"] == {"eps_minus": None, "phase": "normal"} and doc["state"] == {"cov": [[None, None]]}
 
     def test_roundtrip_value(self, capsys):
         code, out = run(capsys, ["qfi", "--lambda", "0.3", "--format", "json"])

@@ -14,11 +14,12 @@ from dicke_metrology.dicke import (
     DickeParams,
     derive,
     ground_state,
+    moment_jet,
     reduced_radiation_state,
     symplectic_chain,
 )
 from dicke_metrology.gaussian import log_negativity, partial_trace, symplectic_form, symplectic_spectrum
-from oracles import closed_form_cov, purity
+from oracles import closed_form_cov, purity, reference_moments
 
 RESONANT_GRID = np.concatenate(
     [np.linspace(0.01, 0.49, 25), np.linspace(0.51, 2.0, 25)]
@@ -186,6 +187,36 @@ class TestSymplecticChain:
         f = symplectic_chain(params)
         cov = f @ (np.eye(4) / 2) @ f.T
         assert np.max(np.abs(cov - closed_form_cov(params))) < 1e-10
+
+
+class TestBlocksAgainstReference:
+    """The covariance and its coupling derivative against 60 digits: both
+    phases, on and off resonance, from 1e-12 to 1e3 lambda_c, and at two
+    superradiant points of extreme detuning, where k omega passes omega0
+    while k^2 underflows."""
+
+    CASES = [
+        (omega, omega0, ratio * math.sqrt(omega * omega0) / 2.0)
+        for omega, omega0 in [(1.0, 1.0), (1.0, 2.0), (3.0, 0.5)]
+        for ratio in [1e-12, 1e-6, 0.5, 0.99, 1.01, 2.0, 1e3]
+    ] + [
+        # k omega passes omega0 while k^2 underflows: formed as k * k * omega * omega,
+        # (k omega)^2 reads 0, and the diagonal came out ~1e38
+        (4.6472443104230065e129, 1.4771801824611817e-116, 7.800959738106806e90),
+        (7.621507453829514e81, 5.868375932006901e-153, 7.456353887806207e74),
+    ]
+
+    @pytest.mark.parametrize("omega, omega0, lam", CASES)
+    def test_cov_and_dcov(self, omega, omega0, lam):
+        # measured: cov within 4.7e-15 of each entry, dcov within 1.4e-14 of
+        # its largest entry; the chain's O(lam) off-diagonals at 1e-12
+        # lambda_c were 2.4e-4 off
+        jet = moment_jet([lam], omega, omega0, 1)
+        cov, dcov = reference_moments(lam, omega, omega0)
+        nonzero = cov != 0.0
+        assert np.array_equal(jet.cov[0] != 0.0, nonzero)
+        assert np.max(np.abs(jet.cov[0] - cov)[nonzero] / np.abs(cov[nonzero])) <= 1e-13
+        assert np.max(np.abs(jet.dcov[0] - dcov)) <= 1e-13 * np.max(np.abs(dcov))
 
 
 class TestGroundState:

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from dicke_metrology import dicke
-from dicke_metrology.dicke import DickeParams, derive, ground_moments, ground_state, moment_jet
+from dicke_metrology.dicke import DickeParams, derive, ground_moments, ground_state, moment_jet, symplectic_chain
 from dicke_metrology.errors import CriticalPointSingularity
 from dicke_metrology.estimation import (
     fit_power_law,
@@ -176,12 +176,13 @@ class TestMomentJet:
             moment_jet([0.3, 0.5 - 1e-9, 0.7], 1.0, 1.0, 100)
 
     def test_perturbed_chain_fails_the_symplectic_check(self, monkeypatch):
+        # the chain is built by symplectic_chain alone; the moments never read it
         rotation = dicke._rotation
         monkeypatch.setattr(dicke, "_rotation", lambda theta: rotation(theta) * (1.0 + 1e-6))
         with pytest.raises(ValueError, match="not symplectic"):
-            moment_jet([0.3, 0.7], 1.0, 1.0, 100)
-        with pytest.raises(ValueError, match="not symplectic"):
-            ground_state(DickeParams(lam=0.7))
+            symplectic_chain(DickeParams(lam=0.7))
+        jet = moment_jet([0.3, 0.7], 1.0, 1.0, 100)
+        assert np.array_equal(ground_state(DickeParams(lam=0.7)).cov, jet.cov[1])
 
     @pytest.mark.parametrize(
         "lams, model",
@@ -210,12 +211,23 @@ class TestQfi:
 
     @pytest.mark.parametrize("lam", [1e-160, 1e-200, 5e-324])
     def test_coupling_whose_square_underflows(self, lam):
-        # r * r underflowed to 0 on resonance, dtheta read 0 / 0, and the CLI
-        # printed H = nan with status ok
+        # r * r underflowed to 0 on resonance in the chain's angle derivative,
+        # which read 0 / 0, and the CLI printed H = nan with status ok.  To
+        # first order in lam, cov is the vacuum with x-x and p-p couplings
+        # -lam / (omega + omega0) and lam / (omega + omega0), dcov has those
+        # couplings' slopes and diagonal entries of order lam, and H is
+        # 4 / (omega + omega0)^2: at resonance 1/2, 1/2 and 1
         tiny, zero = state_derivative(DickeParams(lam=lam)), state_derivative(DickeParams(lam=0.0))
-        for field in ("mean", "cov", "dmean", "dcov"):
-            assert np.array_equal(getattr(tiny, field), getattr(zero, field)), field
+        coupling = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]]) / 2.0
+        assert np.array_equal(tiny.mean, zero.mean) and np.array_equal(tiny.dmean, zero.dmean)
+        assert np.array_equal(np.diag(tiny.cov), np.full(4, 0.5))
+        off = tiny.cov - np.diag(np.diag(tiny.cov))
+        assert np.allclose(off, lam * coupling, rtol=1e-15, atol=5e-324)
+        assert np.array_equal(tiny.dcov - np.diag(np.diag(tiny.dcov)), coupling)
+        assert np.max(np.abs(np.diag(tiny.dcov))) <= 3.0 * lam
+        assert np.array_equal(zero.dcov, coupling)
         assert qfi(DickeParams(lam=lam)) == qfi(DickeParams(lam=0.0))
+        assert qfi(DickeParams(lam=lam)).qfi == 1.0
 
     def test_deep_superradiant_limit(self):
         res = qfi(DickeParams(lam=50.0, n_atoms=100))

@@ -207,8 +207,9 @@ class TestDstsParams:
             dsts_params(state)
 
 
-# modes whose covariance determinant lies below the vacuum bound 1/4
-BELOW_VACUUM = [np.diag([0.3, 0.3]), np.diag([0.45, 0.45])]
+# modes whose covariance determinant lies below the vacuum bound 1/4, or is
+# nan, which passed the bound
+BELOW_VACUUM = [np.diag([0.3, 0.3]), np.diag([0.45, 0.45]), np.diag([0.5, np.nan])]
 
 
 def photon_fi(state: GaussianState) -> tuple[float, int]:
@@ -216,7 +217,7 @@ def photon_fi(state: GaussianState) -> tuple[float, int]:
     return fi_photon_counting_family(state, np.zeros(2), np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("cov", BELOW_VACUUM, ids=["0.09", "0.2025"])
+@pytest.mark.parametrize("cov", BELOW_VACUUM, ids=["0.09", "0.2025", "nan"])
 @pytest.mark.parametrize("reader", [dsts_params, mean_photon_decomposition, photon_distribution, photon_fi])
 def test_readers_refuse_a_mode_below_the_vacuum_bound(reader, cov):
     # photon_distribution summed these to p(0) = 1.25 and 1.0526 with no

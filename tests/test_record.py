@@ -1,9 +1,10 @@
-"""Tests for the ground state that a DickeParams computes once and keeps.
+"""Tests for the one-coupling readers of a DickeParams against the batch.
 
-Every one-coupling entry point reads that record, so on one params any order
-of calls must give the bits of fresh params and of the coupling's row in a
-batched jet, nothing handed out may write into the record, and the record
-never leaks into equality, hashing, copies or `dataclasses.replace`.
+Every one-coupling entry point runs the ground stage at the params' coupling
+as a numpy scalar, so on one params any order of calls must give the bits of
+fresh params and of the coupling's row in a batched jet, and a params holds
+nothing beyond its fields for equality, hashing, copies or
+`dataclasses.replace` to see.
 """
 import copy
 import dataclasses
@@ -33,10 +34,9 @@ from dicke_metrology.estimation import (
     qfi,
     qfi_from_jet,
     sld_coefficients,
-    sld_coefficients_f1_frame,
     state_derivative,
 )
-from dicke_metrology.gaussian import log_negativity, partial_trace
+from dicke_metrology.gaussian import partial_trace
 from dicke_metrology.measurements import (
     HomodyneSetting,
     Target,
@@ -44,7 +44,6 @@ from dicke_metrology.measurements import (
     fi_homodyne_from_jet,
     fi_photon_counting,
     fi_photon_counting_from_jet,
-    photon_distribution,
 )
 
 PHIS = (0.0, 1.0)
@@ -170,8 +169,8 @@ JET_READERS = {
 }
 
 
-# the readers share nothing but the params' record, which the first call
-# computes, so the orders are the rotations of the readers, either way round:
+# the readers share nothing but the params, so the orders are the rotations
+# of the readers, either way round:
 # each reader runs first, last and in every place between, after and before
 # each other reader
 ORDERS = [
@@ -185,8 +184,8 @@ class TestOneCouplingAgainstTheBatch:
     constant: it must give the bits of the coupling's row in a batch."""
 
     LC = 0.5  # lambda_c at omega = omega0 = 1
-    # lam = 0 on and off resonance (theta's degenerate point, and dk, safe_root
-    # and beta's constants of the normal phase), dtheta's `small` branch at
+    # lam = 0 on and off resonance (theta's degenerate point, and the
+    # constants of the normal phase), a coupling whose square is subnormal at
     # 1e-160 lambda_c, deep in the superradiant phase, the couplings nearest
     # lambda_c on either side of the window, and one point in each phase
     MODELS = {
@@ -197,12 +196,12 @@ class TestOneCouplingAgainstTheBatch:
     }
 
     def test_the_cases_reach_the_python_constants(self):
-        modes = DickeParams(lam=0.0)._record.modes
+        modes = dicke._ground_at(DickeParams(lam=0.0)).modes
         assert type(modes.theta) is float and modes.r == 0.0
-        assert not DickeParams(lam=0.0, omega0=2.0)._record.modes.superradiant
+        assert not dicke._ground_at(DickeParams(lam=0.0, omega0=2.0)).modes.superradiant
         lam = self.MODELS[(1.0, 1.0, 100)][1]
-        m = DickeParams(lam=lam)._record.modes
-        assert m.r * m.r < np.finfo(float).tiny
+        coupling = dicke._ground_at(DickeParams(lam=lam)).cov[0, 2]
+        assert coupling != 0.0 and coupling * coupling < np.finfo(float).tiny
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_readers_in_any_place_give_the_bits_of_the_batch_row(self, model):
@@ -218,7 +217,6 @@ class TestOneCouplingAgainstTheBatch:
             for i, lam in enumerate(lams):
                 one = state_derivative(DickeParams(lam, omega, omega0, n_atoms))
                 assert [one.mean.shape, one.cov.shape, one.dmean.shape, one.dcov.shape] == [(4,), (4, 4)] * 2
-                assert not one.mean.flags.writeable and not one.cov.flags.writeable
                 for order in ORDERS:
                     params = DickeParams(lam, omega, omega0, n_atoms)
                     for name in order:
@@ -228,10 +226,10 @@ class TestOneCouplingAgainstTheBatch:
 class TestOneRecordPerParams:
     @given(_call_orders())
     # the branches where a scalar coupling could part from the batch: lam = 0
-    # on and off resonance (theta's degenerate point), u^2 + v^2 below the
-    # smallest normal double (dtheta's `small` branch at 1e-160; 1e-150 stays
-    # just above it), deep in the superradiant phase, a large atom number,
-    # and a coupling where pow(x, 2) and x * x differ in the last bit
+    # on and off resonance (theta's degenerate point), couplings whose squares
+    # underflow (1e-160) or nearly do (1e-150), deep in the superradiant
+    # phase, a large atom number, and a coupling where pow(x, 2) and x * x
+    # differ in the last bit
     @example(((1.0, 1.0, 100, [0.0, 0.5]), 0, ALL_CALLS))
     @example(((1.0, 2.0, 100, [0.0]), 0, ALL_CALLS))
     @example(((1.0, 1.0, 100, [1e-150, 1e-160]), 0, ALL_CALLS))
@@ -253,10 +251,10 @@ class TestOneRecordPerParams:
         lc = math.sqrt(omega * omega0) / 2.0
         if abs(lams[i] - lc) > DELTA_MIN:
             # the ground stage at a numpy scalar: scalars and unbatched arrays, no one-row stacks
-            record = params._record
-            assert all(np.ndim(value) == 0 and not isinstance(value, np.ndarray) for value in record.modes)
-            shapes = [np.shape(getattr(record, name)) for name in ("f1_inv", "f3_inv", "mean", "rot", "chain", "cov")]
-            assert shapes == [(4,)] * 3 + [(4, 4)] * 3
+            ground = dicke._ground_at(params)
+            scalars = [*ground.modes, ground.a, ground.b, ground.s2, ground.s, ground.g]
+            assert all(np.ndim(value) == 0 and not isinstance(value, np.ndarray) for value in scalars)
+            assert [ground.mean.shape, ground.cov.shape, symplectic_chain(params).shape] == [(4,), (4, 4), (4, 4)]
         if any(abs(lam - lc) <= DELTA_MIN for lam in lams):
             with pytest.raises(CriticalPointSingularity):
                 moment_jet(lams, omega, omega0, n_atoms)
@@ -283,40 +281,11 @@ class TestOneRecordPerParams:
         else:
             assert _bits(photon[i][0]) == fresh["fi_photon_counting"]
 
-    @given(MODELS, st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_writes_to_what_the_record_hands_out_raise_or_stay_out(self, model, data):
-        omega, omega0, n_atoms, ratios = model
-        lam = _couplings(omega, omega0, ratios)[0]
-        params = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
-        try:
-            names = ("ground_state", "reduced_radiation_state", "qfi", "derive", "symplectic_chain")
-            before = {name: _bits(CALLS[name](params)) for name in names}
-        except DickeMetrologyError:
-            return  # the refused window at lambda_c: no record is kept
-        jet = state_derivative(params)
-        state, reduced = ground_state(params), reduced_radiation_state(params)
-        # the radiation state is the caller's own copy of the record's block
-        assert reduced.mean.flags.writeable and reduced.cov.flags.writeable
-        sld, frame = sld_coefficients(params), sld_coefficients_f1_frame(params)
-        handed_out = [
-            state.mean, state.cov, reduced.mean, reduced.cov, symplectic_chain(params),
-            jet.mean, jet.cov, jet.dmean, jet.dcov, sld.phi, sld.zeta, frame.phi, frame.zeta,
-        ]
-        for array in handed_out:
-            try:
-                array[...] = data.draw(st.floats(-1e3, 1e3), label="written")
-            except ValueError as exc:
-                assert "read-only" in str(exc)
-        after = {name: _bits(CALLS[name](params)) for name in before}
-        assert after == before
-        assert _bits(state_derivative(params)) == _bits(_row(moment_jet([lam], omega, omega0, n_atoms), 0))
-
     @given(_radiation_cases())
     @example((0.5, 0.5, 1, 0.25))  # lam = lambda_c
     @settings(max_examples=60, deadline=None)
     def test_radiation_state_is_the_partial_trace_of_the_ground_state(self, case):
-        # read from the record's radiation block, it has the bits of the
+        # read from the ground state's radiation block, it has the bits of the
         # two-mode state traced out, in both phases, at the degenerate point
         # lam = 0 and just outside the refused window at lambda_c; inside it
         # both raise
@@ -342,15 +311,16 @@ class TestOneRecordPerParams:
         omega, omega0, n_atoms, ratios = model
         lams = _couplings(omega, omega0, ratios + [0.5])
         params = DickeParams(lam=lams[0], omega=omega, omega0=omega0, n_atoms=n_atoms)
-        _outcome(qfi, params)  # keeps the record, where there is one
+        _outcome(qfi, params)
+        field_names = [field.name for field in dataclasses.fields(DickeParams)]
+        assert list(vars(params)) == field_names  # nothing kept beside the fields
         for lam in lams[1:]:
             moved = dataclasses.replace(params, lam=lam)
-            assert "_record" not in vars(moved)
             fresh = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
             for call in CALLS.values():
                 assert _outcome(call, moved) == _outcome(call, fresh)
         for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
-            assert twin == params and "_record" not in vars(twin)
+            assert twin == params and list(vars(twin)) == field_names
             for call in (ground_state, symplectic_chain, derive):
                 assert _outcome(call, twin) == _outcome(call, params)
 
@@ -367,20 +337,3 @@ class TestOneRecordPerParams:
             other = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
             assert (other == used) == (lam == lams[0])
         assert len({used, unused}) == 1
-
-
-def test_readme_example_computes_the_mean_field_once(monkeypatch):
-    # every one-coupling call on one params reads the record its first call keeps
-    calls = []
-    normal_modes = dicke._normal_modes
-    monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
-    params = DickeParams(lam=0.45, omega=1.0, omega0=1.0, n_atoms=100)
-    state = ground_state(params)
-    result = qfi(params)
-    log_negativity(state.cov)
-    fi_x = fi_homodyne(params, HomodyneSetting(phi=0.0, target=Target.RADIATION))
-    fi_n = fi_photon_counting(params)
-    photon_distribution(reduced_radiation_state(params))
-    derive(params), symplectic_chain(params), sld_coefficients_f1_frame(params)
-    assert 0 < fi_x <= result.qfi and 0 < fi_n <= result.qfi
-    assert len(calls) == 1

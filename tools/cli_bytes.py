@@ -1,6 +1,6 @@
 """One digest over the bytes of a fixed set of `dicke-metrology` command lines.
 
-    python tools/cli_bytes.py
+    python tools/cli_bytes.py [--write]
 
 Runs each command line below through `cli.main` in this process and prints
 one sha256 digest over every run's argv, exit code, stdout, stderr and the
@@ -8,18 +8,25 @@ files it wrote, in a fixed order.  Two commits that print the same digest
 give each of these runs the same bytes.  Below it comes one digest per run,
 so two commits whose totals differ show which runs moved.
 
+The same runs, line by line, are the expected data of
+tests/test_cli_runs.py, kept in tests/cli_runs.json.  A change that moves
+output on purpose rewrites that file with --write, and its diff then shows
+each moved line.
+
 The runs cover all six subcommands in CSV and JSON at --jobs 1 and 2, grids
 through lambda_c at --exclusion 0 (singular rows), a nonconverged fi-photon
 row (N = 1000, lambda = 30), a mixed fi-photon grid, a config file, photon
 --lambda --out with its _pn table, wigner --format json at lambda = 0 on
-resonance, a few config errors, both FI ratios over a QFI that underflows
-to 0, frequencies past their band, and rows whose values pass the doubles.
+resonance, a few config errors, both FI commands at a coupling of 4.3e-217
+(where H is 2.7e-194), frequencies past their band, and rows whose values
+pass the doubles.
 Each run writes into a fresh temporary directory, whose path reads as <tmp>
 in the hashed argv, output and file names.  A warning is hashed after
 stderr as its category and message.  The whole run takes a few seconds.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -33,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dicke_metrology import cli  # noqa: E402
 
+EXPECTED = Path(__file__).resolve().parent.parent / "tests" / "cli_runs.json"
 TMP = "<tmp>"
 # the subcommands' base command lines, each run in both formats at both --jobs
 SUBCOMMANDS = [
@@ -58,7 +66,7 @@ EXTRA = [
     ["qfi", "--lambda", "inf"],
     ["qfi", "--points", "1"],
     ["wigner"],
-    # FI and H underflow to 0.0: the ratio is nan and the row not ok
+    # H = 4 / (omega + omega0)^2 = 2.7e-194, which the symplectic chain lost to 0.0
     *([command, *VANISHING_QFI] for command in ("fi-photon", "fi-homodyne")),
     ["qfi", "--omega", "1e200", "--omega0", "1e200", "--lambda", "1"],
     # rows past the doubles: H and the coherent part are inf
@@ -78,9 +86,9 @@ def command_lines() -> list[list[str]]:
     return lines + EXTRA
 
 
-def run(argv: list[str]) -> list[bytes]:
+def run(argv: list[str]) -> list[str]:
     """The argv, exit code, stdout, stderr and each written file (name and
-    bytes, by name) of one in-process run, with <tmp> for its directory."""
+    text, by name) of one in-process run, with <tmp> for its directory."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in CONFIG.items():
             Path(tmp, name).write_text(json.dumps(doc))
@@ -97,15 +105,33 @@ def run(argv: list[str]) -> list[bytes]:
         parts = [" ".join(argv), str(code), out.getvalue(), err.getvalue()]
         for path in written:
             parts += [path.name, path.read_text(encoding="ascii")]
-        return [part.replace(tmp, TMP).encode() for part in parts]
+        return [part.replace(tmp, TMP) for part in parts]
+
+
+def record(parts: list[str]) -> dict:
+    """The parts of one run as the expected data keeps them, each text as its
+    list of lines, so that a diff of the file shows each moved line."""
+    argv, code, out, err, *files = parts
+    return {
+        "argv": argv,
+        "exit": int(code),
+        "stdout": out.split("\n"),
+        "stderr": err.split("\n"),
+        "files": {name: text.split("\n") for name, text in zip(files[::2], files[1::2])},
+    }
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--write", action="store_true", help=f"also write every run to {EXPECTED.name}")
+    args = parser.parse_args()
     digest = hashlib.sha256()
-    lines = []
+    lines, records = [], []
     for argv in command_lines():
         one = hashlib.sha256()
-        for part in run(argv):
+        parts = run(argv)
+        records.append(record(parts))
+        for part in map(str.encode, parts):
             # length-prefixed, so that no two runs' parts can shift into each other
             for h in (digest, one):
                 h.update(len(part).to_bytes(8, "little"))
@@ -113,6 +139,8 @@ def main() -> None:
         lines.append(f"{one.hexdigest()}  {' '.join(argv)}")
     print(f"sha256 {digest.hexdigest()}  {len(lines)} runs")
     print("\n".join(lines))
+    if args.write:
+        EXPECTED.write_text(json.dumps(records, indent=1) + "\n", encoding="ascii")
 
 
 if __name__ == "__main__":
