@@ -389,18 +389,22 @@ def _run_wigner(cfg: dict) -> int:
     if cfg["points"] < 2:
         raise ConfigError("points must be >= 2 for a wigner grid")
     params = _params(cfg, float(cfg["lambda"]))
-    state = reduced_radiation_state(params)
-    # mean +- 6 sd along x and along p, then every (x, p) pair, x outer
-    sds = np.sqrt(np.diag(state.cov))
-    axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"]) for m, sd in zip(state.mean, sds)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    xs, ps = (axis.tolist() for axis in axes)
-    columns = [(xs, len(ps)), (ps, 1), (wigner_at(state, grid).tolist(), 1), (["ok"], 1)]
-    extra = None
-    if cfg["format"] == "json":
-        extra = {"derived": derive(params), "state": state_to_dict(state)}
-    _write(cfg, _COMMANDS["wigner"].columns, columns, cfg["out"], extra)
-    return EXIT_OK
+    # as in a sweep, an overflow leaves an inf or nan value, which its row's status reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = reduced_radiation_state(params)
+        # mean +- 6 sd along x and along p, then every (x, p) pair, x outer
+        sds = np.sqrt(np.diag(state.cov))
+        axes = [np.linspace(m - 6 * sd, m + 6 * sd, cfg["points"]) for m, sd in zip(state.mean, sds)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        xs, ps = (axis.tolist() for axis in axes)
+        columns = [(xs, len(ps)), (ps, 1), (wigner_at(state, grid).tolist(), 1)]
+        extra = None
+        if cfg["format"] == "json":
+            extra = {"derived": derive(params), "state": state_to_dict(state)}
+    rows = len(grid)
+    statuses = _finite_statuses([_filled(*column, rows) for column in columns], rows)
+    _write(cfg, _COMMANDS["wigner"].columns, columns + [(statuses, 1)], cfg["out"], extra)
+    return EXIT_OK if all(status == "ok" for status in statuses) else EXIT_NUMERICAL
 
 
 def _run_photon_pn(cfg: dict, lam: float) -> int:

@@ -17,7 +17,7 @@ N-independent.
 
 All of this is written once, vectorised over couplings of any shape that
 share (omega, omega0, N), in two stages: the ground stage `_ground` runs mean
-field -> Bogoliubov modes -> blocks -> mean and cov, and the derivative stage
+field -> blocks -> mean and cov into one record, and the derivative stage
 `_jet` adds the exact coupling derivatives of the same closed form.
 `moment_jet` runs both on a 1-D array, one row per coupling, and
 `ground_moments` the first.  Each coupling is evaluated on its own, so a
@@ -25,12 +25,14 @@ sweep and a point-by-point loop give the same bits.
 
 A DickeParams keeps nothing but its fields: each one-coupling reader runs
 the stages it needs at the params' coupling as a numpy scalar, so each step
-is scalar arithmetic, and only `symplectic_chain` builds the 4 x 4 chain
-through the Bogoliubov angle theta.  Where a batch picks one of two values
-per coupling, `_select` calls np.where, and for one coupling returns the
-chosen value itself, so both shapes run one formula; `gaussian._any` does
-likewise for conditions.  Squares are written as products, because a numpy
-scalar's `** 2` calls pow, which can differ from an array's in the last bit.
+is scalar arithmetic.  The state never reads the normal-mode spectrum: only
+`derive` forms the normal-mode frequencies and the Bogoliubov angle theta,
+and `symplectic_chain` builds the 4 x 4 chain from them.  Where a batch
+picks one of two values per coupling, `_select` calls np.where, and for one
+coupling returns the chosen value itself, so both shapes run one formula;
+`gaussian._any` does likewise for conditions.  Squares are written as
+products, because a numpy scalar's `** 2` calls pow, which can differ from
+an array's in the last bit.
 """
 from __future__ import annotations
 
@@ -43,7 +45,8 @@ import numpy as np
 from .errors import CriticalPointSingularity
 from .gaussian import GaussianState, _any, _own_state, require_symplectic
 
-# half-width of the window around lambda_c that every coupling evaluation refuses
+# half-width, relative to lambda_c, of the window around lambda_c that every
+# coupling evaluation refuses: the paper's reduced offset |lam / lambda_c - 1|
 DELTA_MIN = 1e-8
 
 RADIATION_MODE = 0
@@ -74,32 +77,6 @@ def _critical_coupling(w: float, w0: float) -> float:
     return math.sqrt(w * w0) / 2.0
 
 
-class _Modes(NamedTuple):
-    """Mean-field and normal-mode data, with the shape of the couplings.
-
-    u, v, s, r and p are the Bogoliubov quantities scaled by k^2, and q =
-    sqrt(p) by k, which keeps them finite deep in the superradiant phase.
-    """
-
-    lam: np.ndarray
-    lam_c: float
-    superradiant: np.ndarray
-    k: np.ndarray
-    root: np.ndarray  # sqrt(1 - k^2)
-    alpha: np.ndarray
-    beta: np.ndarray
-    omega_tilde: np.ndarray
-    u: np.ndarray  # omega0^2 - (k omega)^2
-    v: np.ndarray
-    s: np.ndarray  # omega0^2 + (k omega)^2
-    r: np.ndarray  # hypot(u, v)
-    p: np.ndarray  # (k eps_minus eps_plus)^2
-    q: np.ndarray  # k eps_minus eps_plus, without the square
-    eps_minus: np.ndarray
-    eps_plus: np.ndarray
-    theta: np.ndarray
-
-
 def _select(cond, a, b):
     """np.where(cond, a, b) for a batch; for the 0-d np.bool_ condition of one
     coupling, the chosen value itself, which skips the ufunc call.
@@ -113,65 +90,41 @@ def _select(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _normal_modes(lam: np.ndarray, w: float, w0: float) -> _Modes:
-    """Mean-field displacements and Bogoliubov data at every coupling in lam.
-
-    Raises CriticalPointSingularity when any |lam - lambda_c| <= DELTA_MIN,
-    where the lower normal-mode frequency vanishes and the Gaussian
-    description is singular.
-    """
-    lc = _critical_coupling(w, w0)
-    gap = np.abs(lam - lc)
-    inside = gap <= DELTA_MIN
-    if _any(inside):
-        raise CriticalPointSingularity(
-            f"|lam - lambda_c| = {gap[inside][0]:.3e} <= DELTA_MIN = {DELTA_MIN:.3e}"
-        )
-    superradiant = lam >= lc
-    # k = (lambda_c / lam)^2 in the superradiant phase and exactly 1 below it
-    ratio = lc / _select(superradiant, lam, lc)
-    k = ratio * ratio
-    # mean-field branch: both displacements taken with the positive sign
-    root = np.sqrt(1.0 - k * k)
-    alpha = (lam / w) * root
-    beta = np.sqrt((1.0 - k) / 2.0)
-    omega_tilde = w0 * (1.0 + k) / (2.0 * k)
-    # normal-mode frequencies eps_-+^2 = (s -+ r) / (2 k^2) and the angle
-    # tan(2 theta) = v / u of the Bogoliubov rotation
-    u = w0 * w0 - k * k * w * w
-    v = 4.0 * lam * np.sqrt(w * w0 * k) * k * k
-    s = w0 * w0 + k * k * w * w
-    r = np.hypot(u, v)
-    # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
-    # 2 p / (s + r), with p = (s^2 - r^2) / 4 written per phase; the normal
-    # branch takes lambda_c at a superradiant coupling, whose square may overflow
-    wr = w * w0 * root
-    normal = _select(superradiant, lc, lam)
-    p = _select(superradiant, wr * wr, 4.0 * w * w0 * (lc - normal) * (lc + normal))
-    q = _select(superradiant, wr, 4.0 * lc * np.sqrt((lc - normal) * (lc + normal)))
-    # at resonance and lam = 0 the two normal modes are degenerate and theta is
-    # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
-    # and fixes the derivative
-    theta = _select(r > 0.0, 0.5 * np.arctan2(v, u), np.pi / 4.0)
-    return _Modes(
-        lam, lc, superradiant, k, root, alpha, beta, omega_tilde, u, v, s, r, p, q,
-        np.sqrt(2.0 * p / (s + r)), np.sqrt((s + r) / 2.0) / k, theta,
-    )
-
-
 def derive(params: DickeParams) -> dict:
     """Mean-field and normal-mode data at the coupling of params, as the dict
     {lambda_c, k, alpha, beta, theta, eps_minus, eps_plus, omega_tilde, phase};
     phase is "normal" or "superradiant".  Raises CriticalPointSingularity
-    within DELTA_MIN of lambda_c.
+    within DELTA_MIN lambda_c of lambda_c.
+
+    The only place that forms the normal-mode spectrum, which the state does
+    not read: with u, v, s, r and p scaled by k^2, eps_-+^2 = (s -+ r) /
+    (2 k^2) and the angle tan(2 theta) = v / u of the Bogoliubov rotation.
     """
-    # __post_init__ has checked the coupling
-    m = _normal_modes(np.float64(params.lam), params.omega, params.omega0)
-    names = ("k", "alpha", "beta", "theta", "eps_minus", "eps_plus", "omega_tilde")
+    ground = _ground_at(params)
+    w, w0, lam, k = params.omega, params.omega0, ground.lam, ground.k
+    omega_tilde = w0 * (1.0 + k) / (2.0 * k)
+    u = w0 * w0 - k * k * w * w  # omega0^2 - (k omega)^2
+    v = 4.0 * lam * np.sqrt(w * w0 * k) * k * k
+    s = w0 * w0 + k * k * w * w  # omega0^2 + (k omega)^2
+    r = np.hypot(u, v)
+    # s - r cancels to nothing deep in the superradiant phase, so eps_-^2 is
+    # 2 p / (s + r), with p = (s^2 - r^2) / 4 = (k eps_minus eps_plus)^2
+    # written per phase; q = w w0 sqrt(1 - k^2) above lambda_c
+    if ground.superradiant:
+        p = ground.q * ground.q
+    else:
+        p = 4.0 * w * w0 * (ground.lam_c - lam) * (ground.lam_c + lam)
+    # at resonance and lam = 0 the two normal modes are degenerate and theta is
+    # undefined; the limit lam -> 0+, theta = pi/4, leaves the state the vacuum
+    theta = 0.5 * np.arctan2(v, u) if r > 0.0 else np.pi / 4.0
+    values = {
+        "k": k, "alpha": ground.alpha, "beta": ground.beta, "theta": theta,
+        "eps_minus": np.sqrt(2.0 * p / (s + r)), "eps_plus": np.sqrt((s + r) / 2.0) / k, "omega_tilde": omega_tilde,
+    }
     return {
-        "lambda_c": m.lam_c,
-        **{name: float(getattr(m, name)) for name in names},
-        "phase": "superradiant" if m.superradiant else "normal",
+        "lambda_c": ground.lam_c,
+        **{name: float(value) for name, value in values.items()},
+        "phase": "superradiant" if ground.superradiant else "normal",
     }
 
 
@@ -198,10 +151,10 @@ def symplectic_chain(params: DickeParams) -> np.ndarray:
     Diag(sqrt(em), 1/sqrt(em), sqrt(ep), 1/sqrt(ep)) into the normal-mode
     scales.  Raises ValueError if S is not symplectic.
     """
-    m = _normal_modes(np.float64(params.lam), params.omega, params.omega0)
-    f1_inv = _squeezers(params.omega, m.omega_tilde)
-    f3_inv = 1.0 / _squeezers(m.eps_minus, m.eps_plus)
-    chain = f1_inv[:, None] * _rotation(m.theta).T * f3_inv
+    modes = derive(params)
+    f1_inv = _squeezers(params.omega, modes["omega_tilde"])
+    f3_inv = 1.0 / _squeezers(modes["eps_minus"], modes["eps_plus"])
+    chain = f1_inv[:, None] * _rotation(modes["theta"]).T * f3_inv
     require_symplectic(chain)
     return chain
 
@@ -294,11 +247,18 @@ def _checked_couplings(lams, omega: float, omega0: float, n_atoms: int) -> np.nd
 
 class _Ground(NamedTuple):
     """The ground stage at each coupling of an array that shares (omega,
-    omega0, n_atoms): the normal modes, the moments, and the block
-    quantities a, b, s2, s, g and l_s = L / s of `_ground` that the
-    derivative stage reads."""
+    omega0, n_atoms): the mean field, the moments, and the block quantities
+    q, a, b, s2, s, g and l_s = L / s of `_ground` that the derivative stage
+    reads."""
 
-    modes: _Modes
+    lam: np.ndarray
+    lam_c: float
+    superradiant: np.ndarray
+    k: np.ndarray
+    root: np.ndarray  # sqrt(1 - k^2)
+    alpha: np.ndarray
+    beta: np.ndarray
+    q: np.ndarray  # k sqrt(det M)
     omega: float
     omega0: float
     n_atoms: int
@@ -313,19 +273,26 @@ class _Ground(NamedTuple):
 
 
 def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Ground:
-    """Mean field, normal modes, blocks and moments at each coupling in lam,
-    couplings that `_checked_couplings` accepts with the model: a 1-D float
-    array, whose results carry a leading axis, or a numpy float64 scalar,
-    whose mean is (4,), cov (4, 4) and modes numpy scalars.
+    """Mean field, blocks and moments at each coupling in lam, couplings that
+    `_checked_couplings` accepts with the model: a 1-D float array, whose
+    results carry a leading axis, or a numpy float64 scalar, whose mean is
+    (4,), cov (4, 4) and other fields numpy scalars.
 
-    The blocks are sigma_x = T^1/2 R^-1 T^1/2 / 2 and sigma_p = T^-1/2 R
-    T^-1/2 / 2, with T = Diag(omega, omega_tilde) and R = sqrt(M) = (M +
-    sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)) for M = T^1/2 V T^1/2 =
-    [[omega^2, m], [m, omega0^2 / k^2]], m = 2 lam sqrt(omega omega0 k).
-    Scaled by k^2: k sqrt(det M) = q of `_normal_modes`, formed without a
-    subtraction, and (k tr R)^2 = s2 = omega0^2 + (k omega)^2 + 2 k q.  With
-    a = omega0^2 + k q, b = k omega^2 + q, s = sqrt(s2), g = sqrt((1 + k)/2)
-    and L = lam k^2:
+    Raises CriticalPointSingularity when any |lam - lambda_c| <= DELTA_MIN
+    lambda_c, where the lower normal-mode frequency vanishes and the Gaussian
+    description is singular.
+
+    The mean field: k = (lambda_c / lam)^2 in the superradiant phase and
+    exactly 1 below it, alpha = (lam / omega) sqrt(1 - k^2) and beta =
+    sqrt((1 - k) / 2), both taken with the positive sign.  The blocks are
+    sigma_x = T^1/2 R^-1 T^1/2 / 2 and sigma_p = T^-1/2 R T^-1/2 / 2, with
+    T = Diag(omega, omega_tilde) and R = sqrt(M) = (M + sqrt(det M) I) /
+    sqrt(tr M + 2 sqrt(det M)) for M = T^1/2 V T^1/2 = [[omega^2, m], [m,
+    omega0^2 / k^2]], m = 2 lam sqrt(omega omega0 k).  Scaled by k^2:
+    q = k sqrt(det M), formed per phase without a square or a subtraction,
+    and (k tr R)^2 = s2 = omega0^2 + (k omega)^2 + 2 k q.  With a = omega0^2
+    + k q, b = k omega^2 + q, s = sqrt(s2), g = sqrt((1 + k)/2) and L = lam
+    k^2:
 
         sigma_x = [[omega a / (2 q s), -omega omega0 g L / (q s)],
                    [.., omega0 (1 + k) b / (4 q s)]],
@@ -334,8 +301,24 @@ def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Grou
     each entry a product of ratios, which stays inside the doubles where the
     entry does.  The mean is sqrt(2N) (alpha, 0, -beta, 0).
     """
-    m = _normal_modes(lam, omega, omega0)
-    k, q = m.k, m.q
+    lc = _critical_coupling(omega, omega0)
+    gap = np.abs(lam - lc)
+    inside = gap <= DELTA_MIN * lc
+    if _any(inside):
+        raise CriticalPointSingularity(
+            f"|lam - lambda_c| = {gap[inside][0]:.3e} <= DELTA_MIN lambda_c = {DELTA_MIN * lc:.3e}"
+        )
+    superradiant = lam >= lc
+    ratio = lc / _select(superradiant, lam, lc)
+    k = ratio * ratio
+    root = np.sqrt(1.0 - k * k)
+    alpha = (lam / omega) * root
+    beta = np.sqrt((1.0 - k) / 2.0)
+    # q = omega omega0 sqrt(1 - k^2) above lambda_c and 4 lambda_c
+    # sqrt((lambda_c - lam)(lambda_c + lam)) below it, where the normal branch
+    # takes lambda_c at a superradiant coupling, whose square may overflow
+    normal = _select(superradiant, lc, lam)
+    q = _select(superradiant, omega * omega0 * root, 4.0 * lc * np.sqrt((lc - normal) * (lc + normal)))
     a = omega0 * omega0 + k * q
     b = k * omega * omega + q
     kw = k * omega
@@ -353,8 +336,10 @@ def _ground(lam: np.ndarray, omega: float, omega0: float, n_atoms: int) -> _Grou
     cov[..., 3, 3] = a_s / (omega0 * (1.0 + k))
     cov[..., 0, 2] = cov[..., 2, 0] = -(omega * omega0 / q) * g * l_s
     cov[..., 1, 3] = cov[..., 3, 1] = l_s / g
-    mean = _x_displacement(m.alpha, m.beta, n_atoms)
-    return _Ground(m, omega, omega0, n_atoms, a, b, s2, s, g, l_s, mean, cov)
+    mean = _x_displacement(alpha, beta, n_atoms)
+    return _Ground(
+        lam, lc, superradiant, k, root, alpha, beta, q, omega, omega0, n_atoms, a, b, s2, s, g, l_s, mean, cov
+    )
 
 
 def _ground_at(params: DickeParams) -> _Ground:
@@ -403,21 +388,19 @@ def _jet(ground: _Ground) -> MomentJet:
     jet has the shape of ground: rows for a 1-D batch, mean (4,) and cov
     (4, 4) for a scalar.
     """
-    m, w, w0, cov = ground.modes, ground.omega, ground.omega0, ground.cov
-    lam, k, sr, q = m.lam, m.k, m.superradiant, m.q
+    w, w0, cov, lc, root = ground.omega, ground.omega0, ground.cov, ground.lam_c, ground.root
+    lam, k, sr, q = ground.lam, ground.k, ground.superradiant, ground.q
     a, b, s2, s, g, l_s = ground.a, ground.b, ground.s2, ground.s, ground.g, ground.l_s
     # below lambda_c, k, alpha and beta are constant; the safe denominators
     # only stand in where the numerators vanish
-    lam_sr = _select(sr, lam, m.lam_c)
+    lam_sr = _select(sr, lam, lc)
     dk = _select(sr, -2.0 * k / lam_sr, 0.0)
-    safe_root = _select(sr, m.root, 1.0)
-    dalpha = m.root / w - (lam / w) * k * dk / safe_root
-    dbeta = -dk / (4.0 * _select(sr, m.beta, 1.0))
+    safe_root = _select(sr, root, 1.0)
+    dalpha = root / w - (lam / w) * k * dk / safe_root
+    dbeta = -dk / (4.0 * _select(sr, ground.beta, 1.0))
     # q = w w0 sqrt(1 - k^2) above lambda_c, where d log k = -2 / lam, and
     # 4 lambda_c sqrt((lambda_c - lam)(lambda_c + lam)) below it
-    dlog_q = _select(
-        sr, 2.0 * k * k / (lam_sr * (safe_root * safe_root)), -lam / ((m.lam_c - lam) * (m.lam_c + lam))
-    )
+    dlog_q = _select(sr, 2.0 * k * k / (lam_sr * (safe_root * safe_root)), -lam / ((lc - lam) * (lc + lam)))
     dq = q * dlog_q
     ww0, kw2 = w * w0, k * w * w
     z = k * ww0

@@ -15,8 +15,8 @@ runs both stages of the same jet at a DickeParams' coupling as a numpy
 scalar and returns the 0-d jet, mean (4,) and cov (4, 4), on every call;
 `qfi` and the SLD functions read from it, and `qfi_from_jet` takes it as it
 takes a batch.  There is no step to choose; the only excluded couplings are
-the window of half-width dicke.DELTA_MIN = 1e-8 around lambda_c, where the
-jet raises.
+the window |lam - lambda_c| <= dicke.DELTA_MIN lambda_c (DELTA_MIN = 1e-8)
+around lambda_c, where the jet raises.
 """
 from __future__ import annotations
 

@@ -365,6 +365,17 @@ class TestStatusAndExitCodes:
         row = out.strip().split("\n")[1]
         assert row == "0.5,nan,nan,nan,singular"
 
+    def test_window_is_relative_to_lambda_c(self, capsys):
+        # below lambda_c = 5e-11 an absolute window of 1e-8 refused the whole
+        # normal phase: three singular rows and exit 3
+        argv = ["qfi", "--omega", "1e-10", "--omega0", "1e-10", "--lambda-min", "1e-12", "--lambda-max", "4e-11"]
+        code, out = run(capsys, argv + ["--points", "3", "--exclusion", "0"])
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert code == 0
+        assert [row[-1] for row in rows] == ["ok"] * 3
+        # H = 4 / (omega + omega0)^2 = 1e20 at small coupling
+        assert rows[0][1] == "1.0012008004482304e+20"
+
     def test_mixed_rows_still_emitted(self, capsys):
         code, out = run(
             capsys,
@@ -416,8 +427,8 @@ class TestStatusAndExitCodes:
         argv = ["fi-photon", "--points", "18", "--lambda-min", "0.1", "--lambda-max", "0.9"]
         cfg = dict(cli._DEFAULTS, points=18, lambda_min=0.1, lambda_max=0.9)
         calls = []
-        normal_modes = dicke._normal_modes
-        monkeypatch.setattr(dicke, "_normal_modes", lambda *args: (calls.append(args), normal_modes(*args))[1])
+        ground = cli._ground
+        monkeypatch.setattr(cli, "_ground", lambda *args: (calls.append(args), ground(*args))[1])
         assert main(argv + ["--jobs", "2"]) == EXIT_OK
         assert len(calls) == 1 and calls[0][0].tolist() == cli._lambda_grid(cfg)
         calls.clear()
@@ -1005,6 +1016,17 @@ class TestWigner:
         best = max(lines, key=lambda line: float(line.split(",")[2]))
         # peak sits near the displaced mean, far from the origin
         assert float(best.split(",")[0]) > 5
+
+    def test_rows_past_the_doubles_are_nonfinite(self, capsys, tmp_path):
+        # sqrt(2N) alpha passes the doubles: every row printed nan or inf as ok,
+        # with exit 0 and numpy warnings on stderr
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n_atoms": 5.4e237, "omega": 1.945e-126, "omega0": 1.906e66}))
+        code = main(["wigner", "--lambda", "2.72e89", "--points", "3", "--config", str(path)])
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert (code, err) == (3, "")
+        assert [row[-1] for row in rows] == [cli.NONFINITE] * 9
 
     def test_normalization_numeric(self, capsys):
         code, out = run(capsys, ["wigner", "--lambda", "0.2", "--points", "61"])

@@ -39,7 +39,7 @@ class TestParams:
         # one lambda_c; the params returned a numpy.float64
         lam_c = DickeParams(lam=0.1, omega=omega, omega0=omega0).lambda_c
         assert type(lam_c) is float
-        assert dicke._normal_modes(np.array([0.0]), omega, omega0).lam_c == lam_c
+        assert dicke._ground(np.array([0.0]), omega, omega0, 100).lam_c == lam_c
         # a window of the least double removes the first grid point only if
         # it is the CLI's lambda_c to the bit
         cfg = dict(cli._DEFAULTS, omega=omega, omega0=omega0, points=2, exclusion=5e-324)
@@ -187,6 +187,26 @@ class TestSymplecticChain:
         f = symplectic_chain(params)
         cov = f @ (np.eye(4) / 2) @ f.T
         assert np.max(np.abs(cov - closed_form_cov(params))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "omega, omega0, lam",
+        [
+            (omega, omega0, ratio * math.sqrt(omega * omega0) / 2.0)
+            for omega, omega0 in [(1.0, 1.0), (1.0, 2.0), (3.0, 0.5)]
+            for ratio in [0.0, 1e-6, 0.3, 0.99, 1.01, 2.0, 1e3]
+        ]
+        # k omega passes omega0 while k^2 underflows, so derive's eps_minus and
+        # eps_plus come out swapped, and theta with them
+        + [(4.6472443104230065e129, 1.4771801824611817e-116, 7.800959738106806e90)],
+    )
+    def test_chain_gives_the_state(self, omega, omega0, lam):
+        # the chain from derive's theta and frequencies against the blocks the
+        # state is built from; measured within 2.6 ulps of the largest entry
+        params = DickeParams(lam, omega, omega0, 1)
+        chain = symplectic_chain(params)
+        cov = ground_state(params).cov
+        scale = np.max(np.abs(cov))
+        assert np.max(np.abs(chain @ chain.T / 2.0 - cov)) <= 4.0 * np.finfo(float).eps * scale
 
 
 class TestBlocksAgainstReference:

@@ -128,16 +128,16 @@ def _radiation_cases(draw):
     omega, omega0 = draw(FREQUENCIES), draw(FREQUENCIES)
     n_atoms = draw(st.sampled_from([1, 2, 100, 1000, 10**4, 10**6]))
     lc = math.sqrt(omega * omega0) / 2.0
-    near = lc + DELTA_MIN * draw(st.sampled_from([-1.001, 1.001]), label="just outside")
+    near = lc * (1.0 + DELTA_MIN * draw(st.sampled_from([-1.001, 1.001]), label="just outside"))
     return omega, omega0, n_atoms, draw(st.one_of(st.floats(0.0, 3.0 * lc), st.sampled_from([0.0, near])), label="lam")
 
 
 def _nearest_outside(lc: float, away: float) -> float:
-    """The coupling nearest lambda_c on the side of `away` that the window DELTA_MIN does not refuse."""
-    lam = lc + math.copysign(DELTA_MIN, away - lc)
-    while abs(lam - lc) > DELTA_MIN:
+    """The coupling nearest lambda_c on the side of `away` that the window DELTA_MIN lambda_c does not refuse."""
+    lam = lc + math.copysign(DELTA_MIN * lc, away - lc)
+    while abs(lam - lc) > DELTA_MIN * lc:
         lam = math.nextafter(lam, lc)
-    while abs(lam - lc) <= DELTA_MIN:
+    while abs(lam - lc) <= DELTA_MIN * lc:
         lam = math.nextafter(lam, away)
     return lam
 
@@ -196,9 +196,10 @@ class TestOneCouplingAgainstTheBatch:
     }
 
     def test_the_cases_reach_the_python_constants(self):
-        modes = dicke._ground_at(DickeParams(lam=0.0)).modes
-        assert type(modes.theta) is float and modes.r == 0.0
-        assert not dicke._ground_at(DickeParams(lam=0.0, omega0=2.0)).modes.superradiant
+        # the jet's constants of the normal phase, and derive's theta at the
+        # degenerate point, where arctan2(0, 0) would give 0
+        assert not dicke._ground_at(DickeParams(lam=0.0, omega0=2.0)).superradiant
+        assert derive(DickeParams(lam=0.0))["theta"] == math.pi / 4.0
         lam = self.MODELS[(1.0, 1.0, 100)][1]
         coupling = dicke._ground_at(DickeParams(lam=lam)).cov[0, 2]
         assert coupling != 0.0 and coupling * coupling < np.finfo(float).tiny
@@ -249,13 +250,13 @@ class TestOneRecordPerParams:
         for name in order:
             assert _outcome(CALLS[name], params) == fresh[name], name
         lc = math.sqrt(omega * omega0) / 2.0
-        if abs(lams[i] - lc) > DELTA_MIN:
+        if abs(lams[i] - lc) > DELTA_MIN * lc:
             # the ground stage at a numpy scalar: scalars and unbatched arrays, no one-row stacks
             ground = dicke._ground_at(params)
-            scalars = [*ground.modes, ground.a, ground.b, ground.s2, ground.s, ground.g]
+            scalars = [value for name, value in ground._asdict().items() if name not in ("mean", "cov")]
             assert all(np.ndim(value) == 0 and not isinstance(value, np.ndarray) for value in scalars)
             assert [ground.mean.shape, ground.cov.shape, symplectic_chain(params).shape] == [(4,), (4, 4), (4, 4)]
-        if any(abs(lam - lc) <= DELTA_MIN for lam in lams):
+        if any(abs(lam - lc) <= DELTA_MIN * lc for lam in lams):
             with pytest.raises(CriticalPointSingularity):
                 moment_jet(lams, omega, omega0, n_atoms)
             return
@@ -283,6 +284,8 @@ class TestOneRecordPerParams:
 
     @given(_radiation_cases())
     @example((0.5, 0.5, 1, 0.25))  # lam = lambda_c
+    # 1.001e-8 below lambda_c = 1.22: outside an absolute window of 1e-8, inside the relative one
+    @example((2.0, 3.0, 1, 1.224744861381589))
     @settings(max_examples=60, deadline=None)
     def test_radiation_state_is_the_partial_trace_of_the_ground_state(self, case):
         # read from the ground state's radiation block, it has the bits of the
@@ -291,7 +294,8 @@ class TestOneRecordPerParams:
         # both raise
         omega, omega0, n_atoms, lam = case
         params = DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=n_atoms)
-        if abs(lam - math.sqrt(omega * omega0) / 2.0) <= DELTA_MIN:
+        lc = math.sqrt(omega * omega0) / 2.0
+        if abs(lam - lc) <= DELTA_MIN * lc:
             for call in (reduced_radiation_state, ground_state):
                 with pytest.raises(CriticalPointSingularity):
                     call(params)

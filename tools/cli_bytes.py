@@ -18,8 +18,9 @@ through lambda_c at --exclusion 0 (singular rows), a nonconverged fi-photon
 row (N = 1000, lambda = 30), a mixed fi-photon grid, a config file, photon
 --lambda --out with its _pn table, wigner --format json at lambda = 0 on
 resonance, a few config errors, both FI commands at a coupling of 4.3e-217
-(where H is 2.7e-194), frequencies past their band, and rows whose values
-pass the doubles.
+(where H is 2.7e-194), frequencies past their band, rows whose values pass
+the doubles (qfi, photon and wigner), and a qfi grid below a lambda_c of
+5e-11.
 Each run writes into a fresh temporary directory, whose path reads as <tmp>
 in the hashed argv, output and file names.  A warning is hashed after
 stderr as its category and message.  The whole run takes a few seconds.
@@ -72,12 +73,18 @@ EXTRA = [
     # rows past the doubles: H and the coherent part are inf
     ["qfi", "--lambda", "1", "--config", f"{TMP}/largest_n.json"],
     ["photon", "--lambda", "1e10", "--config", f"{TMP}/huge_n.json"],
+    # lambda_c = 5e-11: a critical window of an absolute 1e-8 would refuse every row
+    ["qfi", "--omega", "1e-10", "--omega0", "1e-10", "--lambda-min", "1e-12", "--lambda-max", "4e-11", "--points", "3",
+     "--exclusion", "0"],
+    # sqrt(2N) alpha passes the doubles: every wigner row is nan or inf
+    ["wigner", "--lambda", "2.72e89", "--points", "3", "--config", f"{TMP}/wigner_past_the_doubles.json"],
 ]
 # the config files that a run may read from <tmp>
 CONFIG = {
     "model.json": {"omega0": 2.0, "n_atoms": 1000, "lambda_min": 0.1, "lambda_max": 2.0, "points": 25},
     "largest_n.json": {"n_atoms": sys.float_info.max / 2.0},
     "huge_n.json": {"n_atoms": 1e300},
+    "wigner_past_the_doubles.json": {"n_atoms": 5.4e237, "omega": 1.945e-126, "omega0": 1.906e66},
 }
 
 

@@ -17,10 +17,11 @@ of it), 1500 seeded draws (frequencies 0.25 to 4, N 1 to 10^6, couplings
 uniform in 0 to 3 lambda_c, log-uniform in 1e-300 to 1e5 lambda_c, exactly 0
 and 1e-9 to 1e-2 of lambda_c on either side of it) and the extremes: lam = 0,
 5e-324, 1e-300, 1e-160 and 1e-150 lambda_c, 1e4 and 1e8 lambda_c, and the
-couplings at and next to each edge of the window dicke.DELTA_MIN around
-lambda_c.  Each point gets a fresh DickeParams and the readers run in a fixed
-order; photon counting runs only where the radiation mode holds fewer than
-about 300 photons, so that the whole run takes well under a minute.
+couplings at and next to each edge of the window around lambda_c, at
+lambda_c (1 -+ dicke.DELTA_MIN).  Each point gets a fresh DickeParams and
+the readers run in a fixed order; photon counting runs only where the
+radiation mode holds fewer than about 300 photons, so that the whole run
+takes well under a minute.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ def _extremes() -> list[tuple[float, float, int, float]]:
     for w, w0 in FREQUENCIES:
         lc = math.sqrt(w * w0) / 2.0
         couplings = [0.0, 5e-324] + [lc * x for x in (1e-300, 1e-160, 1e-150, 1e4, 1e8)]
-        for edge in (lc - dicke.DELTA_MIN, lc + dicke.DELTA_MIN):
+        for edge in (lc * (1.0 - dicke.DELTA_MIN), lc * (1.0 + dicke.DELTA_MIN)):
             couplings += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
         points += [(w, w0, n, lam) for n in (1, 10**6) for lam in couplings]
     return points
