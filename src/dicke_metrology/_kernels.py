@@ -57,14 +57,16 @@ D(z) = (1 - s z)(1 - t z)^2 the derivative series obeys D dG = P G for the cubic
 Read coefficient by coefficient this is a filter that takes p(n) to dp(n);
 its feedback D has the roots s, t, t of the recurrence above, so its
 homogeneous solutions decay and forward evaluation is stable.  The filter is
-linear, so `FisherTerms` runs it on the scaled runs themselves: within a run
-it gives dp(n) / (r00 2^e), and at each renormalisation its history is
-rescaled by the same exact 2^-e as the series'.  Each photon-counting FI term
-dp^2 / p is then (y S)(y / v) for the scaled value v, its filtered y and the
-run's scale S; written so, nothing overflows where y^2 would.  The history
-also holds p(n-3), which the series neither rescales nor tests: where the
-values fall by more than the double range over three terms, that value has
-no double in the new run's scale, and the walk raises NonConvergedSeries.
+linear, so `PnSeries.fisher_terms` runs it on the scaled runs themselves:
+within a run it gives dp(n) / (r00 2^e), and at each renormalisation its
+history is rescaled by the same exact 2^-e as the series'.  Each
+photon-counting FI term dp^2 / p is then (y S)(y / v) for the scaled value v,
+its filtered y and the run's scale S; written so, nothing overflows where y^2
+would.  The history also holds p(n-3), which the series neither rescales nor
+tests: where the values fall by more than the double range over three terms,
+that value has no double in the new run's scale, and the reading raises
+NonConvergedSeries.  `probs` and `fisher_terms` are two readings of the same
+runs, and each reads from n = 0: neither keeps state between calls.
 """
 from __future__ import annotations
 
@@ -76,6 +78,11 @@ from .errors import NonConvergedSeries
 
 _LOW, _HIGH = 1e-200, 1e200
 _LN2 = math.log(2.0)
+# a photon-counting FI term whose p(n) lies below this is 0.0
+FI_TERM_FLOOR = 1e-14
+# a p(n) below this is no rounding of a nonnegative value: the series broke down
+_BREAKDOWN = -1e-9
+_LOG_FLOOR, _LOG_LOW = math.log(FI_TERM_FLOOR), math.log(-_BREAKDOWN)
 
 
 class PnSeries:
@@ -152,6 +159,11 @@ class PnSeries:
         self._live, self._banked, self._run_mass = (p0, p1, p2), banked, run_mass
         return run_mass >= run_goal
 
+    def _runs(self) -> list[tuple[int, int, int]]:
+        """(start, stop, e) of each run of values that share the scale r00 2^e."""
+        stops = [i for i, _ in self._scales[1:]] + [len(self._vals)]
+        return [(start, stop, e) for (start, e), stop in zip(self._scales, stops)]
+
     def probs(self) -> np.ndarray:
         """p(0..n_max) as doubles; entries below the smallest double read 0.0.
 
@@ -161,8 +173,7 @@ class PnSeries:
         sign(v) exp(log|v| + L).  Either way a negative value stays negative,
         so the breakdown check still sees it."""
         p = np.array(self._vals)
-        stops = [i for i, _ in self._scales[1:]] + [len(p)]
-        for (start, e), stop in zip(self._scales, stops):
+        for start, stop, e in self._runs():
             log_scale = self._log_r00 + e * _LN2
             run = p[start:stop]
             if -700.0 < log_scale < 700.0:
@@ -171,6 +182,54 @@ class PnSeries:
                 with np.errstate(divide="ignore"):
                     run[...] = np.sign(run) * np.exp(np.log(np.abs(run)) + log_scale)
         return p
+
+    def fisher_terms(self, dlog_r00: float, dt: float, ds: float, dc: float) -> tuple[list[float], bool]:
+        """The photon-counting FI terms dp(n)^2 / p(n), n = 0..n_max, for the
+        derivatives (d log r00, dt, ds, dc) of the inputs along a parameter
+        path, and whether any p(n) lies below _BREAKDOWN.
+
+        Terms with p(n) below FI_TERM_FLOOR are 0.0.  Both thresholds are
+        compared on the scaled values, one bound per run."""
+        t, s, c = self._inputs
+        a1, a2, a3 = self._coeffs[:3]  # the feedback D = 1 + a1 z + a2 z^2 + a3 z^3
+        # P / z = i0 + i1 z + i2 z^2
+        half_ds, mid, c2dt = 0.5 * ds, 0.5 * dt + 2.0 * c * dc, c * c * dt
+        i0 = half_ds + mid
+        i1 = -2.0 * t * half_ds - (s + t) * mid + c2dt
+        i2 = t * t * half_ds + s * t * mid - s * c2dt
+        f0, f1, f2, f3 = dlog_r00, dlog_r00 * a1 + i0, dlog_r00 * a2 + i1, dlog_r00 * a3 + i2
+        # the last three scaled p and filtered dp
+        v1 = v2 = v3 = y1 = y2 = y3 = 0.0
+        terms: list[float] = []
+        append, vals, broke, e_prev = terms.append, self._vals, False, 0
+        for start, stop, e in self._runs():
+            if start:
+                # the series renormalised here: rescale the history with it
+                try:
+                    v1, v2, v3, y1, y2, y3 = (math.ldexp(x, e_prev - e) for x in (v1, v2, v3, y1, y2, y3))
+                except OverflowError:
+                    raise NonConvergedSeries(
+                        f"photon-counting FI history leaves the double range at the renormalisation at n = {start}"
+                    ) from None
+            e_prev = e
+            # the run's scale S, and the scaled values at which p(n) = v S
+            # reaches the floor and the breakdown bound; no v reaches a floor
+            # below the smallest double: v = 0.0 is no term
+            log_scale = self._log_r00 + e * _LN2
+            scale, low = _exp(log_scale), -_exp(_LOG_LOW - log_scale)
+            floor = max(_exp(_LOG_FLOOR - log_scale), 5e-324)
+            for v in vals[start:stop]:
+                y = f0 * v + f1 * v1 + f2 * v2 + f3 * v3 - (a1 * y1 + a2 * y2 + a3 * y3)
+                v1, v2, v3 = v, v1, v2
+                y1, y2, y3 = y, y1, y2
+                if v >= floor:
+                    append((y * scale) * (y / v))
+                elif v < low:
+                    append(0.0)
+                    broke = True
+                else:
+                    append(0.0)
+        return terms, broke
 
 
 def _run_goal(rest: float, log_scale: float) -> float:
@@ -198,77 +257,3 @@ def pn_series(
 
 def _exp(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
-
-
-class FisherTerms:
-    """The photon-counting FI terms dp(n)^2 / p(n) of a PnSeries, for the
-    derivatives (d log r00, dt, ds, dc) of its inputs along a parameter path.
-
-    Terms with p(n) below `floor` are 0.0.  `walk` runs the derivative filter
-    over the values the series has added since the last call, so the terms
-    have the same bits whether they were walked in one call or in several.
-    Both p(n) thresholds are compared on the scaled values, one bound per run.
-    """
-
-    def __init__(self, series: PnSeries, dlog_r00: float, dt: float, ds: float, dc: float,
-                 floor: float, low: float) -> None:
-        t, s, c = series._inputs
-        a1, a2, a3 = series._coeffs[:3]  # the feedback D = 1 + a1 z + a2 z^2 + a3 z^3
-        # P / z = i0 + i1 z + i2 z^2
-        half_ds, mid, c2dt = 0.5 * ds, 0.5 * dt + 2.0 * c * dc, c * c * dt
-        i0 = half_ds + mid
-        i1 = -2.0 * t * half_ds - (s + t) * mid + c2dt
-        i2 = t * t * half_ds + s * t * mid - s * c2dt
-        self._filter = (dlog_r00, dlog_r00 * a1 + i0, dlog_r00 * a2 + i1, dlog_r00 * a3 + i2, a1, a2, a3)
-        self._series = series
-        self._log_floor, self._log_low = math.log(floor), math.log(-low)
-        # the last three scaled p and filtered dp, and the run they are scaled to
-        self._history = (0.0,) * 6
-        self._run = 0
-        self.terms: list[float] = []
-
-    def _run_bounds(self, exp2: int) -> tuple[float, float, float]:
-        """The scale S of a run with exponent exp2, and the scaled values at
-        which p(n) = v S reaches the floor and the low bound."""
-        log_scale = self._series._log_r00 + exp2 * _LN2
-        # no v reaches a floor below the smallest double: v = 0.0 is no term
-        floor = max(_exp(self._log_floor - log_scale), 5e-324)
-        return _exp(log_scale), floor, -_exp(self._log_low - log_scale)
-
-    def walk(self) -> bool:
-        """Add the terms of the series on to its n_max; returns whether any of
-        the values walked in this call lies below the low bound."""
-        vals, scales = self._series._vals, self._series._scales
-        f0, f1, f2, f3, d1, d2, d3 = self._filter
-        v1, v2, v3, y1, y2, y3 = self._history
-        run, terms = self._run, self.terms
-        scale, floor, low = self._run_bounds(scales[run][1])
-        append = terms.append
-        n, broke = len(terms), False
-        while n < len(vals):
-            if run + 1 < len(scales) and scales[run + 1][0] == n:
-                # the series renormalised here: rescale the history with it
-                run += 1
-                e = scales[run][1] - scales[run - 1][1]
-                try:
-                    v1, v2, v3, y1, y2, y3 = (math.ldexp(x, -e) for x in (v1, v2, v3, y1, y2, y3))
-                except OverflowError:
-                    raise NonConvergedSeries(
-                        f"photon-counting FI history leaves the double range at the renormalisation at n = {n}"
-                    ) from None
-                scale, floor, low = self._run_bounds(scales[run][1])
-            stop = scales[run + 1][0] if run + 1 < len(scales) else len(vals)
-            for v in vals[n:stop]:
-                y = f0 * v + f1 * v1 + f2 * v2 + f3 * v3 - (d1 * y1 + d2 * y2 + d3 * y3)
-                v1, v2, v3 = v, v1, v2
-                y1, y2, y3 = y, y1, y2
-                if v >= floor:
-                    append((y * scale) * (y / v))
-                elif v < low:
-                    append(0.0)
-                    broke = True
-                else:
-                    append(0.0)
-            n = stop
-        self._history, self._run = (v1, v2, v3, y1, y2, y3), run
-        return broke

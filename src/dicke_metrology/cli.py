@@ -58,7 +58,7 @@ _OPTIONS = {
     "lambda_min": (0.01, float, None),
     "lambda_max": (1.0, float, None),
     "points": (100, int, "grid points (per axis for wigner)"),
-    "exclusion": (1e-3, float, "half-width of the skipped window at lambda_c"),
+    "exclusion": (1e-3, float, "absolute half-width, in units of lambda, of the skipped window at lambda_c"),
     "phi": ([0.0], str, "comma-separated quadrature angles (fi-homodyne)"),
     "target": ("radiation", ("radiation", "atoms"), "homodyne subsystem"),
     "format": ("csv", ("csv", "json"), None),
@@ -226,9 +226,12 @@ def _lambda_grid(cfg: dict) -> list[float]:
         raise ConfigError("lambda-min must be below lambda-max")
     lam_c = _critical_coupling(cfg["omega"], cfg["omega0"])
     grid = np.linspace(cfg["lambda_min"], cfg["lambda_max"], cfg["points"])
-    kept = [x for x in grid.tolist() if abs(x - lam_c) >= cfg["exclusion"]]
+    half = cfg["exclusion"]
+    kept = [x for x in grid.tolist() if abs(x - lam_c) >= half]
     if not kept:
-        raise ConfigError("exclusion window removed every grid point")
+        raise ConfigError(
+            f"exclusion window of absolute half-width {half!r} at lambda_c = {lam_c!r} removed every grid point"
+        )
     return kept
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import _BREAKDOWN, FI_TERM_FLOOR
 from .dicke import _RAD, ATOMIC_MODE, RADIATION_MODE, DickeParams, MomentJet
 from .errors import NonConvergedSeries, UnphysicalStateError
 from .estimation import state_derivative
@@ -32,9 +33,6 @@ PN_LIMIT_FLOOR = 100
 # no series runs past this many terms, some 2 s and 32 MB of Python floats;
 # a state with <n> at or above it is refused at once
 PN_MAX_TERMS = 10**6
-FI_TERM_FLOOR = 1e-14
-# a p(n) below this is no rounding of a nonnegative value: the series broke down
-_BREAKDOWN = -1e-9
 FI_MARGIN = 0.4
 
 
@@ -319,11 +317,12 @@ def _photon_fi_stack(
     mean (..., 2), cov (..., 2, 2) with parameter derivatives dmean (..., 2),
     dcov (..., 2, 2), in C order; one member for an unstacked mode.
 
-    FI = sum_n (dp(n))^2 / p(n) with dp(n) exact, summed in one pass of the
-    derivative filter over the series (`_kernels.FisherTerms`); terms with
-    p(n) below a fixed floor are skipped.  The series runs past the mass
+    FI = sum_n (dp(n))^2 / p(n) with dp(n) exact, read off the series by one
+    pass of the derivative filter (`_kernels.PnSeries.fisher_terms`); terms
+    with p(n) below FI_TERM_FLOOR are 0.0.  The series runs past the mass
     cutoff that `photon_distribution` stops at, until the FI its tail is
-    estimated to hold is below PN_TAIL_TOL FI.
+    estimated to hold is below PN_TAIL_TOL FI: almost every row settles in
+    one round, and a later round reads the terms again from n = 0.
 
     Each member is read, checked and sized as in `photon_distribution`, and
     no series runs until all have passed.  A `MomentJet` may come from outside
@@ -348,20 +347,24 @@ def _photon_fi_row(
     series = _kernels.PnSeries(*inputs)
     if not series.extend(limit, PN_TAIL_TOL):
         raise _short_of_mass(limit, inputs[0], _tail_mass(series.probs()))
-    fisher = _kernels.FisherTerms(series, *slopes, FI_TERM_FLOOR, _BREAKDOWN)
     # the first sum runs FI_MARGIN of the mass cutoff's distance from <n>
-    # past it: on 306 Dicke radiation states (N 1 to 1e4, three frequency
-    # pairs, both phases) and squeezed, thermal and coherent families, the
-    # FI tail had ended there, so one pass usually settles the sum; a later
-    # round walks on from where the last one stopped
+    # past it: on 2700 Dicke rows (omega/omega0 1/100 to 100, N 1 to 1e5, both
+    # phases) 97% settled in that one round and under 2% took two, the rest
+    # `nonconverged`; a later round extends the series and reads its terms again
     more = math.ceil(FI_MARGIN * (series.n_max - mean_n)) + 2
     while True:
         series.extend(min(limit, series.n_max + more))
-        if fisher.walk():
-            # a scaled value past the low bound: check the p(n) themselves
+        terms, broke = series.fisher_terms(*slopes)
+        if broke:
+            # a scaled value past the breakdown bound: check the p(n) themselves
             _check_breakdown(series.probs())
-        fi = math.fsum(fisher.terms)
-        more = _fi_tail_terms(fisher.terms, fi, PN_TAIL_TOL)
+        try:
+            fi = math.fsum(terms)
+        except OverflowError:
+            # terms >= 0 whose sum passes the doubles: the FI is inf, and no
+            # further round can bring it back
+            return math.inf, series.n_max
+        more = _fi_tail_terms(terms, fi, PN_TAIL_TOL)
         if not more:
             return fi, series.n_max
         if series.n_max >= limit:

@@ -195,6 +195,15 @@ class TestGridAndConfig:
         assert all(abs(l - 0.5) >= 0.02 for l in lams)
         assert len(lams) < 21
 
+    def test_exclusion_error_names_its_half_width_and_lambda_c(self, capsys):
+        # the window is absolute: at lambda_c = 5e-11 the default 1e-3 covers the whole grid
+        argv = ["qfi", "--omega", "1e-10", "--omega0", "1e-10", "--lambda-min", "1e-12", "--lambda-max", "4e-11"]
+        code = main(argv + ["--points", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        message = "exclusion window of absolute half-width 0.001 at lambda_c = 5e-11 removed every grid point"
+        assert message in captured.err
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"lambda": 0.25, "n_atoms": 16}))
@@ -501,6 +510,16 @@ class TestFiniteOkRows:
         assert code == 3
         assert (cells[column], cells["status"]) == ("inf", cli.NONFINITE)
 
+    def test_an_fi_sum_past_the_doubles_is_nonfinite(self, capsys):
+        # all 285 terms are finite, the largest 4.3e306, but their sum is not:
+        # math.fsum raised OverflowError and the run exited 1 with a traceback
+        argv = ["fi-photon", "--omega", "1.6049688063273283e-154", "--omega0", "2.6991425138208544e-152",
+                "--n-atoms", "1", "--lambda", "2.0813552168033215e-153"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (3, "")
+        assert captured.out.strip().split("\n")[1].split(",")[1:] == ["inf", "inf", "nan", "284", cli.NONFINITE]
+
     def test_each_point_gets_its_own_status_and_ratio(self):
         # one superradiant point past the doubles between two finite ones, and
         # per-angle columns: each value maps to its own coupling
@@ -558,6 +577,9 @@ class TestAcceptedDomain:
     @given(_accepted_models())
     # H printed -3.8e-73 as ok, where the displacement term 4 N / omega^2 is 2.9e-25
     @example(("qfi", 8.048807980736873e148, 3.118559808777612e-55, int(4.656e272), 4.222102817699426e100))
+    # every photon-counting FI term was finite, and their sum raised OverflowError
+    @example(("fi-photon", 1.6049688063273283e-154, 2.6991425138208544e-152, 1,
+              2.0813552168033215e-153))
     @settings(max_examples=300, deadline=None)
     def test_ok_rows_are_finite_and_nonnegative(self, case):
         command, omega, omega0, n_atoms, lam = case

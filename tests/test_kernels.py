@@ -403,10 +403,11 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _walked(fisher):
-    """walk()'s result and the bits of all terms so far, or the error it raises."""
+def _walked(series, slopes):
+    """fisher_terms()'s breakdown flag and the bits of its terms, or the error it raises."""
     try:
-        return fisher.walk(), _bits(fisher.terms)
+        terms, broke = series.fisher_terms(*slopes)
+        return broke, _bits(terms)
     except NonConvergedSeries as exc:
         return type(exc), str(exc)
 
@@ -422,15 +423,11 @@ def _walked(fisher):
 def test_band_test_on_the_new_value_decides_as_the_three_value_test(case, split, slopes):
     # the two-stage band test of `PnSeries.extend` against its former loop,
     # which tested the largest of the three live values on every term; both
-    # extended in two calls, each followed by a walk of the FI terms, which
+    # extended in two calls, each followed by a reading of the FI terms, which
     # give the same terms or raise the same error
     inputs, n_max, tail_tol, slope_scale = case
     series, oracle = _kernels.PnSeries(*inputs), ThreeValueSeries(*inputs)
     slopes = [slope_scale * x for x in slopes]
-    terms, oracle_terms = (
-        _kernels.FisherTerms(x, *slopes, measurements.FI_TERM_FLOOR, measurements._BREAKDOWN)
-        for x in (series, oracle)
-    )
     for stop in (int(split * n_max), n_max):
         assert series.extend(stop, tail_tol) == oracle.extend(stop, tail_tol)
         assert _bits(series._vals) == _bits(oracle._vals)
@@ -438,8 +435,8 @@ def test_band_test_on_the_new_value_decides_as_the_three_value_test(case, split,
         assert _bits(series._live + (series._banked, series._run_mass)) == _bits(
             oracle._live + (oracle._banked, oracle._run_mass)
         )
-        walked = _walked(terms)
-        assert walked == _walked(oracle_terms)
+        walked = _walked(series, slopes)
+        assert walked == _walked(oracle, slopes)
         if walked[0] is NonConvergedSeries:
             return
 
@@ -450,9 +447,8 @@ def test_a_history_with_no_double_in_the_new_scale_raises_a_domain_error():
     series = _kernels.PnSeries(*inputs)
     series.extend(n_max)
     assert series._scales == [(0, 0), (3, -1032)]
-    terms = _kernels.FisherTerms(series, 0.0, 0.0, 0.0, 0.0, measurements.FI_TERM_FLOOR, measurements._BREAKDOWN)
     with pytest.raises(NonConvergedSeries, match="double range"):
-        terms.walk()
+        series.fisher_terms(0.0, 0.0, 0.0, 0.0)
 
 
 def test_squeezed_vacuum_renormalises_where_all_three_values_leave_the_band():
@@ -510,23 +506,25 @@ def test_one_pass_fi_is_the_filtered_sum(lam, n_atoms):
 
 
 @pytest.mark.parametrize("lam,n_atoms", [(0.45, 100), (1.5, 100), (0.7, 4000)] + OVERFLOW_CASES)
-def test_fi_terms_resume_with_the_same_bits(lam, n_atoms, monkeypatch):
-    # no FI margin: the row needs several tail rounds, each walking on from the
-    # last; its sum has the bits of one walk over the final cutoff
+def test_fi_rounds_give_the_bits_of_one_reading(lam, n_atoms, monkeypatch):
+    # no FI margin: the row needs several tail rounds, each reading the terms
+    # of the longer series again; its sum has the bits of one reading at the
+    # final cutoff
     mean_n, limit, inputs, slopes = args = _fi_row_args(lam, n_atoms)
-    walks = []
-    walk = _kernels.FisherTerms.walk
+    readings = []
+    read = _kernels.PnSeries.fisher_terms
     monkeypatch.setattr(measurements, "FI_MARGIN", 0.0)
-    monkeypatch.setattr(_kernels.FisherTerms, "walk", lambda self: walks.append(len(self.terms)) or walk(self))
+    monkeypatch.setattr(
+        _kernels.PnSeries, "fisher_terms", lambda self, *slopes: readings.append(self.n_max) or read(self, *slopes)
+    )
     fi, n_max = measurements._photon_fi_row(*args)
-    assert len(walks) > 1
+    assert len(readings) > 1
     monkeypatch.undo()
     series = _kernels.PnSeries(*inputs)
     series.extend(n_max)
-    once = _kernels.FisherTerms(series, *slopes, measurements.FI_TERM_FLOOR, measurements._BREAKDOWN)
-    once.walk()
-    assert len(once.terms) == n_max + 1
-    assert math.fsum(once.terms) == fi
+    terms, _ = series.fisher_terms(*slopes)
+    assert len(terms) == n_max + 1
+    assert math.fsum(terms) == fi
 
 
 def test_fi_pass_reports_a_broken_series():

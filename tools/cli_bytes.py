@@ -19,8 +19,9 @@ row (N = 1000, lambda = 30), a mixed fi-photon grid, a config file, photon
 --lambda --out with its _pn table, wigner --format json at lambda = 0 on
 resonance, a few config errors, both FI commands at a coupling of 4.3e-217
 (where H is 2.7e-194), frequencies past their band, rows whose values pass
-the doubles (qfi, photon and wigner), and a qfi grid below a lambda_c of
-5e-11.
+the doubles (qfi, photon and wigner), a qfi grid below a lambda_c of
+5e-11, an fi-photon row whose FI sum passes the doubles, and fi-photon
+rows at N = 10^4 whose series renormalise.
 Each run writes into a fresh temporary directory, whose path reads as <tmp>
 in the hashed argv, output and file names.  A warning is hashed after
 stderr as its category and message.  The whole run takes a few seconds.
@@ -78,6 +79,11 @@ EXTRA = [
      "--exclusion", "0"],
     # sqrt(2N) alpha passes the doubles: every wigner row is nan or inf
     ["wigner", "--lambda", "2.72e89", "--points", "3", "--config", f"{TMP}/wigner_past_the_doubles.json"],
+    # every photon-counting FI term is finite, but their sum passes the doubles
+    ["fi-photon", "--omega", "1.6049688063273283e-154", "--omega0", "2.6991425138208544e-152", "--n-atoms", "1",
+     "--lambda", "2.0813552168033215e-153"],
+    # FI rows whose series renormalise 1 to 19 times (log r00 from -735 to -9230)
+    ["fi-photon", "--n-atoms", "10000", "--lambda-min", "0.55", "--lambda-max", "1.0", "--points", "4"],
 ]
 # the config files that a run may read from <tmp>
 CONFIG = {
