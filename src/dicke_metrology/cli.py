@@ -227,7 +227,7 @@ def _lambda_grid(cfg: dict) -> list[float]:
     lam_c = _critical_coupling(cfg["omega"], cfg["omega0"])
     grid = np.linspace(cfg["lambda_min"], cfg["lambda_max"], cfg["points"])
     half = cfg["exclusion"]
-    kept = [x for x in grid.tolist() if abs(x - lam_c) >= half]
+    kept = grid[np.abs(grid - lam_c) >= half].tolist()
     if not kept:
         raise ConfigError(
             f"exclusion window of absolute half-width {half!r} at lambda_c = {lam_c!r} removed every grid point"
@@ -443,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     values, statuses = _sweep_columns(args.command, grid, cfg)
     table = _sweep_table(args.command, grid, cfg, values, statuses)
     _write(cfg, _COMMANDS[args.command].columns, table, cfg["out"])
-    code = EXIT_OK if all(status == "ok" for status in statuses) else EXIT_NUMERICAL
+    code = EXIT_OK if statuses.count("ok") == len(statuses) else EXIT_NUMERICAL
     if pn_table:
         code = max(code, _run_photon_pn(cfg, float(cfg["lambda"])))
     return code

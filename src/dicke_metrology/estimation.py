@@ -3,10 +3,14 @@
 The coupling enters through both moments, so the QFI of a pure Gaussian
 family splits into a quadratic (covariance) part and a displacement part:
 
-    H = -Tr[Omega^T dcov Omega dcov] + dmean^T cov^-1 dmean
+    H = -Tr[Omega^T dcov Omega dcov] + 4 dmean^T Omega^T cov Omega dmean
 
 with the symmetric logarithmic derivative L = R^T Phi R + R^T zeta - nu,
-Phi = -dcov, zeta = Omega^T cov^-1 dmean, nu = Tr[Omega^T cov Omega Phi].
+Phi = -dcov, zeta = -4 cov Omega dmean, nu = Tr[Omega^T cov Omega Phi].
+Both read the state's purity, cov^-1 = 4 Omega^T cov Omega, in place of an
+inverse, and Omega^T X Omega is a signed permutation of X's entries, so
+neither calls a linear-algebra routine.  For the x/p-aligned jets that the
+package builds, H = -2 Tr[dsigma_x dsigma_p] + 4 dm_x^T sigma_p dm_x.
 
 The moments and their exact coupling derivatives come from one vectorised
 jet, `dicke.moment_jet`, over an array of couplings.  `qfi_from_jet` turns a
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DickeParams, MomentJet, _ground_at, _jet, _squeezers, derive
-from .gaussian import _OMEGA2
 
 
 def state_derivative(params: DickeParams) -> MomentJet:
@@ -47,13 +50,44 @@ class EstimationResult:
     displacement_term: float
 
 
+# Omega^T X Omega, for a two-mode X, is a signed permutation of X's entries:
+# x and p swap within each mode, and entry (i, j) takes the sign s_i s_j with
+# s = (-1, 1, -1, 1).  As indices into the 16 entries in C order:
+_SWAP = np.array([1, 0, 3, 2])
+_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+_ENTRIES = np.arange(16).reshape(4, 4)
+_CONJUGATE = _ENTRIES[_SWAP][:, _SWAP].ravel()
+_CONJUGATE_SIGNS = np.outer(_SIGNS, _SIGNS).ravel()
+_TRANSPOSED = _ENTRIES.T.ravel()
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """The 16 entries of a two-mode matrix, or of each of a stack (..., 4, 4),
+    in C order along a last axis; a sum along that axis is one pairwise sum,
+    which gives the same bits at any leading shape."""
+    return x.reshape(x.shape[:-2] + (16,))
+
+
+def _trace_conjugate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr[Omega^T a Omega b] of two-mode matrices, or of each pair of two stacks (..., 4, 4)."""
+    a, b = _flat(a), _flat(b)
+    return (_CONJUGATE_SIGNS * a.take(_CONJUGATE, axis=-1) * b.take(_TRANSPOSED, axis=-1)).sum(axis=-1)
+
+
+def _omega_times(dmean: np.ndarray) -> np.ndarray:
+    """Omega dmean, for a two-mode vector or each of a stack (..., 4)."""
+    return -_SIGNS * dmean.take(_SWAP, axis=-1)
+
+
 def qfi_from_jet(jet: MomentJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantum Fisher information at every coupling of the jet, as the arrays
     (qfi, quadratic_term, displacement_term) with the jet's leading shape:
-    one entry per coupling of a batch, numpy scalars for a 0-d jet."""
-    quadratic = -np.trace(_OMEGA2.T @ jet.dcov @ _OMEGA2 @ jet.dcov, axis1=-2, axis2=-1)
-    dmean = jet.dmean[..., None]
-    displacement = (np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean))[..., 0, 0]
+    one entry per coupling of a batch, numpy scalars for a 0-d jet.
+
+    The displacement term reads cov^-1 = 4 Omega^T cov Omega of a pure state."""
+    quadratic = -_trace_conjugate(jet.dcov, jet.dcov)
+    v = _omega_times(jet.dmean)
+    displacement = 4.0 * _flat(v[..., :, None] * jet.cov * v[..., None, :]).sum(axis=-1)
     return quadratic + displacement, quadratic, displacement
 
 
@@ -76,8 +110,9 @@ def sld_coefficients(params: DickeParams) -> SldCoefficients:
     """SLD coefficients (Phi, zeta, nu) in the laboratory quadratures."""
     jet = state_derivative(params)
     phi = -jet.dcov
-    zeta = _OMEGA2.T @ np.linalg.solve(jet.cov, jet.dmean)
-    nu = float(np.trace(_OMEGA2.T @ jet.cov @ _OMEGA2 @ phi))
+    # zeta = Omega^T cov^-1 dmean, with cov^-1 = 4 Omega^T cov Omega and Omega^T Omega^T = -I
+    zeta = -4.0 * (jet.cov @ _omega_times(jet.dmean))
+    nu = float(_trace_conjugate(jet.cov, phi))
     return SldCoefficients(phi=phi, zeta=zeta, nu=nu)
 
 

@@ -34,6 +34,12 @@ PN_LIMIT_FLOOR = 100
 # a state with <n> at or above it is refused at once
 PN_MAX_TERMS = 10**6
 FI_MARGIN = 0.4
+# the vacuum bound on a mode's covariance determinant, with its tolerance
+_VACUUM_DET = 0.25 * (1.0 - 1e-9)
+# the fewest members whose photon-counting rows are read as columns: the
+# column pass costs some 55 us at a dozen members, the member loop some
+# 4.5 us a member (numpy 2.4, one x86-64 core)
+_STACK_MEMBERS = 12
 
 
 class Target(str, enum.Enum):
@@ -121,7 +127,7 @@ def _require_above_vacuum(sx: float, sp: float) -> float:
     determinant at or above the vacuum bound 1/4; return the determinant.
     A nan determinant, as a variance past the doubles gives, is not above it."""
     det = sx * sp
-    if not det >= 0.25 * (1.0 - 1e-9):
+    if not det >= _VACUUM_DET:
         raise UnphysicalStateError(f"covariance determinant {det:.6e} below the vacuum bound 1/4")
     return det
 
@@ -173,27 +179,38 @@ def _series_inputs(sx: float, sp: float, mx: float) -> tuple[float, float, float
     and the displacement, s = (2 sp - 1)/dp the bare p axis, c = sqrt(2) mx/dx,
     and p(0) = r00 = 2 exp(-mx^2/dx)/sqrt(dx dp).
     """
+    t, s, c = _series_axes(sx, sp, mx)
+    return _log_r00(t, s, c), t, s, c
+
+
+def _series_axes(sx, sp, mx):
+    """(t, s, c) of `_series_inputs`, of one mode or, as columns, of each member of a stack."""
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
-    t, s, c = (2.0 * sx - 1.0) / dx, (2.0 * sp - 1.0) / dp, math.sqrt(2.0) * mx / dx
+    return (2.0 * sx - 1.0) / dx, (2.0 * sp - 1.0) / dp, math.sqrt(2.0) * mx / dx
+
+
+def _log_r00(t: float, s: float, c: float) -> float:
+    """log p(0) of the series with these t, s, c, by math.log1p: numpy's
+    log1p rounds apart from it by an ulp on some members."""
     # r00 = 1 / G(1) from the same t, s, c as the recurrence: the series then
     # sums to one within the rounding of c^2 / (1 - t), ~1e-11 at <n> = 2.5e5,
     # where 2 exp(-mx^2/dx)/sqrt(dx dp) rounds apart from them by up to 1e-10
-    return 0.5 * (math.log1p(-s) + math.log1p(-t)) - c * c / (1.0 - t), t, s, c
+    return 0.5 * (math.log1p(-s) + math.log1p(-t)) - c * c / (1.0 - t)
 
 
-def _series_derivatives(
-    sx: float, sp: float, mx: float, dsx: float, dsp: float, dmx: float
-) -> tuple[float, float, float, float]:
+def _series_derivatives(sx, sp, mx, dsx, dsp, dmx) -> tuple:
     """Derivatives (d log r00, dt, ds, dc) of `_series_inputs` along the
-    derivatives dsx, dsp, dmx of its arguments."""
+    derivatives dsx, dsp, dmx of its arguments: floats for one mode, columns
+    for a stack."""
     dx, dp = 1.0 + 2.0 * sx, 1.0 + 2.0 * sp
     dlog_r00 = -2.0 * mx * (dmx - mx * dsx / dx) / dx - dsx / dx - dsp / dp
     dc = math.sqrt(2.0) * (dmx - 2.0 * mx * dsx / dx) / dx
     return dlog_r00, 4.0 * dsx / (dx * dx), 4.0 * dsp / (dp * dp), dc
 
 
-def _mode_moments(mx: float, mp: float, cxx: float, cxp: float, cpx: float, cpp: float) -> tuple[float, float]:
-    """<n> and Var(n) of one mode from the entries of its mean and cov.
+def _mode_moments(mx, mp, cxx, cxp, cpx, cpp) -> tuple:
+    """<n> and Var(n) of one mode from the entries of its mean and cov, as
+    floats, or of each member of a stack from its columns.
 
     <n> = (Tr sigma + |mu|^2 - 1)/2 and Var(n) = Tr sigma^2 / 2 - 1/4 + mu^T sigma mu.
     """
@@ -325,10 +342,23 @@ def _photon_fi_stack(
     one round, and a later round reads the terms again from n = 0.
 
     Each member is read, checked and sized as in `photon_distribution`, and
-    no series runs until all have passed.  A `MomentJet` may come from outside
-    the package, so cov gets the check and symmetrization of GaussianState.
+    no series runs until all have passed: a stack of _STACK_MEMBERS or more
+    in one pass over its columns where every member passes, and member by
+    member otherwise, which raises the first failure.  A `MomentJet` may
+    come from outside the package, so cov gets the check and symmetrization
+    of GaussianState.
     """
     cov = _symmetrized(cov)
+    rows = _stack_rows(mean, cov, dmean, dcov) if cov.size >= 4 * _STACK_MEMBERS else None
+    if rows is None:
+        rows = _member_rows(mean, cov, dmean, dcov)
+    return [_photon_fi_row(*row) for row in rows]
+
+
+def _member_rows(mean: np.ndarray, cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray) -> list[tuple]:
+    """The rows (<n>, cutoff limit, series inputs, their slopes) of the members
+    of a stack, one member at a time, each refused as `photon_distribution`
+    refuses a state: the first failure in that order raises."""
     rows = []
     for entries, (dmx, _, dsx, _, _, dsp) in zip(_mode_entries(mean, cov), _mode_entries(dmean, dcov), strict=True):
         mx, _, sx, _, _, sp = entries
@@ -336,7 +366,37 @@ def _photon_fi_stack(
         mean_n, var_n = _mode_moments(*entries)
         slopes = _series_derivatives(sx, sp, mx, dsx, dsp, dmx)
         rows.append((mean_n, _series_limit(mean_n, var_n), _series_inputs(sx, sp, mx), slopes))
-    return [_photon_fi_row(*row) for row in rows]
+    return rows
+
+
+def _stack_rows(mean: np.ndarray, cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray) -> list[tuple] | None:
+    """The rows of `_member_rows`, with their bits, from one pass over the
+    stack as columns; None unless the four arrays are one stack of modes whose
+    every member passes the four rules, read strictly: the family rules as
+    exact zeros, and the vacuum bound with positive variances.  A member that
+    fails, even within a rule's tolerance, sends the stack to `_member_rows`,
+    which reads it, or raises its first failure, as it does alone."""
+    lead = mean.shape[:-1]
+    if not (mean.shape == dmean.shape == lead + (2,) and cov.shape == dcov.shape == lead + (2, 2)):
+        return None
+    # mx, mp, cxx, cxp, cpx, cpp of each member, then their derivatives, as 12 rows
+    entries = np.concatenate([mean.reshape(-1, 2), cov.reshape(-1, 4), dmean.reshape(-1, 2), dcov.reshape(-1, 4)], 1).T
+    mx, _, sx, _, _, sp, dmx, _, dsx, _, _, dsp = entries
+    # a member past the doubles leaves an inf or nan, as Python floats do, without a warning
+    with np.errstate(all="ignore"):
+        mean_n, var_n = _mode_moments(*entries[:6])
+        passed = (np.minimum(sx, sp) > 0.0) & (sx * sp >= _VACUUM_DET) & (mean_n < PN_MAX_TERMS)
+        # a nonzero or nan mp, cxp, dmp or dcxp, the entries the family rules bound
+        if not passed.all() or entries[[1, 3, 7, 9]].any():
+            return None
+        t, s, c = (x.tolist() for x in _series_axes(sx, sp, mx))
+        slopes = _series_derivatives(sx, sp, mx, dsx, dsp, dmx)
+    # min(int(reach) + PN_LIMIT_FLOOR, PN_MAX_TERMS) of `_series_limit`: reach is
+    # finite here, and its truncation exact in doubles below 2^53
+    reach = mean_n + PN_LIMIT_SDS * np.sqrt(np.maximum(var_n, 0.0))
+    limits = np.minimum(np.trunc(reach) + PN_LIMIT_FLOOR, PN_MAX_TERMS).astype(int)
+    inputs = zip(map(_log_r00, t, s, c), t, s, c)
+    return list(zip(mean_n.tolist(), limits.tolist(), inputs, zip(*(x.tolist() for x in slopes))))
 
 
 def _photon_fi_row(

@@ -11,7 +11,9 @@ unscaled p(n) and the former two-pass photon FI row built on it, the
 series inputs of a single-mode state, its photon-number
 moments as arrays over a stack, the ground-state covariance from its six
 closed-form entries, the covariance and its coupling derivative at 400
-digits from the square root of M = T^1/2 V T^1/2, the former two-call symplectic spectrum (one
+digits from the square root of M = T^1/2 V T^1/2, the coupling QFI at 50
+digits, the package's former QFI reader and SLD linear term by
+np.linalg.solve, random two-mode symplectic matrices, the former two-call symplectic spectrum (one
 eigenvalue call for the state and one for its partial transpose, flipped by
 diagonal matrix products), the CLI's former cell-by-cell CSV formatting and
 row-wise JSON, its former per-row builders for entanglement, photon and
@@ -289,6 +291,54 @@ def reference_moments(lam: float, omega: float, omega0: float) -> tuple[np.ndarr
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)):
             dcov[i, j] = mpmath.diff(lambda y: _reference_cov(y, omega, omega0)[i, j], x, h=step)
         return np.array(cov.tolist(), dtype=float), np.array(dcov.tolist(), dtype=float)
+
+
+def reference_qfi(lam: float, omega: float, omega0: float, n_atoms: int) -> mpmath.mpf:
+    """The coupling QFI of the ground state at the exact double lam, at 50
+    digits: the quadratic term -Tr[Omega^T dcov Omega dcov] from
+    `_reference_cov` and its mpmath derivative, and the displacement term
+    dmean^T cov^-1 dmean from the closed forms of the mean field's
+    d(alpha)/d(lam) = (1 + k^2) / (omega sqrt(1 - k^2)) and d(beta)/d(lam) =
+    k / (2 lam beta), with the mean sqrt(2N) (alpha, 0, -beta, 0)."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        cov = _reference_cov(x, omega, omega0)
+        dcov = mpmath.zeros(4, 4)
+        for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)):
+            dcov[i, j] = mpmath.diff(lambda y: _reference_cov(y, omega, omega0)[i, j], x)
+        form = mpmath.matrix(symplectic_form(2).tolist())
+        quadratic = -sum((form.T * dcov * form * dcov)[i, i] for i in range(4))
+        dmean = mpmath.zeros(4, 1)
+        lc = mpmath.sqrt(mpmath.mpf(omega) * omega0) / 2
+        if x > lc:
+            k = (lc / x) ** 2
+            beta = mpmath.sqrt((1 - k) / 2)
+            root = mpmath.sqrt(2 * mpmath.mpf(n_atoms))
+            dmean[0] = root * (1 + k * k) / (omega * mpmath.sqrt(1 - k * k))
+            dmean[2] = -root * k / (2 * x * beta)
+        return quadratic + (dmean.T * mpmath.inverse(cov) * dmean)[0]
+
+
+def solve_form_qfi(jet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qfi, quadratic_term, displacement_term) of a jet by the package's
+    former reader: the quadratic term as the trace of a 4x4 matmul chain, the
+    displacement term dmean^T cov^-1 dmean by np.linalg.solve."""
+    form = symplectic_form(2)
+    quadratic = -np.trace(form.T @ jet.dcov @ form @ jet.dcov, axis1=-2, axis2=-1)
+    dmean = jet.dmean[..., None]
+    displacement = (np.swapaxes(dmean, -1, -2) @ np.linalg.solve(jet.cov, dmean))[..., 0, 0]
+    return quadratic + displacement, quadratic, displacement
+
+
+def solve_form_zeta(jet) -> np.ndarray:
+    """The SLD's linear term Omega^T cov^-1 dmean of a 0-d jet by np.linalg.solve."""
+    return symplectic_form(2).T @ np.linalg.solve(jet.cov, jet.dmean)
+
+
+def random_symplectic(rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
+    """A two-mode symplectic matrix expm(Omega G) for a random symmetric G of entries ~ scale."""
+    g = rng.normal(scale=scale, size=(4, 4))
+    return expm(symplectic_form(2) @ (g + g.T) / 2.0)
 
 
 def two_call_spectrum(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -779,6 +779,22 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["qfi", "fi-homodyne", "fi-photon"])
+def test_sweeps_call_no_linear_algebra(monkeypatch, command):
+    # the QFI reads a pure state's inverse from its entries, and the photon
+    # rows read the radiation entries alone; entanglement and wigner are not
+    # covered: they still take determinants and eigenvalues
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg routine ran")
+
+    for name in ("solve", "inv", "det", "eigvals", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = dict(cli._DEFAULTS, points=12, lambda_min=0.3, lambda_max=0.7, phi=[0.0, 1.0])
+    grid = cli._lambda_grid(cfg)
+    values, statuses = cli._sweep_columns(command, grid, cfg)
+    assert statuses == ["ok"] * len(grid)
+
+
 def test_small_sweeps_start_no_pool(tmp_path):
     # no subcommand loads a process pool, at any --jobs
     src = str(Path(dicke_metrology.__file__).resolve().parents[1])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from dicke_metrology import dicke
-from dicke_metrology.dicke import DickeParams, derive, ground_moments, ground_state, moment_jet, symplectic_chain
+from dicke_metrology import dicke, estimation
+from dicke_metrology.dicke import DickeParams, MomentJet, derive, ground_moments, ground_state, moment_jet
+from dicke_metrology.dicke import symplectic_chain
 from dicke_metrology.errors import CriticalPointSingularity
 from dicke_metrology.estimation import (
     fit_power_law,
@@ -17,8 +18,9 @@ from dicke_metrology.estimation import (
     sld_coefficients_f1_frame,
     state_derivative,
 )
+from dicke_metrology.gaussian import symplectic_form
 from dicke_metrology.measurements import HomodyneSetting, Target, fi_homodyne, fi_homodyne_from_jet
-from oracles import fidelity_qfi
+from oracles import fidelity_qfi, random_symplectic, reference_qfi, solve_form_qfi, solve_form_zeta
 
 
 # working digits of the compiled oracle: at lam / lambda_c = 2e4 its
@@ -270,12 +272,10 @@ class TestQfi:
 
     def test_sign_branch_irrelevant(self):
         # H depends on the displacement derivative quadratically
-        params = DickeParams(lam=0.9)
-        sd = state_derivative(params)
-        cov = ground_state(params).cov
-        plus = sd.dmean @ np.linalg.solve(cov, sd.dmean)
-        minus = (-sd.dmean) @ np.linalg.solve(cov, -sd.dmean)
-        assert plus == minus
+        sd = state_derivative(DickeParams(lam=0.9))
+        flipped = MomentJet(sd.mean, sd.cov, -sd.dmean, sd.dcov)
+        assert qfi_from_jet(flipped) == qfi_from_jet(sd)
+        assert qfi_from_jet(sd)[2] > 0
 
     @pytest.mark.parametrize("lam", [0.3, 0.7])
     def test_fidelity_oracle(self, lam):
@@ -286,7 +286,94 @@ class TestQfi:
         assert h_fid == pytest.approx(qfi(DickeParams(lam=lam)).qfi, rel=1e-3)
 
 
+class TestPureStateReader:
+    """`qfi_from_jet` reads cov^-1 as 4 Omega^T cov Omega, a pure state's
+    inverse, and Omega^T X Omega as a signed permutation of X's entries: the
+    numbers of the former matmul-and-solve reader, with no linear algebra."""
+
+    # |lam / lambda_c - 1| on each side of lambda_c
+    OFFSETS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    # the former reader's worst relative error against the 50-digit reference
+    # times the offset, over the cases below: 2.348e-16 (omega, omega0 = 1,
+    # 2, offset +1e-4); the jet's conditioning near lambda_c, not the reader,
+    # sets it, and the pure-state reader errs by as much
+    ERROR_TIMES_OFFSET = 2.35e-16
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("omega, omega0", ORACLE_FREQUENCIES)
+    def test_against_the_50_digit_reference(self, omega, omega0, side):
+        lc = np.sqrt(omega * omega0) / 2
+        for offset in self.OFFSETS:
+            lam = float(lc * (1 + side * offset))
+            h = qfi(DickeParams(lam=lam, omega=omega, omega0=omega0, n_atoms=100)).qfi
+            reference = reference_qfi(lam, omega, omega0, 100)
+            error = float(abs((h - reference) / reference))
+            assert error <= self.ERROR_TIMES_OFFSET / offset, (offset, error)
+
+    @pytest.mark.parametrize("n_atoms", [1, 100, 10_000])
+    @pytest.mark.parametrize("omega, omega0", ORACLE_FREQUENCIES)
+    def test_a_rotated_pure_jet_keeps_the_solve_form(self, omega, omega0, n_atoms):
+        # a random symplectic S keeps the state pure and H invariant, and
+        # mixes x and p, so the jet leaves the x/p-aligned family
+        rng = np.random.default_rng(n_atoms)
+        form = symplectic_form(2)
+        ratios = np.array(TestMomentJet.RATIOS)
+        jet = moment_jet(np.sqrt(omega * omega0) / 2 * ratios, omega, omega0, n_atoms)
+        for i, ratio in enumerate(ratios):
+            for _ in range(3):
+                s = random_symplectic(rng)
+                rotated = MomentJet(s @ jet.mean[i], s @ jet.cov[i] @ s.T, s @ jet.dmean[i], s @ jet.dcov[i] @ s.T)
+                h, solved = qfi_from_jet(rotated)[0], solve_form_qfi(rotated)[0]
+                # the sum of the terms' magnitudes: measured errors are below 1.4e-16 of it
+                v = form @ rotated.dmean
+                magnitude = np.sum(np.abs(form.T @ rotated.dcov @ form) * np.abs(rotated.dcov.T))
+                magnitude += 4.0 * np.abs(v) @ np.abs(rotated.cov) @ np.abs(v)
+                assert abs(h - solved) <= 1e-15 * magnitude, ratio
+                if abs(ratio - 1.0) >= 0.5:
+                    assert abs(h - solved) <= 1e-14 * solved, ratio
+
+    def test_aligned_jets_read_the_block_form(self):
+        # -2 Tr[dsigma_x dsigma_p] + 4 dm_x^T sigma_p dm_x on the jets the package builds
+        jet = moment_jet([0.0, 0.3, 0.49, 0.51, 0.7, 5.0], 1.0, 2.0, 100)
+        x, p = [0, 2], [1, 3]
+        dsx, dsp = jet.dcov[:, x][:, :, x], jet.dcov[:, p][:, :, p]
+        quadratic = -2.0 * np.einsum("nij,nji->n", dsx, dsp)
+        dmx = jet.dmean[:, x]
+        displacement = 4.0 * np.einsum("ni,nij,nj->n", dmx, jet.cov[:, p][:, :, p], dmx)
+        h, q, d = qfi_from_jet(jet)
+        assert np.allclose(q, quadratic, rtol=1e-14, atol=0) and np.allclose(d, displacement, rtol=1e-14, atol=0)
+        assert np.array_equal(h, q + d)
+
+
 class TestSld:
+    # the largest move of zeta from Omega^T solve(cov, dmean), relative to
+    # zeta's largest entry, read 5.0e-15 on the package's jets and 5.8e-15 on
+    # random pure jets; that of nu, relative to max|cov| max|dcov|, 5.1e-16
+    ZETA_TOL = 2e-14
+    NU_TOL = 2e-15
+
+    @pytest.mark.parametrize("omega, omega0", ORACLE_FREQUENCIES)
+    def test_zeta_against_the_solve_form(self, omega, omega0):
+        lc = np.sqrt(omega * omega0) / 2
+        for ratio in TestMomentJet.RATIOS:
+            params = DickeParams(lam=float(lc * ratio), omega=omega, omega0=omega0, n_atoms=100)
+            zeta, solved = sld_coefficients(params).zeta, solve_form_zeta(state_derivative(params))
+            assert np.max(np.abs(zeta - solved)) <= self.ZETA_TOL * np.max(np.abs(solved)), ratio
+
+    def test_on_random_pure_jets(self, monkeypatch):
+        rng = np.random.default_rng(20160101)
+        form = symplectic_form(2)
+        for _ in range(50):
+            s = random_symplectic(rng)
+            g = rng.normal(size=(4, 4))
+            jet = MomentJet(s @ rng.normal(size=4), s @ s.T / 2.0, rng.normal(size=4), g + g.T)
+            monkeypatch.setattr(estimation, "state_derivative", lambda params, jet=jet: jet)
+            coeffs = sld_coefficients(DickeParams(lam=0.3))
+            solved = solve_form_zeta(jet)
+            assert np.max(np.abs(coeffs.zeta - solved)) <= self.ZETA_TOL * np.max(np.abs(solved))
+            nu = np.trace(form.T @ jet.cov @ form @ -jet.dcov)
+            assert abs(coeffs.nu - nu) <= self.NU_TOL * np.max(np.abs(jet.cov)) * np.max(np.abs(jet.dcov))
+
     def test_zeta_zero_normal_phase(self):
         coeffs = sld_coefficients(DickeParams(lam=0.3))
         assert np.array_equal(coeffs.zeta, np.zeros(4))

@@ -572,3 +572,124 @@ class TestPhotonFiStack:
         with pytest.raises(ValueError, match="symmetric"):
             fi_photon_counting_from_jet(jet)
 
+
+    # each refusal rule of the photon readers, in the order they run, and a
+    # radiation mode (entries 0 and 1) that breaks it
+    RULES = ["value family", "derivative family", "vacuum bound", "series limit"]
+    EXPECTED = {
+        "value family": "off-diagonal covariance",
+        "derivative family": "momentum displacement",
+        "vacuum bound": "below the vacuum bound",
+        "series limit": "the photon series would run past",
+    }
+
+    @staticmethod
+    def _stack(members):
+        """A jet of `members` normal-phase couplings, whose arrays a test may change."""
+        jet = moment_jet(np.linspace(0.2, 0.45, members), 1.0, 1.0, 100)
+        return MomentJet(jet.mean.copy(), jet.cov.copy(), jet.dmean.copy(), jet.dcov.copy())
+
+    @staticmethod
+    def _radiation(jet):
+        """The radiation stacks of a jet as `_photon_fi_stack` reads them."""
+        rad = slice(0, 2)
+        cov = measurements._symmetrized(jet.cov[:, rad, rad])
+        return jet.mean[:, rad], cov, jet.dmean[:, rad], jet.dcov[:, rad, rad]
+
+    @staticmethod
+    def _break(jet, k, rule):
+        if rule == "value family":
+            jet.cov[k, 0, 1] = jet.cov[k, 1, 0] = 1e-3
+        elif rule == "derivative family":
+            jet.dmean[k, 1] = 0.5
+        elif rule == "vacuum bound":
+            jet.cov[k, 0, 0] = jet.cov[k, 1, 1] = 0.4
+        else:
+            jet.cov[k, 0, 0] = jet.cov[k, 1, 1] = 3e6
+
+    @staticmethod
+    def _outcome(read, *args):
+        try:
+            return repr(read(*args))
+        except Exception as exc:  # the type and message are the outcome
+            return type(exc), str(exc)
+
+    def _member_loop(self, *stack):
+        """(FI, cutoff) of each member as the per-member loop reads it."""
+        return [measurements._photon_fi_row(*row) for row in measurements._member_rows(*stack)]
+
+    # 4 members run the member loop, 16 the column pass
+    @pytest.mark.parametrize("members", [4, 16])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_refused_member_raises_as_the_member_loop_does(self, rule, k, members):
+        jet = self._stack(members)
+        self._break(jet, k, rule)
+        assert measurements._stack_rows(*self._radiation(jet)) is None
+        raised = self._outcome(fi_photon_counting_from_jet, jet)
+        assert raised == self._outcome(self._member_loop, *self._radiation(jet))
+        alone = MomentJet(jet.mean[k], jet.cov[k], jet.dmean[k], jet.dcov[k])
+        assert raised == self._outcome(fi_photon_counting_from_jet, alone)
+        assert self.EXPECTED[rule] in raised[1]
+
+    @pytest.mark.parametrize(
+        "first, second, raised_by",
+        [("vacuum bound", "value family", 2), ("series limit", "derivative family", 2),
+         ("series limit", "vacuum bound", 0), ("vacuum bound", "series limit", 0)],
+    )
+    def test_the_first_failure_in_the_loop_order_raises(self, first, second, raised_by):
+        # the family rules run over every member before the vacuum bound and
+        # the series limit run member by member
+        jet = self._stack(16)
+        self._break(jet, 0, first)
+        self._break(jet, 2, second)
+        raised = self._outcome(fi_photon_counting_from_jet, jet)
+        assert raised == self._outcome(self._member_loop, *self._radiation(jet))
+        k = raised_by
+        alone = MomentJet(jet.mean[k], jet.cov[k], jet.dmean[k], jet.dcov[k])
+        assert raised == self._outcome(fi_photon_counting_from_jet, alone)
+
+    @pytest.mark.parametrize("n_atoms", [1, 100, 10_000, 10**6])
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
+    def test_the_column_pass_keeps_the_bits_of_the_member_loop(self, omega, omega0, n_atoms):
+        lc = math.sqrt(omega * omega0) / 2.0
+        ratios = [0.0, 1e-9, 0.1, 0.5, 0.9, 0.999, 0.99999, 1.00001, 1.001, 1.1, 2.0, 10.0, 1e3]
+        jet = moment_jet([lc * r for r in ratios], omega, omega0, n_atoms)
+        stack = self._radiation(jet)
+        try:
+            member_rows = measurements._member_rows(*stack)
+        except NonConvergedSeries:
+            # deep in the superradiant phase at large N, <n> passes PN_MAX_TERMS
+            assert measurements._stack_rows(*stack) is None
+            return
+        rows = measurements._stack_rows(*stack)
+        assert repr(rows) == repr(member_rows)
+        assert all(type(limit) is int for _, limit, _, _ in rows)
+        if n_atoms <= 100:
+            alone = [fi_photon_counting_from_jet(moment_jet([lc * r], omega, omega0, n_atoms))[0] for r in ratios]
+            assert repr(fi_photon_counting_from_jet(jet)) == repr(alone)
+
+    @pytest.mark.parametrize(
+        "mean, cov, dmean, dcov",
+        [
+            ([0.0, 0.0], [[math.nan, 0.0], [0.0, 0.6]], [0.0, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+            ([0.0, 0.0], [[0.6, math.nan], [math.nan, 0.6]], [0.0, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+            ([0.0, 0.0], [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+            ([0.0, 0.0], [[-0.5, 0.0], [0.0, -0.5]], [0.0, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+            ([math.inf, 0.0], [[0.6, 0.0], [0.0, 0.6]], [0.0, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+            ([1.0, 0.0], [[0.6, 0.0], [0.0, 0.6]], [math.inf, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+            ([1.0, 0.0], [[0.6, 0.0], [0.0, 0.6]], [0.0, 0.0], [[math.inf, 0.0], [0.0, -math.inf]]),
+            ([1.0, 0.0], [[0.6, 0.0], [0.0, 0.6]], [1e300, 0.0], [[1e300, 0.0], [0.0, 1e300]]),
+            ([1.0, 1e-12], [[0.6, 1e-12], [1e-12, 0.6]], [0.0, 0.0], [[0.1, 0.0], [0.0, 0.1]]),
+        ],
+        ids=["nan-variance", "nan-off-diagonal", "negative-variances", "zero-denominator", "inf-mean",
+             "inf-slope", "inf-variance-slopes", "overflowing-slopes", "inside-the-family-tolerance"],
+    )
+    def test_a_member_past_the_doubles_reads_as_in_the_member_loop(self, mean, cov, dmean, dcov):
+        # good members on either side: the column pass sends the stack to the
+        # member loop, or reads it as that loop would, with no warning
+        stack = [np.array(x) for x in self._radiation(self._stack(16))]
+        for array, member in zip(stack, (mean, cov, dmean, dcov)):
+            array[1] = member
+        symmetrized = (stack[0], measurements._symmetrized(stack[1]), stack[2], stack[3])
+        assert self._outcome(measurements._photon_fi_stack, *stack) == self._outcome(self._member_loop, *symmetrized)
